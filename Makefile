@@ -2,7 +2,7 @@
 
 .PHONY: install lint lint-custom lint-mypy lint-ruff test test-all conform \
 	conform-paper conform-update coverage \
-	bench bench-core bench-parallel bench-stream bench-serve bench-cdn \
+	bench bench-core bench-parallel bench-stream bench-serve \
 	bench-summary experiments figures \
 	examples all
 
@@ -77,8 +77,7 @@ coverage:
 
 # The full benchmark battery: every subsystem's JSON-recorded benchmark
 # followed by the one-table summary of all BENCH_*.json artifacts.
-bench: bench-core bench-parallel bench-stream bench-serve bench-cdn \
-	bench-summary
+bench: bench-core bench-parallel bench-stream bench-serve bench-summary
 
 bench-summary:
 	python benchmarks/bench_summary.py
@@ -106,12 +105,6 @@ bench-stream:
 # lines/sec plus p50/p99 ingest latency to BENCH_serve.json.
 bench-serve:
 	PYTHONPATH=src python benchmarks/bench_serve.py --out BENCH_serve.json
-
-# CDN deployment-sweep throughput: a >=12-config sweep through the
-# two-tier delivery simulation, serial vs sharded (bit-identical),
-# plus the single-simulation hot path, recorded to BENCH_cdn.json.
-bench-cdn:
-	PYTHONPATH=src python benchmarks/bench_cdn.py --out BENCH_cdn.json
 
 experiments:
 	PYTHONPATH=src python -m repro experiments

@@ -46,15 +46,6 @@ def _headline(name: str, doc: dict) -> tuple[str, str, str]:
         return ("live service replay",
                 f"peak {_fmt(doc.get('peak_lines_per_sec', 0))} lines/s",
                 "target met" if doc.get("target_100k_met") else "below")
-    if name == "BENCH_cdn.json":
-        best = max((r["speedup_vs_serial"] for r in doc.get("runs", [])),
-                   default=0.0)
-        return ("cdn deployment sweep",
-                f"{doc.get('n_configs', 0)} configs at "
-                f"{doc.get('serial_configs_per_second', 0):.2f}/s serial, "
-                f"best speedup {best:.2f}x; engine "
-                f"{_fmt(doc.get('simulate_transfers_per_second', 0))} "
-                f"transfers/s", "deterministic")
     return (doc.get("benchmark", "unknown"), "unrecognized schema", "-")
 
 

@@ -18,18 +18,28 @@ the identical answer with numpy doing almost all the work:
    sorted-column prefix sums and ``searchsorted``.  Bandwidth is
    accounted in whole bits per second (:func:`~repro.cdn.topology.
    quantize_bandwidth`), so every bound is integer arithmetic: no float
-   drift, no ordering ambiguity.
+   drift, no ordering ambiguity.  The end column is sorted once per
+   call; every later end ordering is a stable filter of that one.
 2. **Short circuit.**  A request whose worst-case bounds already fit
    under the caps is admitted no matter what anyone else does (the true
    active set is a subset of the worst-case one).  In a provisioned
    deployment that is almost everyone; an uncontended edge never enters
    a Python loop at all.
 3. **Sweep only the contended residue.**  The remaining "risky"
-   requests run through an exact event sweep whose state is two
-   integers, with the guaranteed-admitted background folded in as
-   precomputed per-event contributions.  The sweep's event order
-   (completions before arrivals at equal times, arrivals in trace
-   order) matches the event-driven server's tie-breaking.
+   requests are decided by a sequential loop over the risky arrivals
+   alone.  The guaranteed-admitted background never changes, so each
+   arrival's *slack* — the cap minus the background's active count,
+   and the bandwidth cap minus the background's rate and the
+   request's own — is a precomputed vectorized column, and the loop
+   body is two integer comparisons against the risky requests' live
+   totals.  Risky completions are consumed by a pointer over the
+   end-ordered occupying risky requests; a ``searchsorted`` gives how
+   many of them are done by each arrival, counting completions at
+   exactly the arrival instant (completions free capacity before
+   same-instant arrivals, which are decided in trace order — the
+   event-driven server's tie-breaking).  Columns reach Python in
+   fixed-size blocks, so the loop's object working set is bounded by
+   the block, not by the edge's request count.
 
 The decomposition is a pure function of the request columns and the
 caps, so results are bit-identical across processes, worker counts, and
@@ -47,6 +57,9 @@ from .._typing import FloatArray, IntArray
 from ..errors import CdnError
 
 BoolArray = npt.NDArray[np.bool_]
+
+#: Risky arrivals and completions reach Python this many at a time.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -88,22 +101,24 @@ def active_peaks(start: FloatArray, end: FloatArray,
 
     Completions are processed before arrivals at equal times (intervals
     are half-open ``[start, end)``), matching the admission sweep.
+    Rates are non-negative, so both peaks are reached just after an
+    arrival: the active total there is the arrivals so far minus the
+    intervals ended at or before that instant.
     """
-    if start.size == 0:
-        return 0, 0
     keep = end > start
     start, end, rate = start[keep], end[keep], rate[keep]
-    if start.size == 0:
+    n = start.size
+    if n == 0:
         return 0, 0
-    times = np.concatenate([start, end])
-    kinds = np.concatenate([np.ones(start.size, dtype=np.int8),
-                            np.zeros(end.size, dtype=np.int8)])
-    deltas = np.concatenate([np.ones(start.size, dtype=np.int64),
-                             -np.ones(end.size, dtype=np.int64)])
-    rates = np.concatenate([rate, -rate])
-    order = np.lexsort((kinds, times))
-    peak_conn = int(np.cumsum(deltas[order]).max())
-    peak_rate = int(np.cumsum(rates[order]).max())
+    start_order = np.argsort(start, kind="stable")
+    end_order = np.argsort(end, kind="stable")
+    ended = np.searchsorted(end[end_order], start[start_order],
+                            side="right")
+    peak_conn = int((np.arange(1, n + 1) - ended).max())
+    ended_rate = np.concatenate(
+        [np.zeros(1, dtype=np.int64), np.cumsum(rate[end_order])])
+    peak_rate = int((np.cumsum(rate[start_order])
+                     - ended_rate[ended]).max())
     return peak_conn, peak_rate
 
 
@@ -143,6 +158,39 @@ def admit_requests(start: FloatArray, duration: FloatArray,
     start = np.asarray(start, dtype=np.float64)
     duration = np.asarray(duration, dtype=np.float64)
     rate = np.asarray(bandwidth_bps, dtype=np.int64)
+    carry_end = np.asarray(
+        np.zeros(0) if carry_end is None else carry_end, dtype=np.float64)
+    carry_rate = np.asarray(
+        np.zeros(0) if carry_rate is None else carry_rate, dtype=np.int64)
+    admitted, n_swept = decide_admission(
+        start, duration, rate, max_connections=max_connections,
+        bandwidth_cap_bps=bandwidth_cap_bps, carry_end=carry_end,
+        carry_rate=carry_rate)
+    # Peaks cover the admitted requests plus the carried transfers,
+    # which have been active since before the window opened.
+    peak_conn, peak_rate = active_peaks(
+        np.concatenate([start[admitted], np.full(carry_end.size, -np.inf)]),
+        np.concatenate([start[admitted] + duration[admitted], carry_end]),
+        np.concatenate([rate[admitted], carry_rate]))
+    return AdmissionOutcome(admitted=admitted, peak_connections=peak_conn,
+                            peak_bandwidth_bps=peak_rate, n_swept=n_swept)
+
+
+def decide_admission(start: FloatArray, duration: FloatArray,
+                     rate: IntArray, *, max_connections: int | None,
+                     bandwidth_cap_bps: int | None, carry_end: FloatArray,
+                     carry_rate: IntArray) -> tuple[BoolArray, int]:
+    """The decision half of :func:`admit_requests`, without the peaks.
+
+    Takes float64/int64 columns as :func:`admit_requests` describes
+    them and returns the admission mask and the number of requests the
+    sequential sweep decided.
+
+    Raises
+    ------
+    CdnError
+        If the start column is not sorted or column lengths disagree.
+    """
     n = start.size
     if duration.size != n or rate.size != n:
         raise CdnError(
@@ -150,32 +198,13 @@ def admit_requests(start: FloatArray, duration: FloatArray,
             f"durations, {rate.size} bandwidths")
     if n and np.any(np.diff(start) < 0):
         raise CdnError("request starts must be non-decreasing")
-    if carry_end is None:
-        carry_end = np.zeros(0)
-    if carry_rate is None:
-        carry_rate = np.zeros(0, dtype=np.int64)
-    carry_end = np.asarray(carry_end, dtype=np.float64)
-    carry_rate = np.asarray(carry_rate, dtype=np.int64)
     if carry_end.size != carry_rate.size:
         raise CdnError(
             f"carry columns disagree: {carry_end.size} ends, "
             f"{carry_rate.size} bandwidths")
-
-    def _peaks(mask: BoolArray) -> tuple[int, int]:
-        # Peaks cover the admitted requests plus the carried transfers,
-        # which have been active since before the window opened.
-        all_start = np.concatenate(
-            [start[mask], np.full(carry_end.size, -np.inf)])
-        all_end = np.concatenate([start[mask] + duration[mask], carry_end])
-        all_rate = np.concatenate([rate[mask], carry_rate])
-        return active_peaks(all_start, all_end, all_rate)
-
     admitted = np.ones(n, dtype=np.bool_)
     if n == 0 or (max_connections is None and bandwidth_cap_bps is None):
-        peak_conn, peak_rate = _peaks(admitted)
-        return AdmissionOutcome(admitted=admitted,
-                                peak_connections=peak_conn,
-                                peak_bandwidth_bps=peak_rate, n_swept=0)
+        return admitted, 0
 
     end = start + duration
     occupies = duration > 0
@@ -183,34 +212,31 @@ def admit_requests(start: FloatArray, duration: FloatArray,
     # Carried transfers active at each request's start: those whose end
     # is strictly after it (ends at exactly t free capacity before
     # arrivals at t, like everything else).
-    carry_sorted = np.sort(carry_end, kind="stable")
-    carry_done = np.searchsorted(carry_sorted, start, side="right")
-    carry_active = carry_end.size - carry_done
     carry_order = np.argsort(carry_end, kind="stable")
+    carry_done = np.searchsorted(carry_end[carry_order], start, side="right")
+    carry_active = carry_end.size - carry_done
     carry_cumsum = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.cumsum(carry_rate[carry_order])])
-    carry_rate_total = int(carry_cumsum[-1])
-    carry_rate_active = carry_rate_total - carry_cumsum[carry_done]
+    carry_rate_active = int(carry_cumsum[-1]) - carry_cumsum[carry_done]
 
     # Worst-case bounds per request, assuming everyone earlier was
     # admitted.  Prefix counts/sums over the start-ordered column give
-    # the contributions of earlier arrivals; sorted completion columns
-    # give the departures at or before each start (completions at
-    # exactly t free capacity before arrivals at t).  Zero-duration
+    # the contributions of earlier arrivals; the end-ordered occupying
+    # requests give the departures at or before each start (completions
+    # at exactly t free capacity before arrivals at t).  Zero-duration
     # requests never occupy, so they are excluded from both sides.
     occ_prefix = np.cumsum(occupies) - occupies          # earlier arrivals
     rate_occ = np.where(occupies, rate, 0)
     rate_prefix = np.cumsum(rate_occ) - rate_occ
-    occ_ends = np.sort(end[occupies], kind="stable")
-    ended_before = np.searchsorted(occ_ends, start, side="right")
-    end_order = np.argsort(end[occupies], kind="stable")
+    occ_ids = np.flatnonzero(occupies)
+    end_order = occ_ids[np.argsort(end[occ_ids], kind="stable")]
+    ended_before = np.searchsorted(end[end_order], start, side="right")
     rate_end_cumsum = np.concatenate(
-        [np.zeros(1, dtype=np.int64),
-         np.cumsum(rate[occupies][end_order])])
-    rate_ended_before = rate_end_cumsum[ended_before]
+        [np.zeros(1, dtype=np.int64), np.cumsum(rate[end_order])])
 
     worst_active = occ_prefix - ended_before + carry_active
-    worst_rate = rate_prefix - rate_ended_before + rate + carry_rate_active
+    worst_rate = (rate_prefix - rate_end_cumsum[ended_before] + rate
+                  + carry_rate_active)
 
     risky = np.zeros(n, dtype=np.bool_)
     if max_connections is not None:
@@ -218,83 +244,81 @@ def admit_requests(start: FloatArray, duration: FloatArray,
     if bandwidth_cap_bps is not None:
         risky |= worst_rate > bandwidth_cap_bps
     n_risky = int(np.count_nonzero(risky))
-
     if n_risky:
-        _sweep_risky(admitted, risky, start, end, rate, occupies,
-                     occ_prefix, ended_before, rate_prefix,
-                     rate_ended_before, carry_active, carry_rate_active,
-                     max_connections=max_connections,
-                     bandwidth_cap_bps=bandwidth_cap_bps)
-
-    peak_conn, peak_rate = _peaks(admitted)
-    return AdmissionOutcome(admitted=admitted, peak_connections=peak_conn,
-                            peak_bandwidth_bps=peak_rate, n_swept=n_risky)
+        admitted[risky] = _sweep_risky(
+            risky, end_order, start, end, rate, occupies, worst_active,
+            worst_rate, max_connections=max_connections,
+            bandwidth_cap_bps=bandwidth_cap_bps)
+    return admitted, n_risky
 
 
-def _sweep_risky(admitted: BoolArray, risky: BoolArray, start: FloatArray,
-                 end: FloatArray, rate: IntArray, occupies: BoolArray,
-                 occ_prefix: IntArray, ended_before: IntArray,
-                 rate_prefix: IntArray, rate_ended_before: IntArray,
-                 carry_active: IntArray, carry_rate_active: IntArray, *,
-                 max_connections: int | None,
-                 bandwidth_cap_bps: int | None) -> None:
+def _sweep_risky(risky: BoolArray, end_order: IntArray,
+                 start: FloatArray, end: FloatArray, rate: IntArray,
+                 occupies: BoolArray, worst_active: IntArray,
+                 worst_rate: IntArray, *, max_connections: int | None,
+                 bandwidth_cap_bps: int | None) -> BoolArray:
     """Sequentially decide the risky requests, in exact event order.
 
-    The guaranteed-admitted background never changes, so its active
-    count and bandwidth at each risky request's arrival are precomputed
-    vectorized: total prefix contributions minus the risky requests'
-    own (the sweep tracks those live, since risky admissions are what
-    is being decided).  State is two Python ints; the loop touches only
-    risky arrivals and the completions of admitted risky requests.
+    ``end_order`` lists the occupying requests by end time.  A risky
+    arrival's worst case counts every earlier risky request still
+    running; the background (everything else, all admitted) is that
+    worst case minus the risky requests' own share, which the loop
+    tracks live as ``active``/``active_rate`` since risky admissions are
+    what is being decided.  Returns the risky requests' decisions, in
+    request order.
     """
     risky_ids = np.flatnonzero(risky)
-    # Background contribution at each risky arrival = everyone's
-    # worst-case contribution minus the risky requests' own worst-case
-    # contribution (their earlier arrivals not yet ended).
-    risky_occ = risky & occupies
-    r_occ_prefix = np.cumsum(risky_occ) - risky_occ
-    r_ends = np.sort(end[risky_occ], kind="stable")
-    r_ended_before = np.searchsorted(r_ends, start, side="right")
-    r_rate_occ = np.where(risky_occ, rate, 0)
-    r_rate_prefix = np.cumsum(r_rate_occ) - r_rate_occ
-    r_end_order = np.argsort(end[risky_occ], kind="stable")
-    r_rate_end_cumsum = np.concatenate(
-        [np.zeros(1, dtype=np.int64),
-         np.cumsum(rate[risky_occ][r_end_order])])
-    bg_active = ((occ_prefix - r_occ_prefix)
-                 - (ended_before - r_ended_before) + carry_active)
-    bg_rate = ((rate_prefix - r_rate_prefix)
-               - (rate_ended_before - r_rate_end_cumsum[r_ended_before])
-               + carry_rate_active)
+    m = risky_ids.size
+    # The occupying risky requests by end: a stable filter of the
+    # single end order, held as risky positions.
+    risky_end_order = end_order[risky[end_order]]
+    comp_pos = (np.cumsum(risky) - 1)[risky_end_order]
+    comp_rate = rate[risky_end_order]
+    n_comp = comp_pos.size
+    r_occ = occupies[risky_ids]
+    r_rate_occ = np.where(r_occ, rate[risky_ids], 0)
+    # Risky completions at or before each risky arrival.
+    done = np.searchsorted(end[risky_end_order], start[risky_ids],
+                           side="right")
+    r_rate_ended = np.concatenate(
+        [np.zeros(1, dtype=np.int64), np.cumsum(comp_rate)])[done]
+    # Earlier risky requests still running at each arrival, by count
+    # and by rate: their worst-case share.
+    r_active = np.cumsum(r_occ) - r_occ - done
+    r_rate_active = np.cumsum(r_rate_occ) - r_rate_occ - r_rate_ended
+    # Admit iff active < conn_slack and active_rate <= rate_slack.
+    conn_slack = (
+        np.full(m, m + 1, dtype=np.int64) if max_connections is None
+        else max_connections - (worst_active[risky_ids] - r_active))
+    rate_slack = (
+        np.full(m, np.iinfo(np.int64).max, dtype=np.int64)
+        if bandwidth_cap_bps is None
+        else bandwidth_cap_bps - (worst_rate[risky_ids] - r_rate_active))
 
-    # Event stream over the risky subset: completions (kind 0) before
-    # arrivals (kind 1) at equal times, then input order.
-    ev_times = np.concatenate([start[risky_ids], end[risky_ids]])
-    ev_kinds = np.concatenate(
-        [np.ones(risky_ids.size, dtype=np.int8),
-         np.zeros(risky_ids.size, dtype=np.int8)])
-    ev_ids = np.concatenate([risky_ids, risky_ids])
-    order = np.lexsort((ev_ids, ev_kinds, ev_times))
-
+    flags = bytearray(m)
     active = 0
     active_rate = 0
-    ids = ev_ids[order].tolist()
-    kinds = ev_kinds[order].tolist()
-    for ev, kind in zip(ids, kinds, strict=True):
-        if kind == 0:
-            if admitted[ev] and occupies[ev]:
-                active -= 1
-                active_rate -= int(rate[ev])
-            continue
-        total_active = active + int(bg_active[ev])
-        total_rate = active_rate + int(bg_rate[ev])
-        ok = True
-        if max_connections is not None and total_active >= max_connections:
-            ok = False
-        if (bandwidth_cap_bps is not None
-                and total_rate + int(rate[ev]) > bandwidth_cap_bps):
-            ok = False
-        admitted[ev] = ok
-        if ok and occupies[ev]:
-            active += 1
-            active_rate += int(rate[ev])
+    p = 0                   # completions consumed
+    c_lo = c_hi = 0         # completion block held as lists
+    c_pos: list[int] = []
+    c_rate: list[int] = []
+    for lo in range(0, m, _BLOCK):
+        hi = min(lo + _BLOCK, m)
+        block = zip(conn_slack[lo:hi].tolist(), rate_slack[lo:hi].tolist(),
+                    done[lo:hi].tolist(), r_occ[lo:hi].tolist(),
+                    r_rate_occ[lo:hi].tolist(), strict=True)
+        for k, (c_slack, r_slack, d, occ, r) in enumerate(block, lo):
+            while p < d:
+                if p == c_hi:
+                    c_lo, c_hi = p, min(p + _BLOCK, n_comp)
+                    c_pos = comp_pos[c_lo:c_hi].tolist()
+                    c_rate = comp_rate[c_lo:c_hi].tolist()
+                if flags[c_pos[p - c_lo]]:
+                    active -= 1
+                    active_rate -= c_rate[p - c_lo]
+                p += 1
+            if active < c_slack and active_rate <= r_slack:
+                flags[k] = 1
+                active += occ
+                active_rate += r
+    return np.frombuffer(flags, dtype=np.bool_)

@@ -10,12 +10,17 @@ with a constant alive-edge set, :meth:`~repro.cdn.failures.FailurePlan.
 epochs`).  Within an epoch the static policies are fully vectorized:
 hash assignment maps the whole transfer column at once, and each edge
 decides its requests through the hybrid admission engine
-(:func:`~repro.cdn.admission.admit_requests`) with the legs admitted in
-earlier epochs carried in as occupied capacity.  At an epoch boundary,
-admitted legs on dying edges are truncated and re-enter the next epoch
-as failover requests — re-hashed over the survivors, decided *before*
-fresh arrivals at the same instant, and counted as rejections when the
-survivor is full (flash-crowd failover).
+(:func:`~repro.cdn.admission.decide_admission`) with the legs admitted
+in earlier epochs carried in as occupied capacity.  One edge call sorts
+its end column once, and only the contended ("risky") arrivals reach
+the sequential sweep: a loop over precomputed slack columns, fed to
+Python in fixed-size blocks so its memory is bounded by the block.  The
+engine takes the decision alone; peak loads are reduced once, from the
+finished legs (:func:`~repro.cdn.report.build_result`).  At an epoch
+boundary, admitted legs on dying edges are truncated and re-enter the
+next epoch as failover requests — re-hashed over the survivors, decided
+*before* fresh arrivals at the same instant, and counted as rejections
+when the survivor is full (flash-crowd failover).
 
 ``least-loaded`` is the deliberate exception: its assignment depends on
 every earlier admission, so it runs as a sequential event sweep.  It is
@@ -36,7 +41,7 @@ import numpy as np
 
 from .._typing import FloatArray, IntArray
 from ..trace.store import Trace
-from .admission import admit_requests
+from .admission import decide_admission
 from .assignment import (
     STATIC_POLICIES,
     assign_static,
@@ -145,13 +150,12 @@ def _run_static(trace: Trace, topology: CdnTopology, policy: str,
             r_end = t_end[r_tid]
             carry = open_edge == edge_id
             config = topology.edges[edge_id]
-            outcome = admit_requests(
+            adm, _ = decide_admission(
                 r_start, r_end - r_start, rate[r_tid],
                 max_connections=config.max_connections,
                 bandwidth_cap_bps=config.bandwidth_cap_bps,
                 carry_end=t_end[open_tid[carry]],
                 carry_rate=rate[open_tid[carry]])
-            adm = outcome.admitted
             if not np.all(adm):
                 rej = ~adm
                 parts.append(LegSet(

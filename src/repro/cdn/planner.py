@@ -19,6 +19,7 @@ the report is bit-identical for any ``jobs`` count.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -170,9 +171,20 @@ def sweep_configs(edge_counts: tuple[int, ...],
                  for bw in sorted(bws, key=lambda b: (b is not None, b)))
 
 
-@lru_cache(maxsize=1)
 def _load_trace(path: str) -> Trace:
-    """Per-process trace cache: each worker reads the .npz once."""
+    """Per-process trace cache: each worker reads the .npz once.
+
+    The cache is keyed on the file's identity, not just its path, so a
+    trace rewritten in place is read afresh — also by forked workers,
+    which inherit their parent's cache.
+    """
+    st = os.stat(path)
+    return _load_trace_version(path, st.st_mtime_ns, st.st_size)
+
+
+@lru_cache(maxsize=1)
+def _load_trace_version(path: str, mtime_ns: int, size: int) -> Trace:
+    """:func:`_load_trace`'s cache slot for one version of the file."""
     return Trace.load_npz(path)
 
 

@@ -206,41 +206,38 @@ def _merged_feed_intervals(group: IntArray, start: FloatArray,
                            ) -> tuple[FloatArray, FloatArray]:
     """Disjoint intervals covering each group's union of leg intervals.
 
-    Per group, walk the start/end events in time order keeping a running
-    active count (segmented cumsum over the group-sorted event stream);
-    a merged interval opens where the count rises from zero and closes
-    where it returns to zero.  Starts sort before ends at equal times,
-    so back-to-back legs (one viewer leaves as another joins) coalesce
-    into one unbroken origin stream.
+    Walk the legs sorted by (group, start) keeping each group's running
+    max of ends: a leg opens a merged interval when it is its group's
+    first or starts strictly after every earlier leg of the group has
+    ended, so back-to-back legs (one viewer leaves as another joins)
+    coalesce into one unbroken origin stream.  The per-group running
+    max is one cumulative max over integer keys ``group rank * n + end
+    rank`` — every key of a later group exceeds every key of an earlier
+    one, so no group sees another's ends.  Intervals come out ordered
+    by group, then start.
     """
     keep = end > start
     group, start, end = group[keep], start[keep], end[keep]
     n = group.size
     if n == 0:
         return np.zeros(0), np.zeros(0)
-    times = np.concatenate([start, end])
-    deltas = np.concatenate([np.ones(n, dtype=np.int64),
-                             -np.ones(n, dtype=np.int64)])
-    kinds = np.concatenate([np.zeros(n, dtype=np.int8),
-                            np.ones(n, dtype=np.int8)])
-    groups = np.concatenate([group, group])
-    order = np.lexsort((kinds, times, groups))
-    g_o, t_o, d_o = groups[order], times[order], deltas[order]
-    csum = np.cumsum(d_o)
-    # Per-group running count = global cumsum minus the cumsum just
-    # before the group's first event (each group's deltas sum to zero,
-    # so that base is exactly the total of all earlier groups).
-    is_first = np.empty(g_o.size, dtype=np.bool_)
-    is_first[0] = True
-    is_first[1:] = g_o[1:] != g_o[:-1]
-    seg_ids = np.cumsum(is_first) - 1
-    firsts = np.flatnonzero(is_first)
-    base_vals = np.concatenate(
-        [np.zeros(1, dtype=np.int64), csum[firsts[1:] - 1]])
-    run = csum - base_vals[seg_ids]
-    opens = (d_o == 1) & (run == 1)
-    closes = (d_o == -1) & (run == 0)
-    return t_o[opens], t_o[closes]
+    order = np.lexsort((start, group))
+    g_o, s_o = group[order], start[order]
+    end_order = np.argsort(end, kind="stable")
+    end_rank = np.empty(n, dtype=np.int64)
+    end_rank[end_order] = np.arange(n, dtype=np.int64)
+    first = np.empty(n, dtype=np.bool_)
+    first[0] = True
+    first[1:] = g_o[1:] != g_o[:-1]
+    base = (np.cumsum(first) - 1) * np.int64(n)
+    run_rank = np.maximum.accumulate(base + end_rank[order]) - base
+    run_end = end[end_order][run_rank]
+    opens = first.copy()
+    opens[1:] |= s_o[1:] > run_end[:-1]
+    closes = np.empty(n, dtype=np.bool_)
+    closes[:-1] = opens[1:]
+    closes[-1] = True
+    return s_o[opens], run_end[closes]
 
 
 def build_result(trace: Trace, topology: CdnTopology, policy: str,

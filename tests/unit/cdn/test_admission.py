@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.cdn import active_peaks, admit_requests
+from repro.cdn.admission import _BLOCK
 from repro.rng import make_rng
 from repro.errors import CdnError
 
@@ -151,3 +152,132 @@ class TestActivePeaks:
         peak_conn, peak_rate = active_peaks(start, end, rate)
         assert peak_conn == 1
         assert peak_rate == 2
+
+
+def lexsort_peaks_reference(start, end, rate):
+    """Peaks from one event stream: ends before starts at equal times."""
+    keep = end > start
+    start, end, rate = start[keep], end[keep], rate[keep]
+    if start.size == 0:
+        return 0, 0
+    times = np.concatenate([start, end])
+    kinds = np.concatenate([np.ones(start.size, dtype=np.int8),
+                            np.zeros(end.size, dtype=np.int8)])
+    deltas = np.concatenate([np.ones(start.size, dtype=np.int64),
+                             -np.ones(end.size, dtype=np.int64)])
+    order = np.lexsort((kinds, times))
+    return (int(np.cumsum(deltas[order]).max()),
+            int(np.cumsum(np.concatenate([rate, -rate])[order]).max()))
+
+
+class TestSweepAtScale:
+    """Columns long enough that the sweep runs over several blocks.
+
+    Caps sit just under the offered load: nearly every request is
+    risky, yet a real share of them is admitted, so a wrong decision
+    anywhere in the sweep shows.
+    """
+
+    N = 4 * _BLOCK + 517
+
+    def _check(self, start, duration, rate, max_connections, bandwidth_cap,
+               carry_end=np.zeros(0), carry_rate=np.zeros(0, np.int64)):
+        outcome = admit_requests(
+            start, duration, rate, max_connections=max_connections,
+            bandwidth_cap_bps=bandwidth_cap, carry_end=carry_end,
+            carry_rate=carry_rate)
+        expected = sequential_reference(
+            start, duration, rate, max_connections, bandwidth_cap,
+            carry_end=carry_end.tolist(), carry_rate=carry_rate.tolist())
+        assert np.array_equal(outcome.admitted, expected)
+        assert outcome.n_swept >= 3 * _BLOCK
+        return outcome
+
+    def test_nearly_every_request_risky(self):
+        rng = make_rng(1401)
+        # Integer times: many ends land exactly on later starts.
+        start = np.sort(rng.integers(0, 40_000, self.N)).astype(np.float64)
+        duration = rng.integers(1, 200, self.N).astype(np.float64)
+        rate = rng.integers(1, 12, self.N).astype(np.int64)
+        outcome = self._check(start, duration, rate, 140, 900)
+        assert 0.1 < outcome.n_rejected / self.N < 0.9
+
+    def test_carried_transfers(self):
+        rng = make_rng(1402)
+        start = np.sort(rng.integers(0, 40_000, self.N)).astype(np.float64)
+        duration = rng.integers(1, 200, self.N).astype(np.float64)
+        rate = rng.integers(1, 12, self.N).astype(np.int64)
+        carry_end = rng.integers(1, 20_000, 60).astype(np.float64)
+        carry_rate = rng.integers(1, 12, 60).astype(np.int64)
+        outcome = self._check(start, duration, rate, 140, 900,
+                              carry_end, carry_rate)
+        assert 0.1 < outcome.n_rejected / self.N < 0.9
+
+    def test_zero_duration_requests(self):
+        rng = make_rng(1403)
+        start = np.sort(rng.integers(0, 40_000, self.N)).astype(np.float64)
+        duration = rng.integers(0, 150, self.N).astype(np.float64)
+        duration[rng.random(self.N) < 0.3] = 0.0
+        rate = rng.integers(0, 12, self.N).astype(np.int64)
+        outcome = self._check(start, duration, rate, 60, 400)
+        assert 0.1 < outcome.n_rejected / self.N < 0.9
+
+    def test_end_equal_to_later_start(self):
+        # About eight arrivals per whole second and whole-second
+        # durations: nearly every end is exactly some later start.
+        rng = make_rng(1404)
+        start = np.sort(rng.integers(0, self.N // 8, self.N)).astype(
+            np.float64)
+        duration = rng.integers(1, 4, self.N).astype(np.float64)
+        assert np.isin(start + duration, start).mean() > 0.9
+        rate = np.full(self.N, 5, dtype=np.int64)
+        outcome = self._check(start, duration, rate, 9, 45)
+        assert 0.1 < outcome.n_rejected / self.N < 0.9
+
+    def test_one_arrival_consumes_several_blocks_of_completions(self):
+        # The first late arrival retires every early request at once;
+        # the seven admitted early ones end last, in the final block.
+        early = 2 * _BLOCK + 37
+        late = _BLOCK + 11
+        start = np.concatenate([np.linspace(0.0, 1.0, early),
+                                np.full(late, 500.0)])
+        duration = np.concatenate([200.0 - start[:early] * 2.0,
+                                   np.full(late, 50.0)])
+        rate = np.ones(start.size, dtype=np.int64)
+        outcome = self._check(start, duration, rate, 7, None)
+        assert outcome.n_swept == early + late - 14
+        assert outcome.admitted[early:].sum() == 7
+
+
+class TestActivePeaksAgainstReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sets_with_ties(self, seed):
+        rng = make_rng(1500 + seed)
+        for n in (1, 2, 7, 60, 400):
+            start = rng.integers(0, 30, n).astype(np.float64)
+            end = start + rng.integers(0, 10, n)
+            rate = rng.integers(0, 5, n).astype(np.int64)
+            assert active_peaks(start, end, rate) == \
+                lexsort_peaks_reference(start, end, rate)
+
+    def test_carry_starts_at_minus_infinity(self):
+        rng = make_rng(1510)
+        start = np.concatenate([np.full(5, -np.inf),
+                                rng.integers(0, 20, 50).astype(np.float64)])
+        end = np.concatenate([rng.integers(0, 20, 5).astype(np.float64),
+                              start[5:] + rng.integers(0, 8, 50)])
+        rate = rng.integers(1, 9, 55).astype(np.int64)
+        assert active_peaks(start, end, rate) == \
+            lexsort_peaks_reference(start, end, rate)
+
+    def test_zero_rates_and_zero_lengths(self):
+        start = np.asarray([0.0, 0.0, 3.0, 3.0, 5.0])
+        end = np.asarray([3.0, 0.0, 5.0, 3.0, 9.0])
+        rate = np.zeros(5, dtype=np.int64)
+        assert active_peaks(start, end, rate) == (1, 0)
+        assert lexsort_peaks_reference(start, end, rate) == (1, 0)
+
+    def test_only_zero_length_intervals(self):
+        start = np.asarray([1.0, 2.0])
+        assert active_peaks(start, start.copy(),
+                            np.ones(2, dtype=np.int64)) == (0, 0)

@@ -154,3 +154,28 @@ class TestWorkerTask:
             origin_peak_streams=1)
         assert outcome.meets(0.01)
         assert not outcome.meets(0.0099)
+
+
+class TestTraceCache:
+    """The per-process trace cache must notice a rewritten file."""
+
+    @staticmethod
+    def _save(path, rate, seed):
+        model = LiveWorkloadModel.paper_defaults(mean_session_rate=rate,
+                                                 n_clients=300)
+        trace = LiveWorkloadGenerator(model).generate(0.5, seed=seed).trace
+        trace.save_npz(path)
+        return trace.n_transfers
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rewritten_trace_is_reloaded(self, tmp_path, jobs):
+        path = tmp_path / "trace.npz"
+        kwargs = dict(slo=1.0, edge_counts=(1, 2), bandwidths_bps=(1e6,))
+        n_old = self._save(path, 0.02, 31)
+        # Fill this process's cache; forked workers inherit it.
+        report = plan_deployment(path, jobs=1, **kwargs)
+        assert [o.n_requests for o in report.outcomes] == [n_old, n_old]
+        n_new = self._save(path, 0.05, 32)
+        assert n_new != n_old
+        report = plan_deployment(path, jobs=jobs, **kwargs)
+        assert [o.n_requests for o in report.outcomes] == [n_new, n_new]

@@ -6,6 +6,7 @@ import pytest
 from repro.cdn import CdnTopology, LegSet, simulate_cdn
 from repro.cdn.report import _merged_feed_intervals, build_result
 from repro.errors import CdnError
+from repro.rng import make_rng
 from repro.trace.builder import TraceBuilder
 from repro.trace.records import ClientRecord
 
@@ -86,6 +87,56 @@ class TestMergedFeedIntervals:
         merged_s, merged_e = _merged_feed_intervals(
             group, np.asarray([5.0]), np.asarray([5.0]))
         assert merged_s.size == 0 and merged_e.size == 0
+
+
+def brute_force_union(group, start, end):
+    """Per-group union of ``[start, end)`` legs; touching legs merge."""
+    out = []
+    for g in sorted(set(group.tolist())):
+        legs = sorted((s, e) for gg, s, e in zip(
+            group.tolist(), start.tolist(), end.tolist(), strict=True)
+            if gg == g and e > s)
+        merged = []
+        for s, e in legs:
+            if merged and s <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], e)
+            else:
+                merged.append([s, e])
+        out.extend(merged)
+    return ([s for s, _ in out], [e for _, e in out])
+
+
+class TestMergedFeedIntervalsAgainstBruteForce:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_groups(self, seed):
+        rng = make_rng(1600 + seed)
+        for n in (1, 3, 20, 300):
+            group = rng.integers(0, 6, n).astype(np.int64) * 7
+            start = rng.integers(0, 50, n).astype(np.float64)
+            # Whole-second lengths, some zero: many legs touch exactly.
+            end = start + rng.integers(0, 6, n)
+            merged_s, merged_e = _merged_feed_intervals(group, start, end)
+            expected_s, expected_e = brute_force_union(group, start, end)
+            assert merged_s.tolist() == expected_s
+            assert merged_e.tolist() == expected_e
+
+    def test_touching_legs_coalesce_across_a_chain(self):
+        group = np.asarray([3, 3, 3, 1, 3], dtype=np.int64)
+        start = np.asarray([20.0, 0.0, 10.0, 0.0, 40.0])
+        end = np.asarray([30.0, 10.0, 20.0, 5.0, 40.0])
+        merged_s, merged_e = _merged_feed_intervals(group, start, end)
+        # Group 1 first, then group 3's chain; the zero-length leg at
+        # 40 is dropped.
+        assert merged_s.tolist() == [0.0, 0.0]
+        assert merged_e.tolist() == [5.0, 30.0]
+
+    def test_contained_leg_does_not_close_the_stream(self):
+        group = np.zeros(3, dtype=np.int64)
+        start = np.asarray([0.0, 1.0, 5.0])
+        end = np.asarray([10.0, 2.0, 12.0])
+        merged_s, merged_e = _merged_feed_intervals(group, start, end)
+        assert merged_s.tolist() == [0.0]
+        assert merged_e.tolist() == [12.0]
 
 
 class TestOriginFanOut:
