@@ -58,10 +58,21 @@ def share_by_key(keys: ArrayLike, *, top: int | None = None
     country table with string keys.
     """
     unique, counts = group_counts(keys)
+    return shares_of_counts(unique, counts, top=top)
+
+
+def shares_of_counts(keys: np.ndarray, counts: FloatArray, *,
+                     top: int | None = None) -> list[tuple[str, float]]:
+    """:func:`share_by_key` over keys already counted.
+
+    ``keys`` are the sorted distinct keys and ``counts[i]`` the number
+    of observations of ``keys[i]`` (as :func:`group_counts` returns
+    them); ties keep :func:`share_by_key`'s order.
+    """
     shares = counts / counts.sum()
     order = np.argsort(shares, kind="stable")[::-1]
     if top is not None:
         if top < 1:
             raise AnalysisError(f"top must be positive, got {top}")
         order = order[:top]
-    return [(str(unique[i]), float(shares[i])) for i in order]
+    return [(str(keys[i]), float(shares[i])) for i in order]

@@ -20,7 +20,9 @@ actually running the matrix:
   is bit-identical to the parsed text log (client table included), the
   binary entry stream re-formatted through the text formatter reproduces
   the text log's data lines byte for byte, and a mid-run kill/resume
-  yields a byte-identical binary file.
+  yields a byte-identical binary file.  The map-reduce characterization
+  of the binary file must also be the same at one and two workers and
+  agree with the text log's.
 
 Each comparison is recorded individually, so a violation names the
 exact configuration and the first diverging column/byte.
@@ -28,14 +30,14 @@ exact configuration and the first diverging column/byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from ..core.gismo import GismoWorkload, LiveWorkloadGenerator
 from ..core.sessionizer import sessionize
-from ..parallel import generate_sharded
+from ..parallel import characterize_logs, generate_sharded
 from ..stream import GenerationStream, run_streaming_generation
 from ..trace.codecs import BinaryTraceReader, format_quantized_entry, read_binary_trace
 from ..trace.wms_log import read_wms_log, write_wms_log
@@ -48,6 +50,10 @@ DEFAULT_CHUNK_SIZES: tuple[int, ...] = (7, 1009)
 #: Fraction of the canonical blocks executed before the mid-run
 #: checkpoint/resume split.
 RESUME_SPLIT_FRACTION = 1 / 3
+
+#: Chunk size of the binary characterization leg: small enough that a
+#: smoke-scale file splits into several chunks, so two workers merge.
+SUMMARY_CHUNK_BYTES = 2048
 
 
 @dataclass(frozen=True)
@@ -223,6 +229,39 @@ def _compare_entry_streams(name: str, text_log: Path,
         f"data lines")
 
 
+def _compare_binary_summaries(name: str, text_log: Path,
+                              binary_path: Path) -> OracleComparison:
+    """Characterize the binary file at one and two workers.
+
+    ``characterize_logs`` must report the same summary, bit for bit, at
+    ``jobs=1`` and ``jobs=2``, and the text log's summary on every field
+    but ``bytes_served``: the binary path adds that float one segment at
+    a time, the text path one line at a time.
+    """
+    serial = characterize_logs(binary_path, jobs=1,
+                               chunk_bytes=SUMMARY_CHUNK_BYTES)
+    pooled = characterize_logs(binary_path, jobs=2,
+                               chunk_bytes=SUMMARY_CHUNK_BYTES)
+    text = characterize_logs(text_log, jobs=1)
+    for other, label in ((pooled, "jobs=2"), (text, "text log")):
+        for field in fields(serial):
+            if label == "text log" and field.name == "bytes_served":
+                continue
+            want = getattr(serial, field.name)
+            got = getattr(other, field.name)
+            same = (np.array_equal(want, got)
+                    if isinstance(want, np.ndarray) else want == got)
+            if not same:
+                return OracleComparison(
+                    name, False,
+                    f"{field.name}: {label} {got!r} != binary jobs=1 "
+                    f"{want!r}")
+    return OracleComparison(
+        name, True,
+        f"{serial.n_entries} entries: binary summary equal at jobs=1 and "
+        "jobs=2, and to the text log's but for bytes_served")
+
+
 def run_differential_oracle(
         spec: WorkloadSpec, workdir: str | Path, *,
         shard_configs: tuple[tuple[int, int], ...] = DEFAULT_SHARD_CONFIGS,
@@ -251,7 +290,8 @@ def run_differential_oracle(
     binary_codec:
         Also run the streaming pipeline with the columnar binary codec
         and prove decode bit-identity, entry-stream byte identity
-        against the text log, and binary kill/resume byte identity.
+        against the text log, binary kill/resume byte identity, and
+        equal binary characterization summaries at one and two workers.
     reference:
         Reuse an already generated batch workload.
     scenario:
@@ -341,6 +381,8 @@ def run_differential_oracle(
             read_wms_log(ref_log), read_binary_trace(bin_path)))
         comparisons.append(_compare_entry_streams(
             f"binary[chunk={chunk}].entry-stream", ref_log, bin_path))
+        comparisons.append(_compare_binary_summaries(
+            f"binary[chunk={chunk}].summary", ref_log, bin_path))
 
         if resume_split:
             split = max(1, int(probe.n_blocks * RESUME_SPLIT_FRACTION))

@@ -19,7 +19,7 @@ import numpy as np
 from .._typing import FloatArray, IntArray
 from ..analysis.autocorrelation import acf, dominant_period
 from ..analysis.concurrency import mean_concurrency_bins, sampled_concurrency
-from ..analysis.ranks import group_counts, rank_frequency, share_by_key
+from ..analysis.ranks import rank_frequency, shares_of_counts
 from ..analysis.timeseries import fold_series
 from ..distributions.fitting import (
     DiurnalFit,
@@ -108,33 +108,39 @@ class ClientLayerCharacterization:
 
 
 def characterize_topology(trace: Trace) -> TopologyProfile:
-    """Compute the Figure 2 diversity profile of a trace."""
-    active = np.unique(trace.client_index)
+    """Compute the Figure 2 diversity profile of a trace.
+
+    Transfers are counted once per client (a ``bincount`` of
+    ``client_index``); the AS and country tallies then group the active
+    clients with those counts as weights.  The keys, the integer-valued
+    counts and hence the shares and their tie order are those of
+    grouping one key per transfer.
+    """
+    per_client = trace.transfers_per_client()
+    active = np.flatnonzero(per_client)
+    transfers = per_client[active]
     clients = trace.clients
-    transfer_as = clients.as_numbers[trace.client_index]
-    _, as_counts = group_counts(transfer_as)
-    _, as_transfer_shares = rank_frequency(as_counts)
+    as_keys, as_code = np.unique(clients.as_numbers[active],
+                                 return_inverse=True)
+    ip_keys, ip_code = np.unique(clients.ips[active], return_inverse=True)
+    country_keys, country_code = np.unique(clients.countries[active],
+                                           return_inverse=True)
 
-    active_ips = clients.ips[active]
-    active_ases = clients.as_numbers[active]
+    _, as_transfer_shares = rank_frequency(np.bincount(
+        as_code, weights=transfers, minlength=as_keys.size))
     # Distinct IPs per AS: count unique (as, ip) pairs grouped by AS.
-    pair_keys = np.char.add(np.char.add(active_ases.astype(np.str_), "|"),
-                            active_ips.astype(np.str_))
-    unique_pairs = np.unique(pair_keys)
-    pair_as = np.asarray([key.split("|", 1)[0] for key in unique_pairs])
-    _, ip_counts = group_counts(pair_as)
-    _, as_ip_shares = rank_frequency(ip_counts)
-
-    countries = clients.countries[trace.client_index]
-    country_shares = share_by_key(countries)
+    pairs = np.unique(as_code.astype(np.int64) * ip_keys.size + ip_code)
+    _, as_ip_shares = rank_frequency(np.bincount(
+        pairs // ip_keys.size, minlength=as_keys.size))
+    country_shares = shares_of_counts(country_keys, np.bincount(
+        country_code, weights=transfers, minlength=country_keys.size))
     return TopologyProfile(
         as_transfer_shares=as_transfer_shares,
         as_ip_shares=as_ip_shares,
         country_shares=country_shares,
-        n_ases=int(np.unique(active_ases[active_ases > 0]).size),
-        n_ips=int(np.unique(active_ips).size),
-        n_countries=int(np.unique(
-            clients.countries[active][clients.countries[active] != ""]).size),
+        n_ases=int(np.count_nonzero(as_keys > 0)),
+        n_ips=int(ip_keys.size),
+        n_countries=int(np.count_nonzero(country_keys != "")),
     )
 
 

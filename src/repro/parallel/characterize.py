@@ -29,7 +29,13 @@ import numpy as np
 
 from .._typing import FloatArray
 from ..errors import LogParseError
-from ..trace.codecs import ENTRY_COLUMNS, _DTYPE_SIZES, BinaryTraceReader, detect_codec
+from ..trace.codecs import (
+    ENTRY_COLUMNS,
+    _DTYPE_SIZES,
+    BinaryTraceReader,
+    declared_client_slots,
+    detect_codec,
+)
 from ..trace.streaming import StreamingCharacterizer, StreamingSummary
 from ..trace.wms_log import _parse_fields_header, iter_log_lines
 from .pool import logger, map_ordered
@@ -194,21 +200,23 @@ def consume_chunk(characterizer: StreamingCharacterizer,
     binary chunks materialize each covered segment's columns from the
     memory map and feed the vectorized
     :meth:`~repro.trace.streaming.StreamingCharacterizer.consume_columns`
-    path — no row dicts, no per-line Python.
+    path — no row dicts, no per-line Python.  Player IDs come from a
+    table with one row per declared client; an entry whose client no
+    client block declares raises :class:`~repro.errors.TraceError`, as
+    in :func:`~repro.trace.codecs.read_binary_trace`.
     """
     if chunk.codec == "binary":
         parsed = 0
         with BinaryTraceReader(chunk.path) as reader:
-            identities = reader.client_identity_map()
-            players = np.asarray(
-                [identities.get(i, ("", "", ""))[1]
-                 for i in range((max(identities) + 1) if identities else 0)],
-                dtype=np.str_)
+            declared, identities = reader.declared_clients()
+            players = np.asarray([player for _, player, _ in identities],
+                                 dtype=np.str_)
             for index in chunk.segments:
                 columns = reader.segment_columns(index)
-                client = np.asarray(columns["client_index"], dtype=np.int64)
+                slots = declared_client_slots(
+                    declared, columns["client_index"], source=chunk.path)
                 parsed += characterizer.consume_columns(
-                    columns, players[client])
+                    columns, players[slots])
         return parsed
     with open(chunk.path, "rb") as stream:
         stream.seek(chunk.byte_lo)

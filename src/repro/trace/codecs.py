@@ -52,8 +52,10 @@ from pathlib import Path
 from typing import IO, Any, ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
+import numpy.typing as npt
 
 from .._typing import FloatArray, IntArray
+from ..arrayops import unique_integers
 from ..errors import LogParseError, TraceError
 from .store import ClientTable, Trace
 from .wms_log import (
@@ -91,6 +93,10 @@ _NARROW_DTYPES: tuple[tuple[str, int], ...] = (
     ("u1", 1 << 8), ("u2", 1 << 16), ("u4", 1 << 32))
 
 _DTYPE_SIZES: dict[str, int] = {"u1": 1, "u2": 2, "u4": 4, "u8": 8}
+
+#: Largest slot lookup table, as a multiple of the declared client count;
+#: sparser declared indices are looked up by binary search instead.
+_SLOT_TABLE_FACTOR = 4
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +254,7 @@ class BinaryTraceWriter(StreamingTraceWriter):
         self._offset = 0
         self._segments: list[dict[str, Any]] = []
         self._clients: list[dict[str, Any]] = []
-        self._seen: set[int] = set()
+        self._seen: IntArray = np.empty(0, dtype=np.int64)  # sorted
         self._footer_written = False
         if write_header:
             header = json.dumps(
@@ -282,9 +288,11 @@ class BinaryTraceWriter(StreamingTraceWriter):
         quantized = quantize_entry_columns(emit)
         client = quantized["client_index"]
 
-        unique, first_pos = np.unique(client, return_index=True)
-        fresh_mask = np.asarray(
-            [int(c) not in self._seen for c in unique.tolist()], dtype=bool)
+        unique, first_pos, _, _ = unique_integers(client)
+        at = np.searchsorted(self._seen, unique)
+        fresh_mask = np.ones(unique.size, dtype=bool)
+        inside = at < self._seen.size
+        fresh_mask[inside] = self._seen[at[inside]] != unique[inside]
         if np.any(fresh_mask):
             # First-appearance order within the batch, for determinism.
             fresh = unique[fresh_mask]
@@ -299,7 +307,6 @@ class BinaryTraceWriter(StreamingTraceWriter):
                 # The text writer substitutes "-" for an empty OS; store
                 # the substituted value so decodes agree byte for byte.
                 os_names.append(os_name or "-")
-                self._seen.add(int(index))
             block: dict[str, Any] = {
                 "n": int(fresh.size),
                 "index_offset": self._write_block(
@@ -316,6 +323,8 @@ class BinaryTraceWriter(StreamingTraceWriter):
                     "itemsize": itemsize,
                 }
             self._clients.append(block)
+            self._seen = np.insert(self._seen, at[fresh_mask],
+                                   unique[fresh_mask])
 
         columns: dict[str, dict[str, Any]] = {}
         for name in ENTRY_COLUMNS:
@@ -361,8 +370,7 @@ class BinaryTraceWriter(StreamingTraceWriter):
 
     def state_arrays(self) -> dict[str, Any]:
         arrays = super().state_arrays()
-        arrays["seen_clients"] = np.asarray(sorted(self._seen),
-                                            dtype=np.int64)
+        arrays["seen_clients"] = self._seen.copy()
         return arrays
 
     def restore(self, meta: Mapping[str, Any],
@@ -371,8 +379,8 @@ class BinaryTraceWriter(StreamingTraceWriter):
         self._offset = int(meta["offset"])
         self._segments = [dict(seg) for seg in meta["segments"]]
         self._clients = [dict(block) for block in meta["clients"]]
-        self._seen = set(
-            np.asarray(arrays["seen_clients"], dtype=np.int64).tolist())
+        self._seen = np.unique(
+            np.asarray(arrays["seen_clients"], dtype=np.int64))
         self._footer_written = False
 
 
@@ -504,6 +512,17 @@ class BinaryTraceReader:
                 identities[int(index)] = (ips[k], players[k], os_names[k])
         return identities
 
+    def declared_clients(self) -> tuple[IntArray, list[tuple[str, str, str]]]:
+        """The declared client indices, sorted, and each one's identity.
+
+        The slot of a client is its position here — the domain of
+        :func:`declared_client_slots`.
+        """
+        identities = self.client_identity_map()
+        declared = np.sort(np.fromiter(identities, dtype=np.int64,
+                                       count=len(identities)))
+        return declared, [identities[index] for index in declared.tolist()]
+
     def identity_lookup(self) -> ClientIdentity:
         """The identity map as a callable (for entry formatting)."""
         identities = self.client_identity_map()
@@ -544,6 +563,46 @@ def _read_footer(mm: np.memmap, path: Path) -> dict[str, Any]:
     return dict(footer)
 
 
+def declared_client_slots(declared: IntArray, client: IntArray, *,
+                          source: str | Path) -> npt.NDArray[np.intp]:
+    """Position of each entry's client among the ``declared`` indices.
+
+    ``declared`` holds the client indices of a file's client blocks,
+    sorted and distinct; ``client`` an entry ``client_index`` column.
+    Every index is checked before any lookup: a negative, dangling or
+    otherwise undeclared index raises instead of wrapping around.  The
+    lookup is a table over the declared span when that span is at most
+    ``_SLOT_TABLE_FACTOR`` times the declared count, and a binary search
+    otherwise, so no allocation is sized by an index value.
+
+    Raises
+    ------
+    TraceError
+        Naming the first entry (in column order) whose client no client
+        block declares.
+    """
+    client = np.asarray(client, dtype=np.int64)
+    if not declared.size:
+        slots = np.zeros(client.size, dtype=np.intp)
+        valid = np.zeros(client.size, dtype=bool)
+    else:
+        low, high = int(declared[0]), int(declared[-1])
+        valid = (client >= low) & (client <= high)
+        if high - low < _SLOT_TABLE_FACTOR * declared.size:
+            table = np.full(high - low + 1, -1, dtype=np.intp)
+            table[declared - low] = np.arange(declared.size)
+            slots = table[np.where(valid, client - low, 0)]
+            valid &= slots >= 0
+        else:
+            slots = np.searchsorted(declared, client)
+            valid &= declared[np.minimum(slots, declared.size - 1)] == client
+    if not np.all(valid):
+        index = int(client[np.argmin(valid)])
+        raise TraceError(f"{source}: entry references client {index} "
+                         "absent from every client block")
+    return slots
+
+
 # ----------------------------------------------------------------------
 # One-shot binary write / read
 # ----------------------------------------------------------------------
@@ -580,6 +639,12 @@ def read_binary_trace(path: str | Path, *,
     the parsed string values (see :func:`decode_entry_columns`), and the
     :class:`Trace` constructor applies the same stable start sort.
 
+    Interning works on integers: every entry's index is validated and
+    mapped to its slot among the declared clients
+    (:func:`declared_client_slots`), one reversed scatter over those
+    slots finds each client's first appearance, and identity strings
+    (and the resolver) are touched once per client that appears.
+
     Parameters
     ----------
     path:
@@ -598,28 +663,28 @@ def read_binary_trace(path: str | Path, *,
     """
     with BinaryTraceReader(path) as reader:
         quantized = reader.all_quantized()
-        identities = reader.client_identity_map()
+        declared, identities = reader.declared_clients()
 
-    original = quantized["client_index"]
-    unique, first_pos, inverse = np.unique(
-        original, return_index=True, return_inverse=True)
-    appearance = np.argsort(first_pos, kind="stable")
-    rank = np.empty(appearance.size, dtype=np.int64)
+    slots = declared_client_slots(declared, quantized["client_index"],
+                                  source=path)
+    n = slots.size
+    # Reversed scatter: the last write to a slot wins, so each slot keeps
+    # the position of its first entry; n marks slots no entry uses.
+    first_pos = np.full(declared.size, n, dtype=np.intp)
+    first_pos[slots[::-1]] = np.arange(n - 1, -1, -1, dtype=np.intp)
+    used = np.flatnonzero(first_pos < n)
+    appearance = used[np.argsort(first_pos[used], kind="stable")]
+    rank = np.empty(declared.size, dtype=np.int64)
     rank[appearance] = np.arange(appearance.size, dtype=np.int64)
-    dense = rank[inverse] if original.size else np.empty(0, dtype=np.int64)
+    dense = rank[slots]
 
     ips: list[str] = []
     players: list[str] = []
     os_names: list[str] = []
     as_numbers: list[int] = []
     countries: list[str] = []
-    for index in unique[appearance].tolist():
-        try:
-            ip, player_id, os_name = identities[int(index)]
-        except KeyError:
-            raise TraceError(
-                f"{path}: entry references client {index} absent from "
-                "every client block") from None
+    for slot in appearance.tolist():
+        ip, player_id, os_name = identities[slot]
         ips.append(ip)
         players.append(player_id)
         os_names.append(os_name)

@@ -10,7 +10,10 @@ harvests — and maintains, in O(clients) memory:
 * the transfer-length lognormal fit (online log-moments, with the paper's
   ``floor(t)+1`` convention);
 * total transfers, bytes served, per-feed counts;
-* per-client transfer counts (the interest profile);
+* per-client transfer counts (the interest profile) — keyed by player ID
+  on the text path, and by the binary codec's integer ``client_index``
+  on the column path, where a player string is looked up once per
+  distinct client when the counts are read, not once per entry;
 * the congestion-bound bandwidth fraction and a log-spaced bandwidth
   histogram (Figure 20's shape);
 * the diurnal profile of transfer starts (Figure 4's shape).
@@ -40,13 +43,14 @@ from typing import Any, Iterable, Mapping, Sequence, TextIO
 import numpy as np
 from bisect import bisect_right
 
-from .._typing import FloatArray
+from .._typing import FloatArray, IntArray
+from ..arrayops import unique_integers
+from ..errors import LogParseError, TraceError
+from ..units import DAY
+from .wms_log import _REPLACEMENT, _URI_PREFIX, _parse_fields_header, iter_log_lines
 
 #: Shape/dtype-generic array (decoded binary segment columns).
 _AnyArray = np.ndarray[Any, np.dtype[Any]]
-from ..errors import LogParseError
-from ..units import DAY
-from .wms_log import _REPLACEMENT, _URI_PREFIX, _parse_fields_header, iter_log_lines
 
 #: Default log-spaced bandwidth histogram edges (bits/second).
 DEFAULT_BANDWIDTH_EDGES = np.logspace(3, 7, 41)
@@ -162,6 +166,15 @@ class StreamingCharacterizer:
         self._n_skipped = 0
         self._congested = 0
         self._client_counts: dict[str, int] = {}
+        # The column path's client fold, keyed by client_index: sorted
+        # distinct indices, each one's player ID, transfer count and the
+        # consume_columns call that introduced it.  Moved into
+        # _client_counts (by player ID) only when the counts are read.
+        self._index: IntArray = np.empty(0, dtype=np.int64)
+        self._names: _AnyArray = np.empty(0, dtype=np.str_)
+        self._index_counts: IntArray = np.empty(0, dtype=np.int64)
+        self._index_first: IntArray = np.empty(0, dtype=np.int64)
+        self._column_calls = 0
         self._feed_counts: dict[int, int] = {}
         self._edges = (DEFAULT_BANDWIDTH_EDGES if bandwidth_edges is None
                        else np.asarray(bandwidth_edges, dtype=np.float64))
@@ -190,6 +203,7 @@ class StreamingCharacterizer:
         return self._consume_stream(source)
 
     def _consume_stream(self, stream: TextIO | Iterable[str]) -> int:
+        self._fold_indexed_clients()
         parsed = 0
         fields: list[str] | None = None
         for number, line in iter_log_lines(stream):
@@ -215,6 +229,7 @@ class StreamingCharacterizer:
         lines are counted and skipped exactly as in :meth:`consume`.
         Returns the number of entries parsed.
         """
+        self._fold_indexed_clients()
         parsed = 0
         for raw in lines:
             line = raw.strip()
@@ -231,14 +246,34 @@ class StreamingCharacterizer:
         The vectorized counterpart of :meth:`consume_lines` for the
         binary codec: ``columns`` is one segment's decoded trace-domain
         columns (see
-        :meth:`repro.trace.codecs.BinaryTraceReader.segment_columns`)
-        and ``players`` the per-entry player-ID strings (the caller maps
-        ``client_index`` through the file's client blocks).  Every
-        accumulator update reproduces the per-line path exactly — the
-        decoded doubles are bit-identical to the parsed text fields, so
-        histogram binning and the diurnal fold agree entry for entry;
-        only the ``bytes_served`` float accumulation order differs.
-        Returns the number of entries consumed.
+        :meth:`repro.trace.codecs.BinaryTraceReader.segment_columns`),
+        ``client_index`` included, and ``players`` the per-entry
+        player-ID strings (the caller maps ``client_index`` through the
+        file's client blocks).  Every accumulator update reproduces the
+        per-line path exactly — the decoded doubles are bit-identical to
+        the parsed text fields, so histogram binning and the diurnal fold
+        agree entry for entry; only the ``bytes_served`` float
+        accumulation order differs.  Call it once per segment: the order
+        of the calls is the order of that float summation.
+
+        Clients are counted by ``client_index`` in integer arrays, so the
+        fold costs one sort of the segment's indices and one vectorized
+        name check; the counts move to player-ID keys once per distinct
+        client, when :meth:`summary`, :meth:`merge`, :meth:`state_dict`
+        or :meth:`client_counts` reads them.  Memory is O(distinct
+        clients) whatever the index values are.  A call whose
+        ``players`` give one index two different names raises; a call
+        that names an already counted index differently (a second file's
+        index space) first moves the counts so far to their player IDs,
+        so the counts stay exact.  Returns the number of entries
+        consumed.
+
+        Raises
+        ------
+        TraceError
+            If ``players`` and ``client_index`` differ in length, or
+            ``players`` names one index two ways within the call; the
+            characterizer is then left unchanged.
         """
         duration = np.maximum(
             np.asarray(columns["duration"], dtype=np.float64), 0.0)
@@ -249,6 +284,10 @@ class StreamingCharacterizer:
         if n == 0:
             return 0
 
+        # First, so a rejected call leaves every accumulator untouched.
+        self._count_indexed_clients(
+            np.asarray(columns["client_index"], dtype=np.int64),
+            np.asarray(players, dtype=np.str_))
         self._n_entries += n
         display = np.floor(duration).astype(np.int64) + 1
         for value, count in zip(*(arr.tolist() for arr in
@@ -257,13 +296,6 @@ class StreamingCharacterizer:
             self._log_length.counts[value] = (
                 self._log_length.counts.get(value, 0) + count)
         self._bits += float(np.dot(duration, np.maximum(bandwidth, 0.0)))
-        for player, count in zip(*(arr.tolist() for arr in
-                                   np.unique(np.asarray(players,
-                                                        dtype=np.str_),
-                                             return_counts=True)),
-                                 strict=True):
-            self._client_counts[player] = (
-                self._client_counts.get(player, 0) + count)
         for value, count in zip(*(arr.tolist() for arr in
                                   np.unique(feed, return_counts=True)),
                                 strict=True):
@@ -286,6 +318,68 @@ class StreamingCharacterizer:
         self._diurnal += np.bincount(
             diurnal_idx, minlength=self._diurnal.size).astype(np.float64)
         return n
+
+    def _count_indexed_clients(self, client: IntArray,
+                               names: _AnyArray) -> None:
+        if names.shape != client.shape:
+            raise TraceError(
+                f"{names.size} player IDs for {client.size} client indices")
+        keys, first, inverse, counts = unique_integers(client)
+        key_names = names[first]
+        expected = key_names[inverse]
+        clash = names != expected
+        if np.any(clash):
+            row = int(np.flatnonzero(clash)[0])
+            raise TraceError(
+                f"client index {int(client[row])} names both "
+                f"{str(expected[row])!r} and {str(names[row])!r} "
+                "in one segment")
+        pos = np.searchsorted(self._index, keys)
+        known = pos < self._index.size
+        known[known] = self._index[pos[known]] == keys[known]
+        if np.any(self._names[pos[known]] != key_names[known]):
+            # Another index space (e.g. a second file): settle the counts
+            # so far under their player IDs and start the index over.
+            self._fold_indexed_clients()
+            pos = np.zeros(keys.size, dtype=np.int64)
+            known = np.zeros(keys.size, dtype=bool)
+        self._index_counts[pos[known]] += counts[known]
+        fresh = ~known
+        if np.any(fresh):
+            at = pos[fresh]
+            wide = np.promote_types(self._names.dtype, key_names.dtype)
+            self._index = np.insert(self._index, at, keys[fresh])
+            self._names = np.insert(self._names.astype(wide, copy=False),
+                                    at, key_names[fresh])
+            self._index_counts = np.insert(self._index_counts, at,
+                                           counts[fresh])
+            self._index_first = np.insert(self._index_first, at,
+                                          self._column_calls)
+        self._column_calls += 1
+
+    def _indexed_client_items(self) -> list[tuple[str, int]]:
+        """The pending per-index counts as ``(player, count)`` pairs.
+
+        Ordered by the call that introduced each index, then by player
+        ID — the order in which a per-segment fold keyed by player ID
+        would first have inserted them, so the folded dict (and the
+        :meth:`state_dict` document) keeps the same key order.
+        """
+        order = np.lexsort((self._names, self._index_first))
+        return list(zip(self._names[order].tolist(),
+                        self._index_counts[order].tolist(), strict=True))
+
+    def _fold_indexed_clients(self) -> None:
+        """Move the per-index client counts to player-ID keys."""
+        if not self._index.size:
+            return
+        for player, count in self._indexed_client_items():
+            self._client_counts[player] = (
+                self._client_counts.get(player, 0) + count)
+        self._index = np.empty(0, dtype=np.int64)
+        self._names = np.empty(0, dtype=np.str_)
+        self._index_counts = np.empty(0, dtype=np.int64)
+        self._index_first = np.empty(0, dtype=np.int64)
 
     def _consume_line(self, line: str, fields: list[str]) -> bool:
         if _REPLACEMENT in line:
@@ -353,12 +447,14 @@ class StreamingCharacterizer:
             raise ValueError("cannot merge: bandwidth_edges differ")
         if self._diurnal.size != other._diurnal.size:
             raise ValueError("cannot merge: diurnal_bins differ")
+        self._fold_indexed_clients()
         self._log_length.merge(other._log_length)
         self._bits += other._bits
         self._n_entries += other._n_entries
         self._n_skipped += other._n_skipped
         self._congested += other._congested
-        for player, count in other._client_counts.items():
+        for player, count in [*other._client_counts.items(),
+                              *other._indexed_client_items()]:
             self._client_counts[player] = (
                 self._client_counts.get(player, 0) + count)
         for feed, count in other._feed_counts.items():
@@ -380,6 +476,7 @@ class StreamingCharacterizer:
         with *bit-identical* future summaries — the contract behind
         ``repro characterize --checkpoint/--resume``.
         """
+        self._fold_indexed_clients()
         return {
             "length_counts": {str(display): count for display, count
                               in self._log_length.counts.items()},
@@ -427,6 +524,7 @@ class StreamingCharacterizer:
     # ------------------------------------------------------------------
     def summary(self, *, top_k: int = 10) -> StreamingSummary:
         """Snapshot the running statistics (cheap; call any time)."""
+        self._fold_indexed_clients()
         top = sorted(self._client_counts.items(),
                      key=lambda item: (-item[1], item[0]))[:top_k]
         congested_fraction = (self._congested / self._n_entries
@@ -449,4 +547,5 @@ class StreamingCharacterizer:
 
     def client_counts(self) -> dict[str, int]:
         """The full per-client transfer counts (the interest profile)."""
+        self._fold_indexed_clients()
         return dict(self._client_counts)

@@ -78,3 +78,14 @@ def test_oracle_scenarios_cover_both_mechanisms_and_a_composition():
     assert "flash-crowd" in ORACLE_SCENARIOS   # model perturbation
     assert "blackout" in ORACLE_SCENARIOS      # trace edit
     assert any("+" in name for name in ORACLE_SCENARIOS)
+
+
+def test_oracle_characterizes_the_binary_file(tmp_path):
+    """The binary leg checks ``characterize_logs`` at one and two workers."""
+    report = run_differential_oracle(workload_spec("small"), tmp_path,
+                                     shard_configs=(), chunk_sizes=(7,),
+                                     resume_split=False)
+    legs = [c for c in report.comparisons
+            if c.name.startswith("binary[") and c.name.endswith(".summary")]
+    assert legs, "oracle ran no binary summary leg"
+    assert all(c.passed for c in legs), [c.detail for c in legs]

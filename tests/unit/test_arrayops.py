@@ -9,7 +9,9 @@ from repro.arrayops import (
     segment_starts,
     segmented_cumsum,
     segmented_running_max,
+    unique_integers,
 )
+from repro.rng import make_rng
 
 
 class TestSegmentStarts:
@@ -142,3 +144,15 @@ class TestAlternateOnSwitch:
     def test_invalid_choices(self):
         with pytest.raises(ValueError):
             alternate_on_switch([False], [1], first_value=[0], n_choices=0)
+
+
+class TestUniqueIntegers:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 5000])
+    @pytest.mark.parametrize("span", [1, 3, 1000, 2 ** 62])
+    def test_equals_numpy_unique(self, n, span):
+        values = make_rng(n + span % 97).integers(-span, span, n)
+        got = unique_integers(values)
+        want = np.unique(values, return_index=True, return_inverse=True,
+                         return_counts=True)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
