@@ -7,8 +7,8 @@ content a rejection denies the live moment outright.  Accurate workload
 characterization therefore feeds capacity planning directly.
 
 This example generates a live workload with GISMO-live, measures its peak
-concurrent-transfer demand, then sweeps admission-control limits through
-the event-driven replay server, printing the fraction of live requests a
+concurrent-transfer demand, then replays it under a sweep of
+admission-control limits, printing the fraction of live requests a
 given provisioning level would deny — and when those denials happen (they
 concentrate exactly at the moments users most want to watch).
 

@@ -57,18 +57,6 @@ class RelayPlacement:
         return self.direct_mean_bps / self.origin_mean_bps
 
 
-def _per_group_concurrency(trace: Trace, group_of_transfer: np.ndarray,
-                           groups: np.ndarray, *, step: float
-                           ) -> dict[int, FloatArray]:
-    out = {}
-    ends = np.minimum(trace.end, trace.extent)
-    for group in groups:
-        mask = group_of_transfer == group
-        out[int(group)] = sampled_concurrency(
-            trace.start[mask], ends[mask], extent=trace.extent, step=step)
-    return out
-
-
 def relay_placement_curve(trace: Trace, relay_counts: list[int], *,
                           encoding_rate_bps: float = 300_000.0,
                           step: float = 60.0) -> list[RelayPlacement]:

@@ -7,10 +7,10 @@ cap.  Rejected requests vanish — for live content a rejection is a
 denial, not a deferral (Section 1) — so they free nothing later.
 
 That process is sequential by nature: every decision depends on all
-earlier ones.  The classic event-loop implementation
-(:class:`repro.simulation.server.StreamingServer`) costs one Python
-callback per event, which is unusable at paper scale.  This module gets
-the identical answer with numpy doing almost all the work:
+earlier ones.  The obvious event-loop implementation (the test suite's
+``sequential_reference`` in ``tests/unit/cdn/test_admission.py``) costs
+one Python step per event, which is unusable at paper scale.  This
+module gets the identical answer with numpy doing almost all the work:
 
 1. **Exact upper bounds, vectorized.**  For each request, compute the
    worst-case active count and bandwidth it could possibly observe —
@@ -37,7 +37,7 @@ the identical answer with numpy doing almost all the work:
    many of them are done by each arrival, counting completions at
    exactly the arrival instant (completions free capacity before
    same-instant arrivals, which are decided in trace order — the
-   event-driven server's tie-breaking).  Columns reach Python in
+   reference event loop's tie-breaking).  Columns reach Python in
    fixed-size blocks, so the loop's object working set is bounded by
    the block, not by the edge's request count.
 

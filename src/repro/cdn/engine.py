@@ -27,8 +27,8 @@ every earlier admission, so it runs as a sequential event sweep.  It is
 exact and deterministic, but O(n) Python — use the static policies for
 paper-scale sweeps.
 
-Event-order contract shared by both paths (and by
-:mod:`repro.simulation.server`): at any instant, completions free
+Event-order contract shared by both paths (and checked against the
+test suite's ``sequential_reference``): at any instant, completions free
 capacity first, then failover handovers reconnect, then fresh arrivals
 are decided, each group in trace order.  The whole run is a pure
 function of ``(trace, topology, policy, failures)`` — bit-identical

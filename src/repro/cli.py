@@ -39,7 +39,6 @@ from .core.report import render_report
 from .simulation.population import PopulationConfig
 from .simulation.replay import replay_trace
 from .simulation.scenario import LiveShowScenario, ScenarioConfig
-from .simulation.server import ServerConfig
 from .trace.sanitize import sanitize_trace
 from .trace.store import Trace
 from .trace.wms_log import write_wms_log
@@ -571,8 +570,7 @@ def _cmd_generate_stream(args: argparse.Namespace,
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     trace = Trace.load_npz(args.trace)
-    config = ServerConfig(max_concurrent=args.max_concurrent)
-    result = replay_trace(trace, config=config)
+    result = replay_trace(trace, max_concurrent=args.max_concurrent)
     print(f"requests:          {result.n_requests}")
     print(f"served:            {result.n_served}")
     print(f"rejected:          {result.n_rejected} "

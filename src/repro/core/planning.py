@@ -27,7 +27,6 @@ from ..analysis.concurrency import sampled_concurrency
 from ..errors import GenerationError
 from ..rng import make_rng, spawn
 from ..simulation.replay import replay_trace
-from ..simulation.server import ServerConfig
 from .gismo import LiveWorkloadGenerator
 from .model import LiveWorkloadModel
 
@@ -117,8 +116,8 @@ def denial_rate_at(model: LiveWorkloadModel, capacity: int, *,
                    days: float = 7.0, seed: SeedLike = None) -> float:
     """Fraction of live requests denied at the given capacity.
 
-    Generates one workload from the model and replays it through the
-    admission-controlled server.
+    Generates one workload from the model and replays it through a server
+    with admission limit ``capacity``.
 
     Parameters
     ----------
@@ -134,6 +133,5 @@ def denial_rate_at(model: LiveWorkloadModel, capacity: int, *,
     if capacity < 1:
         raise GenerationError(f"capacity must be positive, got {capacity}")
     workload = LiveWorkloadGenerator(model).generate(days, seed)
-    result = replay_trace(workload.trace,
-                          config=ServerConfig(max_concurrent=capacity))
-    return result.rejection_rate
+    return replay_trace(workload.trace,
+                        max_concurrent=capacity).rejection_rate

@@ -18,7 +18,6 @@ from ..core.planning import required_capacity
 from ..simulation.population import PopulationConfig
 from ..simulation.replay import demand_peak, replay_trace
 from ..simulation.scenario import LiveShowScenario, ScenarioConfig
-from ..simulation.server import ServerConfig
 from ..simulation.show import ShowEvent, ShowSchedule, default_reality_show_events
 from ..trace.sanitize import sanitize_trace
 from ..units import HOUR
@@ -51,8 +50,7 @@ def run(ctx: ExperimentContext | None = None) -> Experiment:
     crowd_peak = demand_peak(crowd_trace)
 
     # Provisioned for the ordinary week; hit by the finale crowd.
-    result = replay_trace(crowd_trace,
-                          config=ServerConfig(max_concurrent=ordinary_peak))
+    result = replay_trace(crowd_trace, max_concurrent=ordinary_peak)
     denial = result.rejection_rate
     # When do the denials land?  (They should bracket the finale hours.)
     denied_saturday_evening = 0.0

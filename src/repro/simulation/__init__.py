@@ -8,8 +8,6 @@ pipeline (:mod:`repro.core`) can be validated by parameter recovery.
 
 Components
 ----------
-* :mod:`~repro.simulation.events` — a minimal discrete-event engine used by
-  the replay server.
 * :mod:`~repro.simulation.show` — the show schedule: diurnal audience
   availability modulated by scheduled in-show events.
 * :mod:`~repro.simulation.population` — the client population: Zipf interest
@@ -18,17 +16,18 @@ Components
   session, intra-session gaps, stickiness (transfer lengths), feed switching.
 * :mod:`~repro.simulation.network` — last-mile bandwidth: client-bound
   spikes plus a congestion-bound mode.
-* :mod:`~repro.simulation.server` — the unicast server: CPU-load model and
-  an event-driven replay server with optional admission control.
+* :mod:`~repro.simulation.server` — the unicast server's CPU-load model.
+* :mod:`~repro.simulation.replay` — trace replay against one server with an
+  admission limit, decided by :mod:`repro.cdn.admission`.  Import it from
+  its module: it depends on :mod:`repro.cdn`, which imports this package.
 * :mod:`~repro.simulation.scenario` — end-to-end assembly producing a
   :class:`~repro.trace.store.Trace`.
 """
 
-from .events import EventQueue
 from .network import BandwidthModel, NetworkConfig
 from .population import ClientPopulation, PopulationConfig
 from .scenario import LiveShowScenario, ScenarioConfig
-from .server import ReplayResult, ServerConfig, ServerLoadModel, StreamingServer
+from .server import ServerConfig, ServerLoadModel
 from .show import CompositeRateProfile, ShowEvent, ShowSchedule
 from .viewer import SessionBatch, SessionBehavior
 
@@ -36,11 +35,9 @@ __all__ = [
     "BandwidthModel",
     "ClientPopulation",
     "CompositeRateProfile",
-    "EventQueue",
     "LiveShowScenario",
     "NetworkConfig",
     "PopulationConfig",
-    "ReplayResult",
     "ScenarioConfig",
     "ServerConfig",
     "ServerLoadModel",
@@ -48,5 +45,4 @@ __all__ = [
     "SessionBehavior",
     "ShowEvent",
     "ShowSchedule",
-    "StreamingServer",
 ]

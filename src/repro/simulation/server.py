@@ -1,34 +1,27 @@
-"""Unicast streaming server models.
+"""Unicast streaming server CPU model.
 
-Two layers of fidelity:
-
-* :class:`ServerLoadModel` — a closed-form CPU-utilization model used when
-  generating traces in bulk: utilization grows with the number of
-  concurrent transfers relative to the configured capacity, plus
-  measurement noise.  Scenario defaults keep utilization under the paper's
-  10% screening threshold essentially always (Section 2.4).
-* :class:`StreamingServer` — an event-driven server for *replaying*
-  synthetic workloads (capacity planning, the paper's stated motivation for
-  live workload characterization).  Supports an optional admission-control
-  limit so the paper's argument — rejecting live requests denies access
-  outright — can be demonstrated quantitatively.
+:class:`ServerLoadModel` is a closed-form CPU-utilization model used when
+generating traces in bulk: utilization grows with the number of concurrent
+transfers relative to the configured capacity, plus measurement noise.
+Scenario defaults keep utilization under the paper's 10% screening
+threshold essentially always (Section 2.4).  Replaying a workload under an
+admission limit is :mod:`repro.simulation.replay`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .._typing import FloatArray, SeedLike
-from ..errors import ConfigError, SimulationError
+from ..errors import ConfigError
 from ..rng import make_rng
-from .events import EventQueue
 
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Parameters of the server models.
+    """Parameters of the server CPU model.
 
     Attributes
     ----------
@@ -41,15 +34,11 @@ class ServerConfig:
     cpu_noise_sigma:
         Standard deviation of the additive measurement noise on sampled
         utilization.
-    max_concurrent:
-        Admission-control limit of the replay server; ``None`` disables
-        admission control (every request is served).
     """
 
     capacity: int = 25_000
     base_cpu: float = 0.005
     cpu_noise_sigma: float = 0.004
-    max_concurrent: int | None = None
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -58,8 +47,6 @@ class ServerConfig:
             raise ConfigError(f"base_cpu must be in [0, 1), got {self.base_cpu}")
         if self.cpu_noise_sigma < 0:
             raise ConfigError("cpu_noise_sigma must be non-negative")
-        if self.max_concurrent is not None and self.max_concurrent < 1:
-            raise ConfigError("max_concurrent must be positive when set")
 
 
 class ServerLoadModel:
@@ -96,127 +83,3 @@ class ServerLoadModel:
         clean = cfg.base_cpu + conc / cfg.capacity
         noisy = clean + rng.normal(0.0, cfg.cpu_noise_sigma, size=conc.shape)
         return np.clip(noisy, 0.0, 1.0)
-
-
-@dataclass
-class ReplayResult:
-    """Outcome of replaying a workload through :class:`StreamingServer`.
-
-    Attributes
-    ----------
-    n_requests:
-        Requests submitted.
-    n_served:
-        Requests admitted and served to completion.
-    n_rejected:
-        Requests turned away by admission control.
-    peak_concurrency:
-        Maximum simultaneous transfers observed.
-    bytes_served:
-        Total bytes delivered across served transfers.
-    rejected_times:
-        Start times of rejected requests (for "who was denied the live
-        moment" analyses).
-    concurrency_times, concurrency_values:
-        The exact step function of concurrency over the replay (change
-        points and values after each change).
-    """
-
-    n_requests: int = 0
-    n_served: int = 0
-    n_rejected: int = 0
-    peak_concurrency: int = 0
-    bytes_served: float = 0.0
-    rejected_times: list[float] = field(default_factory=list)
-    concurrency_times: list[float] = field(default_factory=list)
-    concurrency_values: list[int] = field(default_factory=list)
-
-    @property
-    def rejection_rate(self) -> float:
-        """Fraction of requests rejected."""
-        if self.n_requests == 0:
-            return 0.0
-        return self.n_rejected / self.n_requests
-
-
-class StreamingServer:
-    """Event-driven unicast server for workload replay.
-
-    Submit transfers with :meth:`submit`, then :meth:`run`.  Admission
-    control (when ``config.max_concurrent`` is set) rejects a request if
-    the server is already serving that many transfers — the paper's point
-    being that for *live* content such a rejection is a denial of access,
-    not a deferral.
-
-    Parameters
-    ----------
-    config:
-        Server parameters.
-    queue:
-        Optionally share an external event queue.
-    """
-
-    def __init__(self, config: ServerConfig | None = None,
-                 queue: EventQueue | None = None) -> None:
-        self.config = config or ServerConfig()
-        self.queue = queue or EventQueue()
-        self.result = ReplayResult()
-        self._active = 0
-        self._submitted = False
-
-    def submit(self, start: float, duration: float,
-               bandwidth_bps: float = 0.0) -> None:
-        """Schedule one transfer request at ``start`` for ``duration``."""
-        if duration < 0:
-            raise SimulationError(f"duration must be non-negative, got {duration}")
-        # Requests carry priority 1 so that same-instant completions
-        # (priority 0) free capacity first: intervals are [start, end).
-        self.queue.at(start, self._on_request, duration, bandwidth_bps,
-                      priority=1)
-        self.result.n_requests += 1
-        self._submitted = True
-
-    def submit_workload(self, starts: np.ndarray, durations: np.ndarray,
-                        bandwidths: np.ndarray | None = None) -> None:
-        """Schedule a whole workload from parallel arrays."""
-        starts = np.asarray(starts, dtype=np.float64)
-        durations = np.asarray(durations, dtype=np.float64)
-        if bandwidths is None:
-            bandwidths = np.zeros_like(starts)
-        bandwidths = np.asarray(bandwidths, dtype=np.float64)
-        if not (starts.size == durations.size == bandwidths.size):
-            raise SimulationError("workload arrays must have equal length")
-        for s, d, b in zip(starts, durations, bandwidths, strict=True):
-            self.submit(float(s), float(d), float(b))
-
-    def _record_concurrency(self) -> None:
-        self.result.concurrency_times.append(self.queue.now)
-        self.result.concurrency_values.append(self._active)
-
-    def _on_request(self, duration: float, bandwidth_bps: float) -> None:
-        limit = self.config.max_concurrent
-        if limit is not None and self._active >= limit:
-            self.result.n_rejected += 1
-            self.result.rejected_times.append(self.queue.now)
-            return
-        self._active += 1
-        self.result.peak_concurrency = max(self.result.peak_concurrency,
-                                           self._active)
-        self._record_concurrency()
-        self.queue.after(duration, self._on_complete, duration, bandwidth_bps)
-
-    def _on_complete(self, duration: float, bandwidth_bps: float) -> None:
-        self._active -= 1
-        self.result.n_served += 1
-        self.result.bytes_served += duration * bandwidth_bps / 8.0
-        self._record_concurrency()
-
-    def run(self) -> ReplayResult:
-        """Run the replay to completion and return the result."""
-        if not self._submitted:
-            raise SimulationError("no workload submitted before run()")
-        self.queue.run()
-        if self._active != 0:
-            raise SimulationError(
-                f"replay ended with {self._active} transfers still active")
-        return self.result

@@ -8,7 +8,6 @@ quantifiable as denied live requests.
 import pytest
 
 from repro.simulation.replay import demand_peak, provisioning_sweep, replay_trace
-from repro.simulation.server import ServerConfig
 
 
 class TestReplayConservation:
@@ -44,8 +43,7 @@ class TestCapacityPlanning:
     def test_underprovisioning_denies_live_moments(self, smoke_trace):
         peak = demand_peak(smoke_trace)
         limit = max(peak // 4, 1)
-        result = replay_trace(smoke_trace,
-                              config=ServerConfig(max_concurrent=limit))
+        result = replay_trace(smoke_trace, max_concurrent=limit)
         assert result.n_rejected > 0
         assert result.peak_concurrency <= limit
         # Denials concentrate at busy times: rejected request times exist

@@ -2,18 +2,14 @@
 
 The conformance registry (:mod:`repro.conform`) pins content hashes, so
 everything feeding a trace must be bit-reproducible under a fixed seed:
-event ordering, admission-control decisions, and the persisted-trace
-round trip.
+admission-control decisions and the persisted-trace round trip.
 """
 
 import numpy as np
 
 from repro.core.gismo import LiveWorkloadGenerator
 from repro.core.model import LiveWorkloadModel
-from repro.rng import make_rng
-from repro.simulation.events import EventQueue
 from repro.simulation.replay import replay_trace
-from repro.simulation.server import ServerConfig
 
 
 def seeded_trace(seed=11):
@@ -22,69 +18,24 @@ def seeded_trace(seed=11):
     return LiveWorkloadGenerator(model).generate(1, seed=seed).trace
 
 
-def event_firing_order(seed):
-    """Schedule seeded random events (with duplicate times and mixed
-    priorities) and return the order in which they fire."""
-    rng = make_rng(seed)
-    times = rng.integers(0, 50, size=200) / 4.0  # many exact ties
-    priorities = rng.integers(0, 3, size=200)
-    queue = EventQueue()
-    fired = []
-    for label, (time, priority) in enumerate(zip(times, priorities,
-                                                 strict=True)):
-        queue.at(float(time), fired.append, (float(time), label),
-                 priority=int(priority))
-    queue.run()
-    return fired
-
-
-class TestEventOrdering:
-    def test_firing_order_reproducible(self):
-        assert event_firing_order(3) == event_firing_order(3)
-
-    def test_times_monotone_and_ties_broken_by_schedule_order(self):
-        fired = event_firing_order(3)
-        times = [time for time, _ in fired]
-        assert times == sorted(times)
-        # Among exact ties, scheduling order is a deterministic
-        # tie-breaker within each priority class; with seed 3 the labels
-        # of any fully-tied (time, priority) group must be increasing.
-        rng = make_rng(3)
-        tie_times = rng.integers(0, 50, size=200) / 4.0
-        tie_priorities = rng.integers(0, 3, size=200)
-        groups = {}
-        for label, key in enumerate(zip(tie_times, tie_priorities,
-                                        strict=True)):
-            groups.setdefault(key, []).append(label)
-        order = {label: pos for pos, (_, label) in enumerate(fired)}
-        for labels in groups.values():
-            positions = [order[label] for label in labels]
-            assert positions == sorted(positions)
-
-
 class TestRejectionDeterminism:
     def test_identical_runs_reject_identically(self):
         trace = seeded_trace()
-        config = ServerConfig(max_concurrent=3)
-        first = replay_trace(trace, config=config)
-        second = replay_trace(trace, config=config)
+        first = replay_trace(trace, max_concurrent=3)
+        second = replay_trace(trace, max_concurrent=3)
         assert first.n_rejected > 0  # the limit actually binds
         assert first.n_served == second.n_served
         assert first.rejected_times == second.rejected_times
-        assert first.concurrency_times == second.concurrency_times
-        assert first.concurrency_values == second.concurrency_values
 
     def test_same_seed_same_trace_same_outcome(self):
-        config = ServerConfig(max_concurrent=3)
-        a = replay_trace(seeded_trace(), config=config)
-        b = replay_trace(seeded_trace(), config=config)
+        a = replay_trace(seeded_trace(), max_concurrent=3)
+        b = replay_trace(seeded_trace(), max_concurrent=3)
         assert a.n_rejected == b.n_rejected
         assert a.rejected_times == b.rejected_times
 
     def test_different_seed_differs(self):
-        config = ServerConfig(max_concurrent=3)
-        a = replay_trace(seeded_trace(11), config=config)
-        b = replay_trace(seeded_trace(12), config=config)
+        a = replay_trace(seeded_trace(11), max_concurrent=3)
+        b = replay_trace(seeded_trace(12), max_concurrent=3)
         assert a.rejected_times != b.rejected_times
 
 
@@ -98,12 +49,10 @@ class TestReplayRoundTrip:
         loaded = Trace.load_npz(path)
         np.testing.assert_array_equal(loaded.start, trace.start)
         np.testing.assert_array_equal(loaded.duration, trace.duration)
-        config = ServerConfig(max_concurrent=3)
-        direct = replay_trace(trace, config=config)
-        reloaded = replay_trace(loaded, config=config)
+        direct = replay_trace(trace, max_concurrent=3)
+        reloaded = replay_trace(loaded, max_concurrent=3)
         assert direct.n_served == reloaded.n_served
         assert direct.n_rejected == reloaded.n_rejected
         assert direct.peak_concurrency == reloaded.peak_concurrency
         assert direct.bytes_served == reloaded.bytes_served
         assert direct.rejected_times == reloaded.rejected_times
-        assert direct.concurrency_values == reloaded.concurrency_values

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, SimulationError
-from repro.simulation.server import (
-    ReplayResult,
-    ServerConfig,
-    ServerLoadModel,
-    StreamingServer,
-)
+from repro.errors import ConfigError
+from repro.simulation.server import ServerConfig, ServerLoadModel
 
 
 class TestServerConfig:
@@ -17,7 +12,7 @@ class TestServerConfig:
         {"capacity": 0},
         {"base_cpu": 1.0},
         {"cpu_noise_sigma": -0.1},
-        {"max_concurrent": 0},
+        {"base_cpu": -0.1},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -49,74 +44,3 @@ class TestServerLoadModel:
         model = ServerLoadModel()
         cpu = model.cpu_utilization(np.full(10_000, 120.0), seed=3)
         assert float(np.mean(cpu > 0.10)) < 1e-3
-
-
-class TestStreamingServer:
-    def test_serves_everything_without_limit(self):
-        server = StreamingServer()
-        server.submit(0.0, 10.0, 1_000.0)
-        server.submit(5.0, 10.0, 1_000.0)
-        result = server.run()
-        assert result.n_served == 2
-        assert result.n_rejected == 0
-        assert result.peak_concurrency == 2
-
-    def test_bytes_served_accounting(self):
-        server = StreamingServer()
-        server.submit(0.0, 8.0, 1_000.0)  # 8 s x 1 kbit/s = 1 kB
-        result = server.run()
-        assert result.bytes_served == pytest.approx(1_000.0)
-
-    def test_admission_control_rejects_over_limit(self):
-        config = ServerConfig(max_concurrent=1)
-        server = StreamingServer(config)
-        server.submit(0.0, 10.0)
-        server.submit(5.0, 10.0)   # arrives while the first is active
-        server.submit(20.0, 10.0)  # after the first completes
-        result = server.run()
-        assert result.n_served == 2
-        assert result.n_rejected == 1
-        assert result.rejected_times == [5.0]
-        assert result.rejection_rate == pytest.approx(1 / 3)
-
-    def test_completion_frees_capacity(self):
-        config = ServerConfig(max_concurrent=1)
-        server = StreamingServer(config)
-        server.submit(0.0, 5.0)
-        server.submit(5.0, 5.0)  # first completes exactly at its arrival
-        result = server.run()
-        assert result.n_rejected == 0
-
-    def test_submit_workload_arrays(self):
-        server = StreamingServer()
-        server.submit_workload(np.asarray([0.0, 1.0]),
-                               np.asarray([2.0, 2.0]))
-        result = server.run()
-        assert result.n_requests == 2
-
-    def test_concurrency_step_function_recorded(self):
-        server = StreamingServer()
-        server.submit(0.0, 10.0)
-        server.submit(2.0, 4.0)
-        result = server.run()
-        assert result.concurrency_values[0] == 1
-        assert max(result.concurrency_values) == 2
-        assert result.concurrency_values[-1] == 0
-
-    def test_run_without_workload_rejected(self):
-        with pytest.raises(SimulationError):
-            StreamingServer().run()
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(SimulationError):
-            StreamingServer().submit(0.0, -1.0)
-
-    def test_mismatched_workload_arrays(self):
-        server = StreamingServer()
-        with pytest.raises(SimulationError):
-            server.submit_workload(np.asarray([0.0]), np.asarray([1.0, 2.0]))
-
-
-class TestReplayResult:
-    def test_empty_rejection_rate(self):
-        assert ReplayResult().rejection_rate == 0.0
