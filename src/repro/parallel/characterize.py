@@ -28,7 +28,6 @@ from typing import Any, Sequence
 import numpy as np
 
 from .._typing import FloatArray
-from ..errors import LogParseError
 from ..trace.codecs import (
     ENTRY_COLUMNS,
     _DTYPE_SIZES,
@@ -37,7 +36,7 @@ from ..trace.codecs import (
     detect_codec,
 )
 from ..trace.streaming import StreamingCharacterizer, StreamingSummary
-from ..trace.wms_log import _parse_fields_header, iter_log_lines
+from ..trace.wms_log import parse_log_stream
 from .pool import logger, map_ordered
 
 #: Default target chunk size for splitting log files, in bytes.
@@ -88,19 +87,14 @@ class LogChunk:
 def _scan_fields(path: str | Path) -> tuple[str, ...] | None:
     """Extract the ``#Fields`` layout heading a log file.
 
-    Returns ``None`` for files containing no data lines at all (nothing
-    to characterize).  Raises :class:`~repro.errors.LogParseError` if a
-    data line precedes the header, mirroring the serial reader.
+    This is the first batch :func:`~repro.trace.wms_log.parse_log_stream`
+    yields: the header's own empty one.  Returns ``None`` for files with
+    neither header nor data; a data line before the header raises
+    :class:`~repro.errors.LogParseError`, as in the serial reader.
     """
     with open(path, "r", encoding="ascii", errors="replace") as stream:
-        for number, line in iter_log_lines(stream):
-            if line.startswith("#"):
-                if line.startswith("#Fields:"):
-                    return tuple(_parse_fields_header(line, number))
-                continue
-            raise LogParseError("data before #Fields header",
-                                line_number=number, line=line)
-    return None
+        first = next(parse_log_stream(stream), None)
+    return None if first is None else tuple(first.fields)
 
 
 def plan_log_chunks(paths: Sequence[str | Path], *,

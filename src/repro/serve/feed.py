@@ -37,16 +37,16 @@ from __future__ import annotations
 import asyncio
 import math
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .._typing import FloatArray, IntArray
-from ..errors import ProtocolError, ReproError
+from ..errors import ProtocolError, ReproError, TraceError
 from ..stream.sessionize import FinalizedSessions, OnlineSessionizer, merge_finalized
-from ..trace.codecs import decode_entry_columns
-from ..trace.streaming import StreamingCharacterizer, _OnlineLogMoments
-from ..trace.wms_log import LOG_FIELDS, _REPLACEMENT, _URI_PREFIX, _parse_fields_header
+from ..trace.codecs import declared_client_slots, decode_entry_columns
+from ..trace.streaming import OnlineLogMoments, StreamingCharacterizer
+from ..trace.wms_log import LOG_FIELDS, parse_log_stream
 from ..units import DEFAULT_SESSION_TIMEOUT
 from .config import DEFAULT_LATENESS
 from .tracking import (
@@ -57,24 +57,18 @@ from .tracking import (
     LatencyHistogram,
 )
 
+#: The operational counters, in :meth:`FeedWorker.counters` order.
+_COUNTERS = ("lines_ingested", "frames_ingested", "clients_frames",
+             "entries_ingested", "shed_lines", "shed_frames", "shed_events",
+             "late_drops", "truncated_lines", "mode_conflicts", "feed_errors")
+
+#: An ndarray of any dtype.
+_AnyArray = np.ndarray[Any, np.dtype[Any]]
+
 #: Queue item kinds.
 _LINES = "lines"
 _ENTRIES = "entries"
 _CLIENTS = "clients"
-
-
-class _FieldIndex:
-    """Cached column positions for the light session-side line parse."""
-
-    __slots__ = ("n_fields", "ts", "player", "uri", "dur", "bw")
-
-    def __init__(self, fields: list[str]) -> None:
-        self.n_fields = len(fields)
-        self.ts = fields.index("x-timestamp")
-        self.player = fields.index("c-playerid")
-        self.uri = fields.index("cs-uri-stem")
-        self.dur = fields.index("x-duration")
-        self.bw = fields.index("avg-bandwidth")
 
 
 class FeedWorker:
@@ -111,17 +105,17 @@ class FeedWorker:
         self._gap = GapMoments(1, timeout=self.timeout)
         self._conc = ConcurrencyTracker(bin_seconds=bin_seconds,
                                         window_bins=window_bins)
-        self._on_moments = _OnlineLogMoments()
+        self._on_moments = OnlineLogMoments()
         self._spc = np.zeros(1, dtype=np.int64)
         self.latency = LatencyHistogram()
 
         # Text-mode machinery.
         self._fields: list[str] | None = None
-        self._findex = _FieldIndex(list(LOG_FIELDS))
         self._player_index: dict[str, int] = {}
-        # Binary-mode machinery.
+        # Binary-mode machinery: identities by index, in slot order.
         self._identities: dict[int, tuple[str, str, str]] = {}
-        self._players_cache: np.ndarray[Any, np.dtype[Any]] | None = None
+        # Sorted declared indices, the slot of each, each slot's player.
+        self._slots: tuple[IntArray, IntArray, _AnyArray] | None = None
 
         # Reorder buffer (arrival order preserved across chunks).
         self._pend: list[tuple[IntArray, FloatArray, FloatArray]] = []
@@ -240,98 +234,61 @@ class FeedWorker:
     def ingest_lines(self, lines: list[str]) -> int:
         """Fold a batch of raw text log lines; returns entries parsed.
 
-        Mirrors the batch pipeline exactly: the characterizer sees the
-        data lines in arrival order under the current ``#Fields`` layout
-        (directives are intercepted here, mid-batch included), and a
-        light parallel parse extracts ``(client, start, duration)`` for
-        session tracking using the same skip rules, so both sides agree
-        line for line on what counts as an entry.
+        Mirrors the batch pipeline exactly: the data lines are parsed
+        once, in arrival order under the current ``#Fields`` layout (a
+        directive, mid-batch included, switches it); each parsed batch
+        goes to the characterizer, and its columns give ``(client,
+        start, duration)`` for session tracking, so both sides agree line
+        for line on what counts as an entry.
         """
         if not self._enter_mode("text"):
             return 0
         self.lines_ingested += len(lines)
         parsed = 0
-        run: list[str] = []
-        for raw in lines:
-            line = raw.strip()
-            if line.startswith("#"):
-                if line.startswith("#Fields:"):
-                    if run:
-                        parsed += self._consume_text_run(run)
-                        run = []
-                    self._fields = _parse_fields_header(line, 0)
-                    self._findex = _FieldIndex(self._fields)
-                continue
-            if line:
-                run.append(line)
-        if run:
-            parsed += self._consume_text_run(run)
+        index = self._player_index
+        fields = self._fields if self._fields is not None else LOG_FIELDS
+        run: list[tuple[IntArray, FloatArray, FloatArray]] = []
+        layout: Sequence[str] = fields
+        try:
+            for batch in parse_log_stream(lines, fields):
+                parsed += self.characterizer.consume_parsed(batch)
+                if batch.fields is not layout:
+                    # A directive ends a run; the parse batches of one run
+                    # go to the reorder buffer together, as one push.
+                    self._push_run(run)
+                    run, layout = [], batch.fields
+                    self._fields = list(layout)
+                if batch.n_entries:
+                    client = np.fromiter(
+                        (index.setdefault(player, len(index))
+                         for player in batch.players),
+                        dtype=np.int64, count=batch.n_entries)
+                    duration = batch.columns["duration"]
+                    run.append((client, batch.columns["timestamp"] - duration,
+                                duration))
+        finally:
+            # Entries before a bad directive are tracked like the rest.
+            self._push_run(run)
         self.entries_ingested += parsed
         return parsed
 
-    def _consume_text_run(self, run: list[str]) -> int:
-        fields = self._fields if self._fields is not None else list(LOG_FIELDS)
-        parsed = self.characterizer.consume_lines(run, fields)
-        findex = self._findex
-        players: list[str] = []
-        starts: list[float] = []
-        durations: list[float] = []
-        for line in run:
-            row = self._parse_session_line(line, findex)
-            if row is None:
-                continue
-            players.append(row[0])
-            starts.append(row[1])
-            durations.append(row[2])
-        if players:
-            index = self._player_index
-            client = np.empty(len(players), dtype=np.int64)
-            for k, player in enumerate(players):
-                idx = index.get(player)
-                if idx is None:
-                    idx = len(index)
-                    index[player] = idx
-                client[k] = idx
-            self._ensure_capacity(len(index))
-            self._enqueue_reorder(
-                client,
-                np.asarray(starts, dtype=np.float64),
-                np.asarray(durations, dtype=np.float64))
-        return parsed
-
-    @staticmethod
-    def _parse_session_line(line: str, findex: _FieldIndex
-                            ) -> tuple[str, float, float] | None:
-        """Extract ``(player, start, duration)`` with the characterizer's
-        exact skip rules (so entry sets agree)."""
-        if _REPLACEMENT in line:
-            return None
-        parts = line.split()
-        if len(parts) != findex.n_fields:
-            return None
-        try:
-            duration = float(parts[findex.dur])
-            float(parts[findex.bw])
-            timestamp = int(parts[findex.ts])
-            uri = parts[findex.uri]
-            if not uri.startswith(_URI_PREFIX):
-                return None
-            int(uri[len(_URI_PREFIX):])
-            player = parts[findex.player]
-        except ValueError:
-            return None
-        return player, float(timestamp) - duration, duration
+    def _push_run(self, run: list[tuple[IntArray, FloatArray, FloatArray]]
+                  ) -> None:
+        if run:
+            self._ensure_capacity(len(self._player_index))
+            self._enqueue_reorder(*(np.concatenate(column)
+                                    for column in zip(*run, strict=True)))
 
     def ingest_clients(self, rows: list[tuple[int, str, str, str]]) -> None:
         """Fold one CLIENTS identity frame (idempotent re-sends are fine)."""
         if not self._enter_mode("binary"):
             return
         for index, ip, player, os_name in rows:
-            if index < 0:
+            if not 0 <= index < 1 << 63:
                 raise ProtocolError(
-                    f"negative client index {index} in CLIENTS frame")
+                    f"client index {index} out of range in CLIENTS frame")
             self._identities[int(index)] = (ip, player, os_name)
-        self._players_cache = None
+        self._slots = None
         # Identity frames are idempotent and re-sent on reconnect, so
         # they do not advance the resume cursor (frames_ingested).
         self.clients_frames += 1
@@ -343,7 +300,8 @@ class FeedWorker:
         :meth:`~repro.trace.streaming.StreamingCharacterizer.consume_columns`
         call — the same per-segment grouping the batch binary reader
         uses, which keeps the single float accumulator's summation order
-        identical.
+        identical.  Session state is indexed by client slot (declaration
+        order), so its size never follows an index value.
         """
         if not self._enter_mode("binary"):
             return 0
@@ -353,33 +311,37 @@ class FeedWorker:
         self.frames_ingested += 1
         if n == 0:
             return 0
-        if int(client.min()) < 0:
-            raise ProtocolError("negative client index in ENTRIES frame")
-        players = self._players_array()
-        if int(client.max()) >= players.size:
-            raise ProtocolError(
-                f"entry references client {int(client.max())} but only "
-                f"{players.size} identities were declared")
-        self.characterizer.consume_columns(columns, players[client])
+        slots, players = self._client_slots(client)
+        self.characterizer.consume_columns(columns, players[slots])
         self.entries_ingested += n
-        self._ensure_capacity(int(client.max()) + 1)
+        self._ensure_capacity(int(slots.max()) + 1)
         self._enqueue_reorder(
-            client,
+            slots,
             np.asarray(columns["start"], dtype=np.float64),
             np.asarray(columns["duration"], dtype=np.float64))
         return n
 
-    def _players_array(self) -> np.ndarray[Any, np.dtype[Any]]:
-        if self._players_cache is None:
+    def _client_slots(self, client: IntArray) -> tuple[IntArray, _AnyArray]:
+        """Each entry's client slot, and the player ID of every slot."""
+        if self._slots is None:
             if not self._identities:
                 raise ProtocolError(
                     "ENTRIES frame before any CLIENTS frame on feed "
                     f"{self.name!r}")
-            size = max(self._identities) + 1
-            self._players_cache = np.asarray(
-                [self._identities.get(k, ("", "", ""))[1]
-                 for k in range(size)], dtype=np.str_)
-        return self._players_cache
+            declared = np.fromiter(self._identities, dtype=np.int64,
+                                   count=len(self._identities))
+            order = np.argsort(declared, kind="stable")
+            players = np.asarray(
+                [player for _, player, _ in self._identities.values()],
+                dtype=np.str_)
+            self._slots = (declared[order], order, players)
+        declared, order, players = self._slots
+        try:
+            ranks = declared_client_slots(declared, client,
+                                          source=f"feed {self.name!r}")
+        except TraceError as exc:
+            raise ProtocolError(str(exc)) from exc
+        return order[ranks], players
 
     def _enter_mode(self, mode: str) -> bool:
         if self._mode is None:
@@ -468,13 +430,7 @@ class FeedWorker:
     def _absorb_finalized(self, finalized: FinalizedSessions) -> None:
         if finalized.n_sessions == 0:
             return
-        on_times = finalized.end - finalized.start
-        displays = np.floor(np.maximum(on_times, 0.0)).astype(np.int64) + 1
-        values, counts = np.unique(displays, return_counts=True)
-        for value, count in zip(values.tolist(), counts.tolist(),
-                                strict=True):
-            self._on_moments.counts[value] = (
-                self._on_moments.counts.get(value, 0) + count)
+        self._on_moments.add_lengths(finalized.end - finalized.start)
         self._conc.observe(finalized.start, finalized.end)
         np.add.at(self._spc, finalized.client_index, 1)
         if self.keep_sessions:
@@ -530,19 +486,7 @@ class FeedWorker:
 
     def counters(self) -> dict[str, int]:
         """Operational counters (monotone; checkpointed)."""
-        return {
-            "lines_ingested": self.lines_ingested,
-            "frames_ingested": self.frames_ingested,
-            "clients_frames": self.clients_frames,
-            "entries_ingested": self.entries_ingested,
-            "shed_lines": self.shed_lines,
-            "shed_frames": self.shed_frames,
-            "shed_events": self.shed_events,
-            "late_drops": self.late_drops,
-            "truncated_lines": self.truncated_lines,
-            "mode_conflicts": self.mode_conflicts,
-            "feed_errors": self.feed_errors,
-        }
+        return {name: int(getattr(self, name)) for name in _COUNTERS}
 
     def state_meta(self) -> dict[str, Any]:
         """JSON-serializable scalar state (checkpoint + ``/state``)."""
@@ -564,7 +508,7 @@ class FeedWorker:
             "on_counts_n": self._on_moments.n,
         }
 
-    def state_arrays(self) -> dict[str, np.ndarray[Any, np.dtype[Any]]]:
+    def state_arrays(self) -> dict[str, _AnyArray]:
         """Array state (checkpoint payload; un-prefixed keys)."""
         if self._pend:
             pend_client = np.concatenate([p[0] for p in self._pend])
@@ -574,17 +518,15 @@ class FeedWorker:
             pend_client = np.empty(0, dtype=np.int64)
             pend_start = np.empty(0, dtype=np.float64)
             pend_duration = np.empty(0, dtype=np.float64)
-        on_items = sorted(self._on_moments.counts.items())
-        ident_items = sorted(self._identities.items())
-        arrays: dict[str, np.ndarray[Any, np.dtype[Any]]] = {
+        on_display, on_count = self._on_moments.arrays()
+        ident_items = list(self._identities.items())
+        arrays: dict[str, _AnyArray] = {
             "pend_client": pend_client,
             "pend_start": pend_start,
             "pend_duration": pend_duration,
             "spc": self._spc.copy(),
-            "on_display": np.asarray([d for d, _ in on_items],
-                                     dtype=np.int64),
-            "on_count": np.asarray([c for _, c in on_items],
-                                   dtype=np.int64),
+            "on_display": on_display,
+            "on_count": on_count,
             "players": np.asarray(self.intern_table(), dtype=np.str_),
             "ident_index": np.asarray([k for k, _ in ident_items],
                                       dtype=np.int64),
@@ -601,26 +543,14 @@ class FeedWorker:
         return arrays
 
     def restore(self, meta: dict[str, Any],
-                arrays: dict[str, np.ndarray[Any, np.dtype[Any]]]) -> None:
+                arrays: dict[str, _AnyArray]) -> None:
         """Restore state captured by the two ``state_*`` methods."""
         self._mode = meta["mode"]
         self._capacity = int(meta["capacity"])
         fields = meta["fields"]
         self._fields = list(fields) if fields is not None else None
-        self._findex = _FieldIndex(self._fields if self._fields is not None
-                                   else list(LOG_FIELDS))
-        counters = meta["counters"]
-        self.lines_ingested = int(counters["lines_ingested"])
-        self.frames_ingested = int(counters["frames_ingested"])
-        self.clients_frames = int(counters["clients_frames"])
-        self.entries_ingested = int(counters["entries_ingested"])
-        self.shed_lines = int(counters["shed_lines"])
-        self.shed_frames = int(counters["shed_frames"])
-        self.shed_events = int(counters["shed_events"])
-        self.late_drops = int(counters["late_drops"])
-        self.truncated_lines = int(counters["truncated_lines"])
-        self.mode_conflicts = int(counters["mode_conflicts"])
-        self.feed_errors = int(counters["feed_errors"])
+        for name in _COUNTERS:
+            setattr(self, name, int(meta["counters"][name]))
         reorder = meta["reorder"]
         self._max_end = float(reorder["max_end"])
         self._released_floor = float(reorder["released_floor"])
@@ -654,12 +584,8 @@ class FeedWorker:
             self._pend = []
         self._pend_rows = int(pend_start.size)
 
-        self._on_moments = _OnlineLogMoments()
-        for value, count in zip(
-                np.asarray(arrays["on_display"], dtype=np.int64).tolist(),
-                np.asarray(arrays["on_count"], dtype=np.int64).tolist(),
-                strict=True):
-            self._on_moments.counts[value] = count
+        self._on_moments = OnlineLogMoments.from_arrays(
+            arrays["on_display"], arrays["on_count"])
         self._spc = np.asarray(arrays["spc"], dtype=np.int64).copy()
 
         self._player_index = {
@@ -671,5 +597,5 @@ class FeedWorker:
             self._identities[int(index)] = (
                 str(arrays["ident_ip"][k]), str(arrays["ident_player"][k]),
                 str(arrays["ident_os"][k]))
-        self._players_cache = None
+        self._slots = None
         self._session_parts = []

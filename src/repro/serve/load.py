@@ -31,7 +31,7 @@ from ..trace.codecs import (
     decode_entry_columns,
     detect_codec,
 )
-from ..trace.wms_log import LOG_FIELDS, _parse_fields_header
+from ..trace.wms_log import LOG_FIELDS, parse_fields_header
 from .protocol import format_handshake, pack_clients, pack_end, pack_entries, pack_meta
 
 #: Identity rows per CLIENTS frame (keeps JSON payloads comfortably
@@ -231,7 +231,7 @@ def _partition_text(data: bytes, n_feeds: int, *, want_ts: bool
                 target = 0
         elif stripped.startswith(b"#Fields:"):
             try:
-                fields = list(_parse_fields_header(
+                fields = list(parse_fields_header(
                     stripped.decode("utf-8", errors="replace"), number))
                 uri_at = fields.index("cs-uri-stem")
                 ts_at = fields.index("x-timestamp")

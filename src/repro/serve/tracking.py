@@ -25,7 +25,7 @@ import numpy as np
 from .._typing import FloatArray, IntArray
 from ..arrayops import _scan_running_max
 from ..errors import ServeError
-from ..trace.streaming import _OnlineLogMoments
+from ..trace.streaming import OnlineLogMoments
 from ..units import DEFAULT_SESSION_TIMEOUT
 
 #: Default ``c(t)`` binning: one-minute bins, one day of window.
@@ -199,7 +199,7 @@ class GapMoments:
         self._open = np.zeros(self.n_clients, dtype=bool)
         self._run_max = np.full(self.n_clients, -np.inf, dtype=np.float64)
         self._last_start = np.zeros(self.n_clients, dtype=np.float64)
-        self._moments = _OnlineLogMoments()
+        self._moments = OnlineLogMoments()
 
     def grow(self, n_clients: int) -> None:
         """Widen the client index space, preserving accumulated state."""
@@ -264,13 +264,7 @@ class GapMoments:
         prev_start[firsts] = self._last_start[seg_client]
         intra = s[~boundary] - prev_start[~boundary]
         if intra.size:
-            displays = (np.floor(np.maximum(intra, 0.0)).astype(np.int64)
-                        + 1)
-            values, counts = np.unique(displays, return_counts=True)
-            for value, count in zip(values.tolist(), counts.tolist(),
-                                    strict=True):
-                self._moments.counts[value] = (
-                    self._moments.counts.get(value, 0) + count)
+            self._moments.add_lengths(intra)
 
         self._open[seg_client] = True
         self._run_max[seg_client] = true_run[seg_end - 1]
@@ -288,11 +282,10 @@ class GapMoments:
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Array state for checkpointing."""
-        items = sorted(self._moments.counts.items())
+        gap_display, gap_count = self._moments.arrays()
         return {
-            "gap_display": np.asarray([d for d, _ in items],
-                                      dtype=np.int64),
-            "gap_count": np.asarray([k for _, k in items], dtype=np.int64),
+            "gap_display": gap_display,
+            "gap_count": gap_count,
             "gap_open": self._open.copy(),
             "gap_run_max": self._run_max.copy(),
             "gap_last_start": self._last_start.copy(),
@@ -316,13 +309,8 @@ class GapMoments:
                                    dtype=np.float64).copy()
         self._last_start = np.asarray(arrays["gap_last_start"],
                                       dtype=np.float64).copy()
-        self._moments = _OnlineLogMoments()
-        for value, count in zip(
-                np.asarray(arrays["gap_display"],
-                           dtype=np.int64).tolist(),
-                np.asarray(arrays["gap_count"], dtype=np.int64).tolist(),
-                strict=True):
-            self._moments.counts[value] = count
+        self._moments = OnlineLogMoments.from_arrays(
+            arrays["gap_display"], arrays["gap_count"])
 
 
 #: Latency histogram support: 1 microsecond to 100 seconds.

@@ -26,7 +26,7 @@ folds another characterizer's state into this one, exactly.  Two
 characterizers fed disjoint halves of a log and merged report the same
 :class:`StreamingSummary` as one characterizer fed the whole log — counts
 and histograms are integer-exact, and the lognormal length fit is held in
-an integer-count form (:class:`_OnlineLogMoments`) whose moments are
+an integer-count form (:class:`OnlineLogMoments`) whose moments are
 computed once at summary time, so even the floating-point fields agree
 bit for bit.  That contract is what lets
 :func:`repro.parallel.characterize_logs` map chunks across processes and
@@ -36,18 +36,18 @@ reduce without changing any reported statistic.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
-from bisect import bisect_right
 
 from .._typing import FloatArray, IntArray
 from ..arrayops import unique_integers
-from ..errors import LogParseError, TraceError
+from ..errors import TraceError
 from ..units import DAY
-from .wms_log import _REPLACEMENT, _URI_PREFIX, _parse_fields_header, iter_log_lines
+from .wms_log import ParsedLog, parse_log_stream
 
 #: Shape/dtype-generic array (decoded binary segment columns).
 _AnyArray = np.ndarray[Any, np.dtype[Any]]
@@ -60,8 +60,17 @@ DEFAULT_BANDWIDTH_EDGES = np.logspace(3, 7, 41)
 CONGESTION_THRESHOLD_BPS = 24_000.0
 
 
-class _OnlineLogMoments:
-    """Mergeable accumulator of the log-length moments.
+def _tally(values: IntArray, first_seen: bool
+           ) -> list[int] | dict[int, int]:
+    """``values`` for ``Counter.update``: new keys first-seen or sorted."""
+    if first_seen:
+        return values.tolist()
+    keys, counts = np.unique(values, return_counts=True)
+    return dict(zip(keys.tolist(), counts.tolist(), strict=True))
+
+
+class OnlineLogMoments:
+    """Mergeable accumulator of the log moments of display lengths.
 
     The paper's display convention maps every measured length to the
     integer ``floor(t) + 1``, so the accumulator keeps exact *counts per
@@ -75,14 +84,36 @@ class _OnlineLogMoments:
     __slots__ = ("counts",)
 
     def __init__(self) -> None:
-        self.counts: dict[int, int] = {}
+        self.counts: Counter[int] = Counter()
 
-    def add(self, display: int) -> None:
-        self.counts[display] = self.counts.get(display, 0) + 1
+    def add_lengths(self, lengths: FloatArray, *,
+                    first_seen: bool = False) -> None:
+        """Count each length's display value ``floor(max(t, 0)) + 1``
+        (the paper's convention, as in ``log_display_time``); new values
+        become keys in first-seen or else ascending order."""
+        display = np.floor(np.maximum(lengths, 0.0)).astype(np.int64) + 1
+        self.counts.update(_tally(display, first_seen))
 
-    def merge(self, other: "_OnlineLogMoments") -> None:
-        for display, count in other.counts.items():
-            self.counts[display] = self.counts.get(display, 0) + count
+    def merge(self, other: "OnlineLogMoments") -> None:
+        """Add ``other``'s counts to these."""
+        self.counts.update(other.counts)
+
+    def arrays(self) -> tuple[IntArray, IntArray]:
+        """``(displays, counts)`` in ascending display order: the
+        checkpoint form, read back by :meth:`from_arrays`."""
+        items = sorted(self.counts.items())
+        return (np.asarray([d for d, _ in items], dtype=np.int64),
+                np.asarray([c for _, c in items], dtype=np.int64))
+
+    @classmethod
+    def from_arrays(cls, displays: IntArray, counts: IntArray
+                    ) -> "OnlineLogMoments":
+        """The accumulator whose :meth:`arrays` are the arguments."""
+        moments = cls()
+        moments.counts.update(dict(zip(
+            np.asarray(displays, dtype=np.int64).tolist(),
+            np.asarray(counts, dtype=np.int64).tolist(), strict=True)))
+        return moments
 
     @property
     def n(self) -> int:
@@ -160,12 +191,12 @@ class StreamingCharacterizer:
                  bandwidth_edges: FloatArray | None = None) -> None:
         if diurnal_bins < 1:
             raise ValueError("diurnal_bins must be positive")
-        self._log_length = _OnlineLogMoments()
+        self._log_length = OnlineLogMoments()
         self._bits = 0.0  # duration * bandwidth, divided by 8 at read time
         self._n_entries = 0
         self._n_skipped = 0
         self._congested = 0
-        self._client_counts: dict[str, int] = {}
+        self._client_counts: Counter[str] = Counter()
         # The column path's client fold, keyed by client_index: sorted
         # distinct indices, each one's player ID, transfer count and the
         # consume_columns call that introduced it.  Moved into
@@ -175,10 +206,9 @@ class StreamingCharacterizer:
         self._index_counts: IntArray = np.empty(0, dtype=np.int64)
         self._index_first: IntArray = np.empty(0, dtype=np.int64)
         self._column_calls = 0
-        self._feed_counts: dict[int, int] = {}
+        self._feed_counts: Counter[int] = Counter()
         self._edges = (DEFAULT_BANDWIDTH_EDGES if bandwidth_edges is None
                        else np.asarray(bandwidth_edges, dtype=np.float64))
-        self._edge_list = self._edges.tolist()
         self._bandwidth_hist = np.zeros(self._edges.size - 1,
                                         dtype=np.float64)
         self._diurnal = np.zeros(diurnal_bins, dtype=np.float64)
@@ -199,62 +229,62 @@ class StreamingCharacterizer:
         if isinstance(source, (str, Path)):
             with open(source, "r", encoding="ascii",
                       errors="replace") as stream:
-                return self._consume_stream(stream)
-        return self._consume_stream(source)
-
-    def _consume_stream(self, stream: TextIO | Iterable[str]) -> int:
-        self._fold_indexed_clients()
-        parsed = 0
-        fields: list[str] | None = None
-        for number, line in iter_log_lines(stream):
-            if line.startswith("#"):
-                if line.startswith("#Fields:"):
-                    fields = _parse_fields_header(line, number)
-                continue
-            if fields is None:
-                raise LogParseError("data before #Fields header",
-                                    line_number=number, line=line)
-            if self._consume_line(line, fields):
-                parsed += 1
-        return parsed
+                return self.consume(stream)
+        return sum(self.consume_parsed(batch)
+                   for batch in parse_log_stream(source))
 
     def consume_lines(self, lines: Iterable[str],
-                      fields: list[str]) -> int:
+                      fields: Sequence[str]) -> int:
         """Consume pre-split data lines against a known field layout.
 
         The chunked ingestion path: callers that already located the
         ``#Fields`` header (e.g. :func:`repro.parallel.characterize_logs`
         workers fed byte ranges of a split log) hand the layout in
-        directly.  Blank and comment lines are ignored; malformed data
-        lines are counted and skipped exactly as in :meth:`consume`.
-        Returns the number of entries parsed.
+        directly.  Otherwise as :meth:`consume` (``bytes_served`` adds up
+        entry by entry, see :meth:`consume_parsed`); returns the number
+        of entries parsed.
+        """
+        return sum(self.consume_parsed(batch)
+                   for batch in parse_log_stream(lines, fields))
+
+    def consume_parsed(self, batch: ParsedLog) -> int:
+        """Fold one :func:`~repro.trace.wms_log.parse_log_lines` batch
+        (the text path of every reader); returns its entry count.
+
+        Skipped lines count toward ``n_skipped``; entries take the fold of
+        :meth:`consume_columns`, except that ``bytes_served`` is summed
+        entry by entry in line order (``np.add.accumulate`` seeded with
+        the running total), so the sum does not depend on batching.  New
+        clients, feeds and lengths become :meth:`state_dict` keys in
+        first-seen order.
         """
         self._fold_indexed_clients()
-        parsed = 0
-        for raw in lines:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if self._consume_line(line, fields):
-                parsed += 1
-        return parsed
+        self._n_skipped += len(batch.errors)
+        columns = batch.columns
+        duration, bandwidth = columns["duration"], columns["bandwidth_bps"]
+        self._bits = float(np.add.accumulate(np.concatenate((
+            [self._bits], duration * np.maximum(bandwidth, 0.0))))[-1])
+        self._client_counts.update(batch.players)
+        self._fold(duration, bandwidth, columns["timestamp"],
+                   columns["object_id"], first_seen=True)
+        return batch.n_entries
 
     def consume_columns(self, columns: Mapping[str, _AnyArray],
                         players: Sequence[str] | _AnyArray) -> int:
         """Consume one decoded binary segment as column arrays.
 
-        The vectorized counterpart of :meth:`consume_lines` for the
-        binary codec: ``columns`` is one segment's decoded trace-domain
-        columns (see
+        The binary codec's counterpart of :meth:`consume_parsed`:
+        ``columns`` is one segment's decoded trace-domain columns (see
         :meth:`repro.trace.codecs.BinaryTraceReader.segment_columns`),
         ``client_index`` included, and ``players`` the per-entry
         player-ID strings (the caller maps ``client_index`` through the
-        file's client blocks).  Every accumulator update reproduces the
-        per-line path exactly — the decoded doubles are bit-identical to
-        the parsed text fields, so histogram binning and the diurnal fold
-        agree entry for entry; only the ``bytes_served`` float
-        accumulation order differs.  Call it once per segment: the order
-        of the calls is the order of that float summation.
+        file's client blocks).  Both paths share one fold over doubles
+        bit-identical to the parsed text fields, so every count and bin
+        agrees entry for entry.  Only ``bytes_served`` is summed
+        differently: one ``np.dot`` per call here, the grouping the
+        binary format fixes (a segment per writer flush), where text,
+        which has no such grouping, adds entry by entry.  Call it once
+        per segment: the order of the calls is the order of that sum.
 
         Clients are counted by ``client_index`` in integer arrays, so the
         fold costs one sort of the segment's indices and one vectorized
@@ -275,11 +305,8 @@ class StreamingCharacterizer:
             ``players`` names one index two ways within the call; the
             characterizer is then left unchanged.
         """
-        duration = np.maximum(
-            np.asarray(columns["duration"], dtype=np.float64), 0.0)
+        duration = np.asarray(columns["duration"], dtype=np.float64)
         bandwidth = np.asarray(columns["bandwidth_bps"], dtype=np.float64)
-        timestamp = np.asarray(columns["timestamp"], dtype=np.int64)
-        feed = np.asarray(columns["object_id"], dtype=np.int64)
         n = int(duration.size)
         if n == 0:
             return 0
@@ -288,36 +315,36 @@ class StreamingCharacterizer:
         self._count_indexed_clients(
             np.asarray(columns["client_index"], dtype=np.int64),
             np.asarray(players, dtype=np.str_))
-        self._n_entries += n
-        display = np.floor(duration).astype(np.int64) + 1
-        for value, count in zip(*(arr.tolist() for arr in
-                                  np.unique(display, return_counts=True)),
-                                strict=True):
-            self._log_length.counts[value] = (
-                self._log_length.counts.get(value, 0) + count)
-        self._bits += float(np.dot(duration, np.maximum(bandwidth, 0.0)))
-        for value, count in zip(*(arr.tolist() for arr in
-                                  np.unique(feed, return_counts=True)),
-                                strict=True):
-            self._feed_counts[value] = self._feed_counts.get(value, 0) + count
+        self._bits += float(np.dot(np.maximum(duration, 0.0),
+                                   np.maximum(bandwidth, 0.0)))
+        self._fold(duration, bandwidth,
+                   np.asarray(columns["timestamp"], dtype=np.int64),
+                   np.asarray(columns["object_id"], dtype=np.int64),
+                   first_seen=False)
+        return n
+
+    def _fold(self, duration: FloatArray, bandwidth: FloatArray,
+              timestamp: IntArray, feed: IntArray, *,
+              first_seen: bool) -> None:
+        """The accumulators shared by the text and column paths: all
+        but ``bytes_served`` and the client counts."""
+        self._n_entries += int(duration.size)
+        self._log_length.add_lengths(duration, first_seen=first_seen)
+        self._feed_counts.update(_tally(feed, first_seen))
         self._congested += int(
             np.count_nonzero(bandwidth < CONGESTION_THRESHOLD_BPS))
-        # searchsorted(side="right") - 1 == bisect_right(edges, bw) - 1.
         bin_idx = np.searchsorted(self._edges, bandwidth,
                                   side="right").astype(np.int64) - 1
         in_range = (bin_idx >= 0) & (bin_idx < self._bandwidth_hist.size)
         self._bandwidth_hist += np.bincount(
             bin_idx[in_range], minlength=self._bandwidth_hist.size
             ).astype(np.float64)
-        # start = timestamp - duration, exactly the per-line arithmetic.
-        phase = (timestamp.astype(np.float64)
-                 - np.asarray(columns["duration"], dtype=np.float64)) % DAY
+        phase = (timestamp.astype(np.float64) - duration) % DAY
         diurnal_idx = np.minimum(
             (phase / self._bin_width).astype(np.int64),
             self._diurnal.size - 1)
         self._diurnal += np.bincount(
             diurnal_idx, minlength=self._diurnal.size).astype(np.float64)
-        return n
 
     def _count_indexed_clients(self, client: IntArray,
                                names: _AnyArray) -> None:
@@ -374,54 +401,11 @@ class StreamingCharacterizer:
         if not self._index.size:
             return
         for player, count in self._indexed_client_items():
-            self._client_counts[player] = (
-                self._client_counts.get(player, 0) + count)
+            self._client_counts[player] += count
         self._index = np.empty(0, dtype=np.int64)
         self._names = np.empty(0, dtype=np.str_)
         self._index_counts = np.empty(0, dtype=np.int64)
         self._index_first = np.empty(0, dtype=np.int64)
-
-    def _consume_line(self, line: str, fields: list[str]) -> bool:
-        if _REPLACEMENT in line:
-            # Undecodable bytes (a well-formed log is pure ASCII): the
-            # fields cannot be trusted even if the line still splits.
-            self._n_skipped += 1
-            return False
-        parts = line.split()
-        if len(parts) != len(fields):
-            self._n_skipped += 1
-            return False
-        row = dict(zip(fields, parts, strict=True))
-        try:
-            duration = float(row["x-duration"])
-            bandwidth = float(row["avg-bandwidth"])
-            timestamp = int(row["x-timestamp"])
-            uri = row["cs-uri-stem"]
-            if not uri.startswith(_URI_PREFIX):
-                raise ValueError("bad uri")
-            feed = int(uri[len(_URI_PREFIX):])
-            player = row["c-playerid"]
-        except (KeyError, ValueError):
-            self._n_skipped += 1
-            return False
-
-        self._n_entries += 1
-        # The paper's floor(t) + 1 display convention (log_display_time),
-        # kept as an exact integer so accumulators merge losslessly.
-        self._log_length.add(math.floor(max(duration, 0.0)) + 1)
-        self._bits += max(duration, 0.0) * max(bandwidth, 0.0)
-        self._client_counts[player] = self._client_counts.get(player, 0) + 1
-        self._feed_counts[feed] = self._feed_counts.get(feed, 0) + 1
-        if bandwidth < CONGESTION_THRESHOLD_BPS:
-            self._congested += 1
-        bin_idx = bisect_right(self._edge_list, bandwidth) - 1
-        if 0 <= bin_idx < self._bandwidth_hist.size:
-            self._bandwidth_hist[bin_idx] += 1
-        start = timestamp - duration
-        phase = start % DAY
-        self._diurnal[min(int(phase / self._bin_width),
-                          self._diurnal.size - 1)] += 1
-        return True
 
     # ------------------------------------------------------------------
     # Merging
@@ -453,12 +437,10 @@ class StreamingCharacterizer:
         self._n_entries += other._n_entries
         self._n_skipped += other._n_skipped
         self._congested += other._congested
-        for player, count in [*other._client_counts.items(),
-                              *other._indexed_client_items()]:
-            self._client_counts[player] = (
-                self._client_counts.get(player, 0) + count)
-        for feed, count in other._feed_counts.items():
-            self._feed_counts[feed] = self._feed_counts.get(feed, 0) + count
+        self._client_counts.update(other._client_counts)
+        for player, count in other._indexed_client_items():
+            self._client_counts[player] += count
+        self._feed_counts.update(other._feed_counts)
         self._bandwidth_hist += other._bandwidth_hist
         self._diurnal += other._diurnal
         return self
@@ -500,19 +482,19 @@ class StreamingCharacterizer:
             diurnal_bins=len(state["diurnal_counts"]),
             bandwidth_edges=np.asarray(state["bandwidth_edges"],
                                        dtype=np.float64))
-        characterizer._log_length.counts = {
+        characterizer._log_length.counts = Counter({
             int(display): int(count)
-            for display, count in state["length_counts"].items()}
+            for display, count in state["length_counts"].items()})
         characterizer._bits = float(state["bits"])
         characterizer._n_entries = int(state["n_entries"])
         characterizer._n_skipped = int(state["n_skipped"])
         characterizer._congested = int(state["congested"])
-        characterizer._client_counts = {
+        characterizer._client_counts = Counter({
             str(player): int(count)
-            for player, count in state["client_counts"].items()}
-        characterizer._feed_counts = {
+            for player, count in state["client_counts"].items()})
+        characterizer._feed_counts = Counter({
             int(feed): int(count)
-            for feed, count in state["feed_counts"].items()}
+            for feed, count in state["feed_counts"].items()})
         characterizer._bandwidth_hist = np.asarray(
             state["bandwidth_histogram"], dtype=np.float64)
         characterizer._diurnal = np.asarray(state["diurnal_counts"],

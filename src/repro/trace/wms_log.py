@@ -22,10 +22,13 @@ emit entries in the identical ``(end, trace position)`` order.
 from __future__ import annotations
 
 import io
+from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
+import numpy.typing as npt
 
 from .._typing import FloatArray, IntArray
 from ..errors import LogParseError
@@ -52,11 +55,6 @@ LOG_FIELDS: tuple[str, ...] = (
 )
 
 _URI_PREFIX = "/live/feed"
-
-#: The Unicode replacement character: the marker ``errors="replace"``
-#: decoding leaves behind for undecodable bytes.  A well-formed log is
-#: pure ASCII, so its presence identifies a corrupt line unambiguously.
-_REPLACEMENT = "�"
 
 #: Type of the optional IP -> (as_number, country) resolver.
 IpResolver = Callable[[str], tuple[int, str]]
@@ -315,7 +313,9 @@ def write_wms_log(trace: Trace, path: str | Path | TextIO, *,
             stream.close()
 
 
-def _parse_fields_header(line: str, line_number: int) -> list[str]:
+def parse_fields_header(line: str, line_number: int) -> list[str]:
+    """The column layout of a ``#Fields:`` directive line; raises
+    :class:`LogParseError` if it lacks any of :data:`LOG_FIELDS`."""
     fields = line[len("#Fields:"):].split()
     missing = [f for f in LOG_FIELDS if f not in fields]
     if missing:
@@ -324,12 +324,166 @@ def _parse_fields_header(line: str, line_number: int) -> list[str]:
     return fields
 
 
-def iter_log_lines(stream: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """Yield ``(line_number, stripped_line)`` skipping blanks."""
-    for number, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if line:
-            yield number, line
+#: Lines per batch of :func:`parse_log_stream`, which bounds the memory of
+#: every text reader.  Smaller batches keep the split rows in cache; larger
+#: ones repeat the per-batch numpy overhead less often.
+PARSE_BATCH_LINES = 1024
+
+
+#: The typed columns of an entry, in the order the entry rule checks
+#: them: ``(log field, column, dtype)``; int64 fields parse with ``int``.
+_TYPED_FIELDS: tuple[tuple[str, str, type], ...] = (
+    ("x-timestamp", "timestamp", np.int64),
+    ("x-duration", "duration", np.float64),
+    ("cs-uri-stem", "object_id", np.int64),
+    ("avg-bandwidth", "bandwidth_bps", np.float64),
+    ("packet-loss-rate", "packet_loss", np.float64),
+    ("s-cpu-util", "server_cpu", np.float64),
+    ("sc-status", "status", np.int64),
+)
+
+
+@dataclass(frozen=True)
+class ParsedLog:
+    """Data lines parsed by :func:`parse_log_lines` under ``fields`` (one
+    object per directive in :func:`parse_log_stream`): the entries' typed
+    ``columns`` (see :data:`_TYPED_FIELDS`), their ``c-ip``/
+    ``c-playerid``/``c-os`` strings, one error per skipped line."""
+
+    fields: Sequence[str]
+    columns: dict[str, _AnyArray]
+    ips: list[str]
+    players: list[str]
+    os_names: list[str]
+    errors: list[LogParseError]
+
+    @property
+    def n_entries(self) -> int:
+        """Number of lines that passed the entry rule."""
+        return len(self.players)
+
+
+def parse_log_lines(lines: Sequence[str], fields: Sequence[str], *,
+                    line_numbers: Sequence[int] | None = None) -> ParsedLog:
+    """Parse WMS log data lines under a ``#Fields`` layout.
+
+    The one parser of a WMS data line.  A line is an entry when it is
+    ASCII and splits into exactly ``len(fields)`` columns; its timestamp,
+    duration, URI stem (``/live/feed<int>``), bandwidth, loss, CPU and
+    status parse with ``int``/``float``, the integers fit int64, the
+    floats are finite and ``x-duration`` is in ``[0, 2**63)`` seconds.
+    Other lines get a :class:`LogParseError` (labelled by
+    ``line_numbers``) naming the first check they fail, in that order.
+    Fields convert column by column, value by value only in a column
+    with a bad value.  A layout lacking any of :data:`LOG_FIELDS` raises.
+    """
+    missing = [f for f in LOG_FIELDS if f not in fields]
+    if missing:
+        raise LogParseError(f"layout is missing required fields: {missing}")
+    # The last of duplicated field names wins, as in a row dict.
+    at = {name: k for k, name in enumerate(fields)}
+    width = len(fields)
+    n = len(lines)
+    alive = np.ones(n, dtype=bool)
+    failures: list[tuple[int, str]] = []
+
+    def reject(messages: dict[int, str]) -> None:  # first failure wins
+        for k, message in messages.items():
+            if alive[k]:
+                alive[k] = False
+                failures.append((k, message))
+
+    rows = [line.split() for line in lines]
+    reject({k: "undecodable bytes (non-ASCII) in entry"
+            if not line.isascii()
+            else f"expected {width} columns, got {len(parts)}"
+            for k, (line, parts) in enumerate(zip(lines, rows, strict=True))
+            if len(parts) != width or not line.isascii()})
+    if not alive.all():
+        # A parseable stand-in keeps every column aligned with ``lines``.
+        filler = ["0"] * width
+        filler[at["cs-uri-stem"]] = _URI_PREFIX + "0"
+        for k in np.flatnonzero(~alive).tolist():
+            rows[k] = filler
+    texts: list[Sequence[str]] = (list(zip(*rows, strict=True)) if rows
+                                  else [()] * width)
+
+    columns: dict[str, _AnyArray] = {}
+    for field, name, dtype in _TYPED_FIELDS:
+        convert: Callable[[str], Any] = float if dtype is np.float64 else int
+        raw = texts[at[field]]
+        if field == "cs-uri-stem":
+            reject({k: f"unexpected URI stem {uri!r}"
+                    for k, uri in enumerate(raw)
+                    if not uri.startswith(_URI_PREFIX)})
+            raw = [uri[len(_URI_PREFIX):] for uri in raw]
+        try:
+            values = np.fromiter(map(convert, raw), dtype=dtype, count=n)
+        except (ValueError, OverflowError):
+            values = np.zeros(n, dtype=dtype)
+            messages: dict[int, str] = {}
+            for k, text in enumerate(raw):
+                try:
+                    values[k] = convert(text)
+                except ValueError as exc:
+                    messages[k] = str(exc)
+                except OverflowError:
+                    messages[k] = f"{field} out of range: {text!r}"
+            reject(messages)
+        reject({k: f"{field} is not finite: {raw[k]!r}"
+                for k in np.flatnonzero(~np.isfinite(values)).tolist()})
+        if field == "x-duration":
+            # Whole seconds must fit int64 (the floor(t) + 1 display).
+            reject({k: f"x-duration outside [0, 2**63): {raw[k]!r}"
+                    for k in np.flatnonzero(
+                        (values < 0) | (values >= 2.0**63)).tolist()})
+        columns[name] = values
+
+    strings = [texts[at[field]] for field in ("c-ip", "c-playerid", "c-os")]
+    if not alive.all():
+        keep = np.flatnonzero(alive)
+        columns = {name: values[keep] for name, values in columns.items()}
+        strings = [[column[k] for k in keep.tolist()] for column in strings]
+    failures.sort()
+    ips, players, os_names = map(list, strings)
+    return ParsedLog(
+        fields=fields, columns=columns, ips=ips, players=players,
+        os_names=os_names, errors=[LogParseError(
+            message, line=lines[k],
+            line_number=None if line_numbers is None else line_numbers[k])
+            for k, message in failures])
+
+
+def parse_log_stream(lines: Iterable[str],
+                     fields: Sequence[str] | None = None
+                     ) -> Iterator[ParsedLog]:
+    """Parse a log's lines in batches of at most :data:`PARSE_BATCH_LINES`.
+
+    Lines are stripped, blank and comment lines dropped; a ``#Fields:``
+    directive sets the layout of the lines after it and yields an empty
+    batch under it.  ``fields`` is the layout before any directive (with
+    ``None``, a data line there raises :class:`LogParseError`, as does an
+    incomplete directive).  Errors number lines from 1 within ``lines``.
+    """
+    source = iter(lines)
+    base = 0
+    while slab := [raw.strip() for raw in islice(source, PARSE_BATCH_LINES)]:
+        lo = 0
+        for k in [*(j for j, line in enumerate(slab)
+                    if not line or line[0] == "#"), len(slab)]:
+            if k > lo:
+                if fields is None:
+                    raise LogParseError("data before #Fields header",
+                                        line_number=base + lo + 1,
+                                        line=slab[lo])
+                yield parse_log_lines(
+                    slab[lo:k], fields,
+                    line_numbers=range(base + lo + 1, base + k + 1))
+            if k < len(slab) and slab[k].startswith("#Fields:"):
+                fields = parse_fields_header(slab[k], base + k + 1)
+                yield parse_log_lines([], fields)
+            lo = k + 1
+        base += len(slab)
 
 
 def read_wms_log(path: str | Path | TextIO, *,
@@ -355,10 +509,11 @@ def read_wms_log(path: str | Path | TextIO, *,
         Observation-window length override.  When omitted, the latest entry
         timestamp is used.
     on_error:
-        ``"raise"`` (default) aborts on the first malformed data line;
-        ``"skip"`` drops malformed lines and continues — real month-long
-        logs contain truncated or corrupt lines at harvest boundaries.  A
-        missing or incomplete ``#Fields`` header always raises.
+        ``"raise"`` (default) aborts on the first line that breaks the
+        entry rule of :func:`parse_log_lines`; ``"skip"`` drops those
+        lines and continues — real month-long logs contain truncated or
+        corrupt lines at harvest boundaries.  A missing or incomplete
+        ``#Fields`` header always raises.
     error_sink:
         With ``on_error="skip"``, an optional list that collects the
         :class:`LogParseError` for every skipped line.
@@ -371,75 +526,29 @@ def read_wms_log(path: str | Path | TextIO, *,
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
-    own = isinstance(path, (str, Path))
-    stream: TextIO = (open(path, "r", encoding="ascii", errors="replace")
-                      if isinstance(path, (str, Path)) else path)
-    try:
-        builder = TraceBuilder()
-        fields: list[str] | None = None
-        for number, line in iter_log_lines(stream):
-            if line.startswith("#"):
-                if line.startswith("#Fields:"):
-                    fields = _parse_fields_header(line, number)
-                continue
-            if fields is None:
-                raise LogParseError("data before #Fields header",
-                                    line_number=number, line=line)
-            try:
-                if _REPLACEMENT in line:
-                    raise LogParseError(
-                        "undecodable bytes (non-ASCII) in entry",
-                        line_number=number, line=line)
-                parts = line.split()
-                if len(parts) != len(fields):
-                    raise LogParseError(
-                        f"expected {len(fields)} columns, got {len(parts)}",
-                        line_number=number, line=line)
-                row = dict(zip(fields, parts, strict=True))
-                try:
-                    timestamp = int(row["x-timestamp"])
-                    duration = float(row["x-duration"])
-                    uri = row["cs-uri-stem"]
-                    if not uri.startswith(_URI_PREFIX):
-                        raise ValueError(f"unexpected URI stem {uri!r}")
-                    object_id = int(uri[len(_URI_PREFIX):])
-                    bandwidth = float(row["avg-bandwidth"])
-                    loss = float(row["packet-loss-rate"])
-                    cpu = float(row["s-cpu-util"])
-                    status = int(row["sc-status"])
-                except (KeyError, ValueError) as exc:
-                    raise LogParseError(str(exc), line_number=number,
-                                        line=line) from exc
-            except LogParseError as exc:
-                if on_error == "skip":
-                    if error_sink is not None:
-                        error_sink.append(exc)
-                    continue
-                raise
-            ip = row["c-ip"]
+    if isinstance(path, (str, Path)):
+        with open(path, "r", encoding="ascii", errors="replace") as stream:
+            return read_wms_log(stream, resolver=resolver, extent=extent,
+                                on_error=on_error, error_sink=error_sink)
+    builder = TraceBuilder()
+    for batch in parse_log_stream(path):
+        if batch.errors and on_error == "raise":
+            raise batch.errors[0]
+        if error_sink is not None:
+            error_sink.extend(batch.errors)
+        rows = zip(batch.ips, batch.players, batch.os_names,
+                   *(batch.columns[name].tolist() for name in (
+                       "object_id", "timestamp", "duration", "bandwidth_bps",
+                       "packet_loss", "server_cpu", "status")), strict=True)
+        for ip, player, os_name, feed, ts, dur, bw, loss, cpu, status in rows:
             as_number, country = (resolver(ip) if resolver is not None
                                   else (0, ""))
-            client_idx = builder.add_client(ClientRecord(
-                player_id=row["c-playerid"],
-                ip=ip,
-                as_number=as_number,
-                country=country,
-                os_name=row["c-os"],
-            ))
             builder.add_transfer(
-                client_index=client_idx,
-                object_id=object_id,
-                start=float(timestamp) - duration,
-                duration=duration,
-                bandwidth_bps=bandwidth,
-                packet_loss=loss,
-                server_cpu=cpu,
-                status=status,
-            )
-        return builder.build(extent=extent)
-    finally:
-        if own:
-            stream.close()
+                builder.add_client(ClientRecord(
+                    player, ip, as_number, country, os_name)),
+                feed, ts - dur, dur, bandwidth_bps=bw, packet_loss=loss,
+                server_cpu=cpu, status=status)
+    return builder.build(extent=extent)
 
 
 def log_round_trip(trace: Trace, *, resolver: IpResolver | None = None) -> Trace:

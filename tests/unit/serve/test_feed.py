@@ -8,13 +8,18 @@ sessions must reproduce the batch sessionizer's canonical columns.
 
 import asyncio
 import json
+import os
+import resource
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from repro.core.model import LiveWorkloadModel
 from repro.core.sessionizer import sessionize
-from repro.errors import ProtocolError
+from repro.errors import LogParseError, ProtocolError
 from repro.serve.feed import FeedWorker
 from repro.stream import run_streaming_generation
 from repro.trace.codecs import BinaryTraceReader
@@ -159,6 +164,90 @@ def test_entries_referencing_undeclared_client_is_protocol_error():
     quantized["client_index"] = np.asarray([-1], dtype=np.int64)
     with pytest.raises(ProtocolError):
         worker.ingest_entries(quantized)
+
+
+def quantized_entries(client_index):
+    quantized = {name: np.zeros(len(client_index), dtype=np.int64)
+                 for name in ("timestamp", "client_index", "object_id",
+                              "duration", "bandwidth_bps", "packet_loss_q",
+                              "server_cpu_q", "status")}
+    quantized["client_index"] = np.asarray(client_index, dtype=np.int64)
+    quantized["timestamp"] = np.arange(len(client_index), dtype=np.int64)
+    return quantized
+
+
+SPARSE_INDEX_SCRIPT = textwrap.dedent("""
+    from repro.serve.feed import FeedWorker
+    from tests.unit.serve.test_feed import quantized_entries
+
+    worker = FeedWorker("feed0")
+    worker.ingest_clients([(1 << 40, "10.0.0.1", "player-a", "WinNT"),
+                           (3, "10.0.0.2", "player-b", "WinNT")])
+    worker.ingest_entries(quantized_entries([1 << 40, 3, 1 << 40]))
+    print(worker.entries_ingested, worker.sessions_per_client().size,
+          sorted(worker.characterizer.client_counts().items()))
+""")
+
+
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_sparse_client_index_does_not_size_state():
+    """A CLIENTS frame declaring index 2**40 costs one slot, not 2**40.
+
+    Run in a child process capped at 1 GiB of address space and 60 s, so
+    that state sized by the index value fails fast instead of exhausting
+    the host.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__)))))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [os.path.join(root, "src"), root]))
+    result = subprocess.run(
+        [sys.executable, "-c", SPARSE_INDEX_SCRIPT], capture_output=True,
+        text=True, timeout=60, env=env, cwd=root,
+        preexec_fn=_cap_address_space)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.split(maxsplit=2) == [
+        "3", "2", "[('player-a', 2), ('player-b', 1)]\n"]
+
+
+def test_client_slots_follow_declaration_order():
+    """Slots are ranks in declaration order, and survive a checkpoint."""
+    original = FeedWorker("feed0", timeout=TIMEOUT)
+    original.ingest_clients([(9, "10.0.0.9", "player-9", "WinNT"),
+                             (2, "10.0.0.2", "player-2", "WinNT")])
+    original.ingest_entries(quantized_entries([2, 9, 2]))
+    assert original.sessions_per_client().size == 2
+    restored = FeedWorker("feed0", timeout=TIMEOUT)
+    restored.restore(original.state_meta(), original.state_arrays())
+    for worker in (original, restored):
+        worker.ingest_clients([(4, "10.0.0.4", "player-4", "WinNT")])
+        worker.ingest_entries(quantized_entries([4, 9]))
+    assert canonical_state(original) == canonical_state(restored)
+    finals = [worker.finish() for worker in (original, restored)]
+    np.testing.assert_array_equal(finals[0].client_index,
+                                  finals[1].client_index)
+    assert sorted(finals[0].client_index.tolist()) == [0, 1, 2]
+    assert original.characterizer.client_counts() == {
+        "player-2": 2, "player-9": 2, "player-4": 1}
+
+
+def test_bad_directive_keeps_the_entries_before_it(logs):
+    """An incomplete ``#Fields`` line raises, and the entries before it
+    in the same batch reach both the characterizer and the sessions."""
+    text_path, _ = logs
+    with open(text_path, "r", encoding="utf-8") as stream:
+        lines = [line.rstrip("\n") for line in stream][:60]
+    worker = FeedWorker("feed0", timeout=TIMEOUT, keep_sessions=True)
+    with pytest.raises(LogParseError):
+        worker.ingest_lines([*lines, "#Fields: x-timestamp"])
+    n_entries = worker.characterizer.summary().n_entries
+    assert n_entries == 57
+    assert int(worker.finish().n_transfers.sum()) == n_entries
 
 
 def test_mode_conflicts_are_counted_not_fatal(logs):

@@ -13,7 +13,7 @@ from repro.serve.tracking import (
     LatencyHistogram,
     RateMeter,
 )
-from repro.trace.streaming import _OnlineLogMoments
+from repro.trace.streaming import OnlineLogMoments
 
 SEED = 20260808
 
@@ -119,7 +119,7 @@ def test_gap_moments_match_batch_interarrivals(small_trace):
     sessions = sessionize(trace, timeout=timeout)
     gaps = sessions.intra_session_interarrivals()
     displays = np.floor(np.maximum(gaps, 0.0)).astype(np.int64) + 1
-    reference = _OnlineLogMoments()
+    reference = OnlineLogMoments()
     values, counts = np.unique(displays, return_counts=True)
     for value, count in zip(values.tolist(), counts.tolist(), strict=True):
         reference.counts[value] = count
