@@ -151,9 +151,9 @@ def _scan_running_max(values: FloatArray, first_positions: IntArray, *,
 
     ``first_positions`` holds the index of each non-empty segment's first
     element (``values`` is the flattened segment concatenation).  Shared
-    with the sessionizer, which already has the first positions from the
-    trace's cached client grouping.  With ``overwrite=True`` the scan
-    runs in place, consuming ``values``.
+    with :func:`silence_gaps_sorted`, whose callers already have the
+    first positions from their client grouping.  With ``overwrite=True``
+    the scan runs in place, consuming ``values``.
 
     After k passes ``out[i]`` holds ``max(values[i-2^k+1 .. i] ∩
     segment)``; elements shallower than ``2^k`` in their segment are
@@ -194,6 +194,62 @@ def _scan_running_max(values: FloatArray, first_positions: IntArray, *,
             deep = np.zeros(out.size, dtype=bool)
             deep[idx] = True
     return out
+
+
+def stable_client_order(client: IntArray, n_clients: int) -> IntArray:
+    """Stable permutation grouping ``client`` values together.
+
+    Within each client the original positions keep their order, so a
+    start-sorted batch comes out in ``(client, start)`` order.  The key
+    is narrowed to the smallest unsigned dtype holding ``n_clients``
+    (every value lies in ``[0, n_clients)``), which sends NumPy's stable
+    sort down its O(n) radix path.
+    """
+    key: npt.NDArray[Any] = client
+    if n_clients <= 1 << 8:
+        key = client.astype(np.uint8)
+    elif n_clients <= 1 << 16:
+        key = client.astype(np.uint16)
+    return np.argsort(key, kind="stable")
+
+
+def silence_gaps_sorted(start: FloatArray, end: FloatArray,
+                        firsts: IntArray,
+                        carried: FloatArray | None = None
+                        ) -> tuple[FloatArray, FloatArray]:
+    """Silence gaps of client-grouped transfers (the session rule).
+
+    ``start``/``end`` are transfer columns in ``(client, start)`` order
+    and ``firsts`` the position of each client segment's first transfer.
+    A transfer's gap is its start minus the latest end among the same
+    client's earlier transfers; a session boundary under timeout
+    ``T_o`` is exactly a gap ``> T_o``.
+
+    ``carried`` optionally holds, per segment, the running maximum of
+    ends carried over from earlier batches (``-inf`` where nothing is
+    carried): it joins every running maximum of its segment, and the
+    segment's first gap is taken against it.  Without it each segment's
+    first gap is ``+inf``, as it is against a carried ``-inf``.
+
+    Returns ``(gaps, run_max)``, ``run_max`` being the per-segment
+    running maximum of ends the gaps were derived from.  Consumes
+    ``end``: the scan overwrites it in place.
+    """
+    n = start.size
+    if n == 0:
+        empty = np.empty(0, dtype=np.float64)
+        return empty, empty
+    run_max = _scan_running_max(end, firsts, overwrite=True)
+    if carried is not None:
+        # max over the same set of floats in any grouping is the same
+        # float, so carrying state across batches matches one scan.
+        lengths = np.diff(firsts, append=n)
+        np.maximum(run_max, np.repeat(carried, lengths), out=run_max)
+    gaps = np.empty(n, dtype=np.float64)
+    gaps[0] = np.inf
+    np.subtract(start[1:], run_max[:-1], out=gaps[1:])
+    gaps[firsts] = np.inf if carried is None else start[firsts] - carried
+    return gaps, run_max
 
 
 def alternate_on_switch(switch: npt.ArrayLike, lengths: npt.ArrayLike, *,

@@ -709,7 +709,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         try:
             await service.start()
         except ReproError as exc:
-            print(f"serve error: {exc}", file=sys.stderr)
+            print(f"serve error: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
             return 2
         print(f"repro-serve listening "
               f"tcp={service.tcp_port} http={service.http_port}",

@@ -22,34 +22,10 @@ from functools import cached_property
 import numpy as np
 
 from .._typing import FloatArray, IntArray
-from ..arrayops import _scan_running_max
+from ..arrayops import silence_gaps_sorted
 from ..errors import AnalysisError
 from ..trace.store import Trace
 from ..units import DEFAULT_SESSION_TIMEOUT
-
-
-def _gaps_from_sorted(start: FloatArray, end: FloatArray,
-                      firsts: IntArray) -> tuple[FloatArray, FloatArray]:
-    """Silence gaps from ``(client, start)``-sorted start/end columns and
-    the sorted-view positions of each client's first transfer.
-
-    Returns ``(gaps, run_max)`` where ``run_max`` is the per-client
-    running maximum of transfer ends the gaps were derived from.
-    Consumes ``end``: the scan overwrites it in place with ``run_max``.
-    """
-    n = start.size
-    if n == 0:
-        empty = np.empty(0, dtype=np.float64)
-        return empty, empty
-    run_max = _scan_running_max(end, firsts, overwrite=True)
-    # Gap = start minus the latest end among the client's *earlier*
-    # transfers: the running max one position back (same segment);
-    # +inf marks each client's first transfer.
-    gaps = np.empty(n, dtype=np.float64)
-    gaps[0] = np.inf
-    np.subtract(start[1:], run_max[:-1], out=gaps[1:])
-    gaps[firsts] = np.inf
-    return gaps, run_max
 
 
 def silence_gaps(trace: Trace) -> tuple[FloatArray, IntArray]:
@@ -66,15 +42,14 @@ def silence_gaps(trace: Trace) -> tuple[FloatArray, IntArray]:
     Fully vectorized: the trace's cached client grouping
     (:attr:`~repro.trace.store.Trace.client_grouping` — a stable O(n)
     radix argsort, since transfers are already start-sorted) followed by
-    a segmented running maximum over per-client transfer ends
-    (:func:`repro.arrayops.segmented_running_max`) shifted by one
-    position.  :func:`_reference_silence_gaps` keeps the original
-    per-transfer Python walk; the property suite asserts bit-for-bit
-    agreement.
+    the silence-gap kernel :func:`repro.arrayops.silence_gaps_sorted`,
+    which the online sessionizer shares.  :func:`_reference_silence_gaps`
+    keeps the original per-transfer Python walk; the property suite
+    asserts bit-for-bit agreement.
     """
     order, _, firsts = trace.client_grouping
     start, end = trace.client_sorted_spans
-    gaps, _ = _gaps_from_sorted(start, end.copy(), firsts)
+    gaps, _ = silence_gaps_sorted(start, end.copy(), firsts)
     return gaps, order
 
 
@@ -259,7 +234,7 @@ def sessionize(trace: Trace,
         raise AnalysisError(f"timeout must be positive, got {timeout}")
     order, _, firsts = trace.client_grouping
     start, end = trace.client_sorted_spans
-    gaps, run_max = _gaps_from_sorted(start, end.copy(), firsts)
+    gaps, run_max = silence_gaps_sorted(start, end.copy(), firsts)
     boundary = gaps > timeout  # first-of-client has gap = +inf
     return Sessions(trace, timeout, order, boundary,
                     _start_sorted=start, _run_max=run_max)

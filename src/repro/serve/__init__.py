@@ -41,7 +41,7 @@ from .protocol import (
     unpack_meta,
 )
 from .service import CharacterizationService
-from .tracking import ConcurrencyTracker, GapMoments, LatencyHistogram
+from .tracking import ConcurrencyTracker, LatencyHistogram
 
 __all__ = [
     "CharacterizationService",
@@ -52,7 +52,6 @@ __all__ = [
     "FRAME_ENTRIES",
     "FRAME_META",
     "FeedWorker",
-    "GapMoments",
     "HANDSHAKE_PREFIX",
     "LatencyHistogram",
     "LoadReport",

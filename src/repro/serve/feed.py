@@ -42,7 +42,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .._typing import FloatArray, IntArray
-from ..errors import ProtocolError, ReproError, TraceError
+from ..errors import CheckpointError, ProtocolError, ReproError, TraceError
 from ..stream.sessionize import FinalizedSessions, OnlineSessionizer, merge_finalized
 from ..trace.codecs import declared_client_slots, decode_entry_columns
 from ..trace.streaming import OnlineLogMoments, StreamingCharacterizer
@@ -53,7 +53,6 @@ from .tracking import (
     DEFAULT_BIN_SECONDS,
     DEFAULT_WINDOW_BINS,
     ConcurrencyTracker,
-    GapMoments,
     LatencyHistogram,
 )
 
@@ -102,7 +101,7 @@ class FeedWorker:
         self.characterizer = StreamingCharacterizer()
         self._capacity = 1
         self.sessionizer = OnlineSessionizer(1, timeout=self.timeout)
-        self._gap = GapMoments(1, timeout=self.timeout)
+        self._gap_moments = OnlineLogMoments()
         self._conc = ConcurrencyTracker(bin_seconds=bin_seconds,
                                         window_bins=window_bins)
         self._on_moments = OnlineLogMoments()
@@ -358,7 +357,6 @@ class FeedWorker:
         while self._capacity < n_clients:
             self._capacity *= 2
         self.sessionizer.grow(self._capacity)
-        self._gap.grow(self._capacity)
         grown = np.zeros(self._capacity, dtype=np.int64)
         grown[:self._spc.size] = self._spc
         self._spc = grown
@@ -422,9 +420,10 @@ class FeedWorker:
     def _push_sessions(self, client: IntArray, start: FloatArray,
                        duration: FloatArray, *,
                        horizon: float | None) -> None:
-        finalized = self.sessionizer.push(client, start, duration,
-                                          horizon=horizon)
-        self._gap.push(client, start, duration)
+        finalized, gaps = self.sessionizer.push_with_gaps(
+            client, start, duration, horizon=horizon)
+        if gaps.size:
+            self._gap_moments.add_lengths(gaps)
         self._absorb_finalized(finalized)
 
     def _absorb_finalized(self, finalized: FinalizedSessions) -> None:
@@ -466,11 +465,11 @@ class FeedWorker:
     # ------------------------------------------------------------------
     def gap_moments(self) -> tuple[float, float]:
         """Live ``(mu, sigma)`` of intra-session gap log-displays."""
-        return self._gap.moments()
+        return self._gap_moments.moments()
 
     def gap_moments_count(self) -> int:
         """Number of accumulated intra-session gap observations."""
-        return self._gap.n
+        return self._gap_moments.n
 
     def on_time_moments(self) -> tuple[float, float]:
         """Live ``(mu, sigma)`` of finalized-session ON-time displays."""
@@ -503,7 +502,9 @@ class FeedWorker:
             },
             "characterizer": self.characterizer.state_dict(),
             "sessionizer": self.sessionizer.state_meta(),
-            "gap": self._gap.state_meta(),
+            "gap": {"n_clients": self.sessionizer.n_clients,
+                    "timeout": self.timeout,
+                    "n_gaps": self._gap_moments.n},
             "concurrency": self._conc.state_meta(),
             "on_counts_n": self._on_moments.n,
         }
@@ -537,14 +538,40 @@ class FeedWorker:
             "ident_os": np.asarray([v[2] for _, v in ident_items],
                                    dtype=np.str_),
         }
-        arrays.update(self.sessionizer.state_arrays())
-        arrays.update(self._gap.state_arrays())
+        table = self.sessionizer.state_arrays()
+        last_start = table.pop("sess_last_start")
+        arrays.update(table)
+        gap_display, gap_count = self._gap_moments.arrays()
+        arrays.update({
+            "gap_display": gap_display,
+            "gap_count": gap_count,
+            # The repro-serve-v1 layout keeps these two: a client's
+            # running max is finite once it has been seen.
+            "gap_open": np.isfinite(table["sess_run_max"]),
+            "gap_run_max": table["sess_run_max"].copy(),
+            "gap_last_start": last_start,
+        })
         arrays.update(self._conc.state_arrays())
         return arrays
 
     def restore(self, meta: dict[str, Any],
                 arrays: dict[str, _AnyArray]) -> None:
-        """Restore state captured by the two ``state_*`` methods."""
+        """Restore state captured by the two ``state_*`` methods.
+
+        Raises
+        ------
+        CheckpointError
+            If a key is missing or an array does not fit the rest of the
+            state: its length, or the session table's ``gap_*`` copies.
+        """
+        try:
+            self._restore(meta, arrays)
+        except KeyError as exc:
+            raise CheckpointError(
+                f"feed {self.name!r} checkpoint is missing {exc}") from exc
+
+    def _restore(self, meta: dict[str, Any],
+                 arrays: dict[str, _AnyArray]) -> None:
         self._mode = meta["mode"]
         self._capacity = int(meta["capacity"])
         fields = meta["fields"]
@@ -558,35 +585,45 @@ class FeedWorker:
 
         self.characterizer = StreamingCharacterizer.from_state_dict(
             meta["characterizer"])
-        self.sessionizer = OnlineSessionizer(
-            int(meta["sessionizer"]["n_clients"]), timeout=self.timeout)
-        self.sessionizer.restore(meta["sessionizer"],
-                                 {k: arrays[k] for k in
-                                  ("sess_open", "sess_start",
-                                   "sess_run_max", "sess_count")})
-        self._gap = GapMoments(int(meta["gap"]["n_clients"]),
-                               timeout=self.timeout)
-        self._gap.restore(meta["gap"],
-                          {k: arrays[k] for k in
-                           ("gap_display", "gap_count", "gap_open",
-                            "gap_run_max", "gap_last_start")})
+        # The table is sized by capacity; restore checks that it fits.
+        self.sessionizer = OnlineSessionizer(self._capacity,
+                                             timeout=self.timeout)
+        self.sessionizer.restore(meta["sessionizer"], {
+            "sess_open": arrays["sess_open"],
+            "sess_start": arrays["sess_start"],
+            "sess_run_max": arrays["sess_run_max"],
+            "sess_count": arrays["sess_count"],
+            "sess_last_start": arrays["gap_last_start"]})
+        run_max = np.asarray(arrays["sess_run_max"], dtype=np.float64)
+        if not (np.array_equal(arrays["gap_run_max"], run_max)
+                and np.array_equal(arrays["gap_open"],
+                                   np.isfinite(run_max))):
+            raise CheckpointError(
+                f"feed {self.name!r} checkpoint gap_open/gap_run_max "
+                "disagree with the session table")
+        self._gap_moments = OnlineLogMoments.from_arrays(
+            arrays["gap_display"], arrays["gap_count"])
         self._conc.restore(meta["concurrency"],
                            {"conc_deltas": np.asarray(
                                arrays["conc_deltas"], dtype=np.int64)})
 
-        pend_start = np.asarray(arrays["pend_start"], dtype=np.float64)
-        if pend_start.size:
-            self._pend = [(
-                np.asarray(arrays["pend_client"], dtype=np.int64),
-                pend_start,
-                np.asarray(arrays["pend_duration"], dtype=np.float64))]
-        else:
-            self._pend = []
-        self._pend_rows = int(pend_start.size)
+        pend = [np.asarray(arrays[key], dtype=dtype) for key, dtype in (
+            ("pend_client", np.int64), ("pend_start", np.float64),
+            ("pend_duration", np.float64))]
+        if len({column.shape for column in pend}) != 1 or pend[0].ndim != 1:
+            raise CheckpointError(
+                f"feed {self.name!r} checkpoint reorder-buffer columns "
+                f"have shapes {[column.shape for column in pend]}")
+        self._pend = [(pend[0], pend[1], pend[2])] if pend[1].size else []
+        self._pend_rows = int(pend[1].size)
 
         self._on_moments = OnlineLogMoments.from_arrays(
             arrays["on_display"], arrays["on_count"])
         self._spc = np.asarray(arrays["spc"], dtype=np.int64).copy()
+        if self._spc.shape != (self._capacity,):
+            raise CheckpointError(
+                f"feed {self.name!r} checkpoint spc has shape "
+                f"{self._spc.shape}, capacity is {self._capacity}")
 
         self._player_index = {
             str(player): k

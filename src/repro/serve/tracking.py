@@ -9,9 +9,6 @@ checkpoint them and lets tests drive them deterministically.
 * :class:`ConcurrencyTracker` — the live ``c(t)`` curve as an integer
   delta ring over fixed data-time bins; commutative integer arithmetic
   makes it order-insensitive within its window.
-* :class:`GapMoments` — intra-session start-to-start gap moments,
-  shadowing the sessionizer's grouping math so the live gap fit matches
-  :meth:`repro.core.sessionizer.Sessions.intra_session_interarrivals`.
 * :class:`LatencyHistogram` — log-spaced ingest-latency histogram with
   quantile readout (p50/p99).
 * :class:`RateMeter` — sliding-window event rate over caller-supplied
@@ -23,10 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._typing import FloatArray, IntArray
-from ..arrayops import _scan_running_max
-from ..errors import ServeError
-from ..trace.streaming import OnlineLogMoments
-from ..units import DEFAULT_SESSION_TIMEOUT
+from ..errors import CheckpointError, ServeError
 
 #: Default ``c(t)`` binning: one-minute bins, one day of window.
 DEFAULT_BIN_SECONDS = 60.0
@@ -158,7 +152,15 @@ class ConcurrencyTracker:
 
     def restore(self, meta: dict[str, float | int],
                 arrays: dict[str, IntArray]) -> None:
-        """Restore state captured by the two ``state_*`` methods."""
+        """Restore state captured by the two ``state_*`` methods.
+
+        Raises
+        ------
+        ServeError
+            If the checkpoint was taken with other binning.
+        CheckpointError
+            If the delta ring does not have ``window_bins`` entries.
+        """
         if int(meta["window_bins"]) != self.window_bins:
             raise ServeError(
                 f"checkpointed window_bins {meta['window_bins']} != "
@@ -167,150 +169,16 @@ class ConcurrencyTracker:
             raise ServeError(
                 f"checkpointed bin_seconds {meta['bin_seconds']} != "
                 f"{self.bin_seconds}")
-        self._deltas = np.asarray(arrays["conc_deltas"],
-                                  dtype=np.int64).copy()
+        deltas = np.asarray(arrays["conc_deltas"], dtype=np.int64)
+        if deltas.shape != (self.window_bins,):
+            raise CheckpointError(
+                f"checkpointed delta ring has shape {deltas.shape}, "
+                f"expected ({self.window_bins},)")
+        self._deltas = deltas.copy()
         self._base = int(meta["base"])
         self._frontier = int(meta["frontier"])
         self._peak = int(meta["peak"])
         self.n_observed = int(meta["n_observed"])
-
-
-class GapMoments:
-    """Intra-session start-to-start gap moments, computed live.
-
-    Shadows :class:`~repro.stream.sessionize.OnlineSessionizer`'s
-    grouping math (stable client argsort + segmented running max of
-    ends) to decide, per transfer, whether it continues its client's
-    session — exactly the ``~boundary`` mask behind
-    :meth:`repro.core.sessionizer.Sessions.intra_session_interarrivals`.
-    Continuing transfers contribute ``floor(max(gap, 0)) + 1`` display
-    counts, from which ``(mu, sigma)`` of ``log(display)`` follow the
-    same read-time computation the batch fit applies.
-    """
-
-    def __init__(self, n_clients: int, *,
-                 timeout: float = DEFAULT_SESSION_TIMEOUT) -> None:
-        if n_clients < 1:
-            raise ServeError(f"n_clients must be positive, got {n_clients}")
-        if timeout <= 0:
-            raise ServeError(f"timeout must be positive, got {timeout}")
-        self.n_clients = int(n_clients)
-        self.timeout = float(timeout)
-        self._open = np.zeros(self.n_clients, dtype=bool)
-        self._run_max = np.full(self.n_clients, -np.inf, dtype=np.float64)
-        self._last_start = np.zeros(self.n_clients, dtype=np.float64)
-        self._moments = OnlineLogMoments()
-
-    def grow(self, n_clients: int) -> None:
-        """Widen the client index space, preserving accumulated state."""
-        if n_clients <= self.n_clients:
-            return
-        extra = n_clients - self.n_clients
-        self._open = np.concatenate(
-            (self._open, np.zeros(extra, dtype=bool)))
-        self._run_max = np.concatenate(
-            (self._run_max, np.full(extra, -np.inf, dtype=np.float64)))
-        self._last_start = np.concatenate(
-            (self._last_start, np.zeros(extra, dtype=np.float64)))
-        self.n_clients = int(n_clients)
-
-    @property
-    def n(self) -> int:
-        """Number of accumulated gap observations."""
-        return self._moments.n
-
-    def push(self, client_index: IntArray, start: FloatArray,
-             duration: FloatArray) -> None:
-        """Fold one start-ordered batch (same contract as the sessionizer)."""
-        client = np.asarray(client_index, dtype=np.int64)
-        s_raw = np.asarray(start, dtype=np.float64)
-        duration = np.asarray(duration, dtype=np.float64)
-        n = s_raw.size
-        if n == 0:
-            return
-        key = client
-        if self.n_clients <= 1 << 8:
-            key = client.astype(np.uint8)
-        elif self.n_clients <= 1 << 16:
-            key = client.astype(np.uint16)
-        order = np.argsort(key, kind="stable")
-        c = client[order]
-        s = s_raw[order]
-        e = duration[order]
-        e += s
-
-        firsts = np.concatenate(
-            ([0], np.flatnonzero(c[1:] != c[:-1]) + 1)).astype(np.int64)
-        seg_end = np.concatenate((firsts[1:], [n])).astype(np.int64)
-        seg_client = c[firsts]
-
-        run = _scan_running_max(e, firsts, overwrite=True)
-        carried_open = self._open[seg_client]
-        carried_run = np.where(carried_open, self._run_max[seg_client],
-                               -np.inf)
-        true_run = np.maximum(run, np.repeat(carried_run, seg_end - firsts))
-
-        gaps = np.empty(n, dtype=np.float64)
-        gaps[0] = np.inf
-        np.subtract(s[1:], true_run[:-1], out=gaps[1:])
-        gaps[firsts] = s[firsts] - carried_run
-        boundary = gaps > self.timeout
-
-        prev_start = np.empty(n, dtype=np.float64)
-        prev_start[1:] = s[:-1]
-        # For a segment's first transfer the previous start is carried
-        # state; when no session is open the slot holds garbage, but the
-        # carried -inf run max makes that position a boundary anyway.
-        prev_start[firsts] = self._last_start[seg_client]
-        intra = s[~boundary] - prev_start[~boundary]
-        if intra.size:
-            self._moments.add_lengths(intra)
-
-        self._open[seg_client] = True
-        self._run_max[seg_client] = true_run[seg_end - 1]
-        self._last_start[seg_client] = s[seg_end - 1]
-
-    def moments(self) -> tuple[float, float]:
-        """``(mu, sigma)`` of ``log(display)`` over accumulated gaps."""
-        return self._moments.moments()
-
-    # ------------------------------------------------------------------
-    def state_meta(self) -> dict[str, float | int]:
-        """Scalar state for checkpointing."""
-        return {"n_clients": self.n_clients, "timeout": self.timeout,
-                "n_gaps": self._moments.n}
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Array state for checkpointing."""
-        gap_display, gap_count = self._moments.arrays()
-        return {
-            "gap_display": gap_display,
-            "gap_count": gap_count,
-            "gap_open": self._open.copy(),
-            "gap_run_max": self._run_max.copy(),
-            "gap_last_start": self._last_start.copy(),
-        }
-
-    def restore(self, meta: dict[str, float | int],
-                arrays: dict[str, np.ndarray]) -> None:
-        """Restore state captured by the two ``state_*`` methods."""
-        if float(meta["timeout"]) != self.timeout:  # reprolint: disable=RL007, checkpoint identity requires exact equality
-            raise ServeError(
-                f"checkpointed timeout {meta['timeout']} != {self.timeout}")
-        n_clients = int(meta["n_clients"])
-        open_ = np.asarray(arrays["gap_open"], dtype=bool)
-        if open_.size != n_clients:
-            raise ServeError(
-                f"checkpointed gap table has {open_.size} clients, "
-                f"meta says {n_clients}")
-        self.n_clients = n_clients
-        self._open = open_.copy()
-        self._run_max = np.asarray(arrays["gap_run_max"],
-                                   dtype=np.float64).copy()
-        self._last_start = np.asarray(arrays["gap_last_start"],
-                                      dtype=np.float64).copy()
-        self._moments = OnlineLogMoments.from_arrays(
-            arrays["gap_display"], arrays["gap_count"])
 
 
 #: Latency histogram support: 1 microsecond to 100 seconds.

@@ -5,7 +5,9 @@ the whole trace by ``(client, start)`` and scans it — O(trace) memory.
 :class:`OnlineSessionizer` consumes the same transfers as start-ordered
 batches and keeps only **per-client open-session state**: the running
 maximum of the client's transfer ends, the open session's start and
-transfer count.  Finalized sessions are emitted incrementally.
+transfer count, and the start of the client's last transfer.  Finalized
+sessions are emitted incrementally.  Both sessionizers take their silence
+gaps from one kernel, :func:`repro.arrayops.silence_gaps_sorted`.
 
 Exactness
 ---------
@@ -38,7 +40,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .._typing import FloatArray, IntArray
-from ..arrayops import _scan_running_max
+from ..arrayops import silence_gaps_sorted, stable_client_order
 from ..errors import AnalysisError
 from ..trace.records import SessionRecord
 from ..units import DEFAULT_SESSION_TIMEOUT
@@ -134,13 +136,20 @@ def merge_finalized(parts: Sequence[FinalizedSessions]) -> FinalizedSessions:
                              transfer_indices=indices)
 
 
+#: The open-session table's checkpoint columns and their dtypes.
+_TABLE_COLUMNS = (("sess_open", np.bool_), ("sess_start", np.float64),
+                  ("sess_run_max", np.float64), ("sess_count", np.int64),
+                  ("sess_last_start", np.float64))
+
+
 class OnlineSessionizer:
     """Incremental sessionizer over start-ordered transfer batches.
 
     Feed batches with :meth:`push` (optionally straight from
     :class:`~repro.stream.generate.TransferBatch` chunks via
-    :meth:`push_batch`); call :meth:`finish` once the stream ends.  Every
-    call returns the sessions it finalized.
+    :meth:`push_batch`, or via :meth:`push_with_gaps` to also get the
+    intra-session interarrivals); call :meth:`finish` once the stream
+    ends.  Every call returns the sessions it finalized.
 
     Parameters
     ----------
@@ -170,6 +179,9 @@ class OnlineSessionizer:
         self._session_start = np.zeros(self.n_clients, dtype=np.float64)
         self._run_max = np.full(self.n_clients, -np.inf, dtype=np.float64)
         self._count = np.zeros(self.n_clients, dtype=np.int64)
+        # Start of each client's last transfer (checkpointed as
+        # ``sess_last_start``); kept past eviction, like ``_run_max``.
+        self._client_last_start = np.zeros(self.n_clients, dtype=np.float64)
         self._indices: dict[int, list[int]] = {}
         self._last_start = -np.inf
         self.n_transfers = 0
@@ -213,6 +225,8 @@ class OnlineSessionizer:
             [self._run_max, np.full(extra, -np.inf, dtype=np.float64)])
         self._count = np.concatenate(
             [self._count, np.zeros(extra, dtype=np.int64)])
+        self._client_last_start = np.concatenate(
+            [self._client_last_start, np.zeros(extra, dtype=np.float64)])
         self.n_clients = n_clients
 
     # ------------------------------------------------------------------
@@ -255,6 +269,45 @@ class OnlineSessionizer:
             If the batch violates the ordering contract or indexes
             clients out of range.
         """
+        return self._push(client_index, start, duration, horizon,
+                          global_offset)[0]
+
+    def push_with_gaps(self, client_index: IntArray, start: FloatArray,
+                       duration: FloatArray, *,
+                       horizon: float | None = None,
+                       global_offset: int | None = None
+                       ) -> tuple[FinalizedSessions, FloatArray]:
+        """:meth:`push`, also returning the batch's intra-session gaps.
+
+        Returns ``(finalized, gaps)``.  ``gaps`` holds, for every
+        transfer of the batch that continues a session (its own batch's
+        or one carried over), the time since the start of the client's
+        previous transfer, grouped by client.  Concatenated over a
+        stream they are, as a multiset,
+        :meth:`repro.core.sessionizer.Sessions.intra_session_interarrivals`
+        of the whole trace, for any batching and horizons.
+        """
+        finalized, s, boundary, firsts, carried_start = self._push(
+            client_index, start, duration, horizon, global_offset)
+        prev = np.empty(s.size, dtype=np.float64)
+        prev[1:] = s[:-1]
+        # Where no session was carried, the first position is a boundary.
+        prev[firsts] = carried_start
+        keep = ~boundary
+        return finalized, s[keep] - prev[keep]
+
+    def _push(self, client_index: IntArray, start: FloatArray,
+              duration: FloatArray, horizon: float | None,
+              global_offset: int | None
+              ) -> tuple[FinalizedSessions, FloatArray, NDArray[np.bool_],
+                         IntArray, FloatArray]:
+        """:meth:`push`, also returning the client-sorted batch view.
+
+        The extra values are the batch starts in ``(client, start)``
+        order, the session-boundary mask over them, each client
+        segment's first position, and each segment's carried last start
+        from before the batch.
+        """
         client = np.asarray(client_index, dtype=np.int64)
         start = np.asarray(start, dtype=np.float64)
         duration = np.asarray(duration, dtype=np.float64)
@@ -263,10 +316,12 @@ class OnlineSessionizer:
             raise AnalysisError("batch columns must have equal lengths")
         if n == 0:
             if horizon is None:
-                return _empty_finalized(self.track_transfer_indices)
-            result = self._evict(horizon)
-            self.n_finalized += result.n_sessions
-            return result
+                result = _empty_finalized(self.track_transfer_indices)
+            else:
+                result = self._evict(horizon)
+                self.n_finalized += result.n_sessions
+            return (result, start, np.zeros(0, dtype=bool),
+                    np.zeros(0, dtype=np.int64), start)
         if np.any(np.diff(start) < 0):
             raise AnalysisError("batch starts must be non-decreasing")
         if start[0] < self._last_start:
@@ -281,15 +336,9 @@ class OnlineSessionizer:
         self._last_start = float(start[-1])
         self.n_transfers += n
 
-        # Group the batch by client exactly like the batch sessionizer:
-        # a stable argsort on the (narrowed) client column realizes
-        # (client, start) order because the batch is start-sorted.
-        key: NDArray[Any] = client
-        if self.n_clients <= 1 << 8:
-            key = client.astype(np.uint8)
-        elif self.n_clients <= 1 << 16:
-            key = client.astype(np.uint16)
-        order = np.argsort(key, kind="stable")
+        # Group the batch by client exactly like the batch sessionizer;
+        # the batch is start-sorted, so this is (client, start) order.
+        order = stable_client_order(client, self.n_clients)
         c = client[order]
         s = start[order]
         e = duration[order]
@@ -300,22 +349,12 @@ class OnlineSessionizer:
         seg_end = np.concatenate((firsts[1:], [n])).astype(np.int64)
         seg_client = c[firsts]
 
-        # Within-batch per-client running max, then fold in the carried
-        # running max: max over the same set of floats in any grouping is
-        # the identical float, so true_run matches the batch scan.
-        run = _scan_running_max(e, firsts, overwrite=True)
+        # The running max of an open session carries over; a client
+        # with no open session carries -inf (its first gap is +inf).
         carried_open = self._open[seg_client]
         carried_run = np.where(carried_open, self._run_max[seg_client],
                                -np.inf)
-        true_run = np.maximum(
-            run, np.repeat(carried_run, seg_end - firsts))
-
-        gaps = np.empty(n, dtype=np.float64)
-        gaps[0] = np.inf
-        np.subtract(s[1:], true_run[:-1], out=gaps[1:])
-        # First transfer of each client in the batch: gap against the
-        # carried running max (+inf when no session is open).
-        gaps[firsts] = s[firsts] - carried_run
+        gaps, true_run = silence_gaps_sorted(s, e, firsts, carried_run)
         boundary = gaps > self.timeout
         bpos = np.flatnonzero(boundary)
 
@@ -408,8 +447,10 @@ class OnlineSessionizer:
                                         seg_end[extended].tolist(),
                                         strict=True):
                     self._indices[cl_k].extend(gidx[lo:hi].tolist())
-        # Every touched segment's running max advances to the batch's.
+        # Every touched segment's running max and last start advance.
         self._run_max[seg_client] = true_run[seg_end - 1]
+        carried_start = self._client_last_start[seg_client]
+        self._client_last_start[seg_client] = s[seg_end - 1]
 
         self.peak_open = max(self.peak_open, self.n_open)
         if horizon is not None:
@@ -417,7 +458,7 @@ class OnlineSessionizer:
         result = merge_parts(
             parts or [_empty_finalized(tracked)])
         self.n_finalized += result.n_sessions
-        return result
+        return result, s, boundary, firsts, carried_start
 
     def _evict(self, horizon: float) -> FinalizedSessions:
         """Finalize open sessions no future transfer can continue."""
@@ -471,6 +512,7 @@ class OnlineSessionizer:
             "sess_start": self._session_start.copy(),
             "sess_run_max": self._run_max.copy(),
             "sess_count": self._count.copy(),
+            "sess_last_start": self._client_last_start.copy(),
         }
 
     def restore(self, meta: Mapping[str, Any],
@@ -480,7 +522,8 @@ class OnlineSessionizer:
         Raises
         ------
         CheckpointError
-            If the checkpointed table does not fit this sessionizer.
+            If the checkpointed table is incomplete or does not fit this
+            sessionizer.
         """
         from ..errors import CheckpointError
 
@@ -492,22 +535,18 @@ class OnlineSessionizer:
             raise CheckpointError(
                 f"checkpoint timeout {meta['timeout']} != {self.timeout}")
         try:
-            open_ = np.asarray(arrays["sess_open"], dtype=bool)
-            session_start = np.asarray(arrays["sess_start"],
-                                       dtype=np.float64)
-            run_max = np.asarray(arrays["sess_run_max"], dtype=np.float64)
-            count = np.asarray(arrays["sess_count"], dtype=np.int64)
+            table = [np.asarray(arrays[name], dtype=dtype)
+                     for name, dtype in _TABLE_COLUMNS]
         except KeyError as exc:
             raise CheckpointError(
                 f"checkpoint is missing sessionizer state: {exc}") from exc
-        if open_.size != self.n_clients:
-            raise CheckpointError(
-                f"checkpoint table has {open_.size} clients, "
-                f"expected {self.n_clients}")
-        self._open = open_
-        self._session_start = session_start
-        self._run_max = run_max
-        self._count = count
+        for (name, _), column in zip(_TABLE_COLUMNS, table, strict=True):
+            if column.shape != (self.n_clients,):
+                raise CheckpointError(
+                    f"checkpoint column {name} has shape {column.shape}, "
+                    f"expected ({self.n_clients},)")
+        (self._open, self._session_start, self._run_max, self._count,
+         self._client_last_start) = table
         self._last_start = float(meta["last_start"])
         self.n_transfers = int(meta["n_transfers"])
         self.n_finalized = int(meta["n_finalized"])

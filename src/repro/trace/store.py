@@ -17,7 +17,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from .._typing import FloatArray, IntArray
-from ..arrayops import segment_starts
+from ..arrayops import segment_starts, stable_client_order
 
 #: Shape/dtype-generic array (string columns, narrow sort keys, masks).
 _AnyArray = np.ndarray[Any, np.dtype[Any]]
@@ -230,16 +230,10 @@ class Trace:
 
         Because the constructor keeps transfers start-sorted, a stable
         argsort on the client column alone realizes the lexicographic
-        order; the column is narrowed to the smallest unsigned dtype
-        holding ``n_clients`` so NumPy's stable sort takes its O(n)
-        radix path.
+        order (:func:`repro.arrayops.stable_client_order`, an O(n) radix
+        sort on a narrowed key).
         """
-        client = self.client_index
-        if self.n_clients <= 1 << 8:
-            client = client.astype(np.uint8)
-        elif self.n_clients <= 1 << 16:
-            client = client.astype(np.uint16)
-        order = np.argsort(client, kind="stable")
+        order = stable_client_order(self.client_index, self.n_clients)
         lengths = np.bincount(self.client_index, minlength=self.n_clients)
         firsts = segment_starts(lengths)[lengths > 0]
         return order, lengths, firsts

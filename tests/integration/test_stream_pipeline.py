@@ -15,6 +15,7 @@ from repro.errors import CheckpointError
 from repro.parallel.characterize import characterize_logs
 from repro.parallel.engine import generate_sharded
 from repro.stream import GenerationStream, characterize_logs_resumable, run_streaming_generation
+from repro.stream.checkpoint import load_checkpoint, save_checkpoint
 from repro.trace.wms_log import write_wms_log
 
 SEED = 99
@@ -116,6 +117,20 @@ def test_resume_rejects_wrong_workload(model, tmp_path):
         (tmp_path / "s.log").unlink()
         run_streaming_generation(model, DAYS, seed=SEED, log_path=log,
                                  checkpoint_path=ck, resume=True)
+
+
+def test_resume_rejects_checkpoint_without_last_start(model, tmp_path):
+    """A generation checkpoint whose session table lacks the per-client
+    last start cannot resume the sessionizer."""
+    ck = tmp_path / "ck.npz"
+    run_streaming_generation(model, DAYS, seed=SEED, checkpoint_path=ck,
+                             max_blocks=5)
+    meta, arrays = load_checkpoint(ck)
+    del arrays["sess_last_start"]
+    save_checkpoint(ck, meta, arrays)
+    with pytest.raises(CheckpointError, match="sess_last_start"):
+        run_streaming_generation(model, DAYS, seed=SEED, checkpoint_path=ck,
+                                 resume=True)
 
 
 def test_count_only_mode_matches(model, batch_artifacts, tmp_path):

@@ -45,7 +45,10 @@ def _split_batches(data, n):
     return [0, *sorted(cuts), n]
 
 
-def _push_all(sessionizer, trace, cutpoints, *, with_horizon, offset=0):
+def _push_all(sessionizer, trace, cutpoints, *, with_horizon, offset=0,
+              gaps=None):
+    """Push the batches; with a ``gaps`` list, through ``push_with_gaps``
+    and collecting each batch's gaps into it."""
     parts = []
     n = len(trace)
     for lo, hi in zip(cutpoints, cutpoints[1:], strict=False):
@@ -53,10 +56,16 @@ def _push_all(sessionizer, trace, cutpoints, *, with_horizon, offset=0):
             horizon = float(trace.start[hi]) if hi < n else np.inf
         else:
             horizon = None
-        parts.append(sessionizer.push(
-            trace.client_index[lo:hi], trace.start[lo:hi],
-            trace.duration[lo:hi], horizon=horizon,
-            global_offset=offset + lo))
+        columns = (trace.client_index[lo:hi], trace.start[lo:hi],
+                   trace.duration[lo:hi])
+        if gaps is None:
+            parts.append(sessionizer.push(*columns, horizon=horizon,
+                                          global_offset=offset + lo))
+        else:
+            finalized, batch_gaps = sessionizer.push_with_gaps(
+                *columns, horizon=horizon, global_offset=offset + lo)
+            parts.append(finalized)
+            gaps.append(batch_gaps)
     parts.append(sessionizer.finish())
     return parts
 
@@ -88,6 +97,18 @@ def test_online_matches_batch_bit_for_bit(transfers, timeout, data):
     assert sessionizer.n_transfers == len(trace)
     assert sessionizer.n_finalized == batch.n_sessions
     assert sessionizer.n_open == 0
+
+    # The same batches through push_with_gaps: same sessions, and the
+    # gaps are the batch intra-session interarrivals (horizons included,
+    # so clients evicted and seen again are covered).
+    gapped = OnlineSessionizer(trace.n_clients, timeout=float(timeout))
+    gaps = [np.empty(0)]
+    _assert_columns_equal(merge_finalized(_push_all(
+        gapped, trace, cutpoints, with_horizon=with_horizon, gaps=gaps)),
+        batch)
+    np.testing.assert_array_equal(
+        np.sort(np.concatenate(gaps)),
+        np.sort(batch.intra_session_interarrivals()))
 
 
 @given(transfers=int_transfer_lists, timeout=int_timeouts, data=st.data())

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.model import LiveWorkloadModel
 from repro.core.sessionizer import sessionize
-from repro.errors import LogParseError, ProtocolError
+from repro.errors import CheckpointError, LogParseError, ProtocolError
 from repro.serve.feed import FeedWorker
 from repro.stream import run_streaming_generation
 from repro.trace.codecs import BinaryTraceReader
@@ -414,3 +414,69 @@ def test_checkpoint_round_trip_binary(logs):
     assert canonical_state(original) == canonical_state(restored)
     assert json.dumps(original.state_meta(), sort_keys=True) == json.dumps(
         restored.state_meta(), sort_keys=True)
+
+
+def _truncate(key):
+    def mutate(meta, arrays):
+        arrays[key] = arrays[key][:3]
+    return mutate
+
+
+def _drop_meta(key):
+    def mutate(meta, arrays):
+        del meta[key]
+    return mutate
+
+
+def _drop_array(key):
+    def mutate(meta, arrays):
+        del arrays[key]
+    return mutate
+
+
+def _flip_first_gap_open(meta, arrays):
+    arrays["gap_open"] = arrays["gap_open"].copy()
+    arrays["gap_open"][0] = not arrays["gap_open"][0]
+
+
+def _shift_gap_run_max(meta, arrays):
+    arrays["gap_run_max"] = arrays["gap_run_max"] + 1.0
+
+
+#: Checkpoint corruptions that must be refused at restore time.
+CORRUPTIONS = {
+    **{f"short {key}": _truncate(key) for key in (
+        "sess_run_max", "sess_count", "sess_start", "gap_last_start",
+        "gap_run_max", "conc_deltas", "spc", "pend_client")},
+    "no gap_last_start": _drop_array("gap_last_start"),
+    "no reorder meta": _drop_meta("reorder"),
+    "gap_open disagrees": _flip_first_gap_open,
+    "gap_run_max disagrees": _shift_gap_run_max,
+}
+
+
+@pytest.fixture(scope="module")
+def mid_stream_state(logs):
+    """A text feed half-way through the log, sessions evicted and rows
+    pending in the reorder buffer."""
+    text_path, _ = logs
+    with open(text_path, "r", encoding="utf-8") as stream:
+        lines = [line.rstrip("\n") for line in stream]
+    worker = FeedWorker("feed0", timeout=TIMEOUT, lateness=3600.0)
+    worker.ingest_lines(lines[:len(lines) // 2])
+    assert worker.sessionizer.n_finalized > 0
+    assert worker.state_meta()["reorder"]["pend_rows"] > 3
+    return worker.state_meta(), worker.state_arrays()
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_restore_rejects_inconsistent_checkpoint(mid_stream_state,
+                                                 corruption):
+    meta, arrays = json.loads(json.dumps(mid_stream_state[0])), dict(
+        mid_stream_state[1])
+    FeedWorker("feed0", timeout=TIMEOUT, lateness=3600.0).restore(
+        meta, dict(arrays))
+    CORRUPTIONS[corruption](meta, arrays)
+    with pytest.raises(CheckpointError):
+        FeedWorker("feed0", timeout=TIMEOUT, lateness=3600.0).restore(
+            meta, arrays)

@@ -3,20 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.model import LiveWorkloadModel
-from repro.core.sessionizer import sessionize
 from repro.errors import ServeError
-from repro.parallel import generate_sharded
 from repro.serve.tracking import (
     ConcurrencyTracker,
-    GapMoments,
     LatencyHistogram,
     RateMeter,
 )
-from repro.trace.streaming import OnlineLogMoments
-
-SEED = 20260808
-
 
 # ----------------------------------------------------------------------
 # ConcurrencyTracker
@@ -101,76 +93,6 @@ def test_concurrency_rejects_bad_construction():
         ConcurrencyTracker(bin_seconds=0.0)
     with pytest.raises(ServeError):
         ConcurrencyTracker(window_bins=0)
-
-
-# ----------------------------------------------------------------------
-# GapMoments
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def small_trace():
-    model = LiveWorkloadModel.paper_defaults(mean_session_rate=0.05,
-                                             n_clients=120)
-    return generate_sharded(model, 1.0, seed=SEED).trace
-
-
-def test_gap_moments_match_batch_interarrivals(small_trace):
-    trace = small_trace
-    timeout = 1500.0
-    sessions = sessionize(trace, timeout=timeout)
-    gaps = sessions.intra_session_interarrivals()
-    displays = np.floor(np.maximum(gaps, 0.0)).astype(np.int64) + 1
-    reference = OnlineLogMoments()
-    values, counts = np.unique(displays, return_counts=True)
-    for value, count in zip(values.tolist(), counts.tolist(), strict=True):
-        reference.counts[value] = count
-
-    live = GapMoments(trace.n_clients, timeout=timeout)
-    # Push in uneven chunks: the accumulation must be batching-invariant.
-    for lo in range(0, trace.n_transfers, 997):
-        hi = min(lo + 997, trace.n_transfers)
-        live.push(trace.client_index[lo:hi], trace.start[lo:hi],
-                  trace.duration[lo:hi])
-    assert live.n == gaps.size
-    assert live.moments() == reference.moments()
-
-
-def test_gap_moments_grow_preserves_state(small_trace):
-    trace = small_trace
-    grown = GapMoments(1, timeout=1500.0)
-    fixed = GapMoments(trace.n_clients, timeout=1500.0)
-    for lo in range(0, trace.n_transfers, 4096):
-        hi = min(lo + 4096, trace.n_transfers)
-        top = int(trace.client_index[lo:hi].max()) + 1
-        if top > grown.n_clients:
-            grown.grow(top)
-        grown.push(trace.client_index[lo:hi], trace.start[lo:hi],
-                   trace.duration[lo:hi])
-        fixed.push(trace.client_index[lo:hi], trace.start[lo:hi],
-                   trace.duration[lo:hi])
-    assert grown.n == fixed.n
-    assert grown.moments() == fixed.moments()
-
-
-def test_gap_moments_checkpoint_round_trip(small_trace):
-    trace = small_trace
-    half = trace.n_transfers // 2
-    a = GapMoments(trace.n_clients, timeout=1500.0)
-    a.push(trace.client_index[:half], trace.start[:half],
-           trace.duration[:half])
-    b = GapMoments(trace.n_clients, timeout=1500.0)
-    b.restore(a.state_meta(), a.state_arrays())
-    for acc in (a, b):
-        acc.push(trace.client_index[half:], trace.start[half:],
-                 trace.duration[half:])
-    assert a.n == b.n
-    assert a.moments() == b.moments()
-
-
-def test_gap_moments_restore_rejects_mismatched_timeout():
-    acc = GapMoments(4, timeout=1500.0)
-    with pytest.raises(ServeError):
-        GapMoments(4, timeout=60.0).restore(acc.state_meta(),
-                                            acc.state_arrays())
 
 
 # ----------------------------------------------------------------------

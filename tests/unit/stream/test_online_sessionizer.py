@@ -3,11 +3,23 @@
 import numpy as np
 import pytest
 
+from repro.core.model import LiveWorkloadModel
 from repro.core.sessionizer import sessionize
 from repro.errors import AnalysisError, CheckpointError
+from repro.parallel import generate_sharded
 from repro.stream import FinalizedSessions, OnlineSessionizer, merge_finalized
 from repro.stream.sessionize import merge_parts
+from repro.trace.streaming import OnlineLogMoments
 from tests.conftest import build_trace
+
+SEED = 20260808
+
+
+@pytest.fixture(scope="module")
+def small_trace():
+    model = LiveWorkloadModel.paper_defaults(mean_session_rate=0.05,
+                                             n_clients=120)
+    return generate_sharded(model, 1.0, seed=SEED).trace
 
 
 def _push_whole(sessionizer, trace):
@@ -162,6 +174,10 @@ def test_restore_validates(tiny_trace):
         OnlineSessionizer(2, timeout=200.0).restore(meta, arrays)
     with pytest.raises(CheckpointError, match="missing sessionizer state"):
         OnlineSessionizer(2, timeout=100.0).restore(meta, {})
+    for name in arrays:
+        short = dict(arrays, **{name: arrays[name][:1]})
+        with pytest.raises(CheckpointError, match=name):
+            OnlineSessionizer(2, timeout=100.0).restore(meta, short)
 
 
 def test_merge_helpers_handle_empty():
@@ -170,3 +186,72 @@ def test_merge_helpers_handle_empty():
     empty = merge_finalized([])
     assert isinstance(empty, FinalizedSessions)
     assert merge_parts([empty]) is empty
+
+
+def _push_with_gaps(sessionizer, trace, step):
+    """Push ``trace`` in ``step``-row batches; returns (sessions, gaps)."""
+    parts, gaps = [], []
+    for lo in range(0, len(trace), step):
+        hi = lo + step
+        finalized, batch_gaps = sessionizer.push_with_gaps(
+            trace.client_index[lo:hi], trace.start[lo:hi],
+            trace.duration[lo:hi],
+            horizon=float(trace.start[hi]) if hi < len(trace) else None)
+        parts.append(finalized)
+        gaps.append(batch_gaps)
+    parts.append(sessionizer.finish())
+    return merge_finalized(parts), np.concatenate(gaps)
+
+
+def test_push_with_gaps_matches_batch_interarrivals(small_trace):
+    trace = small_trace
+    sessions = sessionize(trace, timeout=1500.0)
+    expected = sessions.intra_session_interarrivals()
+    displays = np.floor(np.maximum(expected, 0.0)).astype(np.int64) + 1
+    reference = OnlineLogMoments()
+    values, counts = np.unique(displays, return_counts=True)
+    for value, count in zip(values.tolist(), counts.tolist(), strict=True):
+        reference.counts[value] = count
+
+    # Uneven batches: the gaps must not depend on the batching.
+    merged, gaps = _push_with_gaps(OnlineSessionizer(
+        trace.n_clients, timeout=1500.0), trace, 997)
+    np.testing.assert_array_equal(np.sort(gaps), np.sort(expected))
+    live = OnlineLogMoments()
+    live.add_lengths(gaps)
+    assert live.moments() == reference.moments()
+    assert merged.n_sessions == sessions.n_sessions
+
+
+def test_grow_preserves_gaps(small_trace):
+    trace = small_trace
+    grown = OnlineSessionizer(1, timeout=1500.0)
+    fixed = OnlineSessionizer(trace.n_clients, timeout=1500.0)
+    for lo in range(0, trace.n_transfers, 4096):
+        hi = min(lo + 4096, trace.n_transfers)
+        top = int(trace.client_index[lo:hi].max()) + 1
+        if top > grown.n_clients:
+            grown.grow(top)
+        columns = (trace.client_index[lo:hi], trace.start[lo:hi],
+                   trace.duration[lo:hi])
+        a, a_gaps = grown.push_with_gaps(*columns)
+        b, b_gaps = fixed.push_with_gaps(*columns)
+        np.testing.assert_array_equal(a_gaps, b_gaps)
+        np.testing.assert_array_equal(a.start, b.start)
+
+
+def test_checkpoint_round_trip_continues_gaps(small_trace):
+    trace = small_trace
+    half = trace.n_transfers // 2
+    a = OnlineSessionizer(trace.n_clients, timeout=1500.0)
+    a.push(trace.client_index[:half], trace.start[:half],
+           trace.duration[:half])
+    b = OnlineSessionizer(trace.n_clients, timeout=1500.0)
+    b.restore(a.state_meta(), a.state_arrays())
+    tail = (trace.client_index[half:], trace.start[half:],
+            trace.duration[half:])
+    a_sessions, a_gaps = a.push_with_gaps(*tail)
+    b_sessions, b_gaps = b.push_with_gaps(*tail)
+    assert a_gaps.size > 0
+    np.testing.assert_array_equal(a_gaps, b_gaps)
+    np.testing.assert_array_equal(a_sessions.start, b_sessions.start)

@@ -9,6 +9,7 @@ from repro.arrayops import (
     segment_starts,
     segmented_cumsum,
     segmented_running_max,
+    stable_client_order,
     unique_integers,
 )
 from repro.rng import make_rng
@@ -113,6 +114,16 @@ class TestSegmentedRunningMax:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             segmented_running_max([1.0], [2, -1])
+
+
+@pytest.mark.parametrize("n_clients", [1, 256, 257, 65536, 65537])
+def test_stable_client_order_at_key_widths(n_clients):
+    """The narrowed key never wraps: each width's largest client sorts
+    last, and ties keep their positions."""
+    client = make_rng(n_clients).integers(0, n_clients, size=5000)
+    client[::97] = n_clients - 1
+    np.testing.assert_array_equal(stable_client_order(client, n_clients),
+                                  np.argsort(client, kind="stable"))
 
 
 class TestAlternateOnSwitch:
