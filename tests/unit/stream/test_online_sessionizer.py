@@ -255,3 +255,12 @@ def test_checkpoint_round_trip_continues_gaps(small_trace):
     assert a_gaps.size > 0
     np.testing.assert_array_equal(a_gaps, b_gaps)
     np.testing.assert_array_equal(a_sessions.start, b_sessions.start)
+
+
+def test_restore_with_gaps_rejects_mismatched_timeout(small_trace):
+    trace = small_trace
+    a = OnlineSessionizer(trace.n_clients, timeout=1500.0)
+    a.push_with_gaps(trace.client_index, trace.start, trace.duration)
+    with pytest.raises(CheckpointError, match="timeout"):
+        OnlineSessionizer(trace.n_clients, timeout=60.0).restore(
+            a.state_meta(), a.state_arrays())
