@@ -42,7 +42,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .._typing import FloatArray, IntArray
-from ..errors import CheckpointError, ProtocolError, ReproError, TraceError
+from ..errors import ProtocolError, ReproError, TraceError
+from ..state import DERIVED, Column, Part, Scalar, Schema, Stateful, Table
 from ..stream.sessionize import FinalizedSessions, OnlineSessionizer, merge_finalized
 from ..trace.codecs import declared_client_slots, decode_entry_columns
 from ..trace.streaming import OnlineLogMoments, StreamingCharacterizer
@@ -64,13 +65,20 @@ _COUNTERS = ("lines_ingested", "frames_ingested", "clients_frames",
 #: An ndarray of any dtype.
 _AnyArray = np.ndarray[Any, np.dtype[Any]]
 
+#: Checkpoint columns: reorder buffer, identities, log-moment counts.
+_PEND_COLUMNS = (("client", np.int64), ("start", np.float64),
+                 ("duration", np.float64))
+_IDENT_COLUMNS = (("index", np.int64), ("ip", np.str_), ("player", np.str_),
+                  ("os", np.str_))
+_MOMENT_COLUMNS = (("display", np.int64), ("count", np.int64))
+
 #: Queue item kinds.
 _LINES = "lines"
 _ENTRIES = "entries"
 _CLIENTS = "clients"
 
 
-class FeedWorker:
+class FeedWorker(Stateful):
     """All live state for one feed, fed through a bounded batch queue.
 
     The synchronous ``ingest_*`` methods do the actual accumulation and
@@ -80,6 +88,41 @@ class FeedWorker:
     snapshot taken between batches (checkpoints, ``/state``) is
     consistent.
     """
+
+    CHECKPOINT = Schema("feed", (
+        Scalar("mode", (str, type(None)), "_mode"),
+        Scalar("capacity", int, "_capacity"),
+        Scalar("fields", (list, type(None)), "_fields"),
+        *(Scalar(f"counters.{name}", int, name) for name in _COUNTERS),
+        Scalar("reorder.max_end", float, "_max_end"),
+        Scalar("reorder.released_floor", float, "_released_floor"),
+        Scalar("reorder.pend_min", float, "_pend_min"),
+        Scalar("reorder.pend_rows", int, "_pend_rows", DERIVED),
+        Table("pend_", "_pend_table", _PEND_COLUMNS, "pend"),
+        Column("spc", np.int64, "capacity", "_spc"),
+        Table("on_", "_on_moments.counts", _MOMENT_COLUMNS, "on"),
+        Column("players", np.str_, "interned", "_players"),
+        Table("ident_", "_identity_table", _IDENT_COLUMNS, "ident"),
+        Part("characterizer", "characterizer",
+             make=lambda worker, values: StreamingCharacterizer()),
+        Part("sessionizer", "sessionizer",
+             make=lambda worker, values: OnlineSessionizer(
+                 values["capacity"], timeout=worker.timeout),
+             omit=("sess_last_start",)),
+        Scalar("gap.n_clients", int, "sessionizer.n_clients", DERIVED),
+        Scalar("gap.timeout", float, "timeout", DERIVED),
+        Scalar("gap.n_gaps", int, "_gap_moments.n", DERIVED),
+        Table("gap_", "_gap_moments.counts", _MOMENT_COLUMNS, "gap"),
+        # The repro-serve-v1 layout: two derived copies of the session
+        # table's running max, and its last starts under a gap_ name.
+        Column("gap_open", np.bool_, "capacity", "_gap_open", DERIVED),
+        Column("gap_run_max", np.float64, "capacity",
+               "sessionizer._run_max", DERIVED),
+        Column("gap_last_start", np.float64, "capacity",
+               "sessionizer._client_last_start"),
+        Part("concurrency", "_conc"),
+        Scalar("on_counts_n", int, "_on_moments.n", DERIVED),
+    ))
 
     def __init__(self, name: str, *,
                  timeout: float = DEFAULT_SESSION_TIMEOUT,
@@ -487,152 +530,43 @@ class FeedWorker:
         """Operational counters (monotone; checkpointed)."""
         return {name: int(getattr(self, name)) for name in _COUNTERS}
 
-    def state_meta(self) -> dict[str, Any]:
-        """JSON-serializable scalar state (checkpoint + ``/state``)."""
-        return {
-            "mode": self._mode,
-            "capacity": self._capacity,
-            "fields": self._fields,
-            "counters": self.counters(),
-            "reorder": {
-                "max_end": self._max_end,
-                "released_floor": self._released_floor,
-                "pend_min": self._pend_min,
-                "pend_rows": self._pend_rows,
-            },
-            "characterizer": self.characterizer.state_dict(),
-            "sessionizer": self.sessionizer.state_meta(),
-            "gap": {"n_clients": self.sessionizer.n_clients,
-                    "timeout": self.timeout,
-                    "n_gaps": self._gap_moments.n},
-            "concurrency": self._conc.state_meta(),
-            "on_counts_n": self._on_moments.n,
-        }
+    # Checkpoint views of the state not held as plain columns.
+    @property
+    def _pend_table(self) -> dict[str, _AnyArray]:
+        parts = self._pend or [(np.empty(0, np.int64), np.empty(0),
+                                np.empty(0))]
+        return {name: np.concatenate([part[k] for part in parts])
+                for k, (name, _) in enumerate(_PEND_COLUMNS)}
 
-    def state_arrays(self) -> dict[str, _AnyArray]:
-        """Array state (checkpoint payload; un-prefixed keys)."""
-        if self._pend:
-            pend_client = np.concatenate([p[0] for p in self._pend])
-            pend_start = np.concatenate([p[1] for p in self._pend])
-            pend_duration = np.concatenate([p[2] for p in self._pend])
-        else:
-            pend_client = np.empty(0, dtype=np.int64)
-            pend_start = np.empty(0, dtype=np.float64)
-            pend_duration = np.empty(0, dtype=np.float64)
-        on_display, on_count = self._on_moments.arrays()
-        ident_items = list(self._identities.items())
-        arrays: dict[str, _AnyArray] = {
-            "pend_client": pend_client,
-            "pend_start": pend_start,
-            "pend_duration": pend_duration,
-            "spc": self._spc.copy(),
-            "on_display": on_display,
-            "on_count": on_count,
-            "players": np.asarray(self.intern_table(), dtype=np.str_),
-            "ident_index": np.asarray([k for k, _ in ident_items],
-                                      dtype=np.int64),
-            "ident_ip": np.asarray([v[0] for _, v in ident_items],
-                                   dtype=np.str_),
-            "ident_player": np.asarray([v[1] for _, v in ident_items],
-                                       dtype=np.str_),
-            "ident_os": np.asarray([v[2] for _, v in ident_items],
-                                   dtype=np.str_),
-        }
-        table = self.sessionizer.state_arrays()
-        last_start = table.pop("sess_last_start")
-        arrays.update(table)
-        gap_display, gap_count = self._gap_moments.arrays()
-        arrays.update({
-            "gap_display": gap_display,
-            "gap_count": gap_count,
-            # The repro-serve-v1 layout keeps these two: a client's
-            # running max is finite once it has been seen.
-            "gap_open": np.isfinite(table["sess_run_max"]),
-            "gap_run_max": table["sess_run_max"].copy(),
-            "gap_last_start": last_start,
-        })
-        arrays.update(self._conc.state_arrays())
-        return arrays
+    @_pend_table.setter
+    def _pend_table(self, table: dict[str, _AnyArray]) -> None:
+        rows = (table["client"], table["start"], table["duration"])
+        self._pend = [rows] if rows[1].size else []
+        self._pend_rows = int(rows[1].size)
 
-    def restore(self, meta: dict[str, Any],
-                arrays: dict[str, _AnyArray]) -> None:
-        """Restore state captured by the two ``state_*`` methods.
+    @property
+    def _players(self) -> list[str]:
+        return self.intern_table()
 
-        Raises
-        ------
-        CheckpointError
-            If a key is missing or an array does not fit the rest of the
-            state: its length, or the session table's ``gap_*`` copies.
-        """
-        try:
-            self._restore(meta, arrays)
-        except KeyError as exc:
-            raise CheckpointError(
-                f"feed {self.name!r} checkpoint is missing {exc}") from exc
+    @_players.setter
+    def _players(self, players: _AnyArray) -> None:
+        self._player_index = {p: k for k, p in enumerate(players.tolist())}
 
-    def _restore(self, meta: dict[str, Any],
-                 arrays: dict[str, _AnyArray]) -> None:
-        self._mode = meta["mode"]
-        self._capacity = int(meta["capacity"])
-        fields = meta["fields"]
-        self._fields = list(fields) if fields is not None else None
-        for name in _COUNTERS:
-            setattr(self, name, int(meta["counters"][name]))
-        reorder = meta["reorder"]
-        self._max_end = float(reorder["max_end"])
-        self._released_floor = float(reorder["released_floor"])
-        self._pend_min = float(reorder["pend_min"])
+    @property
+    def _identity_table(self) -> dict[str, list[Any]]:
+        rows = [(index, *ident) for index, ident in self._identities.items()]
+        return {name: [row[k] for row in rows]
+                for k, (name, _) in enumerate(_IDENT_COLUMNS)}
 
-        self.characterizer = StreamingCharacterizer.from_state_dict(
-            meta["characterizer"])
-        # The table is sized by capacity; restore checks that it fits.
-        self.sessionizer = OnlineSessionizer(self._capacity,
-                                             timeout=self.timeout)
-        self.sessionizer.restore(meta["sessionizer"], {
-            "sess_open": arrays["sess_open"],
-            "sess_start": arrays["sess_start"],
-            "sess_run_max": arrays["sess_run_max"],
-            "sess_count": arrays["sess_count"],
-            "sess_last_start": arrays["gap_last_start"]})
-        run_max = np.asarray(arrays["sess_run_max"], dtype=np.float64)
-        if not (np.array_equal(arrays["gap_run_max"], run_max)
-                and np.array_equal(arrays["gap_open"],
-                                   np.isfinite(run_max))):
-            raise CheckpointError(
-                f"feed {self.name!r} checkpoint gap_open/gap_run_max "
-                "disagree with the session table")
-        self._gap_moments = OnlineLogMoments.from_arrays(
-            arrays["gap_display"], arrays["gap_count"])
-        self._conc.restore(meta["concurrency"],
-                           {"conc_deltas": np.asarray(
-                               arrays["conc_deltas"], dtype=np.int64)})
-
-        pend = [np.asarray(arrays[key], dtype=dtype) for key, dtype in (
-            ("pend_client", np.int64), ("pend_start", np.float64),
-            ("pend_duration", np.float64))]
-        if len({column.shape for column in pend}) != 1 or pend[0].ndim != 1:
-            raise CheckpointError(
-                f"feed {self.name!r} checkpoint reorder-buffer columns "
-                f"have shapes {[column.shape for column in pend]}")
-        self._pend = [(pend[0], pend[1], pend[2])] if pend[1].size else []
-        self._pend_rows = int(pend[1].size)
-
-        self._on_moments = OnlineLogMoments.from_arrays(
-            arrays["on_display"], arrays["on_count"])
-        self._spc = np.asarray(arrays["spc"], dtype=np.int64).copy()
-        if self._spc.shape != (self._capacity,):
-            raise CheckpointError(
-                f"feed {self.name!r} checkpoint spc has shape "
-                f"{self._spc.shape}, capacity is {self._capacity}")
-
-        self._player_index = {
-            str(player): k
-            for k, player in enumerate(arrays["players"].tolist())}
-        self._identities = {}
-        for k, index in enumerate(
-                np.asarray(arrays["ident_index"], dtype=np.int64).tolist()):
-            self._identities[int(index)] = (
-                str(arrays["ident_ip"][k]), str(arrays["ident_player"][k]),
-                str(arrays["ident_os"][k]))
+    @_identity_table.setter
+    def _identity_table(self, table: dict[str, _AnyArray]) -> None:
+        self._identities = {
+            index: (ip, player, os_name) for index, ip, player, os_name
+            in zip(*(table[name].tolist() for name, _ in _IDENT_COLUMNS),
+                   strict=True)}
         self._slots = None
-        self._session_parts = []
+
+    @property
+    def _gap_open(self) -> _AnyArray:
+        return np.isfinite(self.sessionizer._run_max)  # the clients seen
+

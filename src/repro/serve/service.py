@@ -32,7 +32,8 @@ import numpy as np
 
 from ..conform.registry import load_registry
 from ..errors import CheckpointError, ProtocolError, ReproError, ServeError
-from ..stream.checkpoint import load_checkpoint, save_checkpoint
+from ..state import restore_state, save_state
+from ..stream.checkpoint import load_checkpoint, require_match, save_checkpoint
 from .config import ServeConfig
 from .feed import FeedWorker
 from .metrics import feed_metrics
@@ -390,13 +391,9 @@ class CharacterizationService:
         """
         feeds: dict[str, Any] = {}
         for name in sorted(self.workers):
-            worker = self.workers[name]
-            feeds[name] = {
-                "meta": worker.state_meta(),
-                "arrays": {key: value.tolist()
-                           for key, value in
-                           sorted(worker.state_arrays().items())},
-            }
+            meta, arrays = save_state(self.workers[name])
+            feeds[name] = {"meta": meta, "arrays": {
+                key: value.tolist() for key, value in sorted(arrays.items())}}
         return {"format": _CHECKPOINT_FORMAT,
                 "config": self._config_fingerprint(), "feeds": feeds}
 
@@ -444,21 +441,17 @@ class CharacterizationService:
         path = self.config.checkpoint_path
         if path is None:
             raise ServeError("service has no checkpoint path")
-        names = sorted(self.workers)
         meta: dict[str, Any] = {
             "format": _CHECKPOINT_FORMAT,
-            "fingerprint": dict(self._config_fingerprint(),
-                                kind="serve"),
+            "fingerprint": dict(self._config_fingerprint(), kind="serve"),
             "feeds": {},
         }
         arrays: dict[str, np.ndarray[Any, np.dtype[Any]]] = {}
-        for position, name in enumerate(names):
-            worker = self.workers[name]
-            feed_meta = worker.state_meta()
-            feed_meta["array_prefix"] = f"f{position}_"
-            meta["feeds"][name] = feed_meta
-            for key, value in worker.state_arrays().items():
-                arrays[f"f{position}_{key}"] = value
+        for position, name in enumerate(sorted(self.workers)):
+            prefix = f"f{position}_"
+            feed_meta, feed_arrays = save_state(self.workers[name], prefix)
+            meta["feeds"][name] = dict(feed_meta, array_prefix=prefix)
+            arrays.update(feed_arrays)
         save_checkpoint(path, meta, arrays)
         self.checkpoints_written += 1
         return path
@@ -470,29 +463,22 @@ class CharacterizationService:
         ------
         CheckpointError
             If the checkpoint was written by a differently-configured
-            service (timeout/lateness/binning must match exactly).
+            service (timeout/lateness/binning must match exactly), or a
+            feed's state is missing or does not fit its schema.
         """
         meta, arrays = load_checkpoint(path)
         if meta.get("format") != _CHECKPOINT_FORMAT:
             raise CheckpointError(
                 f"{path!r} is not a serve checkpoint "
                 f"(format {meta.get('format')!r})")
-        fingerprint = meta.get("fingerprint", {})
-        for key, value in self._config_fingerprint().items():
-            if fingerprint.get(key) != value:
-                raise CheckpointError(
-                    f"checkpoint {path!r} was written with "
-                    f"{key}={fingerprint.get(key)!r}, this service has "
-                    f"{key}={value!r}")
-        for name in sorted(meta["feeds"]):
-            feed_meta = meta["feeds"][name]
-            prefix = feed_meta["array_prefix"]
-            feed_arrays = {
-                key[len(prefix):]: value
-                for key, value in arrays.items()
-                if key.startswith(prefix)}
+        require_match(meta, self._config_fingerprint(), path)
+        feeds = meta.get("feeds")
+        if not isinstance(feeds, dict):
+            raise CheckpointError(f"checkpoint {path!r} has no feed table")
+        for position, name in enumerate(sorted(feeds)):
             worker = self._new_worker(name)
-            worker.restore(feed_meta, feed_arrays)
+            # checkpoint_now numbers the feeds' prefixes in this order.
+            restore_state(worker, feeds[name], arrays, f"f{position}_")
             self.workers[name] = worker
             self._rates[name] = RateMeter()
 
@@ -504,10 +490,3 @@ class CharacterizationService:
 
 class _Backpressure(ServeError):
     """Raised connection-side when an offer is shed (closes the peer)."""
-
-
-async def run_service(config: ServeConfig) -> CharacterizationService:
-    """Start a service and return it (the CLI's entry point)."""
-    service = CharacterizationService(config)
-    await service.start()
-    return service

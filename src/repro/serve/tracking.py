@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .._typing import FloatArray, IntArray
-from ..errors import CheckpointError, ServeError
+from ..errors import ServeError
+from ..state import DERIVED, Column, Scalar, Schema, Stateful
 
 #: Default ``c(t)`` binning: one-minute bins, one day of window.
 DEFAULT_BIN_SECONDS = 60.0
@@ -29,7 +30,7 @@ DEFAULT_WINDOW_BINS = 1440
 _EMPTY_FRONTIER = -(1 << 62)
 
 
-class ConcurrencyTracker:
+class ConcurrencyTracker(Stateful):
     """Live client concurrency ``c(t)`` over fixed data-time bins.
 
     Sessions contribute ``+1`` at the bin containing their start and
@@ -43,6 +44,16 @@ class ConcurrencyTracker:
     per-bin attribution of such stragglers is lost — the ingest reorder
     bound keeps lateness far below the one-day default window).
     """
+
+    CHECKPOINT = Schema("concurrency tracker", (
+        Scalar("bin_seconds", float, "bin_seconds", DERIVED),
+        Scalar("window_bins", int, "window_bins", DERIVED),
+        Scalar("base", int, "_base"),
+        Scalar("frontier", int, "_frontier"),
+        Scalar("peak", int, "_peak"),
+        Scalar("n_observed", int, "n_observed"),
+        Column("conc_deltas", np.int64, "window_bins", "_deltas"),
+    ))
 
     def __init__(self, *, bin_seconds: float = DEFAULT_BIN_SECONDS,
                  window_bins: int = DEFAULT_WINDOW_BINS) -> None:
@@ -133,52 +144,6 @@ class ConcurrencyTracker:
         bins = (np.arange(window_start, self._frontier + 1,
                           dtype=np.float64) * self.bin_seconds)
         return bins[-last_bins:], counts[-last_bins:].astype(np.int64)
-
-    # ------------------------------------------------------------------
-    def state_meta(self) -> dict[str, float | int]:
-        """Scalar state for checkpointing."""
-        return {
-            "bin_seconds": self.bin_seconds,
-            "window_bins": self.window_bins,
-            "base": self._base,
-            "frontier": self._frontier,
-            "peak": self._peak,
-            "n_observed": self.n_observed,
-        }
-
-    def state_arrays(self) -> dict[str, IntArray]:
-        """Array state for checkpointing."""
-        return {"conc_deltas": self._deltas.copy()}
-
-    def restore(self, meta: dict[str, float | int],
-                arrays: dict[str, IntArray]) -> None:
-        """Restore state captured by the two ``state_*`` methods.
-
-        Raises
-        ------
-        ServeError
-            If the checkpoint was taken with other binning.
-        CheckpointError
-            If the delta ring does not have ``window_bins`` entries.
-        """
-        if int(meta["window_bins"]) != self.window_bins:
-            raise ServeError(
-                f"checkpointed window_bins {meta['window_bins']} != "
-                f"{self.window_bins}")
-        if float(meta["bin_seconds"]) != self.bin_seconds:  # reprolint: disable=RL007, checkpoint identity requires exact equality
-            raise ServeError(
-                f"checkpointed bin_seconds {meta['bin_seconds']} != "
-                f"{self.bin_seconds}")
-        deltas = np.asarray(arrays["conc_deltas"], dtype=np.int64)
-        if deltas.shape != (self.window_bins,):
-            raise CheckpointError(
-                f"checkpointed delta ring has shape {deltas.shape}, "
-                f"expected ({self.window_bins},)")
-        self._deltas = deltas.copy()
-        self._base = int(meta["base"])
-        self._frontier = int(meta["frontier"])
-        self._peak = int(meta["peak"])
-        self.n_observed = int(meta["n_observed"])
 
 
 #: Latency histogram support: 1 microsecond to 100 seconds.

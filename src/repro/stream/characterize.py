@@ -109,13 +109,13 @@ def characterize_logs_resumable(
         if os.path.exists(checkpoint_path):
             meta, _ = load_checkpoint(checkpoint_path)
             require_match(meta, fingerprint, checkpoint_path)
-            next_chunk = int(meta["next_chunk"])
-            if not 0 <= next_chunk <= len(chunks):
+            next_chunk = meta.get("next_chunk")
+            if not (isinstance(next_chunk, int)
+                    and 0 <= next_chunk <= len(chunks)):
                 raise CheckpointError(
-                    f"checkpoint chunk cursor {next_chunk} out of range "
+                    f"checkpoint chunk cursor {next_chunk!r} out of range "
                     f"for {len(chunks)} chunks")
-            characterizer = StreamingCharacterizer.from_state_dict(
-                meta["characterizer"])
+            characterizer.restore(meta.get("characterizer"), {})
 
     def checkpoint_now() -> None:
         assert checkpoint_path is not None

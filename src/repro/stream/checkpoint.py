@@ -6,6 +6,10 @@ characterizer accumulators) plus one JSON document of scalar state,
 stored as a zero-dimensional unicode array so the archive loads with
 ``allow_pickle=False``.
 
+Each stage declares what it writes on its class; :func:`save_state` and
+:func:`restore_state` (from :mod:`repro.state`, below the packages that
+declare state) save it and refuse a damaged checkpoint.
+
 Writes are atomic: the archive is written to a sibling temporary file
 and moved into place with :func:`os.replace`, so a checkpoint file on
 disk is always complete — a run killed mid-write leaves the previous
@@ -25,6 +29,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..errors import CheckpointError
+from ..state import restore_state, save_state
+
+__all__ = ["FORMAT_VERSION", "load_checkpoint", "require_match",
+           "restore_state", "save_checkpoint", "save_state"]
 
 #: Archive member holding the JSON scalar state.
 _META_KEY = "__meta__"

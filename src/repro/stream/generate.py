@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .._typing import FloatArray, IntArray, SeedLike
 from ..core.model import LiveWorkloadModel
@@ -45,6 +44,7 @@ from ..errors import CheckpointError
 from ..parallel.engine import generate_shard
 from ..parallel.plan import DEFAULT_BLOCKS, emit_horizons, plan_block_stream
 from ..scenarios import Scenario, get_scenario
+from ..state import Scalar, Schema, Stateful, Table
 
 #: Default number of transfers per emitted batch.
 DEFAULT_CHUNK_SIZE = 100_000
@@ -94,7 +94,7 @@ class TransferBatch:
         return int(self.start.size)
 
 
-class GenerationStream:
+class GenerationStream(Stateful):
     """Streaming iterator over a GISMO-live generation request.
 
     Iterating yields :class:`TransferBatch` chunks of at most
@@ -124,6 +124,13 @@ class GenerationStream:
         identity.  Applied at plan time, so the streamed columns stay
         bit-identical to the batch engine's scenario trace.
     """
+
+    #: The cursor; valid between block steps.
+    CHECKPOINT = Schema("generation", (
+        Scalar("next_block", int, "_next_block"),
+        Scalar("n_emitted", int, "_n_emitted"),
+        Table("gen_pending_", "_pending", _PENDING_COLUMNS, "pending"),
+    ))
 
     def __init__(self, model: LiveWorkloadModel, days: float, *,
                  seed: SeedLike = None,
@@ -244,40 +251,10 @@ class GenerationStream:
         self._next_block = block + 1
         return batches
 
-    # ------------------------------------------------------------------
-    # Checkpoint support
-    # ------------------------------------------------------------------
-    def state_meta(self) -> dict[str, int]:
-        """The scalar cursor state (valid between block steps)."""
-        return {"next_block": self._next_block,
-                "n_emitted": self._n_emitted}
-
-    def state_arrays(self) -> dict[str, NDArray[Any]]:
-        """The pending-buffer columns (valid between block steps)."""
-        return {f"gen_pending_{name}": col.copy()
-                for name, col in self._pending.items()}
-
-    def restore(self, meta: Mapping[str, Any],
-                arrays: Mapping[str, NDArray[Any]]) -> None:
-        """Restore a cursor captured by the two ``state_*`` methods.
-
-        Raises
-        ------
-        CheckpointError
-            If the cursor does not fit this stream's plan.
-        """
-        next_block = int(meta["next_block"])
-        if not 0 <= next_block <= self.n_blocks:
+    def _checkpoint_sizes(self, values: Mapping[str, Any]
+                          ) -> Mapping[str, int]:
+        if not 0 <= values["next_block"] <= self.n_blocks:
             raise CheckpointError(
-                f"checkpoint block cursor {next_block} out of range for "
-                f"{self.n_blocks} blocks")
-        try:
-            pending = {name: np.asarray(arrays[f"gen_pending_{name}"],
-                                        dtype=dtype)
-                       for name, dtype in _PENDING_COLUMNS}
-        except KeyError as exc:
-            raise CheckpointError(
-                f"checkpoint is missing generation state: {exc}") from exc
-        self._next_block = next_block
-        self._n_emitted = int(meta["n_emitted"])
-        self._pending = pending
+                f"checkpoint block cursor {values['next_block']} out of "
+                f"range for {self.n_blocks} blocks")
+        return {}

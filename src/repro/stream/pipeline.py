@@ -36,16 +36,50 @@ from ..errors import CheckpointError
 from ..scenarios import Scenario, get_scenario, scenario_spec_string
 from ..trace.codecs import get_codec
 from ..trace.wms_log import StreamingTraceWriter
+from ..state import DERIVED, Part, Scalar, Schema, Stateful, Table, restore_state, save_state
 from ..units import DEFAULT_SESSION_TIMEOUT
 from .checkpoint import load_checkpoint, require_match, save_checkpoint
 from .generate import DEFAULT_CHUNK_SIZE, GenerationStream
 from .sessionize import FinalizedSessions, OnlineSessionizer, merge_finalized
 
-#: Prefix namespacing the log writer's buffer inside checkpoint archives.
-_WRITER_PREFIX = "log_"
 
-#: Prefix namespacing the collected finalized-session columns.
-_SESSIONS_PREFIX = "fin_"
+@dataclass
+class _RunState(Stateful):
+    """What a run checkpoints; a stage it runs without is ``None``."""
+
+    CHECKPOINT = Schema("streaming run", (
+        Scalar("fingerprint", dict, "fingerprint", DERIVED),
+        Part("generator", "stream"),
+        Part("sessionizer", "sessionizer"),
+        Part("writer", "writer", prefix="log_"),
+        Scalar("log_offset", (int, type(None)), "log_offset"),
+        Table("fin_", "sessions", (("client", np.int64), ("start", np.float64),
+                                   ("end", np.float64), ("count", np.int64)),
+              "sessions"),
+    ))
+
+    fingerprint: dict[str, Any] | None
+    stream: GenerationStream
+    sessionizer: OnlineSessionizer | None
+    collected: list[FinalizedSessions] | None
+    writer: StreamingTraceWriter | None = None
+    log_offset: int | None = None
+
+    @property
+    def sessions(self) -> dict[str, NDArray[Any]] | None:
+        """The collected sessions, merged into one canonical batch."""
+        if self.collected is None:
+            return None
+        merged = merge_finalized(self.collected)
+        self.collected[:] = [merged]
+        return {"client": merged.client_index, "start": merged.start,
+                "end": merged.end, "count": merged.n_transfers}
+
+    @sessions.setter
+    def sessions(self, table: dict[str, NDArray[Any]]) -> None:
+        self.collected = [FinalizedSessions(
+            client_index=table["client"], start=table["start"],
+            end=table["end"], n_transfers=table["count"])]
 
 
 @dataclass(frozen=True)
@@ -201,76 +235,40 @@ def run_streaming_generation(
             model, days, seed, stream.blocks, timeout, codec,
             scenario_spec_string(resolved_scenario))
 
-    collected: list[FinalizedSessions] = []
+    collected: list[FinalizedSessions] | None = (
+        [] if sessionizer is not None and collect_sessions else None)
+    run = _RunState(fingerprint, stream, sessionizer, collected)
     restored: tuple[dict[str, Any], dict[str, NDArray[Any]]] | None = None
     if resume:
         if checkpoint_path is None:
             raise CheckpointError("resume=True requires a checkpoint_path")
         if os.path.exists(checkpoint_path):
             restored = load_checkpoint(checkpoint_path)
-
-    meta: dict[str, Any] | None = None
-    if restored is not None:
-        assert checkpoint_path is not None and fingerprint is not None
-        meta, arrays = restored
-        require_match(meta, fingerprint, checkpoint_path)
-        stream.restore(meta["generator"], arrays)
-        if sessionizer is not None:
-            if meta.get("sessionizer") is None:
-                raise CheckpointError(
-                    "checkpoint was written without sessionization; "
-                    "cannot resume with sessionize=True")
-            sessionizer.restore(meta["sessionizer"], arrays)
-        if sessionizer is not None and collect_sessions:
-            try:
-                collected = [FinalizedSessions(
-                    client_index=np.asarray(
-                        arrays[f"{_SESSIONS_PREFIX}client"], dtype=np.int64),
-                    start=np.asarray(arrays[f"{_SESSIONS_PREFIX}start"],
-                                     dtype=np.float64),
-                    end=np.asarray(arrays[f"{_SESSIONS_PREFIX}end"],
-                                   dtype=np.float64),
-                    n_transfers=np.asarray(
-                        arrays[f"{_SESSIONS_PREFIX}count"], dtype=np.int64),
-                )]
-            except KeyError as exc:
-                raise CheckpointError(
-                    "checkpoint was written without collected sessions; "
-                    f"missing {exc}") from exc
+            assert fingerprint is not None
+            require_match(restored[0], fingerprint, checkpoint_path)
 
     own_stream: IO[Any] | None = None
     writer: StreamingTraceWriter | None = None
     try:
         if log_path is not None:
-            if restored is not None:
-                assert meta is not None
-                offset = meta.get("log_offset")
-                if offset is None:
-                    raise CheckpointError(
-                        "checkpoint was written without a log file; "
-                        "cannot resume log output")
-                if not os.path.exists(log_path):
-                    raise CheckpointError(
-                        f"log file {os.fspath(log_path)!r} is missing; the "
-                        "checkpoint expects its first "
-                        f"{offset} bytes")
-                if os.path.getsize(log_path) < offset:
-                    raise CheckpointError(
-                        f"log file {os.fspath(log_path)!r} is shorter than "
-                        f"the checkpointed offset {offset}")
-                own_stream = codec_impl.reopen_stream(log_path, int(offset))
-                writer = codec_impl.make_writer(
-                    own_stream, synthetic_client_identity,
-                    software=software, write_header=False)
-                writer.restore(
-                    meta["writer"],
-                    {name[len(_WRITER_PREFIX):]: col
-                     for name, col in arrays.items()
-                     if name.startswith(_WRITER_PREFIX)})
-            else:
+            if restored is None:
                 own_stream = codec_impl.open_stream(log_path)
-                writer = codec_impl.make_writer(
-                    own_stream, synthetic_client_identity, software=software)
+            else:
+                offset = restored[0].get("log_offset")
+                if not (isinstance(offset, int) and os.path.exists(log_path)
+                        and os.path.getsize(log_path) >= offset):
+                    raise CheckpointError(
+                        f"cannot resume log file {os.fspath(log_path)!r} at "
+                        f"checkpointed offset {offset!r}: it is missing, "
+                        "shorter, or the run wrote no log")
+                own_stream = codec_impl.reopen_stream(log_path, offset)
+            writer = codec_impl.make_writer(
+                own_stream, synthetic_client_identity, software=software,
+                write_header=restored is None)
+        run.writer = writer
+        if restored is not None:
+            restore_state(run, *restored)
+        collected = run.collected
 
         peak_open = sessionizer.peak_open if sessionizer is not None else 0
         peak_buffered = writer.n_buffered if writer is not None else 0
@@ -280,34 +278,10 @@ def run_streaming_generation(
 
         def checkpoint_now() -> None:
             assert checkpoint_path is not None
-            arrays: dict[str, NDArray[Any]] = {}
-            arrays.update(stream.state_arrays())
-            doc: dict[str, Any] = {
-                "fingerprint": fingerprint,
-                "generator": stream.state_meta(),
-                "sessionizer": None,
-                "writer": None,
-                "log_offset": None,
-            }
-            if sessionizer is not None:
-                doc["sessionizer"] = sessionizer.state_meta()
-                arrays.update(sessionizer.state_arrays())
-            if writer is not None:
-                assert own_stream is not None
+            if own_stream is not None:
                 own_stream.flush()
-                doc["writer"] = writer.state_meta()
-                doc["log_offset"] = own_stream.tell()
-                arrays.update({f"{_WRITER_PREFIX}{name}": col
-                               for name, col
-                               in writer.state_arrays().items()})
-            if sessionizer is not None and collect_sessions:
-                merged = merge_finalized(collected)
-                collected[:] = [merged]
-                arrays[f"{_SESSIONS_PREFIX}client"] = merged.client_index
-                arrays[f"{_SESSIONS_PREFIX}start"] = merged.start
-                arrays[f"{_SESSIONS_PREFIX}end"] = merged.end
-                arrays[f"{_SESSIONS_PREFIX}count"] = merged.n_transfers
-            save_checkpoint(checkpoint_path, doc, arrays)
+                run.log_offset = own_stream.tell()
+            save_checkpoint(checkpoint_path, *save_state(run))
 
         for batches in stream.block_steps():
             for batch in batches:
@@ -322,7 +296,7 @@ def run_streaming_generation(
                     peak_buffered = max(peak_buffered, writer.n_buffered)
                 if sessionizer is not None:
                     finalized = sessionizer.push_batch(batch)
-                    if collect_sessions and finalized.n_sessions:
+                    if collected is not None and finalized.n_sessions:
                         collected.append(finalized)
             peak_pending = max(peak_pending, stream.n_pending)
             if sessionizer is not None:
@@ -342,14 +316,12 @@ def run_streaming_generation(
                 writer.finish()
             if sessionizer is not None:
                 finalized = sessionizer.finish()
-                if collect_sessions and finalized.n_sessions:
+                if collected is not None and finalized.n_sessions:
                     collected.append(finalized)
         if checkpoint_path is not None and (since_checkpoint or completed):
             checkpoint_now()
 
-        sessions = None
-        if sessionizer is not None and collect_sessions:
-            sessions = merge_finalized(collected)
+        sessions = None if collected is None else merge_finalized(collected)
         return StreamRunResult(
             n_transfers=stream.n_emitted,
             n_entries=writer.n_written if writer is not None else 0,

@@ -34,14 +34,15 @@ number of sessions genuinely open around the time frontier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .._typing import FloatArray, IntArray
 from ..arrayops import silence_gaps_sorted, stable_client_order
-from ..errors import AnalysisError
+from ..errors import AnalysisError, CheckpointError
+from ..state import DERIVED, Column, Scalar, Schema, Stateful
 from ..trace.records import SessionRecord
 from ..units import DEFAULT_SESSION_TIMEOUT
 
@@ -136,13 +137,7 @@ def merge_finalized(parts: Sequence[FinalizedSessions]) -> FinalizedSessions:
                              transfer_indices=indices)
 
 
-#: The open-session table's checkpoint columns and their dtypes.
-_TABLE_COLUMNS = (("sess_open", np.bool_), ("sess_start", np.float64),
-                  ("sess_run_max", np.float64), ("sess_count", np.int64),
-                  ("sess_last_start", np.float64))
-
-
-class OnlineSessionizer:
+class OnlineSessionizer(Stateful):
     """Incremental sessionizer over start-ordered transfer batches.
 
     Feed batches with :meth:`push` (optionally straight from
@@ -163,6 +158,21 @@ class OnlineSessionizer:
         :class:`~repro.trace.records.SessionRecord` rows.  Costs a Python
         list per open session; leave off for paper-scale runs.
     """
+
+    #: Counters, the ordering cursor and the open-session table.
+    CHECKPOINT = Schema("sessionizer", (
+        Scalar("n_clients", int, "n_clients", DERIVED),
+        Scalar("timeout", float, "timeout", DERIVED),
+        Scalar("last_start", float, "_last_start"),
+        Scalar("n_transfers", int, "n_transfers"),
+        Scalar("n_finalized", int, "n_finalized"),
+        Scalar("peak_open", int, "peak_open"),
+        Column("sess_open", np.bool_, "n_clients", "_open"),
+        Column("sess_start", np.float64, "n_clients", "_session_start"),
+        Column("sess_run_max", np.float64, "n_clients", "_run_max"),
+        Column("sess_count", np.int64, "n_clients", "_count"),
+        Column("sess_last_start", np.float64, "n_clients", "_client_last_start"),
+    ))
 
     def __init__(self, n_clients: int, *,
                  timeout: float = DEFAULT_SESSION_TIMEOUT,
@@ -488,69 +498,9 @@ class OnlineSessionizer:
     # ------------------------------------------------------------------
     # Checkpoint support
     # ------------------------------------------------------------------
-    def state_meta(self) -> dict[str, Any]:
-        """Scalar state (counters and the ordering cursor)."""
+    def _before_save(self) -> None:
         if self.track_transfer_indices:
-            from ..errors import CheckpointError
-
-            raise CheckpointError(
-                "checkpointing is not supported with transfer-index "
-                "tracking enabled")
-        return {
-            "n_clients": self.n_clients,
-            "timeout": self.timeout,
-            "last_start": self._last_start,
-            "n_transfers": self.n_transfers,
-            "n_finalized": self.n_finalized,
-            "peak_open": self.peak_open,
-        }
-
-    def state_arrays(self) -> dict[str, NDArray[Any]]:
-        """The open-session table as named arrays."""
-        return {
-            "sess_open": self._open.copy(),
-            "sess_start": self._session_start.copy(),
-            "sess_run_max": self._run_max.copy(),
-            "sess_count": self._count.copy(),
-            "sess_last_start": self._client_last_start.copy(),
-        }
-
-    def restore(self, meta: Mapping[str, Any],
-                arrays: Mapping[str, NDArray[Any]]) -> None:
-        """Restore state captured by the two ``state_*`` methods.
-
-        Raises
-        ------
-        CheckpointError
-            If the checkpointed table is incomplete or does not fit this
-            sessionizer.
-        """
-        from ..errors import CheckpointError
-
-        if int(meta["n_clients"]) != self.n_clients:
-            raise CheckpointError(
-                f"checkpoint has {meta['n_clients']} clients, "
-                f"sessionizer has {self.n_clients}")
-        if float(meta["timeout"]) != self.timeout:  # reprolint: disable=RL007, checkpoint identity requires exact equality
-            raise CheckpointError(
-                f"checkpoint timeout {meta['timeout']} != {self.timeout}")
-        try:
-            table = [np.asarray(arrays[name], dtype=dtype)
-                     for name, dtype in _TABLE_COLUMNS]
-        except KeyError as exc:
-            raise CheckpointError(
-                f"checkpoint is missing sessionizer state: {exc}") from exc
-        for (name, _), column in zip(_TABLE_COLUMNS, table, strict=True):
-            if column.shape != (self.n_clients,):
-                raise CheckpointError(
-                    f"checkpoint column {name} has shape {column.shape}, "
-                    f"expected ({self.n_clients},)")
-        (self._open, self._session_start, self._run_max, self._count,
-         self._client_last_start) = table
-        self._last_start = float(meta["last_start"])
-        self.n_transfers = int(meta["n_transfers"])
-        self.n_finalized = int(meta["n_finalized"])
-        self.peak_open = int(meta["peak_open"])
+            raise CheckpointError("cannot checkpoint transfer-index tracking")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"OnlineSessionizer(n_open={self.n_open}, "

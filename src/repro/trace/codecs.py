@@ -56,7 +56,8 @@ import numpy.typing as npt
 
 from .._typing import FloatArray, IntArray
 from ..arrayops import unique_integers
-from ..errors import LogParseError, TraceError
+from ..errors import CheckpointError, LogParseError, TraceError
+from ..state import Column, Scalar, Schema
 from .store import ClientTable, Trace
 from .wms_log import (
     ClientIdentity,
@@ -226,9 +227,9 @@ class BinaryTraceWriter(StreamingTraceWriter):
     when the batch introduces clients not written before; the footer
     index is emitted by :meth:`finish`.
 
-    Checkpoint/resume support extends the base writer's: scalar state
-    (:meth:`state_meta`) carries the byte offset and the block index
-    accumulated so far, so a resumed writer — pointed at the file
+    Checkpoint/resume support extends the base writer's: the declared
+    state adds the byte offset, the block index accumulated so far and
+    the seen clients, so a resumed writer — pointed at the file
     truncated back to that offset — continues the index seamlessly.
 
     Parameters
@@ -244,6 +245,14 @@ class BinaryTraceWriter(StreamingTraceWriter):
         Write the magic + header immediately; pass ``False`` when
         resuming into an existing file.
     """
+
+    CHECKPOINT = Schema(
+        "binary writer", StreamingTraceWriter.CHECKPOINT.entries + (
+            Scalar("offset", int, "_offset"),
+            Scalar("segments", list, "_segments"),
+            Scalar("clients", list, "_clients"),
+            Column("seen_clients", np.int64, "seen", "_seen"),
+        ))
 
     def __init__(self, stream: IO[bytes], identity: ClientIdentity, *,
                  software: str = "Windows Media Services 4.1",
@@ -359,29 +368,13 @@ class BinaryTraceWriter(StreamingTraceWriter):
             self._footer_written = True
         return self.n_written
 
-    def state_meta(self) -> dict[str, Any]:
-        meta = super().state_meta()
-        meta.update({
-            "offset": self._offset,
-            "segments": list(self._segments),
-            "clients": list(self._clients),
-        })
-        return meta
-
-    def state_arrays(self) -> dict[str, Any]:
-        arrays = super().state_arrays()
-        arrays["seen_clients"] = self._seen.copy()
-        return arrays
-
-    def restore(self, meta: Mapping[str, Any],
-                arrays: Mapping[str, Any]) -> None:
-        super().restore(meta, arrays)
-        self._offset = int(meta["offset"])
-        self._segments = [dict(seg) for seg in meta["segments"]]
-        self._clients = [dict(block) for block in meta["clients"]]
-        self._seen = np.unique(
-            np.asarray(arrays["seen_clients"], dtype=np.int64))
-        self._footer_written = False
+    def _checkpoint_sizes(self, values: Mapping[str, Any]
+                          ) -> Mapping[str, int]:
+        # The client blocks wrote each seen client once; kept sorted.
+        if np.any(np.diff(values["seen_clients"]) <= 0):
+            raise CheckpointError(
+                "binary writer seen_clients is not strictly increasing")
+        return {"seen": sum(int(block["n"]) for block in values["clients"])}
 
 
 # ----------------------------------------------------------------------

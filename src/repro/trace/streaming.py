@@ -46,6 +46,7 @@ import numpy as np
 from .._typing import FloatArray, IntArray
 from ..arrayops import unique_integers
 from ..errors import TraceError
+from ..state import Column, Scalar, Schema, Stateful
 from ..units import DAY
 from .wms_log import ParsedLog, parse_log_stream
 
@@ -97,23 +98,6 @@ class OnlineLogMoments:
     def merge(self, other: "OnlineLogMoments") -> None:
         """Add ``other``'s counts to these."""
         self.counts.update(other.counts)
-
-    def arrays(self) -> tuple[IntArray, IntArray]:
-        """``(displays, counts)`` in ascending display order: the
-        checkpoint form, read back by :meth:`from_arrays`."""
-        items = sorted(self.counts.items())
-        return (np.asarray([d for d, _ in items], dtype=np.int64),
-                np.asarray([c for _, c in items], dtype=np.int64))
-
-    @classmethod
-    def from_arrays(cls, displays: IntArray, counts: IntArray
-                    ) -> "OnlineLogMoments":
-        """The accumulator whose :meth:`arrays` are the arguments."""
-        moments = cls()
-        moments.counts.update(dict(zip(
-            np.asarray(displays, dtype=np.int64).tolist(),
-            np.asarray(counts, dtype=np.int64).tolist(), strict=True)))
-        return moments
 
     @property
     def n(self) -> int:
@@ -173,7 +157,7 @@ class StreamingSummary:
     top_clients: tuple[tuple[str, int], ...] = ()
 
 
-class StreamingCharacterizer:
+class StreamingCharacterizer(Stateful):
     """Incremental characterizer of WMS-style logs.
 
     Feed it files or streams with :meth:`consume`; read a
@@ -186,6 +170,22 @@ class StreamingCharacterizer:
     bandwidth_edges:
         Log-spaced histogram edges for bandwidth (bits/second).
     """
+
+    #: All in the JSON document, whose round trip is exact: a restored
+    #: characterizer of the same ``diurnal_bins`` resumes bit-identically
+    #: (the contract of ``repro characterize --checkpoint/--resume``).
+    CHECKPOINT = Schema("characterizer", (
+        Scalar("length_counts", Counter[int], "_log_length.counts"),
+        Scalar("bits", float, "_bits"),
+        Scalar("n_entries", int, "_n_entries"),
+        Scalar("n_skipped", int, "_n_skipped"),
+        Scalar("congested", int, "_congested"),
+        Scalar("client_counts", Counter[str], "_client_counts"),
+        Scalar("feed_counts", Counter[int], "_feed_counts"),
+        Column("bandwidth_edges", np.float64, "edges", "_edges"),
+        Column("bandwidth_histogram", np.float64, "bins", "_bandwidth_hist"),
+        Column("diurnal_counts", np.float64, "diurnal", "_diurnal"),
+    ), document=True)
 
     def __init__(self, *, diurnal_bins: int = 96,
                  bandwidth_edges: FloatArray | None = None) -> None:
@@ -448,58 +448,15 @@ class StreamingCharacterizer:
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
-    def state_dict(self) -> dict[str, Any]:
-        """The full accumulator state as a JSON-serializable dict.
+    _before_save = _fold_indexed_clients
 
-        Everything the characterizer holds is either integer counts or
-        floats whose JSON round trip is exact (Python serializes floats
-        via their shortest exact representation), so
-        ``StreamingCharacterizer.from_state_dict(c.state_dict())`` resumes
-        with *bit-identical* future summaries — the contract behind
-        ``repro characterize --checkpoint/--resume``.
-        """
-        self._fold_indexed_clients()
-        return {
-            "length_counts": {str(display): count for display, count
-                              in self._log_length.counts.items()},
-            "bits": self._bits,
-            "n_entries": self._n_entries,
-            "n_skipped": self._n_skipped,
-            "congested": self._congested,
-            "client_counts": dict(self._client_counts),
-            "feed_counts": {str(feed): count for feed, count
-                            in self._feed_counts.items()},
-            "bandwidth_edges": self._edges.tolist(),
-            "bandwidth_histogram": self._bandwidth_hist.tolist(),
-            "diurnal_counts": self._diurnal.tolist(),
-        }
+    def _checkpoint_sizes(self, values: Mapping[str, Any]
+                          ) -> Mapping[str, int]:
+        return {"bins": values["bandwidth_edges"].size - 1,
+                "diurnal": self._diurnal.size}
 
-    @classmethod
-    def from_state_dict(cls, state: dict[str, Any]
-                        ) -> "StreamingCharacterizer":
-        """Rebuild a characterizer from :meth:`state_dict` output."""
-        characterizer = cls(
-            diurnal_bins=len(state["diurnal_counts"]),
-            bandwidth_edges=np.asarray(state["bandwidth_edges"],
-                                       dtype=np.float64))
-        characterizer._log_length.counts = Counter({
-            int(display): int(count)
-            for display, count in state["length_counts"].items()})
-        characterizer._bits = float(state["bits"])
-        characterizer._n_entries = int(state["n_entries"])
-        characterizer._n_skipped = int(state["n_skipped"])
-        characterizer._congested = int(state["congested"])
-        characterizer._client_counts = Counter({
-            str(player): int(count)
-            for player, count in state["client_counts"].items()})
-        characterizer._feed_counts = Counter({
-            int(feed): int(count)
-            for feed, count in state["feed_counts"].items()})
-        characterizer._bandwidth_hist = np.asarray(
-            state["bandwidth_histogram"], dtype=np.float64)
-        characterizer._diurnal = np.asarray(state["diurnal_counts"],
-                                            dtype=np.float64)
-        return characterizer
+    #: The accumulator state as a JSON document (:meth:`restore` reads it).
+    state_dict = Stateful.state_meta
 
     # ------------------------------------------------------------------
     # Reporting

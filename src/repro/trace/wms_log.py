@@ -32,6 +32,7 @@ import numpy.typing as npt
 
 from .._typing import FloatArray, IntArray
 from ..errors import LogParseError
+from ..state import Scalar, Schema, Stateful, Table
 from .builder import TraceBuilder
 from .records import ClientRecord
 from .store import Trace
@@ -104,7 +105,7 @@ def _table_identity(trace: Trace) -> ClientIdentity:
     return identity
 
 
-class StreamingTraceWriter:
+class StreamingTraceWriter(Stateful):
     """Reorder buffer shared by every incremental trace codec writer.
 
     The server logs an entry when a transfer *completes*, so the emitted
@@ -119,8 +120,7 @@ class StreamingTraceWriter:
     the batch writer's stable sort by end.
 
     Subclasses implement :meth:`_emit_entries` (and may extend the
-    checkpoint state via :meth:`state_meta` / :meth:`state_arrays` /
-    :meth:`restore`).
+    declared checkpoint state, ``CHECKPOINT``).
 
     Parameters
     ----------
@@ -131,6 +131,11 @@ class StreamingTraceWriter:
         workloads where materializing the table would defeat the memory
         bound.
     """
+
+    CHECKPOINT = Schema("log writer", (
+        Scalar("n_written", int, "n_written"),
+        Table("", "_buffer", _WRITER_COLUMNS, "buffer"),
+    ))
 
     def __init__(self, identity: ClientIdentity) -> None:
         self._identity = identity
@@ -214,25 +219,6 @@ class StreamingTraceWriter:
         """
         self._flush_below(np.inf)
         return self.n_written
-
-    # ------------------------------------------------------------------
-    # Checkpoint support
-    # ------------------------------------------------------------------
-    def state_meta(self) -> dict[str, Any]:
-        """JSON-serializable scalar writer state (for checkpointing)."""
-        return {"n_written": self.n_written}
-
-    def state_arrays(self) -> dict[str, _AnyArray]:
-        """The reorder buffer as named arrays (for checkpointing)."""
-        return {name: col.copy() for name, col in self._buffer.items()}
-
-    def restore(self, meta: Mapping[str, Any],
-                arrays: Mapping[str, _AnyArray]) -> None:
-        """Restore a checkpointed buffer and written-entry count."""
-        self.n_written = int(meta["n_written"])
-        self._buffer = {
-            name: np.asarray(arrays[name], dtype=dtype)
-            for name, dtype in _WRITER_COLUMNS}
 
 
 class StreamingWmsLogWriter(StreamingTraceWriter):

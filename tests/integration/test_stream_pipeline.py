@@ -119,17 +119,64 @@ def test_resume_rejects_wrong_workload(model, tmp_path):
                                  checkpoint_path=ck, resume=True)
 
 
-def test_resume_rejects_checkpoint_without_last_start(model, tmp_path):
-    """A generation checkpoint whose session table lacks the per-client
-    last start cannot resume the sessionizer."""
-    ck = tmp_path / "ck.npz"
-    run_streaming_generation(model, DAYS, seed=SEED, checkpoint_path=ck,
-                             max_blocks=5)
-    meta, arrays = load_checkpoint(ck)
-    del arrays["sess_last_start"]
+#: Every array of a generation checkpoint with a log and collected
+#: sessions, by codec.
+_RUN_ARRAYS = (
+    [f"gen_pending_{name}" for name in (
+        "start", "duration", "object_id", "bandwidth_bps",
+        "transfer_session")]
+    + [f"sess_{name}" for name in (
+        "open", "start", "run_max", "count", "last_start")]
+    + [f"log_{name}" for name in (
+        "end", "position", "client_index", "object_id", "duration",
+        "bandwidth_bps", "packet_loss", "server_cpu", "status")]
+    + [f"fin_{name}" for name in ("client", "start", "end", "count")])
+RUN_ARRAYS = {"text": _RUN_ARRAYS,
+              "binary": _RUN_ARRAYS + ["log_seen_clients"]}
+
+#: Damage applied to one checkpoint array.
+DAMAGE = {
+    "dropped": lambda arrays, key: arrays.pop(key),
+    "halved": lambda arrays, key: arrays.update(
+        {key: arrays[key][:arrays[key].size // 2]}),
+}
+
+
+@pytest.fixture(scope="module")
+def interrupted_runs(model, tmp_path_factory):
+    """Per codec: a log and the checkpoint of a run stopped after five
+    blocks, with every checkpoint array non-empty."""
+    root = tmp_path_factory.mktemp("interrupted")
+    runs = {}
+    for codec, keys in RUN_ARRAYS.items():
+        log, ck = root / f"run.{codec}", root / f"{codec}.npz"
+        run_streaming_generation(model, DAYS, seed=SEED, log_path=log,
+                                 codec=codec, checkpoint_path=ck,
+                                 max_blocks=5)
+        _, arrays = load_checkpoint(ck)
+        assert sorted(arrays) == sorted(keys)
+        assert all(column.size for column in arrays.values())
+        runs[codec] = (log, ck)
+    return runs
+
+
+@pytest.mark.parametrize(
+    ("codec", "key", "damage"),
+    [(codec, key, damage) for codec, keys in RUN_ARRAYS.items()
+     for key in keys for damage in DAMAGE])
+def test_resume_rejects_damaged_checkpoint(model, interrupted_runs, tmp_path,
+                                           codec, key, damage):
+    """Dropping or halving any one array of a generation checkpoint is
+    refused with CheckpointError naming it; none resumes into a wrong
+    log or fails with a bare IndexError."""
+    log, ck = tmp_path / "run.log", tmp_path / "ck.npz"
+    log.write_bytes(interrupted_runs[codec][0].read_bytes())
+    meta, arrays = load_checkpoint(interrupted_runs[codec][1])
+    DAMAGE[damage](arrays, key)
     save_checkpoint(ck, meta, arrays)
-    with pytest.raises(CheckpointError, match="sess_last_start"):
-        run_streaming_generation(model, DAYS, seed=SEED, checkpoint_path=ck,
+    with pytest.raises(CheckpointError, match=key):
+        run_streaming_generation(model, DAYS, seed=SEED, log_path=log,
+                                 codec=codec, checkpoint_path=ck,
                                  resume=True)
 
 
@@ -182,3 +229,26 @@ def test_resumable_characterization_rejects_changed_log(batch_artifacts,
     with pytest.raises(CheckpointError, match="was written for"):
         characterize_logs_resumable(log, checkpoint_path=ck, resume=True,
                                     chunk_bytes=8_192)
+
+
+#: Damage to a characterization checkpoint's characterizer document.
+CHARACTERIZER_DAMAGE = {
+    "short histogram": lambda state: state.update(
+        bandwidth_histogram=state["bandwidth_histogram"][:-1]),
+    "no bits": lambda state: state.pop("bits"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(CHARACTERIZER_DAMAGE))
+def test_resumable_characterization_rejects_damaged_state(batch_artifacts,
+                                                          tmp_path, damage):
+    _, batch_log = batch_artifacts
+    ck = tmp_path / "chk.npz"
+    characterize_logs_resumable(batch_log, checkpoint_path=ck,
+                                chunk_bytes=8_192, max_chunks=1)
+    meta, arrays = load_checkpoint(ck)
+    CHARACTERIZER_DAMAGE[damage](meta["characterizer"])
+    save_checkpoint(ck, meta, arrays)
+    with pytest.raises(CheckpointError, match="characterizer"):
+        characterize_logs_resumable(batch_log, checkpoint_path=ck,
+                                    resume=True, chunk_bytes=8_192)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ServeError
+from repro.errors import CheckpointError, ServeError
 from repro.serve.tracking import (
     ConcurrencyTracker,
     LatencyHistogram,
@@ -80,10 +80,10 @@ def test_concurrency_checkpoint_round_trip():
 def test_concurrency_restore_rejects_mismatched_binning():
     tracker = ConcurrencyTracker(bin_seconds=5.0, window_bins=8)
     meta, arrays = tracker.state_meta(), tracker.state_arrays()
-    with pytest.raises(ServeError):
+    with pytest.raises(CheckpointError, match="window_bins"):
         ConcurrencyTracker(bin_seconds=5.0, window_bins=16).restore(
             meta, arrays)
-    with pytest.raises(ServeError):
+    with pytest.raises(CheckpointError, match="bin_seconds"):
         ConcurrencyTracker(bin_seconds=1.0, window_bins=8).restore(
             meta, arrays)
 

@@ -134,8 +134,8 @@ def test_mid_stream_state_dict_round_trip():
     segments = _segments(7, declared, names)
     whole = _fold(segments)
     head = _fold(segments[:5])
-    resumed = StreamingCharacterizer.from_state_dict(
-        json.loads(json.dumps(head.state_dict())))
+    resumed = StreamingCharacterizer()
+    resumed.restore(json.loads(json.dumps(head.state_dict())), {})
     _fold(segments[5:], resumed)
     assert json.dumps(resumed.state_dict()) == json.dumps(whole.state_dict())
     got, want = resumed.summary(), whole.summary()
