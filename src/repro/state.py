@@ -184,9 +184,9 @@ def save_state(obj: Stateful, prefix: str = ""
 def restore_state(obj: Stateful, meta: Any,
                   arrays: Mapping[str, NDArray[Any]], prefix: str = "",
                   omit: tuple[str, ...] = ()) -> None:
-    """Restore ``obj`` from a document and arrays keyed under ``prefix``
-    (its columns in ``omit`` are the owner's).  A target whose restore
-    failed must be discarded.
+    """Restore a freshly built ``obj`` from a document and arrays keyed
+    under ``prefix`` (its columns in ``omit`` are the owner's).  A target
+    whose restore failed must be discarded.
 
     Raises
     ------
