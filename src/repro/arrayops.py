@@ -313,3 +313,34 @@ def unique_integers(values: IntArray
     first = np.asarray(np.minimum.reduceat(order, starts) if starts.size
                        else (), dtype=np.int64)
     return grouped[starts], first, inverse, counts
+
+
+#: Largest lookup table :func:`sorted_slots` builds, as a multiple of the
+#: key count; sparser keys are looked up by binary search instead.
+SLOT_TABLE_FACTOR = 4
+
+
+def sorted_slots(keys: IntArray, values: IntArray
+                 ) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.bool_]]:
+    """Position of each of ``values`` among sorted, distinct ``keys``.
+
+    Returns ``(slots, found)``; ``slots`` is meaningful where ``found``.
+    The lookup is a table over the key span when that span is at most
+    :data:`SLOT_TABLE_FACTOR` times the key count, and a binary search
+    otherwise, so no allocation is sized by a value.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    if not keys.size:
+        return (np.zeros(values.size, dtype=np.intp),
+                np.zeros(values.size, dtype=bool))
+    low, high = int(keys[0]), int(keys[-1])
+    found = (values >= low) & (values <= high)
+    if high - low < SLOT_TABLE_FACTOR * keys.size:
+        table = np.full(high - low + 1, -1, dtype=np.intp)
+        table[keys - low] = np.arange(keys.size)
+        slots = table[np.where(found, values - low, 0)]
+        found &= slots >= 0
+    else:
+        slots = np.searchsorted(keys, values)
+        found &= keys[np.minimum(slots, keys.size - 1)] == values
+    return slots, found

@@ -36,7 +36,7 @@ from ..trace.codecs import (
     detect_codec,
 )
 from ..trace.streaming import StreamingCharacterizer, StreamingSummary
-from ..trace.wms_log import parse_log_stream
+from ..trace.wms_log import parse_log_bytes, parse_log_stream
 from .pool import logger, map_ordered
 
 #: Default target chunk size for splitting log files, in bytes.
@@ -188,9 +188,11 @@ def consume_chunk(characterizer: StreamingCharacterizer,
                   chunk: LogChunk) -> int:
     """Fold one chunk into ``characterizer``; returns entries consumed.
 
-    Text chunks read their byte range and feed
+    Text chunks read their byte range and parse it as bytes
+    (:func:`~repro.trace.wms_log.parse_log_bytes`, the batches
     :meth:`~repro.trace.streaming.StreamingCharacterizer.consume_lines`
-    (undecodable bytes become skipped lines, as in the serial reader);
+    would parse; undecodable bytes become skipped lines, as in the
+    serial reader);
     binary chunks materialize each covered segment's columns from the
     memory map and feed the vectorized
     :meth:`~repro.trace.streaming.StreamingCharacterizer.consume_columns`
@@ -215,9 +217,8 @@ def consume_chunk(characterizer: StreamingCharacterizer,
     with open(chunk.path, "rb") as stream:
         stream.seek(chunk.byte_lo)
         blob = stream.read(chunk.n_bytes)
-    return characterizer.consume_lines(
-        blob.decode("ascii", errors="replace").splitlines(),
-        list(chunk.fields))
+    return sum(characterizer.consume_parsed(batch)
+               for batch in parse_log_bytes(blob, list(chunk.fields)))
 
 
 def characterize_chunk(chunk: LogChunk, *, diurnal_bins: int = 96,

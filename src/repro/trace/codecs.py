@@ -55,7 +55,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .._typing import FloatArray, IntArray
-from ..arrayops import unique_integers
+from ..arrayops import sorted_slots, unique_integers
 from ..errors import CheckpointError, LogParseError, TraceError
 from ..state import Column, Scalar, Schema
 from .store import ClientTable, Trace
@@ -66,6 +66,7 @@ from .wms_log import (
     StreamingWmsLogWriter,
     _format_entry,
     _table_identity,
+    quantize_entry_columns,
     read_wms_log,
     write_wms_log,
 )
@@ -95,68 +96,10 @@ _NARROW_DTYPES: tuple[tuple[str, int], ...] = (
 
 _DTYPE_SIZES: dict[str, int] = {"u1": 1, "u2": 2, "u4": 4, "u8": 8}
 
-#: Largest slot lookup table, as a multiple of the declared client count;
-#: sparser declared indices are looked up by binary search instead.
-_SLOT_TABLE_FACTOR = 4
-
 
 # ----------------------------------------------------------------------
-# Quantization: the text format's resolution, exactly
+# Decoding quantized entries
 # ----------------------------------------------------------------------
-def quantize_decimal(values: FloatArray, decimals: int) -> IntArray:
-    """Round ``values`` to ``decimals`` places, returning scaled integers.
-
-    Matches ``float(f"{v:.{decimals}f}") * 10**decimals`` element-wise —
-    i.e. the integer whose decimal string the text formatter would emit.
-    Printf-style formatting rounds the *exact* binary value of the double
-    half-to-even; ``np.rint(values * 10**decimals)`` does the same except
-    when the scaling multiplication's rounding error pushes the product
-    across a rounding boundary, which can only happen within a hair of a
-    half-integer.  Those rare suspects are recomputed exactly through the
-    formatter itself, so the vectorized fast path never changes a value.
-    """
-    scale = float(10 ** decimals)
-    scaled = np.asarray(values, dtype=np.float64) * scale
-    quantized = np.rint(scaled).astype(np.int64)
-    fractional = scaled - np.floor(scaled)
-    suspects = np.flatnonzero(np.abs(fractional - 0.5) < 1e-6)
-    if suspects.size:
-        exact = [int(f"{v:.{decimals}f}".replace(".", ""))
-                 for v in np.asarray(values, dtype=np.float64)[suspects].tolist()]
-        quantized[suspects] = np.asarray(exact, dtype=np.int64)
-    return quantized
-
-
-def quantize_entry_columns(emit: Mapping[str, Any]) -> dict[str, IntArray]:
-    """Quantize one flushed writer batch to the integer entry columns.
-
-    ``emit`` holds the reorder buffer's float/int columns (``end``,
-    ``client_index``, ``object_id``, ``duration``, ``bandwidth_bps``,
-    ``packet_loss``, ``server_cpu``, ``status``).  Every rounding rule
-    mirrors the text writer: timestamps truncate (``int(end)``),
-    durations round half-even (``round()``), bandwidth rounds half-even
-    (``f"{bw:.0f}"``), loss/CPU quantize to four decimals
-    (``f"{v:.4f}"``).
-    """
-    end = np.asarray(emit["end"], dtype=np.float64)
-    return {
-        # C-cast truncation toward zero == Python int(end) for floats.
-        "timestamp": end.astype(np.int64),
-        "client_index": np.asarray(emit["client_index"], dtype=np.int64),
-        "object_id": np.asarray(emit["object_id"], dtype=np.int64),
-        "duration": np.rint(
-            np.asarray(emit["duration"], dtype=np.float64)).astype(np.int64),
-        "bandwidth_bps": np.rint(
-            np.asarray(emit["bandwidth_bps"],
-                       dtype=np.float64)).astype(np.int64),
-        "packet_loss_q": quantize_decimal(
-            np.asarray(emit["packet_loss"], dtype=np.float64), 4),
-        "server_cpu_q": quantize_decimal(
-            np.asarray(emit["server_cpu"], dtype=np.float64), 4),
-        "status": np.asarray(emit["status"], dtype=np.int64),
-    }
-
-
 def decode_entry_columns(quantized: Mapping[str, IntArray]
                          ) -> dict[str, FloatArray | IntArray]:
     """Decode integer entry columns to trace-domain column arrays.
@@ -564,9 +507,8 @@ def declared_client_slots(declared: IntArray, client: IntArray, *,
     sorted and distinct; ``client`` an entry ``client_index`` column.
     Every index is checked before any lookup: a negative, dangling or
     otherwise undeclared index raises instead of wrapping around.  The
-    lookup is a table over the declared span when that span is at most
-    ``_SLOT_TABLE_FACTOR`` times the declared count, and a binary search
-    otherwise, so no allocation is sized by an index value.
+    lookup is :func:`~repro.arrayops.sorted_slots`, so no allocation is
+    sized by an index value.
 
     Raises
     ------
@@ -575,20 +517,7 @@ def declared_client_slots(declared: IntArray, client: IntArray, *,
         block declares.
     """
     client = np.asarray(client, dtype=np.int64)
-    if not declared.size:
-        slots = np.zeros(client.size, dtype=np.intp)
-        valid = np.zeros(client.size, dtype=bool)
-    else:
-        low, high = int(declared[0]), int(declared[-1])
-        valid = (client >= low) & (client <= high)
-        if high - low < _SLOT_TABLE_FACTOR * declared.size:
-            table = np.full(high - low + 1, -1, dtype=np.intp)
-            table[declared - low] = np.arange(declared.size)
-            slots = table[np.where(valid, client - low, 0)]
-            valid &= slots >= 0
-        else:
-            slots = np.searchsorted(declared, client)
-            valid &= declared[np.minimum(slots, declared.size - 1)] == client
+    slots, valid = sorted_slots(declared, client)
     if not np.all(valid):
         index = int(client[np.argmin(valid)])
         raise TraceError(f"{source}: entry references client {index} "

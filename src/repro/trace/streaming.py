@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence, TextIO
 
@@ -464,8 +465,16 @@ class StreamingCharacterizer(Stateful):
     def summary(self, *, top_k: int = 10) -> StreamingSummary:
         """Snapshot the running statistics (cheap; call any time)."""
         self._fold_indexed_clients()
-        top = sorted(self._client_counts.items(),
-                     key=lambda item: (-item[1], item[0]))[:top_k]
+        items: Iterable[tuple[str, int]] = self._client_counts.items()
+        n_clients = len(self._client_counts)
+        if 0 < top_k < n_clients:
+            # Only clients counted at least the top_k-th largest count
+            # can rank in the top; sorting just those gives the same list.
+            counts = np.fromiter(self._client_counts.values(),
+                                 dtype=np.int64, count=n_clients)
+            kth = np.partition(counts, n_clients - top_k)[n_clients - top_k]
+            items = compress(items, (counts >= kth).tolist())
+        top = sorted(items, key=lambda item: (-item[1], item[0]))[:top_k]
         congested_fraction = (self._congested / self._n_entries
                               if self._n_entries else 0.0)
         length_log_mu, length_log_sigma = self._log_length.moments()

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from itertools import islice
+from itertools import filterfalse, islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -31,11 +31,10 @@ import numpy as np
 import numpy.typing as npt
 
 from .._typing import FloatArray, IntArray
-from ..errors import LogParseError
+from ..arrayops import sorted_slots
+from ..errors import LogParseError, TraceError
 from ..state import Scalar, Schema, Stateful, Table
-from .builder import TraceBuilder
-from .records import ClientRecord
-from .store import Trace
+from .store import ClientTable, Trace
 
 #: An ndarray of any dtype (the reorder buffer mixes floats and ints).
 _AnyArray = np.ndarray[Any, np.dtype[Any]]
@@ -77,6 +76,169 @@ def _format_entry(timestamp: int, ip: str, player_id: str, os_name: str,
         str(status),
         "-",
     ))
+
+
+# ----------------------------------------------------------------------
+# Quantization: the text format's resolution, exactly
+# ----------------------------------------------------------------------
+def quantize_decimal(values: FloatArray, decimals: int) -> IntArray:
+    """Round ``values`` to ``decimals`` places, returning scaled integers.
+
+    Matches ``float(f"{v:.{decimals}f}") * 10**decimals`` element-wise —
+    i.e. the integer whose decimal string the text formatter would emit.
+    Printf-style formatting rounds the *exact* binary value of the double
+    half-to-even; ``np.rint(values * 10**decimals)`` does the same except
+    when the scaling multiplication's rounding error pushes the product
+    across a rounding boundary, which can only happen within a hair of a
+    half-integer.  Those rare suspects are recomputed exactly through the
+    formatter itself, so the vectorized fast path never changes a value.
+    """
+    scale = float(10 ** decimals)
+    scaled = np.asarray(values, dtype=np.float64) * scale
+    quantized = np.rint(scaled).astype(np.int64)
+    fractional = scaled - np.floor(scaled)
+    suspects = np.flatnonzero(np.abs(fractional - 0.5) < 1e-6)
+    if suspects.size:
+        exact = [int(f"{v:.{decimals}f}".replace(".", ""))
+                 for v in np.asarray(values, dtype=np.float64)[suspects].tolist()]
+        quantized[suspects] = np.asarray(exact, dtype=np.int64)
+    return quantized
+
+
+def quantize_entry_columns(emit: Mapping[str, Any]) -> dict[str, IntArray]:
+    """Quantize one flushed writer batch to the integer entry columns.
+
+    ``emit`` holds the reorder buffer's float/int columns (``end``,
+    ``client_index``, ``object_id``, ``duration``, ``bandwidth_bps``,
+    ``packet_loss``, ``server_cpu``, ``status``).  Every rounding rule
+    mirrors the text writer: timestamps truncate (``int(end)``),
+    durations round half-even (``round()``), bandwidth rounds half-even
+    (``f"{bw:.0f}"``), loss/CPU quantize to four decimals
+    (``f"{v:.4f}"``).
+    """
+    end = np.asarray(emit["end"], dtype=np.float64)
+    return {
+        # C-cast truncation toward zero == Python int(end) for floats.
+        "timestamp": end.astype(np.int64),
+        "client_index": np.asarray(emit["client_index"], dtype=np.int64),
+        "object_id": np.asarray(emit["object_id"], dtype=np.int64),
+        "duration": np.rint(
+            np.asarray(emit["duration"], dtype=np.float64)).astype(np.int64),
+        "bandwidth_bps": np.rint(
+            np.asarray(emit["bandwidth_bps"],
+                       dtype=np.float64)).astype(np.int64),
+        "packet_loss_q": quantize_decimal(
+            np.asarray(emit["packet_loss"], dtype=np.float64), 4),
+        "server_cpu_q": quantize_decimal(
+            np.asarray(emit["server_cpu"], dtype=np.float64), 4),
+        "status": np.asarray(emit["status"], dtype=np.int64),
+    }
+
+
+# ----------------------------------------------------------------------
+# Rendering a batch of entries as bytes
+# ----------------------------------------------------------------------
+#: ``10**k`` for ``k = 0..18``.
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+#: Rows rendered per byte matrix by the text writer, which bounds its
+#: scratch memory on one-shot writes of whole traces.
+_RENDER_ROWS = 8192
+
+#: Bounds of the values the vectorized writer renders.  Integers (and
+#: ``int(end)``, ``round(duration)``) below 2**53 are exact doubles; loss
+#: and CPU below 10**4 scale to four decimals with half an ulp to spare
+#: (see :func:`quantize_decimal`).  Any other row — negative, signed
+#: zero, NaN, infinite or larger — goes through :func:`_format_entry`.
+_EXACT_LIMIT = 2.0 ** 53
+_DECIMAL_LIMIT = 1e4
+
+#: Byte that pads the rendered fields of the text writer's byte matrix;
+#: never part of a log line, which is ASCII.
+_PAD = 0xFF
+
+
+def _digit_words(strip: bool, keep_zero: bool) -> npt.NDArray[np.uint32]:
+    """The four ASCII digits of each integer in ``[0, 10**4)`` as one
+    word; ``strip`` pads the leading ``0`` digits (all four of 0 unless
+    ``keep_zero``)."""
+    digits = np.stack([(np.arange(10_000) // 10 ** k) % 10 + ord("0")
+                       for k in (3, 2, 1, 0)], axis=1).astype(np.uint8)
+    if strip:
+        lead = np.logical_or.accumulate(digits != ord("0"), axis=1)
+        lead[:, -1] |= keep_zero
+        digits[~lead] = _PAD
+    return digits.view(np.uint32).ravel()
+
+
+#: Four-digit words: full (``0042``), stripped (``__42``, with ``____``
+#: for 0), and stripped for a number's last group (``___0`` for 0).
+_FULL, _STRIPPED, _STRIPPED_LAST = (_digit_words(False, False),
+                                    _digit_words(True, False),
+                                    _digit_words(True, True))
+
+
+def _renderable(emit: Mapping[str, _AnyArray]) -> npt.NDArray[np.bool_]:
+    """Rows of a writer batch whose line :func:`_render_block` writes
+    exactly as :func:`_format_entry` would."""
+    ok = np.ones(emit["end"].size, dtype=bool)
+    for name in ("end", "duration", "bandwidth_bps", "object_id", "status"):
+        ok &= (emit[name] >= 0) & (emit[name] < _EXACT_LIMIT)
+    for name in ("bandwidth_bps", "packet_loss", "server_cpu"):
+        ok &= ~np.signbit(emit[name])  # "-0" survives rounding
+    for name in ("packet_loss", "server_cpu"):
+        ok &= emit[name] < _DECIMAL_LIMIT
+    return ok
+
+
+def _digit_block(values: IntArray) -> npt.NDArray[np.uint8]:
+    """The decimal digits of non-negative ``values`` below ``10**16``,
+    right-aligned in rows of a byte block and padded with :data:`_PAD`.
+
+    Each group of four digits is one word lookup; a group is written in
+    full when a higher group is nonzero, stripped of its leading zeros
+    otherwise.
+    """
+    words = []
+    rest, low = np.divmod(values, 10_000)
+    words.append(np.where(rest > 0, _FULL[low], _STRIPPED_LAST[low]))
+    while np.any(rest):
+        rest, low = np.divmod(rest, 10_000)
+        words.append(np.where(rest > 0, _FULL[low], _STRIPPED[low]))
+    return np.stack(words[::-1], axis=1).view(np.uint8)
+
+
+def _render_block(quantized: Mapping[str, IntArray],
+                  identity: npt.NDArray[np.uint8]) -> bytes:
+    """The text lines of quantized, renderable rows, as one byte string.
+
+    ``identity`` holds each row's ``" ip player os /live/feed"`` bytes,
+    padded with :data:`_PAD`.  Every field becomes a block of byte
+    columns, padded where a row's value is shorter than the block; the
+    blocks side by side hold each line in order, so the unpadded bytes
+    in row order are the log text.
+    """
+    n = identity.shape[0]
+
+    def literal(text: bytes) -> npt.NDArray[np.uint8]:
+        return np.broadcast_to(np.frombuffer(text, dtype=np.uint8),
+                               (n, len(text)))
+
+    def fixed(name: str) -> list[npt.NDArray[np.uint8]]:
+        whole, part = np.divmod(quantized[name], 10_000)
+        return [_digit_block(whole), literal(b"."),
+                _FULL[part].view(np.uint8).reshape(n, 4)]
+
+    space = literal(b" ")
+    matrix = np.concatenate([
+        _digit_block(quantized["timestamp"]), identity,
+        _digit_block(quantized["object_id"]), space,
+        _digit_block(quantized["duration"]), space,
+        _digit_block(quantized["bandwidth_bps"]), space,
+        *fixed("packet_loss_q"), space, *fixed("server_cpu_q"), space,
+        _digit_block(quantized["status"]), literal(b" -\n"),
+    ], axis=1)
+    return matrix[matrix != _PAD].tobytes()
 
 
 #: Type of the client-identity provider used by the streaming writers:
@@ -246,25 +408,116 @@ class StreamingWmsLogWriter(StreamingTraceWriter):
                  write_header: bool = True) -> None:
         super().__init__(identity)
         self._stream = stream
+        # Derived from ``identity``, so not checkpointed: the sorted client
+        # indices resolved so far, each one's row in the segment table,
+        # and the table (grown by doubling; the first rows are in use).
+        self._clients: IntArray = np.empty(0, dtype=np.int64)
+        self._client_rows: IntArray = np.empty(0, dtype=np.int64)
+        self._segments = np.full((0, 0), _PAD, dtype=np.uint8)
         if write_header:
             stream.write(f"#Software: {software}\n")
             stream.write("#Version: 1.0\n")
             stream.write(f"#Fields: {' '.join(LOG_FIELDS)}\n")
 
     def _emit_entries(self, emit: Mapping[str, _AnyArray]) -> None:
-        identity = self._identity
-        lines = []
-        rows = zip(*(emit[name].tolist() for name, _ in _WRITER_COLUMNS),
-                   strict=True)
-        for end, _, client, obj, dur, bw, loss, cpu, stat in rows:
-            ip, player_id, os_name = identity(client)
-            lines.append(_format_entry(
-                timestamp=int(end), ip=ip, player_id=player_id,
-                os_name=os_name, object_id=obj,
-                duration=int(round(dur)), bandwidth=bw, loss=loss,
-                cpu=cpu, status=stat))
-        lines.append("")
-        self._stream.write("\n".join(lines))
+        rows = self._identity_rows(emit["client_index"])
+        n = rows.size
+        parts: list[bytes] = []
+        lo = 0
+        for k in [*np.flatnonzero(~_renderable(emit)).tolist(), n]:
+            for a in range(lo, k, _RENDER_ROWS):
+                b = min(a + _RENDER_ROWS, k)
+                parts.append(_render_block(
+                    quantize_entry_columns(
+                        {name: column[a:b] for name, column in emit.items()}),
+                    self._segments[rows[a:b]]))
+            if k < n:
+                ip, player_id, os_name = self._identity(
+                    int(emit["client_index"][k]))
+                parts.append(_format_entry(
+                    timestamp=int(emit["end"][k]), ip=ip,
+                    player_id=player_id, os_name=os_name,
+                    object_id=int(emit["object_id"][k]),
+                    duration=int(round(float(emit["duration"][k]))),
+                    bandwidth=float(emit["bandwidth_bps"][k]),
+                    loss=float(emit["packet_loss"][k]),
+                    cpu=float(emit["server_cpu"][k]),
+                    status=int(emit["status"][k])).encode("ascii") + b"\n")
+            lo = k + 1
+        self._stream.write(b"".join(parts).decode("ascii"))
+
+    def _identity_rows(self, client: IntArray) -> IntArray:
+        """Each entry's row in the identity segment table.
+
+        Clients new to this writer are resolved once each, and the batch
+        is refused before any of it is written if one of them has a
+        field the log cannot hold (see :func:`_identity_segments`).
+        """
+        slots, known = sorted_slots(self._clients, client)
+        if not np.all(known):
+            fresh = np.unique(client[~known])
+            table = _identity_segments(
+                fresh, [self._identity(index) for index in fresh.tolist()])
+            n_old = self._clients.size
+            n_new = n_old + fresh.size
+            old = self._segments
+            if n_new > old.shape[0] or table.shape[1] > old.shape[1]:
+                self._segments = np.full(
+                    (max(n_new, 2 * old.shape[0]),
+                     max(table.shape[1], old.shape[1])), _PAD, dtype=np.uint8)
+                self._segments[:n_old, :old.shape[1]] = old[:n_old]
+            self._segments[n_old:n_new, :table.shape[1]] = table
+            place = np.searchsorted(self._clients, fresh)
+            self._clients = np.insert(self._clients, place, fresh)
+            self._client_rows = np.insert(self._client_rows, place,
+                                          np.arange(n_old, n_new))
+            slots, _ = sorted_slots(self._clients, client)
+        return self._client_rows[slots]
+
+
+#: ASCII bytes that ``str.split()`` treats as whitespace, space aside.
+_OTHER_SPACE = np.zeros(256, dtype=bool)
+_OTHER_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31]] = True
+
+
+def _identity_segments(index: IntArray,
+                       identities: Sequence[tuple[str, str, str]]
+                       ) -> npt.NDArray[np.uint8]:
+    """The bytes ``" ip player os /live/feed"`` of each client's lines,
+    one row per client, padded with :data:`_PAD`.
+
+    Raises :class:`TraceError` naming the client index of the first
+    client (by index) with a field that is empty, non-ASCII or holds
+    whitespace: its lines would not split back into their columns.  An
+    empty OS is written ``-``.
+    """
+    texts = [f" {ip} {player} {os_name or '-'} {_URI_PREFIX}"
+             for ip, player, os_name in identities]
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    joined = "".join(texts)
+    # Four single spaces and no other whitespace: every field non-empty.
+    valid = joined.isascii()
+    if valid:
+        data = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
+        owner = np.repeat(np.arange(lengths.size), lengths)
+        space = data == ord(" ")
+        bad = _OTHER_SPACE[data]
+        bad[:-1] |= space[:-1] & space[1:]
+        valid = bool(np.all(np.bincount(owner[space], minlength=lengths.size)
+                            == 4)) and not np.any(bad)
+    if not valid:
+        for k, (ip, player, os_name) in zip(index.tolist(), identities,
+                                            strict=True):
+            for name, value in (("IP", ip), ("player ID", player),
+                                ("OS", os_name or "-")):
+                if not value.isascii() or value.split() != [value]:
+                    raise TraceError(
+                        f"client {k}: {name} {value!r} cannot be written "
+                        "to a WMS log (empty, non-ASCII or whitespace)")
+    offsets = np.cumsum(lengths) - lengths
+    table = np.full((lengths.size, int(lengths.max())), _PAD, dtype=np.uint8)
+    table[owner, np.arange(data.size) - np.repeat(offsets, lengths)] = data
+    return table
 
 
 def write_wms_log(trace: Trace, path: str | Path | TextIO, *,
@@ -313,7 +566,7 @@ def parse_fields_header(line: str, line_number: int) -> list[str]:
 #: Lines per batch of :func:`parse_log_stream`, which bounds the memory of
 #: every text reader.  Smaller batches keep the split rows in cache; larger
 #: ones repeat the per-batch numpy overhead less often.
-PARSE_BATCH_LINES = 1024
+PARSE_BATCH_LINES = 4096
 
 
 #: The typed columns of an entry, in the order the entry rule checks
@@ -360,12 +613,262 @@ def parse_log_lines(lines: Sequence[str], fields: Sequence[str], *,
     floats are finite and ``x-duration`` is in ``[0, 2**63)`` seconds.
     Other lines get a :class:`LogParseError` (labelled by
     ``line_numbers``) naming the first check they fail, in that order.
-    Fields convert column by column, value by value only in a column
-    with a bad value.  A layout lacking any of :data:`LOG_FIELDS` raises.
+    A layout lacking any of :data:`LOG_FIELDS` raises.
+
+    The lines are parsed as one byte buffer (see :func:`_parse_block`);
+    only the lines its fast path refuses meet the rule value by value.
     """
+    _check_layout(fields)
+    data = "\n".join(lines).encode("utf-8", errors="surrogatepass")
+    if len(lines) == 0 or data.count(b"\n") != len(lines) - 1:
+        # A line holding a line break of its own: no byte view of it.
+        return _parse_scalar(lines, fields, line_numbers)[0]
+    return _parse_block(np.frombuffer(data, dtype=np.uint8), len(lines),
+                        fields, line_numbers, lambda k: lines[k])
+
+
+def parse_log_bytes(data: bytes, fields: Sequence[str]
+                    ) -> Iterator[ParsedLog]:
+    """Parse a line-aligned byte range of a log under ``fields``.
+
+    Yields what :func:`parse_log_stream` yields for
+    ``data.decode("ascii", errors="replace").splitlines()`` and
+    ``fields``, without making a string of each line: batches of data
+    lines go to :func:`_parse_block` straight from ``data``.  Data with a
+    control byte from 11 to 30 (every line break of ``splitlines`` but
+    ``\\n`` is one), or a line that is blank or starts with whitespace,
+    takes the string route.
+    """
+    if not data:
+        return
+    buffer = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buffer == ord("\n"))
+    if buffer[-1] != ord("\n"):
+        ends = np.append(ends, buffer.size)
+    starts = np.concatenate(([0], ends[:-1] + 1)).astype(np.int64)
+    first = buffer[np.minimum(starts, buffer.size - 1)]
+    if (np.any(buffer - np.uint8(11) < 20)
+            or np.any((ends == starts) | _LEADING_SPACE[first])):
+        yield from parse_log_stream(
+            data.decode("ascii", errors="replace").splitlines(), fields)
+        return
+    lo = 0
+    for k in [*np.flatnonzero(first == ord("#")).tolist(), starts.size]:
+        for a in range(lo, k, PARSE_BATCH_LINES):
+            b = min(a + PARSE_BATCH_LINES, k)
+            yield _parse_block(
+                buffer[starts[a]:ends[b - 1]], b - a, fields,
+                range(a + 1, b + 1),
+                lambda j, a=a: data[starts[a + j]:ends[a + j]].decode(
+                    "ascii", errors="replace").strip())
+        if k < starts.size:
+            line = data[starts[k]:ends[k]].decode("ascii", errors="replace")
+            if line.startswith("#Fields:"):
+                fields = parse_fields_header(line.strip(), k + 1)
+                yield _parse_scalar([], fields, None)[0]
+        lo = k + 1
+
+
+def _check_layout(fields: Sequence[str]) -> None:
     missing = [f for f in LOG_FIELDS if f not in fields]
     if missing:
         raise LogParseError(f"layout is missing required fields: {missing}")
+
+
+#: Bytes ``str.strip`` removes that do not break lines.
+_LEADING_SPACE = np.zeros(256, dtype=bool)
+_LEADING_SPACE[[9, 31, ord(" ")]] = True
+
+#: Digits the fast path reads into an integer field (the value stays
+#: below 10**18) and a float field (below 10**15 < 2**53, so the mantissa
+#: is an exact double and ``mantissa / 10**k`` is correctly rounded, as
+#: ``float()`` of the text is).
+_INT_DIGITS = 18
+_FLOAT_DIGITS = 15
+
+#: Fields are read as little-endian 8-byte words (the first byte is the
+#: lowest); a field's bytes are right-aligned in its words for numbers,
+#: left-aligned for strings.  ``_SLACK`` filler bytes before the block
+#: keep every number's words inside the buffer.
+_SLACK = 24
+_ONES = np.uint64(0x0101010101010101)
+_LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)
+_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
+_ZEROS = np.uint64(0x3030303030303030)
+_POINTS = np.uint64(0x2E2E2E2E2E2E2E2E)
+#: ``_HIGH[c]``/``_LOW[c]``: the mask of the high/low ``c`` bytes.
+_HIGH = np.array([(1 << 64) - (1 << (64 - 8 * c)) for c in range(9)],
+                 dtype=np.uint64)
+_LOW = np.array([(1 << 8 * c) - 1 for c in range(9)], dtype=np.uint64)
+_URI_WORDS = (int.from_bytes(b"/live/fe", "little"),
+              int.from_bytes(b"ed", "little"))
+
+
+def _marked_bytes(word: npt.NDArray[np.uint64]) -> npt.NDArray[np.uint64]:
+    """``0x80`` in each zero byte of ``word``, ``0`` in every other."""
+    return ~(((word & _LOW7) + _LOW7) | word | _LOW7)
+
+
+def _eight_digits(word: npt.NDArray[np.uint64]) -> npt.NDArray[np.uint64]:
+    """The value of eight ASCII digits held in a word."""
+    word = ((word & np.uint64(0x0F0F0F0F0F0F0F0F))
+            * np.uint64(2561)) >> np.uint64(8)
+    word = ((word & np.uint64(0x00FF00FF00FF00FF))
+            * np.uint64(6553601)) >> np.uint64(16)
+    return ((word & np.uint64(0x0000FFFF0000FFFF))
+            * np.uint64(42949672960001)) >> np.uint64(32)
+
+
+def _parse_block(block: npt.NDArray[np.uint8], n: int,
+                 fields: Sequence[str], line_numbers: Sequence[int] | None,
+                 text: Callable[[int], str]) -> ParsedLog:
+    """Parse ``n`` data lines held in ``block``, one ``\\n`` apart.
+
+    The fast path reads every column of the lines whose bytes it can
+    vouch for with array arithmetic: a line passes when it is printable
+    ASCII with exactly ``len(fields) - 1`` single spaces, its integer
+    fields are 1 to 18 plain digits (the URI stem ``/live/feed`` and such
+    digits) and its float fields 1 to 15 digits with at most one ``.``.
+    Such a line is an entry, and its values are the ones ``int``/
+    ``float`` give.  Every other line (``text(k)`` is line ``k`` as the
+    rule sees it) goes to the scalar rule, and the two results merge in
+    line order.
+    """
+    at = {name: k for k, name in enumerate(fields)}
+    width = len(fields)
+    breaks = np.flatnonzero(block == ord("\n"))
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.append(breaks, block.size)
+    spaces = np.flatnonzero(block == ord(" "))
+    counts = np.diff(np.searchsorted(spaces, ends), prepend=0)
+    passed = counts == width - 1
+    refused = ((block < ord(" ")) & (block != ord("\n"))) | (block > ord("~"))
+    if np.any(refused):
+        passed[np.searchsorted(ends, np.flatnonzero(refused))] = False
+    grid = spaces[np.repeat(passed, counts)].reshape(-1, width - 1)
+    rows = np.flatnonzero(passed)
+    lo = np.concatenate((starts[rows, None], grid + 1), axis=1) + _SLACK
+    hi = np.concatenate((grid, ends[rows, None]), axis=1) + _SLACK
+    good = np.all(hi > lo, axis=1)
+
+    padded = np.concatenate((np.full(_SLACK, ord("0"), dtype=np.uint8),
+                             block, np.zeros(8, dtype=np.uint8)))
+    words = np.ndarray((padded.size - 7,), dtype="<u8", buffer=padded,
+                       strides=(1,))
+    columns: dict[str, _AnyArray] = {}
+    for field, name, dtype in _TYPED_FIELDS:
+        first, last = lo[:, at[field]], hi[:, at[field]]
+        if field == "cs-uri-stem":
+            good &= ((words[first] == _URI_WORDS[0])
+                     & (words[first + 8] & _LOW[2] == _URI_WORDS[1]))
+            first = first + len(_URI_PREFIX)
+        floats = dtype is np.float64
+        value, ok = _read_number(words, first, last,
+                                 _FLOAT_DIGITS if floats else _INT_DIGITS,
+                                 point=floats)
+        good &= ok
+        columns[name] = value
+
+    accepted = rows[good]
+    if accepted.size < rows.size:
+        lo, hi = lo[good], hi[good]
+        columns = {name: values[good] for name, values in columns.items()}
+    ips, players, os_names = _read_strings(
+        words, [(lo[:, at[field]], hi[:, at[field]])
+                for field in ("c-ip", "c-playerid", "c-os")])
+    if accepted.size == n:
+        return ParsedLog(fields=fields, columns=columns, ips=ips,
+                         players=players, os_names=os_names, errors=[])
+    refused_lines = np.ones(n, dtype=bool)
+    refused_lines[accepted] = False
+    others = np.flatnonzero(refused_lines).tolist()
+    scalar, alive = _parse_scalar(
+        [text(k) for k in others], fields,
+        None if line_numbers is None
+        else [line_numbers[k] for k in others])
+    order = np.argsort(np.concatenate(
+        (accepted, np.asarray(others, dtype=np.int64)[alive])), kind="stable")
+    columns = {name: np.concatenate((values, scalar.columns[name]))[order]
+               for name, values in columns.items()}
+    ips, players, os_names = (
+        np.asarray([*fast, *extra], dtype=object)[order].tolist()
+        for fast, extra in ((ips, scalar.ips), (players, scalar.players),
+                            (os_names, scalar.os_names)))
+    return ParsedLog(fields=fields, columns=columns, ips=ips,
+                     players=players, os_names=os_names,
+                     errors=scalar.errors)
+
+
+def _read_number(words: npt.NDArray[np.uint64], first: IntArray,
+                 last: IntArray, digits: int, *, point: bool
+                 ) -> tuple[_AnyArray, npt.NDArray[np.bool_]]:
+    """Values of the fields ``[first, last)`` of 1 to ``digits`` plain
+    digits (plus at most one ``.`` when ``point``), and the mask of the
+    fields that are so; an int64 column, or float64 for ``point``.
+
+    Each word holds eight of a field's bytes, right-aligned, with ``0``
+    digits before the field; a point reads as one more ``0`` digit until
+    the mantissa drops it.
+    """
+    length = last - first
+    whole = np.zeros(first.size, dtype=np.uint64)
+    ok = (length >= 1) & (length <= digits + point)
+    n_points = np.zeros(first.size, dtype=np.int64)
+    scale = np.zeros(first.size, dtype=np.int64)
+    for i in range(-(-(digits + point) // 8)):
+        keep = _HIGH[np.clip(length - 8 * i, 0, 8)]
+        word = (words[last - 8 * (i + 1)] & keep) | (_ZEROS & ~keep)
+        if point:
+            dots = _marked_bytes(word ^ _POINTS)
+            word ^= (dots >> np.uint64(7)) * np.uint64(0x1E)  # "." -> "0"
+            n_points += np.bitwise_count(dots)
+            # The bytes after the point: those of the higher bytes.
+            above = ~((dots << np.uint64(1)) - np.uint64(1)) & ~_LOW7
+            scale += np.where(dots != 0, 8 * i + np.bitwise_count(above), 0)
+        ok &= (((word & _NIBBLES) == _ZEROS)
+               & (((word + 6 * _ONES) & _NIBBLES) == _ZEROS))
+        whole += _eight_digits(word) * np.uint64(10 ** (8 * i))
+    value = whole.astype(np.int64)
+    if not point:
+        return value, ok
+    ok &= (n_points <= 1) & (length - n_points >= 1) & (
+        length - n_points <= digits)
+    power = _POW10[np.minimum(scale, digits)]
+    mantissa = np.where(n_points > 0,
+                        value // (10 * power) * power + value % power, value)
+    return mantissa.astype(np.float64) / power, ok
+
+
+def _read_strings(words: npt.NDArray[np.uint64],
+                  spans: Sequence[tuple[IntArray, IntArray]]
+                  ) -> list[list[str]]:
+    """The fields ``[first, last)`` of each span, as lists of strings.
+
+    Each field's bytes are read left-aligned into words zero-filled past
+    its end; the fields of a line, a space after each, decode and split
+    as one string.
+    """
+    parts = []
+    for first, last in spans:
+        length = last - first
+        for i in range(-(-int(length.max(initial=0)) // 8)):
+            parts.append(words[first + 8 * i]
+                         & _LOW[np.clip(length - 8 * i, 0, 8)])
+        parts.append(np.full(first.size, ord(" "), dtype=np.uint64))
+    matrix = np.stack(parts, axis=1).view(np.uint8)
+    tokens = matrix[matrix != 0].tobytes().decode("ascii").split()
+    return [tokens[k::len(spans)] for k in range(len(spans))]
+
+
+def _parse_scalar(lines: Sequence[str], fields: Sequence[str],
+                  line_numbers: Sequence[int] | None
+                  ) -> tuple[ParsedLog, npt.NDArray[np.bool_]]:
+    """The entry rule of :func:`parse_log_lines`, value by value.
+
+    Fields convert column by column, value by value only in a column
+    with a bad value.  Returns the parsed batch and the mask of the
+    lines that are entries.
+    """
     # The last of duplicated field names wins, as in a row dict.
     at = {name: k for k, name in enumerate(fields)}
     width = len(fields)
@@ -437,7 +940,7 @@ def parse_log_lines(lines: Sequence[str], fields: Sequence[str], *,
         os_names=os_names, errors=[LogParseError(
             message, line=lines[k],
             line_number=None if line_numbers is None else line_numbers[k])
-            for k, message in failures])
+            for k, message in failures]), alive
 
 
 def parse_log_stream(lines: Iterable[str],
@@ -490,7 +993,8 @@ def read_wms_log(path: str | Path | TextIO, *,
     resolver:
         Optional ``ip -> (as_number, country)`` mapping standing in for the
         external IP-to-AS traceback the paper performed; unresolved clients
-        get AS 0 and an empty country.
+        get AS 0 and an empty country.  It is called once per distinct
+        client, with the IP of the client's first entry.
     extent:
         Observation-window length override.  When omitted, the latest entry
         timestamp is used.
@@ -504,11 +1008,16 @@ def read_wms_log(path: str | Path | TextIO, *,
         With ``on_error="skip"``, an optional list that collects the
         :class:`LogParseError` for every skipped line.
 
+    Clients are interned by player ID in order of first appearance, and
+    the trace is built from the parsed columns, not entry by entry.
+
     Raises
     ------
     LogParseError
         On malformed lines (``on_error="raise"``) or a missing/incomplete
         ``#Fields`` header.
+    TraceError
+        When a player ID reappears with another IP or OS.
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
@@ -516,25 +1025,68 @@ def read_wms_log(path: str | Path | TextIO, *,
         with open(path, "r", encoding="ascii", errors="replace") as stream:
             return read_wms_log(stream, resolver=resolver, extent=extent,
                                 on_error=on_error, error_sink=error_sink)
-    builder = TraceBuilder()
+    index: dict[str, int] = {}  # player ID -> client index
+    seen: dict[tuple[str, str, str], None] = {}  # (player, ip, os)
+    identities: list[list[Any]] = [[], [], [], [], []]  # ClientTable columns
+    parts: list[dict[str, _AnyArray]] = []
     for batch in parse_log_stream(path):
         if batch.errors and on_error == "raise":
             raise batch.errors[0]
         if error_sink is not None:
             error_sink.extend(batch.errors)
-        rows = zip(batch.ips, batch.players, batch.os_names,
-                   *(batch.columns[name].tolist() for name in (
-                       "object_id", "timestamp", "duration", "bandwidth_bps",
-                       "packet_loss", "server_cpu", "status")), strict=True)
-        for ip, player, os_name, feed, ts, dur, bw, loss, cpu, status in rows:
-            as_number, country = (resolver(ip) if resolver is not None
-                                  else (0, ""))
-            builder.add_transfer(
-                builder.add_client(ClientRecord(
-                    player, ip, as_number, country, os_name)),
-                feed, ts - dur, dur, bandwidth_bps=bw, packet_loss=loss,
-                server_cpu=cpu, status=status)
-    return builder.build(extent=extent)
+        fresh = list(filterfalse(seen.__contains__, dict.fromkeys(
+            zip(batch.players, batch.ips, batch.os_names))))
+        if fresh:
+            players, ips, os_names = map(list, zip(*fresh, strict=True))
+            if len(dict.fromkeys(players).keys() - index.keys()) < len(fresh):
+                raise TraceError(
+                    f"player {_reregistered(index, players)!r} re-registered "
+                    "with different identity fields")
+            topology = ([resolver(ip) for ip in ips] if resolver is not None
+                        else [(0, "")] * len(ips))
+            for column, values in zip(identities, (
+                    players, ips, *zip(*topology, strict=True), os_names),
+                    strict=True):
+                column.extend(values)
+            index.update(zip(players, range(len(index),
+                                            len(index) + len(fresh))))
+            seen.update(dict.fromkeys(fresh))
+        parts.append({**batch.columns, "client_index": np.fromiter(
+            map(index.__getitem__, batch.players), dtype=np.int64,
+            count=batch.n_entries)})
+    players, ips, as_numbers, countries, os_names = identities
+    as_numbers = np.asarray(as_numbers, dtype=np.int64)
+    if np.any(as_numbers < 0):
+        raise ValueError("as_number must be non-negative, got "
+                         f"{int(as_numbers[as_numbers < 0][0])}")
+    columns = {name: np.concatenate([part[name] for part in parts])
+               if parts else np.empty(0, dtype=dtype)
+               for name, dtype in (("client_index", np.int64),
+                                   *((name, dtype) for _, name, dtype
+                                     in _TYPED_FIELDS))}
+    return Trace(
+        clients=ClientTable(player_ids=players, ips=ips,
+                            as_numbers=as_numbers, countries=countries,
+                            os_names=os_names),
+        client_index=columns["client_index"],
+        object_id=columns["object_id"],
+        start=columns["timestamp"].astype(np.float64) - columns["duration"],
+        duration=columns["duration"],
+        bandwidth_bps=columns["bandwidth_bps"],
+        packet_loss=columns["packet_loss"],
+        server_cpu=columns["server_cpu"],
+        status=columns["status"],
+        extent=extent)
+
+
+def _reregistered(index: Mapping[str, int], players: Sequence[str]) -> str:
+    """The first of ``players`` already in ``index`` or repeated."""
+    known = set(index)
+    for player in players:
+        if player in known:
+            return player
+        known.add(player)
+    raise AssertionError("no re-registered player")
 
 
 def log_round_trip(trace: Trace, *, resolver: IpResolver | None = None) -> Trace:

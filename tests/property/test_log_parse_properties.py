@@ -7,48 +7,69 @@ against :func:`_reference_parse_line`, a one-line-at-a-time statement
 of the entry rule: the line is ASCII and has one column per field, each
 field parses with ``int``/``float`` (the URI stem as
 ``/live/feed<int>``), the floats are finite, the duration is in
-``[0, 2**63)`` seconds and the integers fit in int64.
+``[0, 2**63)`` seconds and the integers fit in int64.  The parser reads
+most lines by digit arithmetic on their bytes and hands the rest to the
+scalar rule, so lines at the edge of that fast path — signs, leading
+zeros, long mantissas, odd separators — are fuzzed on their own, as are
+arbitrary byte blobs read through the byte entry point and the
+map-reduce characterizer.
 """
 
 import math
+import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import LogParseError
+from repro.parallel.characterize import characterize_logs
 from repro.trace.streaming import StreamingCharacterizer
-from repro.trace.wms_log import LOG_FIELDS, parse_log_lines
+from repro.trace.wms_log import (
+    LOG_FIELDS,
+    parse_log_bytes,
+    parse_log_lines,
+    parse_log_stream,
+)
 
 INT64 = range(-(1 << 63), 1 << 63)
 
 
+#: The typed fields in the order the entry rule checks them.
+TYPED = (("x-timestamp", int), ("x-duration", float), ("cs-uri-stem", int),
+         ("avg-bandwidth", float), ("packet-loss-rate", float),
+         ("s-cpu-util", float), ("sc-status", int))
+
+
 def _reference_parse_line(line, fields):
-    """The typed entry of one data line, or ``None`` if it is skipped."""
+    """``(typed entry, None)`` for an entry of one data line, ``(None,
+    message)`` naming the first check a skipped line fails."""
     if not line.isascii():
-        return None
+        return None, "undecodable bytes (non-ASCII) in entry"
     parts = line.split()
     if len(parts) != len(fields):
-        return None
+        return None, f"expected {len(fields)} columns, got {len(parts)}"
     row = dict(zip(fields, parts, strict=True))
-    try:
-        timestamp = int(row["x-timestamp"])
-        duration = float(row["x-duration"])
-        uri = row["cs-uri-stem"]
-        if not uri.startswith("/live/feed"):
-            raise ValueError(f"unexpected URI stem {uri!r}")
-        object_id = int(uri[len("/live/feed"):])
-        bandwidth = float(row["avg-bandwidth"])
-        loss = float(row["packet-loss-rate"])
-        cpu = float(row["s-cpu-util"])
-        status = int(row["sc-status"])
-    except ValueError:
-        return None
-    if not all(math.isfinite(v) for v in (duration, bandwidth, loss, cpu)):
-        return None
-    if not 0 <= duration < 2.0**63 or not all(
-            v in INT64 for v in (timestamp, object_id, status)):
-        return None
-    return (timestamp, duration, object_id, bandwidth, loss, cpu, status,
-            row["c-ip"], row["c-playerid"], row["c-os"])
+    values = {}
+    for field, convert in TYPED:
+        text = row[field]
+        if field == "cs-uri-stem":
+            if not text.startswith("/live/feed"):
+                return None, f"unexpected URI stem {text!r}"
+            text = text[len("/live/feed"):]
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            return None, str(exc)
+        if convert is int and value not in INT64:
+            return None, f"{field} out of range: {text!r}"
+        if convert is float and not math.isfinite(value):
+            return None, f"{field} is not finite: {text!r}"
+        if field == "x-duration" and not 0 <= value < 2.0**63:
+            return None, f"x-duration outside [0, 2**63): {text!r}"
+        values[field] = value
+    return (*(values[field] for field, _ in TYPED),
+            row["c-ip"], row["c-playerid"], row["c-os"]), None
 
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -115,11 +136,17 @@ def mutated_line(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(mutated_line(), min_size=1, max_size=12))
 def test_parser_matches_reference(lines):
+    _check_batch(lines)
+
+
+def _check_batch(lines):
+    """``parse_log_lines`` agrees with the reference on every line: the
+    entries' values bit for bit, the skipped lines and their messages."""
     fields = list(LOG_FIELDS)
     batch = parse_log_lines(lines, fields,
                             line_numbers=range(1, len(lines) + 1))
-    expected = [(k, row) for k, line in enumerate(lines)
-                if (row := _reference_parse_line(line, fields)) is not None]
+    reference = [_reference_parse_line(line, fields) for line in lines]
+    expected = [row for row, _ in reference if row is not None]
     columns = batch.columns
     got = list(zip(
         columns["timestamp"].tolist(), columns["duration"].tolist(),
@@ -127,17 +154,69 @@ def test_parser_matches_reference(lines):
         columns["packet_loss"].tolist(), columns["server_cpu"].tolist(),
         columns["status"].tolist(), batch.ips, batch.players,
         batch.os_names, strict=True))
-    assert got == [row for _, row in expected]
-    # float equality above treats -0.0 == 0.0; compare the bits too.
-    assert [repr(v) for v in columns["duration"].tolist()] == [
-        repr(row[1]) for _, row in expected]
-    kept = {k for k, _ in expected}
-    assert [e.line_number for e in batch.errors] == [
-        k + 1 for k in range(len(lines)) if k not in kept]
+    assert got == expected
+    # Float equality above treats -0.0 == 0.0; compare the bits too.
+    assert [repr(row[:7]) for row in got] == [repr(row[:7])
+                                              for row in expected]
+    assert [(e.line_number, str(e), e.line) for e in batch.errors] == [
+        (k + 1, f"line {k + 1}: {message}", lines[k])
+        for k, (row, message) in enumerate(reference) if row is None]
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.one_of(mutated_line(), well_formed), max_size=20),
+#: Field texts at the edge of the parser's digit-arithmetic fast path:
+#: each must be read exactly as ``int``/``float`` read it, or refused.
+boundary_token = st.one_of(
+    st.sampled_from([
+        "+5", "-0", "-0.0", "+0", "1_000", "0037", "000", "0.", "00.50",
+        "1e3", "1E3", ".5", "5.", ".", "..5", "5..", "1.2.3", "",
+        "123456789012345", "1234567890123456", "12345678901234567",
+        "99999999999999999999", "0.000000000000001", "0.0000000000000001",
+        "123456789012345.", "12345678.1234567", "1234567.12345678",
+        "999999999999999999", "1000000000000000000",
+        "9223372036854775807", "9223372036854775808",
+        "/live/feed", "/live/feed+1", "/live/feed-0", "/live/feedx",
+        "/live/feed007", "/live/feed999999999999999999",
+        "/live/feed9999999999999999999", "/live/fee", "/Live/feed1",
+        "\u0663", "\xe9", "\u00a0", "1\u2003",
+    ]),
+    st.integers(0, 10**20).map(str),
+    st.integers(0, 10**16).map(lambda v: f"{v / 10 ** (v % 17):.{v % 9}f}"),
+    st.text(alphabet="0123456789.", min_size=1, max_size=20),
+)
+
+#: Separators the fast path must refuse: every one but a single space
+#: changes the column count or the ASCII check.
+separator = st.sampled_from([" ", " ", " ", "  ", "\t", "\x0b", "\x0c",
+                             "\x1c", "\x1f", "\r", "\x00", "\x85",
+                             "\u3000"])
+
+
+@st.composite
+def boundary_line(draw):
+    """A well-formed line with its fields or separators at the edge."""
+    parts = draw(well_formed).split(" ")
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(parts) - 1))
+        token = draw(boundary_token)
+        if LOG_FIELDS[k] == "cs-uri-stem" and not token.startswith("/"):
+            token = "/live/feed" + token
+        parts[k] = token
+    seps = [draw(separator) for _ in parts[1:]]
+    return parts[0] + "".join(sep + part
+                              for sep, part in zip(seps, parts[1:],
+                                                   strict=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(boundary_line(), well_formed), min_size=1,
+                max_size=12))
+def test_fast_path_boundary_matches_reference(lines):
+    _check_batch(lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(mutated_line(), boundary_line(), well_formed),
+                max_size=20),
        st.integers(1, 5))
 def test_characterizer_only_skips(lines, cut):
     """Any mix of lines is consumed or skipped, never a crash."""
@@ -150,4 +229,64 @@ def test_characterizer_only_skips(lines, cut):
     assert summary.n_entries + summary.n_skipped == n_data
     assert summary.n_entries == sum(
         1 for line in lines
-        if _reference_parse_line(line.strip(), LOG_FIELDS) is not None)
+        if _reference_parse_line(line.strip(), LOG_FIELDS)[0] is not None)
+
+
+#: Bytes a harvested log may hold: mostly log text, some damage.
+log_bytes = st.lists(st.one_of(
+    st.sampled_from([b"\n", b" ", b"#", b"#Fields: ", b"\r\n", b"\t",
+                     b"\x00", b"\xff", b"\xc3\xa9", b"\x0c", b"\x1c",
+                     b"/live/feed", b"."]),
+    well_formed.map(lambda line: line.encode("ascii") + b"\n"),
+    st.binary(max_size=12)), max_size=16).map(b"".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_bytes)
+def test_byte_blobs_parse_as_their_lines(blob):
+    """Arbitrary bytes read as bytes give the batches of their decoded
+    lines; only a header problem raises."""
+    fields = list(LOG_FIELDS)
+    lines = blob.decode("ascii", errors="replace").splitlines()
+    try:
+        expected = list(parse_log_stream(lines, fields))
+    except LogParseError as exc:
+        with pytest.raises(LogParseError, match=re.escape(str(exc))):
+            list(parse_log_bytes(blob, fields))
+        return
+    got = list(parse_log_bytes(blob, fields))
+    assert [_batch_digest(batch) for batch in got] == [
+        _batch_digest(batch) for batch in expected]
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_bytes, st.integers(1, 4))
+def test_byte_blobs_characterize_or_skip(tmp_path_factory, blob, cut):
+    """A log file of arbitrary bytes after a header is consumed or
+    skipped line by line at any chunk size, never a crash; only a
+    ``#Fields`` directive can raise."""
+    path = tmp_path_factory.mktemp("blob") / "blob.log"
+    header = "#Fields: " + " ".join(LOG_FIELDS) + "\n"
+    path.write_bytes(header.encode("ascii") + blob)
+    lines = [line.strip() for line in
+             blob.decode("ascii", errors="replace").splitlines()]
+    try:
+        summary = characterize_logs(path,
+                                    chunk_bytes=max(1, len(blob) // cut))
+    except LogParseError:
+        assert any(line.startswith("#Fields:") for line in lines)
+        return
+    data = [line for line in lines if line and not line.startswith("#")]
+    assert summary.n_entries + summary.n_skipped == len(data)
+    if not any(line.startswith("#Fields:") for line in lines):
+        assert summary.n_entries == sum(
+            _reference_parse_line(line, LOG_FIELDS)[0] is not None
+            for line in data)
+
+
+def _batch_digest(batch):
+    columns = {name: [repr(v) for v in values.tolist()]
+               for name, values in sorted(batch.columns.items())}
+    return (list(batch.fields), columns, batch.ips, batch.players,
+            batch.os_names,
+            [(e.line_number, str(e), e.line) for e in batch.errors])
