@@ -42,7 +42,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .._typing import FloatArray, IntArray
-from ..errors import ProtocolError, ReproError, TraceError
+from ..errors import CheckpointError, ProtocolError, ReproError, TraceError
 from ..state import DERIVED, Column, Part, Scalar, Schema, Stateful, Table
 from ..stream.sessionize import FinalizedSessions, OnlineSessionizer, merge_finalized
 from ..trace.codecs import declared_client_slots, decode_entry_columns
@@ -547,6 +547,17 @@ class FeedWorker(Stateful):
     @property
     def _players(self) -> list[str]:
         return self.intern_table()
+
+    def _after_restore(self) -> None:
+        # Text mode interns players in the order the characterizer first
+        # counts them; the binary mode interns none.
+        expected = (list(self.characterizer.client_counts())
+                    if self._mode == "text" else [])
+        if self.intern_table() != expected:
+            raise CheckpointError(
+                f"checkpoint feed players ({len(self._player_index)} "
+                f"interned) do not match the {len(expected)} clients of "
+                f"its {self._mode or 'unused'}-mode characterizer")
 
     @_players.setter
     def _players(self, players: _AnyArray) -> None:

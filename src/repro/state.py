@@ -10,7 +10,8 @@ by kind), and each column group has one length: that of the checked
 scalar the group is named after, or the one ``_checkpoint_sizes``
 returns, if any.  A ``derived`` entry (configuration, or a copy the
 layout keeps) is not restored but must equal what the restored target
-writes.
+writes, and ``_after_restore`` checks what the restored parts must agree
+on.
 """
 
 from __future__ import annotations
@@ -98,6 +99,10 @@ class Stateful:
                           ) -> Mapping[str, int]:
         """Cross-check the checked ``values``; return group lengths."""
         return {}
+
+    def _after_restore(self) -> None:
+        """Cross-check restored state that spans parts; raise
+        :class:`~repro.errors.CheckpointError` if it disagrees."""
 
 
 def _get(obj: Any, attr: str) -> Any:
@@ -272,3 +277,4 @@ def restore_state(obj: Stateful, meta: Any,
             raise CheckpointError(
                 f"checkpoint {name} {entry.key} {value!r} does not match "
                 f"this {name}'s {live!r}")
+    obj._after_restore()

@@ -443,11 +443,27 @@ def _shift_gap_run_max(meta, arrays):
     arrays["gap_run_max"] = arrays["gap_run_max"] + 1.0
 
 
+def _halve_players(meta, arrays):
+    arrays["players"] = arrays["players"][:arrays["players"].size // 2]
+
+
+def _swap_players(meta, arrays):
+    arrays["players"] = arrays["players"][[1, 0, *range(
+        2, arrays["players"].size)]]
+
+
+def _players_in_binary_mode(meta, arrays):
+    meta["mode"] = "binary"
+
+
 #: Checkpoint corruptions that must be refused at restore time.
 CORRUPTIONS = {
     **{f"short {key}": _truncate(key) for key in (
         "sess_run_max", "sess_count", "sess_start", "gap_last_start",
-        "gap_run_max", "conc_deltas", "spc", "pend_client")},
+        "gap_run_max", "conc_deltas", "spc", "pend_client", "players")},
+    "halved players": _halve_players,
+    "swapped players": _swap_players,
+    "players in binary mode": _players_in_binary_mode,
     "no gap_last_start": _drop_array("gap_last_start"),
     "no reorder meta": _drop_meta("reorder"),
     "gap_open disagrees": _flip_first_gap_open,
