@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import LogParseError, TraceError
+from repro.rng import make_rng
 from repro.trace.wms_log import (
     LOG_FIELDS,
     StreamingWmsLogWriter,
@@ -59,8 +60,8 @@ def test_writer_refuses_unwritable_identity(identity, field):
 
 def test_write_wms_log_refuses_player_with_space(tiny_trace):
     clients = tiny_trace.clients
-    clients.player_ids = clients.player_ids.astype("<U16")
-    clients.player_ids[1] = "two words"
+    clients.player_ids = np.asarray([clients.player_ids[0], "two words"],
+                                    dtype=np.str_)
     with pytest.raises(TraceError, match="client 1: player ID 'two words'"):
         write_wms_log(tiny_trace, io.StringIO())
 
@@ -92,7 +93,7 @@ def _reference_lines(identity, emit):
 def test_rendered_lines_match_format_entry(seed):
     """Random rows, a third of them at rounding ties, out of range,
     negative, signed zero or not finite, render as ``_format_entry``."""
-    rng = np.random.default_rng(seed)
+    rng = make_rng(seed)
     n = 3000
     edges = np.array([0.0, -0.0, 0.5, 1.5, 2.5, 0.00005, 0.12345, 0.99995,
                       1.0, -0.4, -0.00005, 2.0**53, 2.0**53 + 2, 1e20, 1e4,
