@@ -143,7 +143,7 @@ _POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 #: Rows rendered per byte matrix by the text writer, which bounds its
 #: scratch memory on one-shot writes of whole traces.
-_RENDER_ROWS = 8192
+_RENDER_ROWS = 4096
 
 #: Bounds of the values the vectorized writer renders.  Integers (and
 #: ``int(end)``, ``round(duration)``) below 2**53 are exact doubles; loss
@@ -212,7 +212,7 @@ def _render_block(quantized: Mapping[str, IntArray],
                   identity: npt.NDArray[np.uint8]) -> bytes:
     """The text lines of quantized, renderable rows, as one byte string.
 
-    ``identity`` holds each row's ``" ip player os /live/feed"`` bytes,
+    ``identity`` holds each row's ``" ip player os"`` bytes,
     padded with :data:`_PAD`.  Every field becomes a block of byte
     columns, padded where a row's value is shorter than the block; the
     blocks side by side hold each line in order, so the unpadded bytes
@@ -232,6 +232,7 @@ def _render_block(quantized: Mapping[str, IntArray],
     space = literal(b" ")
     matrix = np.concatenate([
         _digit_block(quantized["timestamp"]), identity,
+        literal(f" {_URI_PREFIX}".encode("ascii")),
         _digit_block(quantized["object_id"]), space,
         _digit_block(quantized["duration"]), space,
         _digit_block(quantized["bandwidth_bps"]), space,
@@ -410,7 +411,7 @@ class StreamingWmsLogWriter(StreamingTraceWriter):
         self._stream = stream
         # Derived from ``identity``, so not checkpointed: the sorted client
         # indices resolved so far, each one's row in the segment table,
-        # and the table (grown by doubling; the first rows are in use).
+        # and the table (grown by a quarter; the first rows are in use).
         self._clients: IntArray = np.empty(0, dtype=np.int64)
         self._client_rows: IntArray = np.empty(0, dtype=np.int64)
         self._segments = np.full((0, 0), _PAD, dtype=np.uint8)
@@ -463,7 +464,7 @@ class StreamingWmsLogWriter(StreamingTraceWriter):
             old = self._segments
             if n_new > old.shape[0] or table.shape[1] > old.shape[1]:
                 self._segments = np.full(
-                    (max(n_new, 2 * old.shape[0]),
+                    (max(n_new, old.shape[0] + old.shape[0] // 4),
                      max(table.shape[1], old.shape[1])), _PAD, dtype=np.uint8)
                 self._segments[:n_old, :old.shape[1]] = old[:n_old]
             self._segments[n_old:n_new, :table.shape[1]] = table
@@ -483,7 +484,7 @@ _OTHER_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31]] = True
 def _identity_segments(index: IntArray,
                        identities: Sequence[tuple[str, str, str]]
                        ) -> npt.NDArray[np.uint8]:
-    """The bytes ``" ip player os /live/feed"`` of each client's lines,
+    """The bytes ``" ip player os"`` of each client's lines,
     one row per client, padded with :data:`_PAD`.
 
     Raises :class:`TraceError` naming the client index of the first
@@ -491,11 +492,11 @@ def _identity_segments(index: IntArray,
     whitespace: its lines would not split back into their columns.  An
     empty OS is written ``-``.
     """
-    texts = [f" {ip} {player} {os_name or '-'} {_URI_PREFIX}"
+    texts = [f" {ip} {player} {os_name or '-'}"
              for ip, player, os_name in identities]
     lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
     joined = "".join(texts)
-    # Four single spaces and no other whitespace: every field non-empty.
+    # Three single spaces and no other whitespace: every field non-empty.
     valid = joined.isascii()
     if valid:
         data = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
@@ -504,7 +505,7 @@ def _identity_segments(index: IntArray,
         bad = _OTHER_SPACE[data]
         bad[:-1] |= space[:-1] & space[1:]
         valid = bool(np.all(np.bincount(owner[space], minlength=lengths.size)
-                            == 4)) and not np.any(bad)
+                            == 3)) and not np.any(bad)
     if not valid:
         for k, (ip, player, os_name) in zip(index.tolist(), identities,
                                             strict=True):
