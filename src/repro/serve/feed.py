@@ -37,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import math
 import time
+from itertools import count, filterfalse
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -301,9 +302,11 @@ class FeedWorker(Stateful):
                     run, layout = [], batch.fields
                     self._fields = list(layout)
                 if batch.n_entries:
+                    fresh = list(filterfalse(index.__contains__,
+                                             dict.fromkeys(batch.players)))
+                    index.update(zip(fresh, count(len(index))))
                     client = np.fromiter(
-                        (index.setdefault(player, len(index))
-                         for player in batch.players),
+                        map(index.__getitem__, batch.players),
                         dtype=np.int64, count=batch.n_entries)
                     duration = batch.columns["duration"]
                     run.append((client, batch.columns["timestamp"] - duration,

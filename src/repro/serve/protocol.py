@@ -147,7 +147,7 @@ def pack_entries(quantized: Mapping[str, IntArray]) -> bytes:
     ``quantized`` maps every :data:`~repro.trace.codecs.ENTRY_COLUMNS`
     name to an equal-length integer array (the output of
     :meth:`~repro.trace.codecs.BinaryTraceReader.segment_quantized` or
-    :func:`~repro.trace.codecs.quantize_entry_columns`).
+    :func:`~repro.trace.wms_log.quantize_entry_columns`).
     """
     columns = [np.ascontiguousarray(np.asarray(quantized[name],
                                                dtype=np.int64))

@@ -31,9 +31,10 @@ OS) of clients first seen in that batch, as an ``int64`` index array plus
 fixed-width UTF-8 string arrays.
 
 Because both codecs share the reorder buffer and the binary quantization
-mirrors the text formatting exactly (see :func:`quantize_entry_columns`),
-a binary file and a text log written from the same stream decode to
-bit-identical traces — the conform differential oracle asserts this.
+mirrors the text formatting exactly (see
+:func:`~repro.trace.wms_log.quantize_entry_columns`), a binary file and
+a text log written from the same stream decode to bit-identical traces —
+the conform differential oracle asserts this.
 
 The footer makes reads seekable: :class:`BinaryTraceReader` memory-maps
 the file and materializes any single segment as column arrays without
@@ -104,8 +105,8 @@ def decode_entry_columns(quantized: Mapping[str, IntArray]
                          ) -> dict[str, FloatArray | IntArray]:
     """Decode integer entry columns to trace-domain column arrays.
 
-    Inverse of :func:`quantize_entry_columns` *composed with the text
-    parser*: ``start = timestamp - duration`` and
+    Inverse of :func:`~repro.trace.wms_log.quantize_entry_columns`
+    *composed with the text parser*: ``start = timestamp - duration`` and
     ``loss = q / 10**4`` reproduce, bit for bit, the doubles
     :func:`repro.trace.wms_log.read_wms_log` obtains from the formatted
     strings (integer-valued doubles are exact; IEEE division is

@@ -653,21 +653,25 @@ def parse_log_bytes(data: bytes, fields: Sequence[str]
         yield from parse_log_stream(
             data.decode("ascii", errors="replace").splitlines(), fields)
         return
-    lo = 0
-    for k in [*np.flatnonzero(first == ord("#")).tolist(), starts.size]:
-        for a in range(lo, k, PARSE_BATCH_LINES):
-            b = min(a + PARSE_BATCH_LINES, k)
-            yield _parse_block(
-                buffer[starts[a]:ends[b - 1]], b - a, fields,
-                range(a + 1, b + 1),
-                lambda j, a=a: data[starts[a + j]:ends[a + j]].decode(
-                    "ascii", errors="replace").strip())
-        if k < starts.size:
-            line = data[starts[k]:ends[k]].decode("ascii", errors="replace")
-            if line.startswith("#Fields:"):
-                fields = parse_fields_header(line.strip(), k + 1)
-                yield _parse_scalar([], fields, None)[0]
-        lo = k + 1
+    remarks = np.flatnonzero(first == ord("#"))
+    for base in range(0, starts.size, PARSE_BATCH_LINES):
+        top = min(base + PARSE_BATCH_LINES, starts.size)
+        lo = base
+        for k in [*remarks[np.searchsorted(remarks, base):
+                           np.searchsorted(remarks, top)].tolist(), top]:
+            if k > lo:
+                yield _parse_block(
+                    buffer[starts[lo]:ends[k - 1]], k - lo, fields,
+                    range(lo + 1, k + 1),
+                    lambda j, lo=lo: data[starts[lo + j]:ends[lo + j]].decode(
+                        "ascii", errors="replace").strip())
+            if k < top:
+                line = data[starts[k]:ends[k]].decode("ascii",
+                                                      errors="replace")
+                if line.startswith("#Fields:"):
+                    fields = parse_fields_header(line.strip(), k + 1)
+                    yield _parse_scalar([], fields, None)[0]
+            lo = k + 1
 
 
 def _check_layout(fields: Sequence[str]) -> None:
@@ -697,9 +701,11 @@ _LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)
 _NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
 _ZEROS = np.uint64(0x3030303030303030)
 _POINTS = np.uint64(0x2E2E2E2E2E2E2E2E)
-#: ``_HIGH[c]``/``_LOW[c]``: the mask of the high/low ``c`` bytes.
+#: ``_HIGH[c]``/``_LOW[c]``: the mask of the high/low ``c`` bytes;
+#: ``_FILL[c]``, ``0`` digits in the other bytes.
 _HIGH = np.array([(1 << 64) - (1 << (64 - 8 * c)) for c in range(9)],
                  dtype=np.uint64)
+_FILL = _ZEROS & ~_HIGH
 _LOW = np.array([(1 << 8 * c) - 1 for c in range(9)], dtype=np.uint64)
 _URI_WORDS = (int.from_bytes(b"/live/fe", "little"),
               int.from_bytes(b"ed", "little"))
@@ -812,15 +818,16 @@ def _read_number(words: npt.NDArray[np.uint64], first: IntArray,
     the mantissa drops it.
     """
     length = last - first
+    limit = digits + point
+    ok = (length >= 1) & (length <= limit)
     whole = np.zeros(first.size, dtype=np.uint64)
-    ok = (length >= 1) & (length <= digits + point)
     n_points = np.zeros(first.size, dtype=np.int64)
     scale = np.zeros(first.size, dtype=np.int64)
-    for i in range(-(-(digits + point) // 8)):
-        keep = _HIGH[np.clip(length - 8 * i, 0, 8)]
-        word = (words[last - 8 * (i + 1)] & keep) | (_ZEROS & ~keep)
-        if point:
-            dots = _marked_bytes(word ^ _POINTS)
+    for i in range(-(-min(int(length.max(initial=1)), limit) // 8)):
+        used = np.minimum(np.maximum(length - 8 * i, 0), 8)
+        word = (words[last - 8 * (i + 1)] & _HIGH[used]) | _FILL[used]
+        dots = _marked_bytes(word ^ _POINTS) if point else None
+        if dots is not None and np.any(dots):
             word ^= (dots >> np.uint64(7)) * np.uint64(0x1E)  # "." -> "0"
             n_points += np.bitwise_count(dots)
             # The bytes after the point: those of the higher bytes.
@@ -834,6 +841,8 @@ def _read_number(words: npt.NDArray[np.uint64], first: IntArray,
         return value, ok
     ok &= (n_points <= 1) & (length - n_points >= 1) & (
         length - n_points <= digits)
+    if not np.any(n_points):
+        return value.astype(np.float64), ok
     power = _POW10[np.minimum(scale, digits)]
     mantissa = np.where(n_points > 0,
                         value // (10 * power) * power + value % power, value)

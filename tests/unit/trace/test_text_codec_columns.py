@@ -17,6 +17,7 @@ from repro.errors import LogParseError, TraceError
 from repro.rng import make_rng
 from repro.trace.wms_log import (
     LOG_FIELDS,
+    PARSE_BATCH_LINES,
     StreamingWmsLogWriter,
     _format_entry,
     parse_log_bytes,
@@ -157,6 +158,20 @@ def test_parse_log_bytes_matches_decoded_lines(blob):
     lines = blob.decode("ascii", errors="replace").splitlines()
     assert _digest(parse_log_bytes(blob, LOG_FIELDS)) == _digest(
         parse_log_stream(lines, LOG_FIELDS))
+
+
+def test_parse_log_bytes_batches_as_parse_log_stream():
+    """Batches break where ``parse_log_stream``'s do: every
+    ``PARSE_BATCH_LINES`` lines and at each remark."""
+    lines = [GOOD.replace("17", str(k), 1)
+             for k in range(2 * PARSE_BATCH_LINES + 17)]
+    for k in (100, PARSE_BATCH_LINES - 1, PARSE_BATCH_LINES, 5000):
+        lines[k] = "#Remark: harvest boundary"
+    lines[7] = lines[7].replace(" 5 ", " x ")
+    blob = ("\n".join(lines) + "\n").encode()
+    got = _digest(parse_log_bytes(blob, LOG_FIELDS))
+    assert len(got) == 5
+    assert got == _digest(parse_log_stream(lines, LOG_FIELDS))
 
 
 def test_parse_log_bytes_rejects_incomplete_directive():
