@@ -766,8 +766,9 @@ def _parse_block(block: npt.NDArray[np.uint8], n: int,
     for field, name, dtype in _TYPED_FIELDS:
         first, last = lo[:, at[field]], hi[:, at[field]]
         if field == "cs-uri-stem":
+            tail = np.minimum(first + 8, words.size - 1)  # a short field
             good &= ((words[first] == _URI_WORDS[0])
-                     & (words[first + 8] & _LOW[2] == _URI_WORDS[1]))
+                     & (words[tail] & _LOW[2] == _URI_WORDS[1]))
             first = first + len(_URI_PREFIX)
         floats = dtype is np.float64
         value, ok = _read_number(words, first, last,
@@ -862,8 +863,9 @@ def _read_strings(words: npt.NDArray[np.uint64],
     for first, last in spans:
         length = last - first
         for i in range(-(-int(length.max(initial=0)) // 8)):
-            parts.append(words[first + 8 * i]
-                         & _LOW[np.clip(length - 8 * i, 0, 8)])
+            # Past a shorter field's end the word is masked out whole.
+            at = np.minimum(first + 8 * i, words.size - 1)
+            parts.append(words[at] & _LOW[np.clip(length - 8 * i, 0, 8)])
         parts.append(np.full(first.size, ord(" "), dtype=np.uint64))
     matrix = np.stack(parts, axis=1).view(np.uint8)
     tokens = matrix[matrix != 0].tobytes().decode("ascii").split()

@@ -139,10 +139,10 @@ def test_parser_matches_reference(lines):
     _check_batch(lines)
 
 
-def _check_batch(lines):
+def _check_batch(lines, fields=LOG_FIELDS):
     """``parse_log_lines`` agrees with the reference on every line: the
     entries' values bit for bit, the skipped lines and their messages."""
-    fields = list(LOG_FIELDS)
+    fields = list(fields)
     batch = parse_log_lines(lines, fields,
                             line_numbers=range(1, len(lines) + 1))
     reference = [_reference_parse_line(line, fields) for line in lines]
@@ -192,8 +192,9 @@ separator = st.sampled_from([" ", " ", " ", "  ", "\t", "\x0b", "\x0c",
 
 
 @st.composite
-def boundary_line(draw):
-    """A well-formed line with its fields or separators at the edge."""
+def boundary_line(draw, order=tuple(range(len(LOG_FIELDS)))):
+    """A well-formed line with its fields or separators at the edge, its
+    fields in ``order``."""
     parts = draw(well_formed).split(" ")
     for _ in range(draw(st.integers(1, 3))):
         k = draw(st.integers(0, len(parts) - 1))
@@ -201,17 +202,28 @@ def boundary_line(draw):
         if LOG_FIELDS[k] == "cs-uri-stem" and not token.startswith("/"):
             token = "/live/feed" + token
         parts[k] = token
+    parts = [parts[k] for k in order]
     seps = [draw(separator) for _ in parts[1:]]
     return parts[0] + "".join(sep + part
                               for sep, part in zip(seps, parts[1:],
                                                    strict=True))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(boundary_line(), well_formed), min_size=1,
-                max_size=12))
-def test_fast_path_boundary_matches_reference(lines):
-    _check_batch(lines)
+@st.composite
+def boundary_batch(draw):
+    """Lines at the fast path's edge under a random column order."""
+    order = draw(st.permutations(range(len(LOG_FIELDS))))
+    reorder = well_formed.map(
+        lambda line: " ".join(line.split(" ")[k] for k in order))
+    lines = draw(st.lists(st.one_of(boundary_line(order), reorder),
+                          min_size=1, max_size=12))
+    return lines, [LOG_FIELDS[k] for k in order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(boundary_batch())
+def test_fast_path_boundary_matches_reference(batch):
+    _check_batch(*batch)
 
 
 @settings(max_examples=60, deadline=None)

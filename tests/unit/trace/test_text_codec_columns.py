@@ -21,6 +21,7 @@ from repro.trace.wms_log import (
     StreamingWmsLogWriter,
     _format_entry,
     parse_log_bytes,
+    parse_log_lines,
     parse_log_stream,
     read_wms_log,
     write_wms_log,
@@ -158,6 +159,36 @@ def test_parse_log_bytes_matches_decoded_lines(blob):
     lines = blob.decode("ascii", errors="replace").splitlines()
     assert _digest(parse_log_bytes(blob, LOG_FIELDS)) == _digest(
         parse_log_stream(lines, LOG_FIELDS))
+
+
+@pytest.mark.parametrize("uri", ["/l", "/live/fe", "/live/feed",
+                                 "/live/feed7", "/live/feeds"])
+def test_short_uri_last_in_layout(uri):
+    """A URI stem ending the last line is read inside the buffer."""
+    fields = [f for f in LOG_FIELDS if f != "cs-uri-stem"] + ["cs-uri-stem"]
+    line = "17 10.0.0.1 p1 Windows_98 5 56000 0.0100 0.2000 200 - " + uri
+    batch = parse_log_lines([GOOD.replace("/live/feed1 ", "") + " /x", line],
+                            fields)
+    assert batch.n_entries == (uri == "/live/feed7")
+    assert batch.columns["object_id"].tolist() == [7] * batch.n_entries
+    assert [str(e) for e in batch.errors] == (
+        ["unexpected URI stem '/x'"]
+        + ([] if uri == "/live/feed7" else [
+            "invalid literal for int() with base 10: 's'"
+            if uri == "/live/feeds" else
+            "invalid literal for int() with base 10: ''"
+            if uri == "/live/feed" else f"unexpected URI stem {uri!r}"]))
+
+
+def test_short_string_last_in_layout():
+    """A short string field ending the block is read inside the buffer
+    even when another line's field is much longer."""
+    fields = [f for f in LOG_FIELDS if f != "c-os"] + ["c-os"]
+    lines = [GOOD.replace(" Windows_98", "") + " " + os_name
+             for os_name in ("Windows_98_Second_Edition_Plus_Pack", "W")]
+    batch = parse_log_lines(lines, fields)
+    assert batch.os_names == ["Windows_98_Second_Edition_Plus_Pack", "W"]
+    assert batch.errors == []
 
 
 def test_parse_log_bytes_batches_as_parse_log_stream():
