@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from itertools import filterfalse, islice
+from itertools import count, filterfalse, islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -716,6 +716,11 @@ def _marked_bytes(word: npt.NDArray[np.uint64]) -> npt.NDArray[np.uint64]:
     return ~(((word & _LOW7) + _LOW7) | word | _LOW7)
 
 
+def _byte_count(marks: npt.NDArray[np.uint64]) -> npt.NDArray[np.uint64]:
+    """How many bytes of ``marks`` hold ``0x80`` (the others hold 0)."""
+    return ((marks >> np.uint64(7)) * _ONES) >> np.uint64(56)
+
+
 def _eight_digits(word: npt.NDArray[np.uint64]) -> npt.NDArray[np.uint64]:
     """The value of eight ASCII digits held in a word."""
     word = ((word & np.uint64(0x0F0F0F0F0F0F0F0F))
@@ -830,10 +835,11 @@ def _read_number(words: npt.NDArray[np.uint64], first: IntArray,
         dots = _marked_bytes(word ^ _POINTS) if point else None
         if dots is not None and np.any(dots):
             word ^= (dots >> np.uint64(7)) * np.uint64(0x1E)  # "." -> "0"
-            n_points += np.bitwise_count(dots)
+            n_points += _byte_count(dots).astype(np.int64)
             # The bytes after the point: those of the higher bytes.
             above = ~((dots << np.uint64(1)) - np.uint64(1)) & ~_LOW7
-            scale += np.where(dots != 0, 8 * i + np.bitwise_count(above), 0)
+            scale += np.where(dots != 0, 8 * i + _byte_count(above), 0
+                              ).astype(np.int64)
         ok &= (((word & _NIBBLES) == _ZEROS)
                & (((word + 6 * _ONES) & _NIBBLES) == _ZEROS))
         whole += _eight_digits(word) * np.uint64(10 ** (8 * i))
@@ -865,9 +871,10 @@ def _read_strings(words: npt.NDArray[np.uint64],
         for i in range(-(-int(length.max(initial=0)) // 8)):
             # Past a shorter field's end the word is masked out whole.
             at = np.minimum(first + 8 * i, words.size - 1)
-            parts.append(words[at] & _LOW[np.clip(length - 8 * i, 0, 8)])
+            parts.append(words[at] & _LOW[np.minimum(np.maximum(
+                length - 8 * i, 0), 8)])
         parts.append(np.full(first.size, ord(" "), dtype=np.uint64))
-    matrix = np.stack(parts, axis=1).view(np.uint8)
+    matrix = np.stack(parts, axis=1).astype("<u8", copy=False).view(np.uint8)
     tokens = matrix[matrix != 0].tobytes().decode("ascii").split()
     return [tokens[k::len(spans)] for k in range(len(spans))]
 
@@ -1049,25 +1056,25 @@ def read_wms_log(path: str | Path | TextIO, *,
         fresh = list(filterfalse(seen.__contains__, dict.fromkeys(
             zip(batch.players, batch.ips, batch.os_names))))
         if fresh:
-            players, ips, os_names = map(list, zip(*fresh, strict=True))
-            if len(dict.fromkeys(players).keys() - index.keys()) < len(fresh):
+            new_players, new_ips, new_os = zip(*fresh, strict=True)
+            if len(dict.fromkeys(new_players).keys() - index.keys()) < len(
+                    fresh):
                 raise TraceError(
-                    f"player {_reregistered(index, players)!r} re-registered "
-                    "with different identity fields")
-            topology = ([resolver(ip) for ip in ips] if resolver is not None
-                        else [(0, "")] * len(ips))
+                    f"player {_reregistered(index, new_players)!r} "
+                    "re-registered with different identity fields")
+            topology = ([resolver(ip) for ip in new_ips]
+                        if resolver is not None else [(0, "")] * len(fresh))
             for column, values in zip(identities, (
-                    players, ips, *zip(*topology, strict=True), os_names),
-                    strict=True):
+                    new_players, new_ips, *zip(*topology, strict=True),
+                    new_os), strict=True):
                 column.extend(values)
-            index.update(zip(players, range(len(index),
-                                            len(index) + len(fresh))))
+            index.update(zip(new_players, count(len(index))))
             seen.update(dict.fromkeys(fresh))
         parts.append({**batch.columns, "client_index": np.fromiter(
             map(index.__getitem__, batch.players), dtype=np.int64,
             count=batch.n_entries)})
-    players, ips, as_numbers, countries, os_names = identities
-    as_numbers = np.asarray(as_numbers, dtype=np.int64)
+    players, ips, as_list, countries, os_names = identities
+    as_numbers = np.asarray(as_list, dtype=np.int64)
     if np.any(as_numbers < 0):
         raise ValueError("as_number must be non-negative, got "
                          f"{int(as_numbers[as_numbers < 0][0])}")

@@ -226,7 +226,7 @@ def test_fast_path_boundary_matches_reference(batch):
     _check_batch(*batch)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.lists(st.one_of(mutated_line(), boundary_line(), well_formed),
                 max_size=20),
        st.integers(1, 5))
