@@ -317,7 +317,7 @@ def unique_integers(values: IntArray
 
 #: Largest lookup table :func:`sorted_slots` builds, as a multiple of the
 #: key count; sparser keys are looked up by binary search instead.
-SLOT_TABLE_FACTOR = 4
+_SLOT_TABLE_FACTOR = 4
 
 
 def sorted_slots(keys: IntArray, values: IntArray
@@ -326,7 +326,7 @@ def sorted_slots(keys: IntArray, values: IntArray
 
     Returns ``(slots, found)``; ``slots`` is meaningful where ``found``.
     The lookup is a table over the key span when that span is at most
-    :data:`SLOT_TABLE_FACTOR` times the key count, and a binary search
+    ``_SLOT_TABLE_FACTOR`` times the key count, and a binary search
     otherwise, so no allocation is sized by a value.
     """
     values = np.asarray(values, dtype=np.int64)
@@ -335,7 +335,7 @@ def sorted_slots(keys: IntArray, values: IntArray
                 np.zeros(values.size, dtype=bool))
     low, high = int(keys[0]), int(keys[-1])
     found = (values >= low) & (values <= high)
-    if high - low < SLOT_TABLE_FACTOR * keys.size:
+    if high - low < _SLOT_TABLE_FACTOR * keys.size:
         table = np.full(high - low + 1, -1, dtype=np.intp)
         table[keys - low] = np.arange(keys.size)
         slots = table[np.where(found, values - low, 0)]

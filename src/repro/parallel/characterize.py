@@ -189,11 +189,10 @@ def consume_chunk(characterizer: StreamingCharacterizer,
     """Fold one chunk into ``characterizer``; returns entries consumed.
 
     Text chunks read their byte range and parse it as bytes
-    (:func:`~repro.trace.wms_log.parse_log_bytes`, the batches
+    (:func:`~repro.trace.wms_log.parse_log_bytes`: the batches
     :meth:`~repro.trace.streaming.StreamingCharacterizer.consume_lines`
-    would parse; undecodable bytes become skipped lines, as in the
-    serial reader);
-    binary chunks materialize each covered segment's columns from the
+    would parse from its decoded lines, undecodable bytes becoming
+    skipped lines as in the serial reader); binary chunks materialize each covered segment's columns from the
     memory map and feed the vectorized
     :meth:`~repro.trace.streaming.StreamingCharacterizer.consume_columns`
     path — no row dicts, no per-line Python.  Player IDs come from a

@@ -551,6 +551,10 @@ class FeedWorker(Stateful):
     def _players(self) -> list[str]:
         return self.intern_table()
 
+    @_players.setter
+    def _players(self, players: _AnyArray) -> None:
+        self._player_index = {p: k for k, p in enumerate(players.tolist())}
+
     def _after_restore(self) -> None:
         # Text mode interns players in the order the characterizer first
         # counts them; the binary mode interns none.
@@ -561,10 +565,6 @@ class FeedWorker(Stateful):
                 f"checkpoint feed players ({len(self._player_index)} "
                 f"interned) do not match the {len(expected)} clients of "
                 f"its {self._mode or 'unused'}-mode characterizer")
-
-    @_players.setter
-    def _players(self, players: _AnyArray) -> None:
-        self._player_index = {p: k for k, p in enumerate(players.tolist())}
 
     @property
     def _identity_table(self) -> dict[str, list[Any]]:

@@ -238,12 +238,12 @@ class StreamingCharacterizer(Stateful):
                       fields: Sequence[str]) -> int:
         """Consume pre-split data lines against a known field layout.
 
-        The chunked ingestion path: callers that already located the
-        ``#Fields`` header (e.g. :func:`repro.parallel.characterize_logs`
-        workers fed byte ranges of a split log) hand the layout in
-        directly.  Otherwise as :meth:`consume` (``bytes_served`` adds up
-        entry by entry, see :meth:`consume_parsed`); returns the number
-        of entries parsed.
+        For callers that already located the ``#Fields`` header and
+        hand the layout in directly (byte ranges of a split log go
+        through :func:`~repro.trace.wms_log.parse_log_bytes` and
+        :meth:`consume_parsed` instead).  Otherwise as :meth:`consume`
+        (``bytes_served`` adds up entry by entry, see
+        :meth:`consume_parsed`); returns the number of entries parsed.
         """
         return sum(self.consume_parsed(batch)
                    for batch in parse_log_stream(lines, fields))
