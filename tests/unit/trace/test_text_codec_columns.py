@@ -196,7 +196,8 @@ def test_parse_log_bytes_batches_as_parse_log_stream():
     ``PARSE_BATCH_LINES`` lines and at each remark."""
     lines = [GOOD.replace("17", str(k), 1)
              for k in range(2 * PARSE_BATCH_LINES + 17)]
-    for k in (100, PARSE_BATCH_LINES - 1, PARSE_BATCH_LINES, 5000):
+    for k in (100, PARSE_BATCH_LINES - 1, PARSE_BATCH_LINES,
+              PARSE_BATCH_LINES + 500):
         lines[k] = "#Remark: harvest boundary"
     lines[7] = lines[7].replace(" 5 ", " x ")
     blob = ("\n".join(lines) + "\n").encode()
