@@ -138,9 +138,6 @@ def quantize_entry_columns(emit: Mapping[str, Any]) -> dict[str, IntArray]:
 # ----------------------------------------------------------------------
 # Rendering a batch of entries as bytes
 # ----------------------------------------------------------------------
-#: ``10**k`` for ``k = 0..18``.
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
-
 #: Rows rendered per byte matrix by the text writer, which bounds its
 #: scratch memory on one-shot writes of whole traces.
 _RENDER_ROWS = 4096
@@ -691,6 +688,9 @@ _LEADING_SPACE[[9, 31, ord(" ")]] = True
 #: ``float()`` of the text is).
 _INT_DIGITS = 18
 _FLOAT_DIGITS = 15
+
+#: ``10**k`` for ``k = 0..18``.
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 #: Fields are read as little-endian 8-byte words (the first byte is the
 #: lowest); a field's bytes are right-aligned in its words for numbers,
