@@ -93,21 +93,6 @@ def simulate_cdn(trace: Trace, topology: CdnTopology, *,
     return build_result(trace, topology, policy, legs, step=step)
 
 
-def _leg_arrays(tid: IntArray, start: FloatArray, end: FloatArray,
-                edge: IntArray, rate: IntArray, admitted: bool,
-                failover: bool) -> LegSet:
-    n = tid.size
-    return LegSet(
-        transfer=np.asarray(tid, dtype=np.int64),
-        start=np.asarray(start, dtype=np.float64),
-        end=np.asarray(end, dtype=np.float64),
-        edge=np.asarray(edge, dtype=np.int64),
-        rate=np.asarray(rate, dtype=np.int64),
-        admitted=np.full(n, admitted, dtype=np.bool_),
-        failover=np.full(n, failover, dtype=np.bool_),
-    )
-
-
 def _run_static(trace: Trace, topology: CdnTopology, policy: str,
                 epochs: tuple[Epoch, ...], rate: IntArray) -> LegSet:
     """Epoch-vectorized run for the hash-assignment policies."""

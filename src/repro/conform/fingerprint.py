@@ -112,15 +112,6 @@ def log_fingerprint_from_trace(trace: Trace) -> str:
     return hashlib.sha256(buffer.getvalue().encode("ascii")).hexdigest()
 
 
-def file_fingerprint(path) -> str:
-    """SHA-256 of a file's raw bytes (streamed log output)."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 @dataclass(frozen=True)
 class WorkloadMeasurement:
     """Everything measured about one canonical workload.

@@ -36,7 +36,7 @@ from ..trace.codecs import (
     detect_codec,
 )
 from ..trace.streaming import StreamingCharacterizer, StreamingSummary
-from ..trace.wms_log import parse_log_bytes, parse_log_stream
+from ..trace.wms_log import open_log, parse_log_stream
 from .pool import logger, map_ordered
 
 #: Default target chunk size for splitting log files, in bytes.
@@ -92,7 +92,7 @@ def _scan_fields(path: str | Path) -> tuple[str, ...] | None:
     neither header nor data; a data line before the header raises
     :class:`~repro.errors.LogParseError`, as in the serial reader.
     """
-    with open(path, "r", encoding="ascii", errors="replace") as stream:
+    with open_log(path) as stream:
         first = next(parse_log_stream(stream), None)
     return None if first is None else tuple(first.fields)
 
@@ -188,11 +188,13 @@ def consume_chunk(characterizer: StreamingCharacterizer,
                   chunk: LogChunk) -> int:
     """Fold one chunk into ``characterizer``; returns entries consumed.
 
-    Text chunks read their byte range and parse it as bytes
-    (:func:`~repro.trace.wms_log.parse_log_bytes`: the batches
-    :meth:`~repro.trace.streaming.StreamingCharacterizer.consume_lines`
-    would parse from its decoded lines, undecodable bytes becoming
-    skipped lines as in the serial reader); binary chunks materialize each covered segment's columns from the
+    Text chunks open their byte range with
+    :func:`~repro.trace.wms_log.open_log`, the decoder of every log file
+    reader, and feed its lines to
+    :meth:`~repro.trace.streaming.StreamingCharacterizer.consume_lines`:
+    a range cut after a ``\\n`` holds the very lines the serial reader
+    reads there, undecodable bytes becoming skipped lines alike.  Binary
+    chunks materialize each covered segment's columns from the
     memory map and feed the vectorized
     :meth:`~repro.trace.streaming.StreamingCharacterizer.consume_columns`
     path — no row dicts, no per-line Python.  Player IDs come from a
@@ -213,11 +215,8 @@ def consume_chunk(characterizer: StreamingCharacterizer,
                 parsed += characterizer.consume_columns(
                     columns, players[slots])
         return parsed
-    with open(chunk.path, "rb") as stream:
-        stream.seek(chunk.byte_lo)
-        blob = stream.read(chunk.n_bytes)
-    return sum(characterizer.consume_parsed(batch)
-               for batch in parse_log_bytes(blob, list(chunk.fields)))
+    with open_log(chunk.path, chunk.byte_lo, chunk.byte_hi) as stream:
+        return characterizer.consume_lines(stream, chunk.fields)
 
 
 def characterize_chunk(chunk: LogChunk, *, diurnal_bins: int = 96,

@@ -49,7 +49,7 @@ from ..arrayops import unique_integers
 from ..errors import TraceError
 from ..state import Column, Scalar, Schema, Stateful
 from ..units import DAY
-from .wms_log import ParsedLog, parse_log_stream
+from .wms_log import ParsedLog, open_log, parse_log_stream
 
 #: Shape/dtype-generic array (decoded binary segment columns).
 _AnyArray = np.ndarray[Any, np.dtype[Any]]
@@ -224,12 +224,12 @@ class StreamingCharacterizer(Stateful):
         Malformed data lines are counted and skipped (a streaming consumer
         cannot afford to abort mid-harvest); a missing ``#Fields`` header
         still raises, since nothing after it could be interpreted.  Paths
-        are opened with ``errors="replace"`` so undecodable bytes in a
-        corrupt harvest count as skipped lines instead of aborting.
+        are opened with :func:`~repro.trace.wms_log.open_log`, so
+        undecodable bytes in a corrupt harvest count as skipped lines
+        instead of aborting.
         """
         if isinstance(source, (str, Path)):
-            with open(source, "r", encoding="ascii",
-                      errors="replace") as stream:
+            with open_log(source) as stream:
                 return self.consume(stream)
         return sum(self.consume_parsed(batch)
                    for batch in parse_log_stream(source))
@@ -239,10 +239,10 @@ class StreamingCharacterizer(Stateful):
         """Consume pre-split data lines against a known field layout.
 
         For callers that already located the ``#Fields`` header and
-        hand the layout in directly (byte ranges of a split log go
-        through :func:`~repro.trace.wms_log.parse_log_bytes` and
-        :meth:`consume_parsed` instead).  Otherwise as :meth:`consume`
-        (``bytes_served`` adds up entry by entry, see
+        hand the layout in directly, such as the byte ranges of a split
+        log (read through :func:`~repro.trace.wms_log.open_log`, so they
+        break into the lines :meth:`consume` sees).  Otherwise as
+        :meth:`consume` (``bytes_served`` adds up entry by entry, see
         :meth:`consume_parsed`); returns the number of entries parsed.
         """
         return sum(self.consume_parsed(batch)

@@ -25,7 +25,8 @@ import io
 from dataclasses import dataclass
 from itertools import count, filterfalse, islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import (IO, Any, Callable, Iterable, Iterator, Mapping, Sequence,
+                    TextIO)
 
 import numpy as np
 import numpy.typing as npt
@@ -323,16 +324,27 @@ class StreamingTraceWriter(Stateful):
         writer's stable sort).  ``horizon`` promises that every transfer
         of every *later* push starts at or after it; entries with
         ``end < horizon`` are flushed now.  Returns the number of entries
-        written by this call.
+        written by this call.  A batch with a row whose ``start +
+        duration`` is not finite (it could never be flushed) raises
+        :class:`TraceError` naming the first such row, and nothing of the
+        batch is buffered.
         """
         start = np.asarray(start, dtype=np.float64)
+        duration = np.asarray(duration, dtype=np.float64)
+        end = start + duration
+        unending = np.flatnonzero(~np.isfinite(end))
+        if unending.size:
+            k = int(unending[0])
+            raise TraceError(
+                f"transfer {global_offset + k}: start + duration is not "
+                f"finite ({float(start[k])!r} + {float(duration[k])!r})")
         n = start.size
         new: dict[str, _AnyArray] = {
-            "end": start + np.asarray(duration, dtype=np.float64),
+            "end": end,
             "position": global_offset + np.arange(n, dtype=np.int64),
             "client_index": np.asarray(client_index, dtype=np.int64),
             "object_id": np.asarray(object_id, dtype=np.int64),
-            "duration": np.asarray(duration, dtype=np.float64),
+            "duration": duration,
             "bandwidth_bps": np.asarray(bandwidth_bps, dtype=np.float64),
             "packet_loss": (np.zeros(n, dtype=np.float64)
                             if packet_loss is None
@@ -561,10 +573,10 @@ def parse_fields_header(line: str, line_number: int) -> list[str]:
     return fields
 
 
-#: Lines per batch of :func:`parse_log_stream` and :func:`parse_log_bytes`,
-#: which bounds the memory of every text reader.  Larger batches repeat the
-#: per-batch numpy overhead less often (4096 parses a paper-model log about
-#: a third faster); smaller ones hold less scratch memory.
+#: Lines per batch of :func:`parse_log_stream`, which bounds the memory of
+#: every text reader.  Larger batches repeat the per-batch numpy overhead
+#: less often (4096 parses a paper-model log about a third faster);
+#: smaller ones hold less scratch memory.
 PARSE_BATCH_LINES = 1024
 
 
@@ -622,54 +634,8 @@ def parse_log_lines(lines: Sequence[str], fields: Sequence[str], *,
     if len(lines) == 0 or data.count(b"\n") != len(lines) - 1:
         # A line holding a line break of its own: no byte view of it.
         return _parse_scalar(lines, fields, line_numbers)[0]
-    return _parse_block(np.frombuffer(data, dtype=np.uint8), len(lines),
-                        fields, line_numbers, lambda k: lines[k])
-
-
-def parse_log_bytes(data: bytes, fields: Sequence[str]
-                    ) -> Iterator[ParsedLog]:
-    """Parse a line-aligned byte range of a log under ``fields``.
-
-    Yields what :func:`parse_log_stream` yields for
-    ``data.decode("ascii", errors="replace").splitlines()`` and
-    ``fields``, without making a string of each line: batches of data
-    lines go to :func:`_parse_block` straight from ``data``.  Data with a
-    control byte from 11 to 30 (every line break of ``splitlines`` but
-    ``\\n`` is one), or a line that is blank or starts with whitespace,
-    takes the string route.
-    """
-    if not data:
-        return
-    buffer = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buffer == ord("\n"))
-    if buffer[-1] != ord("\n"):
-        ends = np.append(ends, buffer.size)
-    starts = np.concatenate(([0], ends[:-1] + 1)).astype(np.int64)
-    first = buffer[np.minimum(starts, buffer.size - 1)]
-    if (np.any(buffer - np.uint8(11) < 20)
-            or np.any((ends == starts) | _LEADING_SPACE[first])):
-        yield from parse_log_stream(
-            data.decode("ascii", errors="replace").splitlines(), fields)
-        return
-    remarks = np.flatnonzero(first == ord("#"))
-    for base in range(0, starts.size, PARSE_BATCH_LINES):
-        top = min(base + PARSE_BATCH_LINES, starts.size)
-        lo = base
-        for k in [*remarks[np.searchsorted(remarks, base):
-                           np.searchsorted(remarks, top)].tolist(), top]:
-            if k > lo:
-                yield _parse_block(
-                    buffer[starts[lo]:ends[k - 1]], k - lo, fields,
-                    range(lo + 1, k + 1),
-                    lambda j, lo=lo: data[starts[lo + j]:ends[lo + j]].decode(
-                        "ascii", errors="replace").strip())
-            if k < top:
-                line = data[starts[k]:ends[k]].decode("ascii",
-                                                      errors="replace")
-                if line.startswith("#Fields:"):
-                    fields = parse_fields_header(line.strip(), k + 1)
-                    yield _parse_scalar([], fields, None)[0]
-            lo = k + 1
+    return _parse_block(np.frombuffer(data, dtype=np.uint8), lines, fields,
+                        line_numbers)
 
 
 def _check_layout(fields: Sequence[str]) -> None:
@@ -677,10 +643,6 @@ def _check_layout(fields: Sequence[str]) -> None:
     if missing:
         raise LogParseError(f"layout is missing required fields: {missing}")
 
-
-#: Bytes ``str.strip`` removes that do not break lines.
-_LEADING_SPACE = np.zeros(256, dtype=bool)
-_LEADING_SPACE[[9, 31, ord(" ")]] = True
 
 #: Digits the fast path reads into an integer field (the value stays
 #: below 10**18) and a float field (below 10**15 < 2**53, so the mantissa
@@ -732,10 +694,10 @@ def _eight_digits(word: npt.NDArray[np.uint64]) -> npt.NDArray[np.uint64]:
             * np.uint64(42949672960001)) >> np.uint64(32)
 
 
-def _parse_block(block: npt.NDArray[np.uint8], n: int,
-                 fields: Sequence[str], line_numbers: Sequence[int] | None,
-                 text: Callable[[int], str]) -> ParsedLog:
-    """Parse ``n`` data lines held in ``block``, one ``\\n`` apart.
+def _parse_block(block: npt.NDArray[np.uint8], lines: Sequence[str],
+                 fields: Sequence[str], line_numbers: Sequence[int] | None
+                 ) -> ParsedLog:
+    """Parse the data ``lines``, held in ``block`` one ``\\n`` apart.
 
     The fast path reads every column of the lines whose bytes it can
     vouch for with array arithmetic: a line passes when it is printable
@@ -743,9 +705,8 @@ def _parse_block(block: npt.NDArray[np.uint8], n: int,
     fields are 1 to 18 plain digits (the URI stem ``/live/feed`` and such
     digits) and its float fields 1 to 15 digits with at most one ``.``.
     Such a line is an entry, and its values are the ones ``int``/
-    ``float`` give.  Every other line (``text(k)`` is line ``k`` as the
-    rule sees it) goes to the scalar rule, and the two results merge in
-    line order.
+    ``float`` give.  Every other line goes to the scalar rule, and the
+    two results merge in line order.
     """
     at = {name: k for k, name in enumerate(fields)}
     width = len(fields)
@@ -790,14 +751,14 @@ def _parse_block(block: npt.NDArray[np.uint8], n: int,
     ips, players, os_names = _read_strings(
         words, [(lo[:, at[field]], hi[:, at[field]])
                 for field in ("c-ip", "c-playerid", "c-os")])
-    if accepted.size == n:
+    if accepted.size == len(lines):
         return ParsedLog(fields=fields, columns=columns, ips=ips,
                          players=players, os_names=os_names, errors=[])
-    refused_lines = np.ones(n, dtype=bool)
+    refused_lines = np.ones(len(lines), dtype=bool)
     refused_lines[accepted] = False
     others = np.flatnonzero(refused_lines).tolist()
     scalar, alive = _parse_scalar(
-        [text(k) for k in others], fields,
+        [lines[k] for k in others], fields,
         None if line_numbers is None
         else [line_numbers[k] for k in others])
     order = np.argsort(np.concatenate(
@@ -995,6 +956,26 @@ def parse_log_stream(lines: Iterable[str],
         base += len(slab)
 
 
+def open_log(path: str | Path, byte_lo: int = 0,
+             byte_hi: int | None = None) -> TextIO:
+    """Open a log file, or its bytes ``[byte_lo, byte_hi)``, for reading.
+
+    The one decoder of every log file reader: ASCII, undecodable bytes
+    replaced by U+FFFD (so they surface as skipped lines, not as an
+    aborted read) and universal newlines (a line ends at ``\\n``, ``\\r``
+    or ``\\r\\n``, nowhere else).  A byte range that starts and ends on a
+    line boundary (after a ``\\n``) thus reads as the very lines it holds
+    in the whole file.
+    """
+    raw: IO[bytes] = open(path, "rb")
+    if byte_lo or byte_hi is not None:
+        with raw:
+            raw.seek(byte_lo)
+            blob = raw.read(-1 if byte_hi is None else byte_hi - byte_lo)
+        raw = io.BytesIO(blob)
+    return io.TextIOWrapper(raw, encoding="ascii", errors="replace")
+
+
 def read_wms_log(path: str | Path | TextIO, *,
                  resolver: IpResolver | None = None,
                  extent: float | None = None,
@@ -1006,10 +987,10 @@ def read_wms_log(path: str | Path | TextIO, *,
     ----------
     path:
         Log file path or open text stream.  Paths are opened with
-        ``errors="replace"`` so undecodable (non-ASCII) bytes surface as
-        per-line parse errors instead of aborting the whole read; pass an
-        open stream with the same error handling to get identical
-        behaviour for corrupt bytes.
+        :func:`open_log`, so undecodable (non-ASCII) bytes surface as
+        per-line parse errors instead of aborting the whole read; pass a
+        stream from :func:`open_log` to get identical behaviour for
+        corrupt bytes.
     resolver:
         Optional ``ip -> (as_number, country)`` mapping standing in for the
         external IP-to-AS traceback the paper performed; unresolved clients
@@ -1042,7 +1023,7 @@ def read_wms_log(path: str | Path | TextIO, *,
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
     if isinstance(path, (str, Path)):
-        with open(path, "r", encoding="ascii", errors="replace") as stream:
+        with open_log(path) as stream:
             return read_wms_log(stream, resolver=resolver, extent=extent,
                                 on_error=on_error, error_sink=error_sink)
     index: dict[str, int] = {}  # player ID -> client index

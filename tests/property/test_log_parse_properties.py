@@ -11,25 +11,28 @@ field parses with ``int``/``float`` (the URI stem as
 most lines by digit arithmetic on their bytes and hands the rest to the
 scalar rule, so lines at the edge of that fast path — signs, leading
 zeros, long mantissas, odd separators — are fuzzed on their own, as are
-arbitrary byte blobs read through the byte entry point and the
-map-reduce characterizer.
+log files of arbitrary bytes read by every file reader.
 """
 
+import functools
+import json
 import math
-import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import LogParseError
-from repro.parallel.characterize import characterize_logs
+from repro.parallel.characterize import (
+    characterize_chunk,
+    characterize_logs,
+    plan_log_chunks,
+)
 from repro.trace.streaming import StreamingCharacterizer
 from repro.trace.wms_log import (
     LOG_FIELDS,
-    parse_log_bytes,
     parse_log_lines,
-    parse_log_stream,
+    read_wms_log,
 )
 
 INT64 = range(-(1 << 63), 1 << 63)
@@ -244,31 +247,81 @@ def test_characterizer_only_skips(lines, cut):
         if _reference_parse_line(line.strip(), LOG_FIELDS)[0] is not None)
 
 
-#: Bytes a harvested log may hold: mostly log text, some damage.
-log_bytes = st.lists(st.one_of(
-    st.sampled_from([b"\n", b" ", b"#", b"#Fields: ", b"\r\n", b"\t",
-                     b"\x00", b"\xff", b"\xc3\xa9", b"\x0c", b"\x1c",
-                     b"/live/feed", b"."]),
-    well_formed.map(lambda line: line.encode("ascii") + b"\n"),
-    st.binary(max_size=12)), max_size=16).map(b"".join)
+def _log_bytes(lines):
+    """Bytes a harvested log may hold: mostly ``lines``, some damage."""
+    return st.lists(st.one_of(
+        st.sampled_from([b"\n", b" ", b"#", b"#Fields: ", b"\r\n", b"\t",
+                         b"\x00", b"\xff", b"\xc3\xa9", b"\x0b", b"\x0c",
+                         b"\x1c", b"\r", b"/live/feed", b"."]),
+        lines.map(lambda line: line.encode("ascii") + b"\n"),
+        st.binary(max_size=12)), max_size=16).map(b"".join)
+
+
+def _one_client(line):
+    """``line`` as client ``p0001``'s (the trace reader refuses a player
+    ID seen with two IPs or OSs)."""
+    ts, _, _, _, *rest = line.split()
+    return " ".join((ts, "10.0.0.1", "p0001", "Windows_98", *rest))
+
+
+log_bytes = _log_bytes(well_formed)
+one_client_log_bytes = _log_bytes(well_formed.map(_one_client))
+
+
+HEADER = ("#Fields: " + " ".join(LOG_FIELDS) + "\n").encode("ascii")
+
+
+def _lines(blob):
+    """The stripped lines of ``blob`` as a log file reader sees them:
+    ASCII with replacement, broken at ``\\n``, ``\\r`` and ``\\r\\n``."""
+    text = blob.decode("ascii", errors="replace")
+    return [line.strip()
+            for line in text.replace("\r\n", "\n").replace("\r", "\n")
+            .split("\n")]
+
+
+def _mapped_state(path, chunk_bytes):
+    characterizer = StreamingCharacterizer()
+    for chunk in plan_log_chunks([path], chunk_bytes=chunk_bytes):
+        characterizer.merge(characterize_chunk(chunk))
+    return json.dumps(characterizer.state_dict())
+
+
+def _serial_state(path):
+    characterizer = StreamingCharacterizer()
+    characterizer.consume(path)
+    return json.dumps(characterizer.state_dict())
+
+
+def _trace_counts(path):
+    errors = []
+    trace = read_wms_log(path, on_error="skip", error_sink=errors)
+    return trace.n_transfers, len(errors)
 
 
 @settings(max_examples=150, deadline=None)
-@given(log_bytes)
-def test_byte_blobs_parse_as_their_lines(blob):
-    """Arbitrary bytes read as bytes give the batches of their decoded
-    lines; only a header problem raises."""
-    fields = list(LOG_FIELDS)
-    lines = blob.decode("ascii", errors="replace").splitlines()
+@given(one_client_log_bytes, st.integers(1, 4))
+def test_byte_blobs_parse_as_their_lines(tmp_path_factory, blob, cut):
+    """A log file of arbitrary bytes after a header is read as the same
+    lines by every file reader: the map-reduce characterizer at any chunk
+    size folds the serial one's state, and the trace reader keeps and
+    skips as many lines; where one raises, all do."""
+    path = tmp_path_factory.mktemp("blob") / "blob.log"
+    path.write_bytes(HEADER + blob)
+    chunk_sizes = (max(1, len(blob) // cut), 1 << 30)
     try:
-        expected = list(parse_log_stream(lines, fields))
-    except LogParseError as exc:
-        with pytest.raises(LogParseError, match=re.escape(str(exc))):
-            list(parse_log_bytes(blob, fields))
+        serial = _serial_state(path)
+    except LogParseError:
+        for read in (*(functools.partial(_mapped_state, path, chunk_bytes)
+                       for chunk_bytes in chunk_sizes),
+                     functools.partial(_trace_counts, path)):
+            with pytest.raises(LogParseError):
+                read()
         return
-    got = list(parse_log_bytes(blob, fields))
-    assert [_batch_digest(batch) for batch in got] == [
-        _batch_digest(batch) for batch in expected]
+    for chunk_bytes in chunk_sizes:
+        assert _mapped_state(path, chunk_bytes) == serial
+    state = json.loads(serial)
+    assert _trace_counts(path) == (state["n_entries"], state["n_skipped"])
 
 
 @settings(max_examples=60, deadline=None)
@@ -278,10 +331,8 @@ def test_byte_blobs_characterize_or_skip(tmp_path_factory, blob, cut):
     skipped line by line at any chunk size, never a crash; only a
     ``#Fields`` directive can raise."""
     path = tmp_path_factory.mktemp("blob") / "blob.log"
-    header = "#Fields: " + " ".join(LOG_FIELDS) + "\n"
-    path.write_bytes(header.encode("ascii") + blob)
-    lines = [line.strip() for line in
-             blob.decode("ascii", errors="replace").splitlines()]
+    path.write_bytes(HEADER + blob)
+    lines = _lines(blob)
     try:
         summary = characterize_logs(path,
                                     chunk_bytes=max(1, len(blob) // cut))
@@ -294,11 +345,3 @@ def test_byte_blobs_characterize_or_skip(tmp_path_factory, blob, cut):
         assert summary.n_entries == sum(
             _reference_parse_line(line, LOG_FIELDS)[0] is not None
             for line in data)
-
-
-def _batch_digest(batch):
-    columns = {name: [repr(v) for v in values.tolist()]
-               for name, values in sorted(batch.columns.items())}
-    return (list(batch.fields), columns, batch.ips, batch.players,
-            batch.os_names,
-            [(e.line_number, str(e), e.line) for e in batch.errors])

@@ -3,8 +3,11 @@
 import io
 
 import numpy as np
+import pytest
 
 from repro.core.gismo import synthetic_client_identity
+from repro.errors import TraceError
+from repro.trace.codecs import write_binary_trace
 from repro.trace.wms_log import StreamingWmsLogWriter, _table_identity, read_wms_log, write_wms_log
 from tests.conftest import build_trace
 
@@ -94,6 +97,38 @@ def test_state_round_trip_preserves_bytes():
                  global_offset=3, horizon=np.inf)
     resumed.finish()
     assert second.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("field", ["start", "duration"])
+def test_push_refuses_a_row_that_never_ends(field):
+    """A row whose ``start + duration`` is not finite could never be
+    flushed: ``push`` names the first such row and buffers nothing."""
+    columns = {"start": np.array([1.0, 2.0, 3.0]),
+               "duration": np.array([1.0, 1.0, 1.0])}
+    columns[field][1:] = [np.nan, np.inf]
+    stream = io.StringIO()
+    writer = StreamingWmsLogWriter(
+        stream, lambda k: ("10.0.0.1", "p0", "Windows_98"),
+        write_header=False)
+    with pytest.raises(TraceError, match=r"transfer 6: start \+ duration "
+                                         r"is not finite"):
+        writer.push(client_index=np.zeros(3, dtype=np.int64),
+                    object_id=np.zeros(3, dtype=np.int64),
+                    bandwidth_bps=np.ones(3), global_offset=5,
+                    horizon=np.inf, **columns)
+    assert writer.n_buffered == 0
+    assert writer.finish() == 0
+    assert stream.getvalue() == ""
+
+
+def test_trace_writers_refuse_a_nan_duration(tmp_path):
+    """A trace with a NaN duration is refused by both codecs' writers,
+    not written short."""
+    trace = build_trace([(0, 0, 0.0, 10.0), (1, 0, 2.0, np.nan)])
+    with pytest.raises(TraceError, match="transfer 1: "):
+        write_wms_log(trace, io.StringIO())
+    with pytest.raises(TraceError, match="transfer 1: "):
+        write_binary_trace(trace, tmp_path / "t.bin")
 
 
 def test_default_columns_round_trip():

@@ -4,25 +4,31 @@ The text writer renders whole batches as bytes and the parser reads
 whole batches by digit arithmetic; each keeps a scalar statement of its
 rule (``_format_entry``, the per-value entry rule) for the rows it does
 not vouch for.  These tests hold the column paths to those rules, and
-cover what the writer refuses to write and how ``read_wms_log`` builds
-its client table.
+cover what the writer refuses to write, how ``read_wms_log`` builds its
+client table and that every log file reader breaks a log into the same
+lines.
 """
 
 import io
+import json
 
 import numpy as np
 import pytest
 
 from repro.errors import LogParseError, TraceError
+from repro.parallel.characterize import (
+    characterize_chunk,
+    characterize_logs,
+    plan_log_chunks,
+)
 from repro.rng import make_rng
+from repro.trace.streaming import StreamingCharacterizer
 from repro.trace.wms_log import (
     LOG_FIELDS,
     PARSE_BATCH_LINES,
     StreamingWmsLogWriter,
     _format_entry,
-    parse_log_bytes,
     parse_log_lines,
-    parse_log_stream,
     read_wms_log,
     write_wms_log,
 )
@@ -132,33 +138,93 @@ def test_rendered_lines_match_format_entry(seed):
     assert stream.getvalue().splitlines() == _reference_lines(identity, emit)
 
 
-def _digest(batches):
-    return [(list(b.fields), {k: [repr(v) for v in c.tolist()]
-                              for k, c in sorted(b.columns.items())},
-             b.ips, b.players, b.os_names,
-             [(e.line_number, str(e), e.line) for e in b.errors])
-            for b in batches]
-
-
 GOOD = "17 10.0.0.1 p1 Windows_98 /live/feed1 5 56000 0.0100 0.2000 200 -"
 
 
-@pytest.mark.parametrize("blob", [
-    # Header, remark, directive that reorders the layout, damage.
-    (HEADER + "\n#Remark: x\n" + GOOD + "\n"
-     "#Fields: " + " ".join(reversed(LOG_FIELDS)) + "\n"
-     + " ".join(reversed(GOOD.split())) + "\n" + GOOD + "\n").encode(),
+def _batches_blob():
+    """Lines past two parse batches, remarks on and around the batch
+    boundary, one damaged line."""
+    lines = [GOOD.replace("17", str(k), 1)
+             for k in range(2 * PARSE_BATCH_LINES + 17)]
+    for k in (100, PARSE_BATCH_LINES - 1, PARSE_BATCH_LINES,
+              PARSE_BATCH_LINES + 500):
+        lines[k] = "#Remark: harvest boundary"
+    lines[7] = lines[7].replace(" 5 ", " x ")
+    return ("\n".join(lines) + "\n").encode()
+
+
+#: Log bodies (after a header) and the ``(entries, skipped)`` every file
+#: reader finds in them.  A line ends at ``\n``, ``\r`` or ``\r\n``
+#: only; the other bytes ``str.splitlines`` breaks at (``\v``, ``\f``,
+#: ``\x1c``-``\x1e``) stay inside their line, which then has too many
+#: columns.
+BLOBS = {
+    # Remark, directive that reorders the layout, a line of the old one.
+    "directives": ((HEADER + "\n#Remark: x\n" + GOOD + "\n"
+                    "#Fields: " + " ".join(reversed(LOG_FIELDS)) + "\n"
+                    + " ".join(reversed(GOOD.split())) + "\n" + GOOD
+                    + "\n").encode(), (2, 1)),
     # A leading blank, a blank line and CRLF endings take the string route.
-    (" " + GOOD + "\n\n" + GOOD + "\r\n" + GOOD).encode(),
-    (GOOD + "\n" + GOOD.replace("p1", "pé") + "\n").encode(),
-    (GOOD + "\n" + GOOD.replace(" 5 ", " 0037 ") + "\n"
-     + GOOD.replace(" 5 ", " +5 ") + "\n"
-     + GOOD.replace("56000", "12345678901234567") + "\n").encode(),
-], ids=["directives", "string-route", "non-ascii", "scalar-values"])
-def test_parse_log_bytes_matches_decoded_lines(blob):
-    lines = blob.decode("ascii", errors="replace").splitlines()
-    assert _digest(parse_log_bytes(blob, LOG_FIELDS)) == _digest(
-        parse_log_stream(lines, LOG_FIELDS))
+    "string-route": ((" " + GOOD + "\n\n" + GOOD + "\r\n" + GOOD).encode(),
+                     (3, 0)),
+    "non-ascii": ((GOOD + "\n" + GOOD.replace("p1", "pé") + "\n").encode(),
+                  (1, 1)),
+    "scalar-values": ((GOOD + "\n" + GOOD.replace(" 5 ", " 0037 ") + "\n"
+                       + GOOD.replace(" 5 ", " +5 ") + "\n"
+                       + GOOD.replace("56000", "12345678901234567")
+                       + "\n").encode(), (4, 0)),
+    "batches": (_batches_blob(), (2 * PARSE_BATCH_LINES + 12, 1)),
+    "vertical-tab": ((GOOD + "\x0b" + GOOD + "\n" + GOOD).encode(), (1, 1)),
+    "form-feed": ((GOOD + "\x0c" + GOOD + "\n" + GOOD).encode(), (1, 1)),
+    "file-separator": ((GOOD + "\x1c" + GOOD + "\n" + GOOD).encode(),
+                       (1, 1)),
+    "lone-cr": ((GOOD + "\r" + GOOD + "\r").encode(), (2, 0)),
+    "crlf": ((GOOD + "\r\n" + GOOD + "\r\n").encode(), (2, 0)),
+    "nul-vertical-tab-nul": (b"\x00\x0b\x00", (0, 1)),
+}
+
+
+def _state(characterizer):
+    return json.dumps(characterizer.state_dict())
+
+
+@pytest.mark.parametrize("name", BLOBS)
+def test_file_readers_agree(tmp_path, name):
+    """The serial characterizer, the map-reduce one at any chunk size and
+    the trace reader break a log file into the same lines."""
+    blob, (n_entries, n_skipped) = BLOBS[name]
+    path = tmp_path / "blob.log"
+    path.write_bytes((HEADER + "\n").encode() + blob)
+    serial = StreamingCharacterizer()
+    assert serial.consume(path) == n_entries
+    assert serial.summary().n_skipped == n_skipped
+    errors = []
+    trace = read_wms_log(path, on_error="skip", error_sink=errors)
+    assert (trace.n_transfers, len(errors)) == (n_entries, n_skipped)
+    for chunk_bytes in (max(1, len(blob) // 64), max(1, len(blob) // 3),
+                        1 << 30):
+        mapped = StreamingCharacterizer()
+        for chunk in plan_log_chunks([path], chunk_bytes=chunk_bytes):
+            mapped.merge(characterize_chunk(chunk))
+        assert _state(mapped) == _state(serial), chunk_bytes
+        summary = characterize_logs(path, chunk_bytes=chunk_bytes)
+        assert (summary.n_entries, summary.n_skipped) == (n_entries,
+                                                          n_skipped)
+
+
+def test_file_readers_reject_incomplete_directive(tmp_path):
+    path = tmp_path / "blob.log"
+    path.write_text(HEADER + "\n" + GOOD + "\n#Fields: x-timestamp\n"
+                    + GOOD + "\n")
+    match = "line 3: log is missing"
+    with pytest.raises(LogParseError, match=match):
+        StreamingCharacterizer().consume(path)
+    with pytest.raises(LogParseError, match=match):
+        read_wms_log(path, on_error="skip")
+    with pytest.raises(LogParseError, match=match):
+        characterize_logs(path)
+    with pytest.raises(LogParseError, match="log is missing"):
+        characterize_logs(path, chunk_bytes=1)
 
 
 @pytest.mark.parametrize("uri", ["/l", "/live/fe", "/live/feed",
@@ -189,27 +255,6 @@ def test_short_string_last_in_layout():
     batch = parse_log_lines(lines, fields)
     assert batch.os_names == ["Windows_98_Second_Edition_Plus_Pack", "W"]
     assert batch.errors == []
-
-
-def test_parse_log_bytes_batches_as_parse_log_stream():
-    """Batches break where ``parse_log_stream``'s do: every
-    ``PARSE_BATCH_LINES`` lines and at each remark."""
-    lines = [GOOD.replace("17", str(k), 1)
-             for k in range(2 * PARSE_BATCH_LINES + 17)]
-    for k in (100, PARSE_BATCH_LINES - 1, PARSE_BATCH_LINES,
-              PARSE_BATCH_LINES + 500):
-        lines[k] = "#Remark: harvest boundary"
-    lines[7] = lines[7].replace(" 5 ", " x ")
-    blob = ("\n".join(lines) + "\n").encode()
-    got = _digest(parse_log_bytes(blob, LOG_FIELDS))
-    assert len(got) == 5
-    assert got == _digest(parse_log_stream(lines, LOG_FIELDS))
-
-
-def test_parse_log_bytes_rejects_incomplete_directive():
-    blob = (GOOD + "\n#Fields: x-timestamp\n" + GOOD + "\n").encode()
-    with pytest.raises(LogParseError, match="line 2: log is missing"):
-        list(parse_log_bytes(blob, LOG_FIELDS))
 
 
 def test_read_wms_log_resolves_each_client_once(tiny_trace):
