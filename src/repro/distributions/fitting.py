@@ -19,8 +19,9 @@ Rate-profile estimation for the piecewise-stationary Poisson arrival model
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -41,13 +42,31 @@ def _positive_samples(values: ArrayLike, *, name: str) -> FloatArray:
     return arr
 
 
+def lognormal_moments(support: Iterable[float], counts: Iterable[int]) -> tuple[float, float]:
+    """``(mu, sigma)`` of ``log(value)`` over distinct positive values and
+    their counts: the one lognormal estimator, batch and streaming.
+
+    Sums run in ascending value order, so any grouping of one multiset
+    gives the same bits; ``sigma`` is the population deviation.  No
+    observations give ``(0.0, 0.0)``, one gives ``(mu, 0.0)``.
+    """
+    items = sorted(zip(support, counts))
+    n = sum(count for _, count in items)
+    if n == 0:
+        return 0.0, 0.0
+    logs = [(math.log(value), count) for value, count in items]
+    mu = sum(value * count for value, count in logs) / n
+    m2 = sum((value - mu) ** 2 * count for value, count in logs)
+    return mu, math.sqrt(m2 / n)
+
+
 def fit_lognormal(values: ArrayLike) -> LognormalDistribution:
     """Fit a lognormal by maximum likelihood on the log-transformed sample.
 
     Non-positive and non-finite values are discarded (the server log's
     one-second resolution produces zero-length measurements; the paper's
     ``floor(t)+1`` convention should be applied by the caller when those
-    zeros are meaningful).
+    zeros are meaningful); :func:`lognormal_moments` fits the rest.
 
     Raises
     ------
@@ -57,9 +76,8 @@ def fit_lognormal(values: ArrayLike) -> LognormalDistribution:
     arr = _positive_samples(values, name="values")
     if arr.size < 2:
         raise FittingError("lognormal fit requires at least two positive samples")
-    logs = np.log(arr)
-    mu = float(logs.mean())
-    sigma = float(logs.std())
+    support, counts = np.unique(arr, return_counts=True)
+    mu, sigma = lognormal_moments(support.tolist(), counts.tolist())
     if sigma == 0:
         raise FittingError("lognormal fit is degenerate: constant sample")
     return LognormalDistribution(mu, sigma)

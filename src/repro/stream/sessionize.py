@@ -117,24 +117,14 @@ def merge_finalized(parts: Sequence[FinalizedSessions]) -> FinalizedSessions:
     increasing starts — consecutive sessions are separated by a positive
     gap — so the order is total and the sort permutation unique.)
     """
-    if not parts:
-        # No parts carries no tracking evidence; match the untracked
-        # convention (transfer_indices=None) like merge_parts does.
-        return _empty_finalized(False)
-    tracked = all(part.transfer_indices is not None for part in parts)
-    client = np.concatenate([part.client_index for part in parts])
-    start = np.concatenate([part.start for part in parts])
-    end = np.concatenate([part.end for part in parts])
-    count = np.concatenate([part.n_transfers for part in parts])
-    order = np.lexsort((start, client))
-    indices: tuple[tuple[int, ...], ...] | None = None
-    if tracked:
-        flat = [idx for part in parts
-                for idx in (part.transfer_indices or ())]
-        indices = tuple(flat[k] for k in order.tolist())
-    return FinalizedSessions(client_index=client[order], start=start[order],
-                             end=end[order], n_transfers=count[order],
-                             transfer_indices=indices)
+    merged = merge_parts(parts)
+    order = np.lexsort((merged.start, merged.client_index))
+    indices = merged.transfer_indices
+    return FinalizedSessions(
+        client_index=merged.client_index[order], start=merged.start[order],
+        end=merged.end[order], n_transfers=merged.n_transfers[order],
+        transfer_indices=(None if indices is None
+                          else tuple(indices[k] for k in order.tolist())))
 
 
 class OnlineSessionizer(Stateful):

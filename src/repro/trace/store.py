@@ -126,9 +126,9 @@ class Trace:
     object_id:
         Per-transfer live-object index.
     start:
-        Per-transfer start times (seconds since trace start).
+        Per-transfer start times (seconds since trace start), finite.
     duration:
-        Per-transfer lengths (seconds).
+        Per-transfer lengths (seconds), finite and non-negative.
     bandwidth_bps, packet_loss, server_cpu, status:
         Optional per-transfer statistics; default to zeros / 200.
     extent:
@@ -173,6 +173,8 @@ class Trace:
         self.server_cpu = _column(server_cpu, 0.0, np.float64)
         self.status = _column(status, 200, np.int64)
 
+        if not (np.isfinite(self.start).all() and np.isfinite(self.duration).all()):
+            raise TraceError("transfer starts and durations must be finite")
         if n and (self.duration.min() < 0):
             raise TraceError("transfer durations must be non-negative")
         if n and (self.client_index.min() < 0

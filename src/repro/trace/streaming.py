@@ -22,20 +22,19 @@ Everything it reports is cross-checked against the batch pipeline in the
 test suite: same log in, same statistics out.
 
 Every accumulator is **mergeable**: :meth:`StreamingCharacterizer.merge`
-folds another characterizer's state into this one, exactly.  Two
-characterizers fed disjoint halves of a log and merged report the same
-:class:`StreamingSummary` as one characterizer fed the whole log — counts
-and histograms are integer-exact, and the lognormal length fit is held in
-an integer-count form (:class:`OnlineLogMoments`) whose moments are
-computed once at summary time, so even the floating-point fields agree
-bit for bit.  That contract is what lets
-:func:`repro.parallel.characterize_logs` map chunks across processes and
-reduce without changing any reported statistic.
+folds another characterizer's state into this one.  Counts and
+histograms merge integer-exact and the length fit is held as integer
+display counts (:class:`OnlineLogMoments`), so a merged fit equals a
+single pass bit for bit.  ``bytes_served`` is the serial float sum only
+while every ``duration * bandwidth`` product is an integer and every
+partial sum (merge adds the parts') stays within 2**53 bits — true of
+the writers' logs up to about 1.1 PB.  That is what lets
+:func:`repro.parallel.characterize_logs` map chunks across processes
+and reduce without changing any reported statistic.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
@@ -46,9 +45,10 @@ import numpy as np
 
 from .._typing import FloatArray, IntArray
 from ..arrayops import unique_integers
+from ..distributions.fitting import lognormal_moments
 from ..errors import TraceError
 from ..state import Column, Scalar, Schema, Stateful
-from ..units import DAY
+from ..units import DAY, log_display_time
 from .wms_log import ParsedLog, open_log, parse_log_stream
 
 #: Shape/dtype-generic array (decoded binary segment columns).
@@ -76,11 +76,10 @@ class OnlineLogMoments:
 
     The paper's display convention maps every measured length to the
     integer ``floor(t) + 1``, so the accumulator keeps exact *counts per
-    integer display length* rather than running float moments.  Counts
-    merge exactly (integer addition is associative), and the lognormal
-    ``mu``/``sigma`` are computed once at read time by a deterministic
-    walk over the sorted support — which makes chunked-and-merged
-    results bit-identical to a single sequential pass.
+    integer display length*, which merge exactly.  ``mu``/``sigma`` come
+    from :func:`~repro.distributions.fitting.lognormal_moments` at read
+    time, as in ``fit_lognormal``: chunked-and-merged counts give the
+    batch fit of the same lengths bit for bit.
     """
 
     __slots__ = ("counts",)
@@ -91,9 +90,9 @@ class OnlineLogMoments:
     def add_lengths(self, lengths: FloatArray, *,
                     first_seen: bool = False) -> None:
         """Count each length's display value ``floor(max(t, 0)) + 1``
-        (the paper's convention, as in ``log_display_time``); new values
-        become keys in first-seen or else ascending order."""
-        display = np.floor(np.maximum(lengths, 0.0)).astype(np.int64) + 1
+        (:func:`~repro.units.log_display_time`); new values become keys
+        in first-seen or else ascending order."""
+        display = log_display_time(np.maximum(lengths, 0.0)).astype(np.int64)
         self.counts.update(_tally(display, first_seen))
 
     def merge(self, other: "OnlineLogMoments") -> None:
@@ -106,16 +105,7 @@ class OnlineLogMoments:
 
     def moments(self) -> tuple[float, float]:
         """The ``(mu, sigma)`` of ``log(display)`` over the counts."""
-        n = self.n
-        if n == 0:
-            return 0.0, 0.0
-        items = sorted(self.counts.items())
-        logs = [(math.log(display), count) for display, count in items]
-        mu = sum(value * count for value, count in logs) / n
-        if n < 2:
-            return mu, 0.0
-        m2 = sum((value - mu) ** 2 * count for value, count in logs)
-        return mu, math.sqrt(m2 / n)
+        return lognormal_moments(self.counts.keys(), self.counts.values())
 
 
 @dataclass(frozen=True)
@@ -415,11 +405,11 @@ class StreamingCharacterizer(Stateful):
               ) -> "StreamingCharacterizer":
         """Fold ``other``'s accumulated state into this characterizer.
 
-        The merge is exact: feeding two characterizers disjoint parts of
-        a log and merging reports the same :class:`StreamingSummary` as
-        one characterizer fed everything (see the module docstring for
-        why this extends to the floating-point fields).  Both sides must
-        have been built with the same ``diurnal_bins`` and
+        Feeding two characterizers disjoint parts of a log and merging
+        reports the same :class:`StreamingSummary` as one characterizer
+        fed everything; ``bytes_served`` only while its sums are exact
+        integers within 2**53 bits (see the module docstring).  Both
+        sides must have been built with the same ``diurnal_bins`` and
         ``bandwidth_edges``.  Returns ``self`` for chaining; ``other``
         is left unchanged.
 

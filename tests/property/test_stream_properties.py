@@ -5,7 +5,9 @@ batch counterparts bit for bit on *any* input and *any* batching —
 including exact timeout-boundary gaps (integer grids make ``gap == T_o``
 common) and heavily interleaved clients.  Checkpoint round trips must be
 transparent: state serialized mid-stream and restored into a fresh
-consumer continues to the identical result.
+consumer continues to the identical result.  Display-length counts
+accumulated in batches and merged in any order give the batch lognormal
+fit's moments exactly.
 """
 
 import io
@@ -13,14 +15,17 @@ import json
 from functools import lru_cache
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.model import LiveWorkloadModel
 from repro.core.sessionizer import sessionize
+from repro.distributions.fitting import fit_lognormal
 from repro.parallel.engine import generate_sharded
 from repro.stream import GenerationStream, OnlineSessionizer, merge_finalized
+from repro.trace.streaming import OnlineLogMoments
 from repro.trace.wms_log import StreamingWmsLogWriter, _table_identity, write_wms_log
+from repro.units import log_display_time
 from tests.conftest import build_trace
 
 # Integer grids make exact-timeout gaps (gap == T_o, not a boundary) and
@@ -236,3 +241,29 @@ def test_streaming_writer_bytes_identical(transfers, data):
     assert writer.finish() == n
     assert got.getvalue() == want.getvalue()
     assert writer.n_buffered == 0
+
+
+# Small whole seconds repeat display values; wide floats spread them.
+lengths_lists = st.lists(
+    st.one_of(st.integers(min_value=0, max_value=30).map(float),
+              st.floats(min_value=0.0, max_value=1e6)),
+    min_size=2, max_size=80)
+
+
+@given(lengths=lengths_lists, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_merged_log_moments_equal_batch_fit(lengths, data):
+    """Batched, merged-in-any-order counts fit like ``fit_lognormal``."""
+    displays = log_display_time(lengths)
+    assume(np.unique(displays).size >= 2)
+    cuts = _split_batches(data, len(lengths))
+    parts = []
+    for lo, hi in zip(cuts, cuts[1:], strict=False):
+        part = OnlineLogMoments()
+        part.add_lengths(np.asarray(lengths[lo:hi]))
+        parts.append(part)
+    merged = OnlineLogMoments()
+    for k in data.draw(st.permutations(range(len(parts))), label="order"):
+        merged.merge(parts[k])
+    fit = fit_lognormal(displays)
+    assert merged.moments() == (fit.mu, fit.sigma)

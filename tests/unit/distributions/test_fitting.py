@@ -1,5 +1,7 @@
 """Unit tests for the fitting routines."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.distributions import (
     fit_zipf_rank,
     hill_estimator,
 )
+from repro.distributions.fitting import lognormal_moments
 from repro.errors import FittingError
 from repro.rng import make_rng
 from repro.units import DAY
@@ -44,10 +47,16 @@ class TestFitLognormal:
     def test_constant_sample_rejected(self):
         with pytest.raises(FittingError):
             fit_lognormal([2.0, 2.0, 2.0])
+        assert lognormal_moments([2.0], [3]) == (math.log(2.0), 0.0)
+        assert lognormal_moments([7.0], [1]) == (math.log(7.0), 0.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(FittingError):
-            fit_lognormal([])
+        # Empty, or fewer than two positive finite samples once filtered.
+        for values in ([], [np.nan, np.inf, -np.inf], [0.0, 0.0, 0.0],
+                       [np.nan, 0.0, 5.0, -1.0, np.inf]):
+            with pytest.raises(FittingError):
+                fit_lognormal(values)
+        assert lognormal_moments([], []) == (0.0, 0.0)
 
 
 class TestFitExponential:

@@ -5,11 +5,13 @@ import pytest
 
 from repro.core.model import LiveWorkloadModel
 from repro.core.sessionizer import sessionize
+from repro.distributions.fitting import fit_lognormal
 from repro.errors import AnalysisError, CheckpointError
 from repro.parallel import generate_sharded
 from repro.stream import FinalizedSessions, OnlineSessionizer, merge_finalized
 from repro.stream.sessionize import merge_parts
 from repro.trace.streaming import OnlineLogMoments
+from repro.units import log_display_time
 from tests.conftest import build_trace
 
 SEED = 20260808
@@ -207,11 +209,7 @@ def test_push_with_gaps_matches_batch_interarrivals(small_trace):
     trace = small_trace
     sessions = sessionize(trace, timeout=1500.0)
     expected = sessions.intra_session_interarrivals()
-    displays = np.floor(np.maximum(expected, 0.0)).astype(np.int64) + 1
-    reference = OnlineLogMoments()
-    values, counts = np.unique(displays, return_counts=True)
-    for value, count in zip(values.tolist(), counts.tolist(), strict=True):
-        reference.counts[value] = count
+    reference = fit_lognormal(log_display_time(np.maximum(expected, 0.0)))
 
     # Uneven batches: the gaps must not depend on the batching.
     merged, gaps = _push_with_gaps(OnlineSessionizer(
@@ -219,7 +217,7 @@ def test_push_with_gaps_matches_batch_interarrivals(small_trace):
     np.testing.assert_array_equal(np.sort(gaps), np.sort(expected))
     live = OnlineLogMoments()
     live.add_lengths(gaps)
-    assert live.moments() == reference.moments()
+    assert live.moments() == (reference.mu, reference.sigma)
     assert merged.n_sessions == sessions.n_sessions
 
 

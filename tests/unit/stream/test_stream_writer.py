@@ -123,8 +123,10 @@ def test_push_refuses_a_row_that_never_ends(field):
 
 def test_trace_writers_refuse_a_nan_duration(tmp_path):
     """A trace with a NaN duration is refused by both codecs' writers,
-    not written short."""
-    trace = build_trace([(0, 0, 0.0, 10.0), (1, 0, 2.0, np.nan)])
+    not written short.  ``Trace`` refuses one at construction, so the
+    column is poisoned afterwards."""
+    trace = build_trace([(0, 0, 0.0, 10.0), (1, 0, 2.0, 5.0)])
+    trace.duration[1] = np.nan
     with pytest.raises(TraceError, match="transfer 1: "):
         write_wms_log(trace, io.StringIO())
     with pytest.raises(TraceError, match="transfer 1: "):

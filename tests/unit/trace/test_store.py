@@ -63,6 +63,16 @@ class TestTraceConstruction:
         with pytest.raises(TraceError):
             Trace(table, [0], [0], [0.0], [-1.0])
 
+    @pytest.mark.parametrize(("start", "duration"), [
+        ([0.0, 1.0], [np.nan, 2.0]),
+        ([np.nan, 1.0], [1.0, 2.0]),
+        ([0.0, 1.0], [1.0, np.inf]),
+        ([0.0, -np.inf], [1.0, 2.0]),
+    ], ids=["nan-duration", "nan-start", "inf-duration", "inf-start"])
+    def test_non_finite_start_or_duration_rejected(self, start, duration):
+        with pytest.raises(TraceError, match="finite"):
+            Trace(simple_table(1), [0, 0], [0, 0], start, duration)
+
     def test_out_of_range_client_rejected(self):
         table = simple_table(1)
         with pytest.raises(TraceError):

@@ -44,9 +44,8 @@ class TestAgreementWithBatch:
         batch = read_wms_log(io.StringIO(log_text))
         fit = fit_lognormal(log_display_time(batch.duration))
         summary = streamed.summary()
-        assert summary.length_log_mu == pytest.approx(fit.mu, abs=1e-9)
-        assert summary.length_log_sigma == pytest.approx(fit.sigma,
-                                                         abs=1e-9)
+        assert summary.length_log_mu == fit.mu
+        assert summary.length_log_sigma == fit.sigma
 
     def test_bytes_served_matches_batch(self, streamed, log_text):
         batch = read_wms_log(io.StringIO(log_text))
