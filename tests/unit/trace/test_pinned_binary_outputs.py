@@ -104,7 +104,7 @@ def test_decoded_characterization(rtb_path):
     fit = characterize(clean)
     assert len(fit.client.topology.country_shares) == 4
     assert digest(fit) == (
-        "739596c8b2065c05449220a70383d550287180983b9795ef9a75c255ff7f0f76")
+        "de183a077aefea18e00e66b85416ef900f309b6848be3cee13c678009151d59e")
 
 
 def test_serial_state_dict(rtb_path):
