@@ -18,7 +18,7 @@ from repro.core.sessionizer import (
     sessionize,
     silence_gaps,
 )
-from repro.simulation.scenario import LiveShowScenario, ScenarioConfig
+from repro.simulation.live_show import LiveShowScenario, ScenarioConfig
 from repro.trace.transform import daily_slices, merge_traces
 from repro.units import FIFTEEN_MINUTES
 

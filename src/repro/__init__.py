@@ -4,7 +4,7 @@ Streaming Media Workload* (Veloso, Almeida, Meira, Bestavros, Jin — IMC
 
 The library has three faces:
 
-* **Simulate** — :class:`~repro.simulation.scenario.LiveShowScenario`
+* **Simulate** — :class:`~repro.simulation.live_show.LiveShowScenario`
   produces a Windows-Media-Server-style trace of a live reality-show
   audience, standing in for the paper's proprietary 28-day log.
 * **Characterize** — :func:`~repro.core.characterize.characterize` runs the
@@ -36,7 +36,7 @@ from .core.report import render_report
 from .core.sessionizer import Sessions, session_count_for_timeouts, sessionize
 from .core.validate import FidelityReport, compare_workloads
 from .errors import ReproError
-from .simulation.scenario import (
+from .simulation.live_show import (
     LiveShowScenario,
     ScenarioConfig,
     SimulationResult,

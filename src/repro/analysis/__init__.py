@@ -5,7 +5,7 @@ Each module corresponds to a family of figures in the paper:
 * :mod:`~repro.analysis.marginals` — the three-panel frequency / CDF / CCDF
   marginal views (Figures 3, 5, 6, 11-15, 17, 19, 20);
 * :mod:`~repro.analysis.concurrency` — active-entity counting ``c(t)``
-  (Figures 3, 15);
+  (Figures 3, 15) and the live fan-out rule every egress model counts;
 * :mod:`~repro.analysis.timeseries` — 15-minute binning and folding modulo
   day/week (Figures 4, 16, 18);
 * :mod:`~repro.analysis.autocorrelation` — the ACF of binned counts

@@ -10,7 +10,10 @@ worked.
 :func:`relay_placement_curve` quantifies the planning question: origin
 egress as a function of how many of the top ASes get relays.  Because AS
 sizes are Zipf (Figure 2), the curve has the classic concave shape —
-a few well-placed relays absorb most of the unicast load.
+a few well-placed relays absorb most of the unicast load.  A relay AS's
+origin streams follow the same fan-out rule as the CDN origin and
+multicast: the count of
+:func:`~repro.analysis.concurrency.merged_group_intervals`.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._typing import FloatArray
 from ..errors import AnalysisError
 from ..trace.store import Trace
-from .concurrency import sampled_concurrency
+from .concurrency import merged_group_intervals, sampled_concurrency
 
 
 @dataclass(frozen=True)
@@ -87,49 +89,38 @@ def relay_placement_curve(trace: Trace, relay_counts: list[int], *,
         raise AnalysisError("relay counts must be non-negative")
 
     transfer_as = trace.clients.as_numbers[trace.client_index]
-    as_numbers, as_counts = np.unique(transfer_as, return_counts=True)
+    as_numbers, as_index, as_counts = np.unique(
+        transfer_as, return_inverse=True, return_counts=True)
     # Stable sort so equal-traffic ASes rank in a platform-independent
     # order (ties fall back to ascending AS number, reversed).
-    ranked_ases = as_numbers[np.argsort(as_counts, kind="stable")[::-1]]
-
-    # Per-(AS, feed) concurrency for the ASes any deployment could touch;
-    # everything else only ever needs its total concurrency.
-    max_relays = min(max(relay_counts, default=0), ranked_ases.size)
-    candidate_ases = ranked_ases[:max_relays]
+    ranking = np.argsort(as_counts, kind="stable")[::-1]
+    ranked_ases = as_numbers[ranking]
+    as_rank = np.empty(ranking.size, dtype=np.int64)
+    as_rank[ranking] = np.arange(ranking.size, dtype=np.int64)
+    transfer_rank = as_rank[as_index]
+    feeds, feed_index = np.unique(trace.object_id, return_inverse=True)
+    # One origin stream per (relay AS, feed) while any local viewer is on.
+    relay_group = transfer_rank * np.int64(feeds.size) + feed_index
     ends = np.minimum(trace.end, trace.extent)
 
-    total_unicast = sampled_concurrency(trace.start, ends,
-                                        extent=trace.extent, step=step)
-    direct_mean = float(total_unicast.mean()) * encoding_rate_bps
-
-    feeds = np.unique(trace.object_id)
-    per_as_feed: dict[tuple[int, int], FloatArray] = {}
-    per_as_total: dict[int, FloatArray] = {}
-    for as_number in candidate_ases:
-        as_mask = transfer_as == as_number
-        per_as_total[int(as_number)] = sampled_concurrency(
-            trace.start[as_mask], ends[as_mask], extent=trace.extent,
-            step=step)
-        for feed in feeds:
-            mask = as_mask & (trace.object_id == feed)
-            per_as_feed[(int(as_number), int(feed))] = sampled_concurrency(
-                trace.start[mask], ends[mask], extent=trace.extent,
-                step=step)
+    direct_mean = float(sampled_concurrency(
+        trace.start, ends, extent=trace.extent,
+        step=step).mean()) * encoding_rate_bps
 
     results = []
     for k in relay_counts:
         k_eff = min(k, ranked_ases.size)
-        chosen = tuple(int(a) for a in ranked_ases[:k_eff])
-        origin = total_unicast.astype(np.float64).copy()
-        for as_number in chosen:
-            # Replace this AS's unicast load with one stream per live feed.
-            origin -= per_as_total[as_number]
-            for feed in feeds:
-                origin += (per_as_feed[(as_number, int(feed))] > 0)
+        relayed = transfer_rank < k_eff
+        merged_s, merged_e = merged_group_intervals(
+            relay_group[relayed], trace.start[relayed], ends[relayed])
+        origin = sampled_concurrency(
+            np.concatenate([trace.start[~relayed], merged_s]),
+            np.concatenate([ends[~relayed], merged_e]),
+            extent=trace.extent, step=step)
         origin_bps = origin * encoding_rate_bps
         results.append(RelayPlacement(
             n_relays=k,
-            relay_ases=chosen,
+            relay_ases=tuple(int(a) for a in ranked_ases[:k_eff]),
             origin_mean_bps=float(origin_bps.mean()),
             origin_peak_bps=float(origin_bps.max()),
             direct_mean_bps=direct_mean,

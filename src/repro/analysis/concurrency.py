@@ -9,13 +9,19 @@ Two views are provided: point samples of the step function on a regular
 grid (:func:`sampled_concurrency`, used for marginal distributions and
 autocorrelation) and exact time-weighted bin averages
 (:func:`mean_concurrency_bins`, used for the 15-minute-bin figures).
+:func:`active_counts` is the counting kernel at arbitrary query times.
+
+Live fan-out — one stream per group (a feed, an ``(edge, feed)`` or an
+``(AS, feed)`` pair) while any member is active — is the count of
+:func:`merged_group_intervals`: every egress model (unicast against
+multicast, relay placement, the CDN origin) samples that count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .._typing import ArrayLike, FloatArray, as_float_array
+from .._typing import ArrayLike, FloatArray, IntArray, as_float_array
 from ..errors import AnalysisError
 
 
@@ -55,11 +61,61 @@ def sampled_concurrency(starts: ArrayLike, ends: ArrayLike, *,
     s, e = _validate_intervals(starts, ends)
     n_samples = int(np.ceil(extent / step))
     times = np.arange(n_samples, dtype=np.float64) * step
-    s_sorted = np.sort(s)
-    e_sorted = np.sort(e)
-    started = np.searchsorted(s_sorted, times, side="right")
-    ended = np.searchsorted(e_sorted, times, side="right")
-    return (started - ended).astype(np.float64)
+    return active_counts(s, e, times).astype(np.float64)
+
+
+def active_counts(starts: ArrayLike, ends: ArrayLike,
+                  times: ArrayLike) -> IntArray:
+    """Number of intervals ``[s, e)`` active at each query time.
+
+    An interval is active at ``t`` when ``s <= t < e``; a zero-length
+    interval is never active.  The inputs are not validated.
+    """
+    t = np.asarray(times, dtype=np.float64)
+    started = np.searchsorted(np.sort(np.asarray(starts, dtype=np.float64)),
+                              t, side="right")
+    ended = np.searchsorted(np.sort(np.asarray(ends, dtype=np.float64)),
+                            t, side="right")
+    return (started - ended).astype(np.int64, copy=False)
+
+
+def merged_group_intervals(group: IntArray, start: FloatArray,
+                           end: FloatArray
+                           ) -> tuple[FloatArray, FloatArray]:
+    """Disjoint intervals covering each group's union of leg intervals.
+
+    Walk the legs sorted by (group, start) keeping each group's running
+    max of ends: a leg opens a merged interval when it is its group's
+    first or starts strictly after every earlier leg of the group has
+    ended, so back-to-back legs (one viewer leaves as another joins)
+    coalesce into one unbroken origin stream.  The per-group running
+    max is one cumulative max over integer keys ``group rank * n + end
+    rank`` — every key of a later group exceeds every key of an earlier
+    one, so no group sees another's ends.  Intervals come out ordered
+    by group, then start.
+    """
+    keep = end > start
+    group, start, end = group[keep], start[keep], end[keep]
+    n = group.size
+    if n == 0:
+        return np.zeros(0), np.zeros(0)
+    order = np.lexsort((start, group))
+    g_o, s_o = group[order], start[order]
+    end_order = np.argsort(end, kind="stable")
+    end_rank = np.empty(n, dtype=np.int64)
+    end_rank[end_order] = np.arange(n, dtype=np.int64)
+    first = np.empty(n, dtype=np.bool_)
+    first[0] = True
+    first[1:] = g_o[1:] != g_o[:-1]
+    base = (np.cumsum(first) - 1) * np.int64(n)
+    run_rank = np.maximum.accumulate(base + end_rank[order]) - base
+    run_end = end[end_order][run_rank]
+    opens = first.copy()
+    opens[1:] |= s_o[1:] > run_end[:-1]
+    closes = np.empty(n, dtype=np.bool_)
+    closes[:-1] = opens[1:]
+    closes[-1] = True
+    return s_o[opens], run_end[closes]
 
 
 def mean_concurrency_bins(starts: ArrayLike, ends: ArrayLike, *,

@@ -9,9 +9,11 @@ is maximal, because every recipient of a feed is watching the same instant
 by definition.
 
 :func:`compare_unicast_multicast` quantifies this on any trace: unicast
-egress is (per-feed concurrency x encoded rate) summed over feeds;
-multicast egress is one stream per feed whenever at least one viewer is
-tuned in.
+egress is the concurrent-transfer count times the encoded rate; multicast
+egress is one stream per feed whenever at least one viewer is tuned in —
+the count of the feeds' merged intervals
+(:func:`~repro.analysis.concurrency.merged_group_intervals`), the same
+fan-out rule as the CDN origin.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from ..errors import AnalysisError
 from ..trace.store import Trace
+from .concurrency import merged_group_intervals, sampled_concurrency
 
 
 @dataclass(frozen=True)
@@ -83,15 +86,13 @@ def compare_unicast_multicast(trace: Trace, *,
         raise AnalysisError("encoding_rate_bps must be positive")
     if len(trace) == 0:
         raise AnalysisError("cannot compare delivery schemes on an empty trace")
-    from ..simulation.vbr import per_feed_concurrency
-
-    concurrency = per_feed_concurrency(trace, step=step)
-    n_steps = next(iter(concurrency.values())).size
-    unicast = np.zeros(n_steps)
-    multicast = np.zeros(n_steps)
-    for counts in concurrency.values():
-        unicast += counts * encoding_rate_bps
-        multicast += (counts > 0) * encoding_rate_bps
+    ends = np.minimum(trace.end, trace.extent)
+    merged_s, merged_e = merged_group_intervals(trace.object_id,
+                                                trace.start, ends)
+    unicast = sampled_concurrency(trace.start, ends, extent=trace.extent,
+                                  step=step) * encoding_rate_bps
+    multicast = sampled_concurrency(merged_s, merged_e, extent=trace.extent,
+                                    step=step) * encoding_rate_bps
 
     return MulticastComparison(
         step=step,

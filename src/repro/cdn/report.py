@@ -22,7 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._typing import FloatArray, IntArray
-from ..analysis.concurrency import sampled_concurrency
+from ..analysis.concurrency import (
+    merged_group_intervals,
+    sampled_concurrency,
+)
 from ..errors import CdnError
 from ..trace.store import Trace
 from .admission import BoolArray, active_peaks
@@ -201,45 +204,6 @@ class CdnResult:
         }
 
 
-def _merged_feed_intervals(group: IntArray, start: FloatArray,
-                           end: FloatArray
-                           ) -> tuple[FloatArray, FloatArray]:
-    """Disjoint intervals covering each group's union of leg intervals.
-
-    Walk the legs sorted by (group, start) keeping each group's running
-    max of ends: a leg opens a merged interval when it is its group's
-    first or starts strictly after every earlier leg of the group has
-    ended, so back-to-back legs (one viewer leaves as another joins)
-    coalesce into one unbroken origin stream.  The per-group running
-    max is one cumulative max over integer keys ``group rank * n + end
-    rank`` — every key of a later group exceeds every key of an earlier
-    one, so no group sees another's ends.  Intervals come out ordered
-    by group, then start.
-    """
-    keep = end > start
-    group, start, end = group[keep], start[keep], end[keep]
-    n = group.size
-    if n == 0:
-        return np.zeros(0), np.zeros(0)
-    order = np.lexsort((start, group))
-    g_o, s_o = group[order], start[order]
-    end_order = np.argsort(end, kind="stable")
-    end_rank = np.empty(n, dtype=np.int64)
-    end_rank[end_order] = np.arange(n, dtype=np.int64)
-    first = np.empty(n, dtype=np.bool_)
-    first[0] = True
-    first[1:] = g_o[1:] != g_o[:-1]
-    base = (np.cumsum(first) - 1) * np.int64(n)
-    run_rank = np.maximum.accumulate(base + end_rank[order]) - base
-    run_end = end[end_order][run_rank]
-    opens = first.copy()
-    opens[1:] |= s_o[1:] > run_end[:-1]
-    closes = np.empty(n, dtype=np.bool_)
-    closes[:-1] = opens[1:]
-    closes[-1] = True
-    return s_o[opens], run_end[closes]
-
-
 def build_result(trace: Trace, topology: CdnTopology, policy: str,
                  legs: LegSet, *, step: float = 60.0) -> CdnResult:
     """Reduce a finished run's legs into the :class:`CdnResult`."""
@@ -274,7 +238,7 @@ def build_result(trace: Trace, topology: CdnTopology, policy: str,
     feeds = trace.object_id[legs.transfer[served]]
     n_feeds = int(trace.object_id.max()) + 1 if len(trace) else 1
     stream_group = legs.edge[served] * np.int64(n_feeds) + feeds
-    merged_s, merged_e = _merged_feed_intervals(
+    merged_s, merged_e = merged_group_intervals(
         stream_group, legs.start[served], legs.end[served])
     peak_streams, _ = active_peaks(
         merged_s, merged_e, np.ones(merged_s.size, dtype=np.int64))

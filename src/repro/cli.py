@@ -36,9 +36,9 @@ from .core.characterize import characterize
 from .core.gismo import LiveWorkloadGenerator
 from .core.model import LiveWorkloadModel
 from .core.report import render_report
+from .simulation.live_show import LiveShowScenario, ScenarioConfig
 from .simulation.population import PopulationConfig
 from .simulation.replay import replay_trace
-from .simulation.scenario import LiveShowScenario, ScenarioConfig
 from .trace.sanitize import sanitize_trace
 from .trace.store import Trace
 from .trace.wms_log import write_wms_log

@@ -26,8 +26,8 @@ import numpy as np
 from ..core.calibrate import CalibrationResult, calibrate_model
 from ..core.characterize import WorkloadCharacterization, characterize
 from ..core.sessionizer import Sessions, sessionize
+from ..simulation.live_show import LiveShowScenario, ScenarioConfig, SimulationResult
 from ..simulation.population import PopulationConfig
-from ..simulation.scenario import LiveShowScenario, ScenarioConfig, SimulationResult
 from ..trace.sanitize import SanitizationReport, sanitize_trace
 from ..trace.store import Trace
 

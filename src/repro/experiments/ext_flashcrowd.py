@@ -15,9 +15,9 @@ import numpy as np
 
 from ..core.calibrate import calibrate_model
 from ..core.planning import required_capacity
+from ..simulation.live_show import LiveShowScenario, ScenarioConfig
 from ..simulation.population import PopulationConfig
 from ..simulation.replay import demand_peak, replay_trace
-from ..simulation.scenario import LiveShowScenario, ScenarioConfig
 from ..simulation.show import ShowEvent, ShowSchedule, default_reality_show_events
 from ..trace.sanitize import sanitize_trace
 from ..units import HOUR

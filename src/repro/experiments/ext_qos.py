@@ -23,8 +23,8 @@ import numpy as np
 
 from ..core.transfer_layer import CONGESTION_BOUND_THRESHOLD_BPS
 from ..distributions.fitting import fit_lognormal
+from ..simulation.live_show import LiveShowScenario, ScenarioConfig
 from ..simulation.population import PopulationConfig
-from ..simulation.scenario import LiveShowScenario, ScenarioConfig
 from ..trace.sanitize import sanitize_trace
 from ..units import log_display_time
 from .common import EXPERIMENT_SEED, Experiment, ExperimentContext, fmt

@@ -20,13 +20,13 @@ Components
 * :mod:`~repro.simulation.replay` — trace replay against one server with an
   admission limit, decided by :mod:`repro.cdn.admission`.  Import it from
   its module: it depends on :mod:`repro.cdn`, which imports this package.
-* :mod:`~repro.simulation.scenario` — end-to-end assembly producing a
+* :mod:`~repro.simulation.live_show` — end-to-end assembly producing a
   :class:`~repro.trace.store.Trace`.
 """
 
+from .live_show import LiveShowScenario, ScenarioConfig
 from .network import BandwidthModel, NetworkConfig
 from .population import ClientPopulation, PopulationConfig
-from .scenario import LiveShowScenario, ScenarioConfig
 from .server import ServerConfig, ServerLoadModel
 from .show import CompositeRateProfile, ShowEvent, ShowSchedule
 from .viewer import SessionBatch, SessionBehavior

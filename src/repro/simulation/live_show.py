@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .._typing import FloatArray, IntArray, SeedLike
+from ..analysis.concurrency import active_counts
 from ..distributions.diurnal import (
     REALITY_SHOW_WEEKDAY_SHAPE,
     DiurnalProfile,
@@ -263,7 +264,7 @@ class LiveShowScenario:
         # *recorded* durations, so the logged CPU is artifact-invariant.
         load_model = ServerLoadModel(cfg.server)
         ends = np.minimum(starts + durations, duration)
-        concurrency = load_model.concurrency_at(starts, starts, ends)
+        concurrency = active_counts(starts, ends, starts)
         server_cpu = load_model.cpu_utilization(concurrency, server_rng)
 
         # Inject the paper's multi-harvest artifacts: a handful of entries

@@ -61,19 +61,6 @@ class ServerLoadModel:
     def __init__(self, config: ServerConfig | None = None) -> None:
         self.config = config or ServerConfig()
 
-    @staticmethod
-    def concurrency_at(times: FloatArray, starts: FloatArray,
-                       ends: FloatArray) -> np.ndarray:
-        """Number of transfers active at each query time.
-
-        A transfer ``[s, e)`` is active at ``t`` when ``s <= t < e``.
-        """
-        t = np.asarray(times, dtype=np.float64)
-        s_sorted = np.sort(np.asarray(starts, dtype=np.float64))
-        e_sorted = np.sort(np.asarray(ends, dtype=np.float64))
-        return (np.searchsorted(s_sorted, t, side="right")
-                - np.searchsorted(e_sorted, t, side="right"))
-
     def cpu_utilization(self, concurrency: np.ndarray,
                         seed: SeedLike = None) -> FloatArray:
         """Sampled CPU utilization for each concurrency level."""

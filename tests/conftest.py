@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.characterize import characterize
 from repro.core.sessionizer import sessionize
-from repro.simulation.scenario import LiveShowScenario, ScenarioConfig
+from repro.simulation.live_show import LiveShowScenario, ScenarioConfig
 from repro.trace.builder import TraceBuilder
 from repro.trace.records import ClientRecord
 from repro.trace.sanitize import sanitize_trace

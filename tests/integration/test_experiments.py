@@ -1,20 +1,14 @@
 """Integration tests of the experiment harness.
 
-These run the real experiment modules against the shared default-scenario
-context (simulated once per process), asserting the paper's qualitative
-shapes hold — the same checks the benchmark targets report.
+These run every experiment module against the shared scenario contexts
+(each simulated once per process), asserting the paper's qualitative
+shapes hold — the same checks ``repro experiments`` reports.
 """
 
 import pytest
 
 from repro.experiments import get_context, render_experiment, run_experiment
 from repro.experiments.runner import ALL_EXPERIMENTS
-
-#: Experiments cheap enough to assert in the integration suite.  The
-#: paper-rate experiments (fig17, fig18) and the synthesis experiments run
-#: in the benchmark suite instead.
-FAST_EXPERIMENTS = ("table1", "table2", "fig03", "fig04", "fig07",
-                    "fig09", "fig11", "fig13", "fig14", "fig19", "fig20")
 
 
 class TestRegistry:
@@ -31,7 +25,7 @@ class TestRegistry:
             get_context("nonexistent")
 
 
-@pytest.mark.parametrize("name", FAST_EXPERIMENTS)
+@pytest.mark.parametrize("name", ALL_EXPERIMENTS)
 def test_experiment_checks_pass(name):
     experiment = run_experiment(name)
     failing = [desc for desc, ok in experiment.checks if not ok]

@@ -4,7 +4,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.concurrency import mean_concurrency_bins, sampled_concurrency
+from repro.analysis.concurrency import (
+    mean_concurrency_bins,
+    merged_group_intervals,
+    sampled_concurrency,
+)
 from repro.analysis.marginals import Marginal
 from repro.analysis.timeseries import binned_series, fold_series
 
@@ -14,6 +18,15 @@ interval_lists = st.lists(
     st.tuples(st.floats(min_value=0.0, max_value=900.0, **finite),
               st.floats(min_value=0.0, max_value=200.0, **finite)),
     min_size=0, max_size=30)
+
+#: Legs of a live fan-out: sparse group ids, and whole-second starts and
+#: lengths (zero included) so that back-to-back, overlapping and
+#: zero-length legs, and sample times on a leg boundary, are all common.
+group_legs = st.lists(
+    st.tuples(st.sampled_from([0, 1, 7, 1_000, 2**40]),
+              st.integers(min_value=0, max_value=60),
+              st.integers(min_value=0, max_value=20)),
+    min_size=0, max_size=40)
 
 samples = st.lists(st.floats(min_value=-1e6, max_value=1e6, **finite),
                    min_size=1, max_size=200)
@@ -84,6 +97,33 @@ class TestConcurrencyProperties:
         for t, count in zip(times[:20], counts[:20], strict=True):
             brute = int(np.sum((starts <= t) & (t < ends)))
             assert count == brute
+
+
+def _reference_group_activity(group, start, end, times):
+    """Number of groups with at least one leg active at each time."""
+    active = np.zeros(times.size, dtype=np.int64)
+    for g in np.unique(group):
+        mine = group == g
+        count = ((start[mine, None] <= times)
+                 & (times < end[mine, None])).sum(axis=0)
+        active += count > 0
+    return active
+
+
+class TestMergedGroupIntervalsProperties:
+    @given(legs=group_legs, step=st.sampled_from([0.5, 1.0, 3.0, 7.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_count_equals_groups_with_an_active_leg(self, legs, step):
+        group = np.asarray([g for g, _, _ in legs], dtype=np.int64)
+        start = np.asarray([s for _, s, _ in legs], dtype=np.float64)
+        end = start + np.asarray([d for _, _, d in legs], dtype=np.float64)
+        extent = 100.0
+        merged_s, merged_e = merged_group_intervals(group, start, end)
+        counts = sampled_concurrency(merged_s, merged_e, extent=extent,
+                                     step=step)
+        times = np.arange(counts.size) * step
+        want = _reference_group_activity(group, start, end, times)
+        assert counts.tolist() == want.tolist()
 
 
 class TestFoldProperties:

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.analysis.concurrency import mean_concurrency_bins, sampled_concurrency
+from repro.analysis.concurrency import (
+    active_counts,
+    mean_concurrency_bins,
+    sampled_concurrency,
+)
 from repro.errors import AnalysisError
 from repro.rng import make_rng
 
@@ -44,6 +48,15 @@ class TestSampledConcurrency:
         brute = np.asarray([(np.sum((starts <= t) & (t < ends)))
                             for t in times], dtype=float)
         np.testing.assert_array_equal(counts, brute)
+
+
+class TestActiveCounts:
+    def test_counts_at_query_times(self):
+        starts = np.asarray([0.0, 5.0, 10.0])
+        ends = np.asarray([20.0, 8.0, 30.0])
+        conc = active_counts(starts, ends, np.asarray([1.0, 6.0, 9.0, 25.0]))
+        assert conc.dtype == np.int64
+        assert conc.tolist() == [1, 2, 1, 1]
 
 
 class TestMeanConcurrencyBins:

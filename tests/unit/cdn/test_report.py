@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.analysis.concurrency import merged_group_intervals
 from repro.cdn import CdnTopology, LegSet, simulate_cdn
-from repro.cdn.report import _merged_feed_intervals, build_result
+from repro.cdn.report import build_result
 from repro.errors import CdnError
 from repro.rng import make_rng
 from repro.trace.builder import TraceBuilder
@@ -61,7 +62,7 @@ class TestMergedFeedIntervals:
         group = np.asarray([0, 0, 0], dtype=np.int64)
         start = np.asarray([0.0, 5.0, 30.0])
         end = np.asarray([10.0, 20.0, 40.0])
-        merged_s, merged_e = _merged_feed_intervals(group, start, end)
+        merged_s, merged_e = merged_group_intervals(group, start, end)
         assert merged_s.tolist() == [0.0, 30.0]
         assert merged_e.tolist() == [20.0, 40.0]
 
@@ -71,7 +72,7 @@ class TestMergedFeedIntervals:
         group = np.asarray([0, 0], dtype=np.int64)
         start = np.asarray([0.0, 10.0])
         end = np.asarray([10.0, 20.0])
-        merged_s, merged_e = _merged_feed_intervals(group, start, end)
+        merged_s, merged_e = merged_group_intervals(group, start, end)
         assert merged_s.tolist() == [0.0]
         assert merged_e.tolist() == [20.0]
 
@@ -79,12 +80,12 @@ class TestMergedFeedIntervals:
         group = np.asarray([0, 1], dtype=np.int64)
         start = np.asarray([0.0, 5.0])
         end = np.asarray([10.0, 15.0])
-        merged_s, _ = _merged_feed_intervals(group, start, end)
+        merged_s, _ = merged_group_intervals(group, start, end)
         assert merged_s.size == 2
 
     def test_zero_length_legs_ignored(self):
         group = np.asarray([0], dtype=np.int64)
-        merged_s, merged_e = _merged_feed_intervals(
+        merged_s, merged_e = merged_group_intervals(
             group, np.asarray([5.0]), np.asarray([5.0]))
         assert merged_s.size == 0 and merged_e.size == 0
 
@@ -115,7 +116,7 @@ class TestMergedFeedIntervalsAgainstBruteForce:
             start = rng.integers(0, 50, n).astype(np.float64)
             # Whole-second lengths, some zero: many legs touch exactly.
             end = start + rng.integers(0, 6, n)
-            merged_s, merged_e = _merged_feed_intervals(group, start, end)
+            merged_s, merged_e = merged_group_intervals(group, start, end)
             expected_s, expected_e = brute_force_union(group, start, end)
             assert merged_s.tolist() == expected_s
             assert merged_e.tolist() == expected_e
@@ -124,7 +125,7 @@ class TestMergedFeedIntervalsAgainstBruteForce:
         group = np.asarray([3, 3, 3, 1, 3], dtype=np.int64)
         start = np.asarray([20.0, 0.0, 10.0, 0.0, 40.0])
         end = np.asarray([30.0, 10.0, 20.0, 5.0, 40.0])
-        merged_s, merged_e = _merged_feed_intervals(group, start, end)
+        merged_s, merged_e = merged_group_intervals(group, start, end)
         # Group 1 first, then group 3's chain; the zero-length leg at
         # 40 is dropped.
         assert merged_s.tolist() == [0.0, 0.0]
@@ -134,7 +135,7 @@ class TestMergedFeedIntervalsAgainstBruteForce:
         group = np.zeros(3, dtype=np.int64)
         start = np.asarray([0.0, 1.0, 5.0])
         end = np.asarray([10.0, 2.0, 12.0])
-        merged_s, merged_e = _merged_feed_intervals(group, start, end)
+        merged_s, merged_e = merged_group_intervals(group, start, end)
         assert merged_s.tolist() == [0.0]
         assert merged_e.tolist() == [12.0]
 

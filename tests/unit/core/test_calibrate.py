@@ -73,8 +73,8 @@ class TestDegenerateTraces:
 class TestWeeklyCalibration:
     def test_weekly_profile_has_week_period(self, smoke_trace):
         # The smoke trace is only 2 days; build a 7-day one inline.
+        from repro.simulation.live_show import LiveShowScenario, ScenarioConfig
         from repro.simulation.population import PopulationConfig
-        from repro.simulation.scenario import LiveShowScenario, ScenarioConfig
         config = ScenarioConfig(days=7.0, mean_session_rate=0.02,
                                 population=PopulationConfig(n_clients=2_000,
                                                             n_ases=60,

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.simulation.live_show import LiveShowScenario, ScenarioConfig
 from repro.simulation.population import PopulationConfig
-from repro.simulation.scenario import LiveShowScenario, ScenarioConfig
 
 
 def _config(factor):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.simulation.scenario import LiveShowScenario, ScenarioConfig
+from repro.simulation.live_show import LiveShowScenario, ScenarioConfig
 from repro.units import DAY
 
 

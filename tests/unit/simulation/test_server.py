@@ -20,13 +20,6 @@ class TestServerConfig:
 
 
 class TestServerLoadModel:
-    def test_concurrency_at(self):
-        starts = np.asarray([0.0, 5.0, 10.0])
-        ends = np.asarray([20.0, 8.0, 30.0])
-        conc = ServerLoadModel.concurrency_at(
-            np.asarray([1.0, 6.0, 9.0, 25.0]), starts, ends)
-        assert conc.tolist() == [1, 2, 1, 1]
-
     def test_cpu_grows_with_concurrency(self):
         model = ServerLoadModel(ServerConfig(capacity=100,
                                              cpu_noise_sigma=0.0))
