@@ -621,7 +621,7 @@ def parse_log_lines(lines: Sequence[str], fields: Sequence[str], *,
     ASCII and splits into exactly ``len(fields)`` columns; its timestamp,
     duration, URI stem (``/live/feed<int>``), bandwidth, loss, CPU and
     status parse with ``int``/``float``, the integers fit int64, the
-    floats are finite and ``x-duration`` is in ``[0, 2**63)`` seconds.
+    floats are finite and ``x-duration`` is in ``[0, 2**53)`` seconds.
     Other lines get a :class:`LogParseError` (labelled by
     ``line_numbers``) naming the first check they fail, in that order.
     A layout lacking any of :data:`LOG_FIELDS` raises.
@@ -903,10 +903,11 @@ def _parse_scalar(lines: Sequence[str], fields: Sequence[str],
         reject({k: f"{field} is not finite: {raw[k]!r}"
                 for k in np.flatnonzero(~np.isfinite(values)).tolist()})
         if field == "x-duration":
-            # Whole seconds must fit int64 (the floor(t) + 1 display).
-            reject({k: f"x-duration outside [0, 2**63): {raw[k]!r}"
+            # The floor(t) + 1 length display is a float64: exact only
+            # below 2**53 (units.log_display_time).
+            reject({k: f"x-duration outside [0, 2**53): {raw[k]!r}"
                     for k in np.flatnonzero(
-                        (values < 0) | (values >= 2.0**63)).tolist()})
+                        (values < 0) | (values >= 2.0**53)).tolist()})
         columns[name] = values
 
     strings = [texts[at[field]] for field in ("c-ip", "c-playerid", "c-os")]

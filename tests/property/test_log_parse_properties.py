@@ -7,7 +7,7 @@ against :func:`_reference_parse_line`, a one-line-at-a-time statement
 of the entry rule: the line is ASCII and has one column per field, each
 field parses with ``int``/``float`` (the URI stem as
 ``/live/feed<int>``), the floats are finite, the duration is in
-``[0, 2**63)`` seconds and the integers fit in int64.  The parser reads
+``[0, 2**53)`` seconds and the integers fit in int64.  The parser reads
 most lines by digit arithmetic on their bytes and hands the rest to the
 scalar rule, so lines at the edge of that fast path — signs, leading
 zeros, long mantissas, odd separators — are fuzzed on their own, as are
@@ -68,8 +68,8 @@ def _reference_parse_line(line, fields):
             return None, f"{field} out of range: {text!r}"
         if convert is float and not math.isfinite(value):
             return None, f"{field} is not finite: {text!r}"
-        if field == "x-duration" and not 0 <= value < 2.0**63:
-            return None, f"x-duration outside [0, 2**63): {text!r}"
+        if field == "x-duration" and not 0 <= value < 2.0**53:
+            return None, f"x-duration outside [0, 2**53): {text!r}"
         values[field] = value
     return (*(values[field] for field, _ in TYPED),
             row["c-ip"], row["c-playerid"], row["c-os"]), None

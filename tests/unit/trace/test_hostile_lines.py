@@ -2,8 +2,9 @@
 
 Each line below breaks the entry rule of
 :func:`repro.trace.wms_log.parse_log_lines`: a duration that is not
-finite, negative or beyond int64 seconds, an infinite bandwidth, or a
-loss rate that is no number at all.  Every reader must skip exactly
+finite, negative or at least 2**53 seconds (where the float64
+``floor(t) + 1`` length display stops being exact), an infinite
+bandwidth, or a loss rate that is no number at all.  Every reader must skip exactly
 those lines — the batch reader, the streaming characterizer, the
 map-reduce characterizer and the live feed — and none may raise
 anything but a typed :class:`~repro.errors.ReproError` on them.
@@ -29,6 +30,7 @@ HOSTILE = {
     "duration-overflow": ("x-duration", "1e400"),
     "duration-negative": ("x-duration", "-5"),
     "duration-beyond-int64": ("x-duration", "1e20"),
+    "duration-2**53": ("x-duration", "9007199254740992"),
     "bandwidth-inf": ("avg-bandwidth", "inf"),
     "loss-not-a-number": ("packet-loss-rate", "xyz"),
 }

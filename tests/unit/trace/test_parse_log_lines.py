@@ -56,8 +56,8 @@ def test_errors_name_the_first_failed_check_in_order():
         "line 13: invalid literal for int() with base 10: '1.5'",
         "line 14: x-duration is not finite: 'nan'",
         "line 15: unexpected URI stem '/vod/x'",
-        "line 16: x-duration outside [0, 2**63): '-0.5'",
-        "line 17: x-duration outside [0, 2**63): '1e20'",
+        "line 16: x-duration outside [0, 2**53): '-0.5'",
+        "line 17: x-duration outside [0, 2**53): '1e20'",
         "line 18: packet-loss-rate is not finite: '-inf'",
         "line 19: sc-status out of range: '99999999999999999999'",
     ]
