@@ -34,16 +34,15 @@ number of sessions genuinely open around the time frontier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .._typing import FloatArray, IntArray
 from ..arrayops import silence_gaps_sorted, stable_client_order
-from ..errors import AnalysisError, CheckpointError
+from ..errors import AnalysisError
 from ..state import DERIVED, Column, Scalar, Schema, Stateful
-from ..trace.records import SessionRecord
 from ..units import DEFAULT_SESSION_TIMEOUT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -64,47 +63,25 @@ class FinalizedSessions:
         Per-session end time (latest transfer end).
     n_transfers:
         Per-session transfer count.
-    transfer_indices:
-        Per-session tuples of global trace indices, only when the
-        sessionizer tracks them (see ``track_transfer_indices``).
     """
 
     client_index: IntArray = field(repr=False)
     start: FloatArray = field(repr=False)
     end: FloatArray = field(repr=False)
     n_transfers: IntArray = field(repr=False)
-    transfer_indices: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def n_sessions(self) -> int:
         """Number of sessions in the batch."""
         return int(self.start.size)
 
-    def iter_records(self) -> Iterator[SessionRecord]:
-        """Materialize the sessions as :class:`SessionRecord` rows.
 
-        Requires transfer-index tracking to have been enabled.
-        """
-        if self.transfer_indices is None:
-            raise AnalysisError(
-                "transfer indices were not tracked; construct the "
-                "sessionizer with track_transfer_indices=True")
-        for k in range(self.n_sessions):
-            yield SessionRecord(
-                client_index=int(self.client_index[k]),
-                start=float(self.start[k]),
-                end=float(self.end[k]),
-                transfer_indices=self.transfer_indices[k],
-            )
-
-
-def _empty_finalized(tracked: bool) -> FinalizedSessions:
+def _empty_finalized() -> FinalizedSessions:
     return FinalizedSessions(
         client_index=np.empty(0, dtype=np.int64),
         start=np.empty(0, dtype=np.float64),
         end=np.empty(0, dtype=np.float64),
         n_transfers=np.empty(0, dtype=np.int64),
-        transfer_indices=() if tracked else None,
     )
 
 
@@ -119,12 +96,9 @@ def merge_finalized(parts: Sequence[FinalizedSessions]) -> FinalizedSessions:
     """
     merged = merge_parts(parts)
     order = np.lexsort((merged.start, merged.client_index))
-    indices = merged.transfer_indices
     return FinalizedSessions(
         client_index=merged.client_index[order], start=merged.start[order],
-        end=merged.end[order], n_transfers=merged.n_transfers[order],
-        transfer_indices=(None if indices is None
-                          else tuple(indices[k] for k in order.tolist())))
+        end=merged.end[order], n_transfers=merged.n_transfers[order])
 
 
 class OnlineSessionizer(Stateful):
@@ -142,11 +116,6 @@ class OnlineSessionizer(Stateful):
         Size of the client index space.
     timeout:
         The silence threshold ``T_o`` in seconds (paper: 1,500).
-    track_transfer_indices:
-        Keep each open session's global transfer indices so finalized
-        sessions can be materialized as
-        :class:`~repro.trace.records.SessionRecord` rows.  Costs a Python
-        list per open session; leave off for paper-scale runs.
     """
 
     #: Counters, the ordering cursor and the open-session table.
@@ -165,8 +134,7 @@ class OnlineSessionizer(Stateful):
     ))
 
     def __init__(self, n_clients: int, *,
-                 timeout: float = DEFAULT_SESSION_TIMEOUT,
-                 track_transfer_indices: bool = False) -> None:
+                 timeout: float = DEFAULT_SESSION_TIMEOUT) -> None:
         if n_clients < 1:
             raise AnalysisError(
                 f"n_clients must be positive, got {n_clients}")
@@ -174,7 +142,6 @@ class OnlineSessionizer(Stateful):
             raise AnalysisError(f"timeout must be positive, got {timeout}")
         self.n_clients = int(n_clients)
         self.timeout = float(timeout)
-        self.track_transfer_indices = bool(track_transfer_indices)
         self._open = np.zeros(self.n_clients, dtype=bool)
         self._session_start = np.zeros(self.n_clients, dtype=np.float64)
         self._run_max = np.full(self.n_clients, -np.inf, dtype=np.float64)
@@ -182,7 +149,6 @@ class OnlineSessionizer(Stateful):
         # Start of each client's last transfer (checkpointed as
         # ``sess_last_start``); kept past eviction, like ``_run_max``.
         self._client_last_start = np.zeros(self.n_clients, dtype=np.float64)
-        self._indices: dict[int, list[int]] = {}
         self._last_start = -np.inf
         self.n_transfers = 0
         self.n_finalized = 0
@@ -236,16 +202,15 @@ class OnlineSessionizer(Stateful):
                    evict: bool = True) -> FinalizedSessions:
         """Consume one :class:`~repro.stream.generate.TransferBatch`.
 
-        Uses the batch's global offset for index tracking and, with
-        ``evict``, its horizon to retire provably closed sessions.
+        With ``evict``, the batch's horizon retires provably closed
+        sessions.
         """
         return self.push(batch.client_index, batch.start, batch.duration,
-                         horizon=batch.horizon if evict else None,
-                         global_offset=batch.global_offset)
+                         horizon=batch.horizon if evict else None)
 
     def push(self, client_index: IntArray, start: FloatArray,
-             duration: FloatArray, *, horizon: float | None = None,
-             global_offset: int | None = None) -> FinalizedSessions:
+             duration: FloatArray, *,
+             horizon: float | None = None) -> FinalizedSessions:
         """Consume one start-ordered batch; returns sessions finalized now.
 
         Parameters
@@ -259,9 +224,6 @@ class OnlineSessionizer(Stateful):
             this value; open sessions it provably closes are finalized
             and returned (their content is unaffected — eviction only
             moves *when* a session is emitted).
-        global_offset:
-            Trace position of the batch's first transfer; required when
-            transfer indices are tracked.
 
         Raises
         ------
@@ -269,13 +231,11 @@ class OnlineSessionizer(Stateful):
             If the batch violates the ordering contract or indexes
             clients out of range.
         """
-        return self._push(client_index, start, duration, horizon,
-                          global_offset)[0]
+        return self._push(client_index, start, duration, horizon)[0]
 
     def push_with_gaps(self, client_index: IntArray, start: FloatArray,
                        duration: FloatArray, *,
-                       horizon: float | None = None,
-                       global_offset: int | None = None
+                       horizon: float | None = None
                        ) -> tuple[FinalizedSessions, FloatArray]:
         """:meth:`push`, also returning the batch's intra-session gaps.
 
@@ -288,7 +248,7 @@ class OnlineSessionizer(Stateful):
         of the whole trace, for any batching and horizons.
         """
         finalized, s, boundary, firsts, carried_start = self._push(
-            client_index, start, duration, horizon, global_offset)
+            client_index, start, duration, horizon)
         prev = np.empty(s.size, dtype=np.float64)
         prev[1:] = s[:-1]
         # Where no session was carried, the first position is a boundary.
@@ -297,8 +257,7 @@ class OnlineSessionizer(Stateful):
         return finalized, s[keep] - prev[keep]
 
     def _push(self, client_index: IntArray, start: FloatArray,
-              duration: FloatArray, horizon: float | None,
-              global_offset: int | None
+              duration: FloatArray, horizon: float | None
               ) -> tuple[FinalizedSessions, FloatArray, NDArray[np.bool_],
                          IntArray, FloatArray]:
         """:meth:`push`, also returning the client-sorted batch view.
@@ -316,7 +275,7 @@ class OnlineSessionizer(Stateful):
             raise AnalysisError("batch columns must have equal lengths")
         if n == 0:
             if horizon is None:
-                result = _empty_finalized(self.track_transfer_indices)
+                result = _empty_finalized()
             else:
                 result = self._evict(horizon)
                 self.n_finalized += result.n_sessions
@@ -330,9 +289,6 @@ class OnlineSessionizer(Stateful):
                 f"(got start {start[0]!r} after {self._last_start!r})")
         if client.min() < 0 or client.max() >= self.n_clients:
             raise AnalysisError("client_index out of range")
-        if self.track_transfer_indices and global_offset is None:
-            raise AnalysisError(
-                "global_offset is required when tracking transfer indices")
         self._last_start = float(start[-1])
         self.n_transfers += n
 
@@ -366,8 +322,6 @@ class OnlineSessionizer(Stateful):
                            < seg_end[in_range])
 
         parts: list[FinalizedSessions] = []
-        tracked = self.track_transfer_indices
-        gidx = order + global_offset if global_offset is not None else None
 
         # (a) Carried sessions closed by this batch's first boundary.
         carried_close = carried_open & has_b
@@ -377,20 +331,11 @@ class OnlineSessionizer(Stateful):
             cl = seg_client[carried_close]
             prev = true_run[np.maximum(p - 1, 0)]
             end_val = np.where(p > f, prev, self._run_max[cl])
-            indices: tuple[tuple[int, ...], ...] | None = None
-            if tracked:
-                assert gidx is not None
-                indices = tuple(
-                    tuple(self._indices.pop(int(cl_k))
-                          + gidx[f_k:p_k].tolist())
-                    for cl_k, f_k, p_k in zip(cl.tolist(), f.tolist(),
-                                              p.tolist(), strict=True))
             parts.append(FinalizedSessions(
                 client_index=cl.copy(),
                 start=self._session_start[cl].copy(),
                 end=end_val,
                 n_transfers=self._count[cl] + (p - f),
-                transfer_indices=indices,
             ))
 
         # (b) Sessions fully inside the batch: a boundary followed by
@@ -403,19 +348,11 @@ class OnlineSessionizer(Stateful):
             if j.size:
                 p0 = bpos[j]
                 p1 = bpos[j + 1]
-                inner: tuple[tuple[int, ...], ...] | None = None
-                if tracked:
-                    assert gidx is not None
-                    inner = tuple(
-                        tuple(gidx[lo:hi].tolist())
-                        for lo, hi in zip(p0.tolist(), p1.tolist(),
-                                          strict=True))
                 parts.append(FinalizedSessions(
                     client_index=c[p0],
                     start=s[p0],
                     end=true_run[p1 - 1],
                     n_transfers=(p1 - p0).astype(np.int64),
-                    transfer_indices=inner,
                 ))
 
         # (c) Update the open-session table.
@@ -429,24 +366,11 @@ class OnlineSessionizer(Stateful):
             self._open[cl] = True
             self._session_start[cl] = s[p_star]
             self._count[cl] = seg_end[opened] - p_star
-            if tracked:
-                assert gidx is not None
-                for cl_k, lo, hi in zip(cl.tolist(), p_star.tolist(),
-                                        seg_end[opened].tolist(),
-                                        strict=True):
-                    self._indices[cl_k] = gidx[lo:hi].tolist()
         # ...and segments that only extend their carried session.
         extended = np.flatnonzero(carried_open & ~has_b)
         if extended.size:
             cl = seg_client[extended]
             self._count[cl] += seg_end[extended] - firsts[extended]
-            if tracked:
-                assert gidx is not None
-                for cl_k, lo, hi in zip(cl.tolist(),
-                                        firsts[extended].tolist(),
-                                        seg_end[extended].tolist(),
-                                        strict=True):
-                    self._indices[cl_k].extend(gidx[lo:hi].tolist())
         # Every touched segment's running max and last start advance.
         self._run_max[seg_client] = true_run[seg_end - 1]
         carried_start = self._client_last_start[seg_client]
@@ -455,8 +379,7 @@ class OnlineSessionizer(Stateful):
         self.peak_open = max(self.peak_open, self.n_open)
         if horizon is not None:
             parts.append(self._evict(horizon))
-        result = merge_parts(
-            parts or [_empty_finalized(tracked)])
+        result = merge_parts(parts)
         self.n_finalized += result.n_sessions
         return result, s, boundary, firsts, carried_start
 
@@ -465,18 +388,13 @@ class OnlineSessionizer(Stateful):
         evict = self._open & ((horizon - self._run_max) > self.timeout)
         idx = np.flatnonzero(evict)
         if idx.size == 0:
-            return _empty_finalized(self.track_transfer_indices)
+            return _empty_finalized()
         self._open[idx] = False
-        indices: tuple[tuple[int, ...], ...] | None = None
-        if self.track_transfer_indices:
-            indices = tuple(tuple(self._indices.pop(int(cl)))
-                            for cl in idx.tolist())
         return FinalizedSessions(
             client_index=idx.astype(np.int64),
             start=self._session_start[idx].copy(),
             end=self._run_max[idx].copy(),
             n_transfers=self._count[idx].copy(),
-            transfer_indices=indices,
         )
 
     def finish(self) -> FinalizedSessions:
@@ -484,13 +402,6 @@ class OnlineSessionizer(Stateful):
         result = self._evict(np.inf)
         self.n_finalized += result.n_sessions
         return result
-
-    # ------------------------------------------------------------------
-    # Checkpoint support
-    # ------------------------------------------------------------------
-    def _before_save(self) -> None:
-        if self.track_transfer_indices:
-            raise CheckpointError("cannot checkpoint transfer-index tracking")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"OnlineSessionizer(n_open={self.n_open}, "
@@ -507,18 +418,12 @@ def merge_parts(parts: Sequence[FinalizedSessions]) -> FinalizedSessions:
     canonical ``(client, start)`` numbering.
     """
     if not parts:
-        return _empty_finalized(False)
+        return _empty_finalized()
     if len(parts) == 1:
         return parts[0]
-    tracked = all(part.transfer_indices is not None for part in parts)
-    indices: tuple[tuple[int, ...], ...] | None = None
-    if tracked:
-        indices = tuple(idx for part in parts
-                        for idx in (part.transfer_indices or ()))
     return FinalizedSessions(
         client_index=np.concatenate([p.client_index for p in parts]),
         start=np.concatenate([p.start for p in parts]),
         end=np.concatenate([p.end for p in parts]),
         n_transfers=np.concatenate([p.n_transfers for p in parts]),
-        transfer_indices=indices,
     )

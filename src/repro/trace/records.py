@@ -9,7 +9,7 @@ transfer statistics, server load, and a timestamp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -99,45 +99,3 @@ class TransferRecord:
     def bytes_transferred(self) -> float:
         """Approximate bytes delivered: duration times bandwidth over 8."""
         return self.duration * self.bandwidth_bps / 8.0
-
-
-@dataclass(frozen=True)
-class SessionRecord:
-    """A maximal burst of client activity under the session timeout ``T_o``.
-
-    Produced by :class:`repro.core.sessionizer.Sessionizer`; see Figure 1 of
-    the paper for the ON/OFF semantics.
-
-    Attributes
-    ----------
-    client_index:
-        Index of the client in the owning trace's client table.
-    start:
-        Session start (start of its first transfer).
-    end:
-        Session end (latest end among its transfers).
-    transfer_indices:
-        Indices (into the owning trace) of the transfers in this session,
-        ordered by start time.
-    """
-
-    client_index: int
-    start: float
-    end: float
-    transfer_indices: tuple[int, ...] = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError("session end must not precede its start")
-        if not self.transfer_indices:
-            raise ValueError("a session must contain at least one transfer")
-
-    @property
-    def on_time(self) -> float:
-        """Session ON time ``l(i)`` in seconds (Section 4.2)."""
-        return self.end - self.start
-
-    @property
-    def n_transfers(self) -> int:
-        """Number of transfers in the session (Section 4.4)."""
-        return len(self.transfer_indices)

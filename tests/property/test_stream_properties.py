@@ -50,8 +50,7 @@ def _split_batches(data, n):
     return [0, *sorted(cuts), n]
 
 
-def _push_all(sessionizer, trace, cutpoints, *, with_horizon, offset=0,
-              gaps=None):
+def _push_all(sessionizer, trace, cutpoints, *, with_horizon, gaps=None):
     """Push the batches; with a ``gaps`` list, through ``push_with_gaps``
     and collecting each batch's gaps into it."""
     parts = []
@@ -64,11 +63,10 @@ def _push_all(sessionizer, trace, cutpoints, *, with_horizon, offset=0,
         columns = (trace.client_index[lo:hi], trace.start[lo:hi],
                    trace.duration[lo:hi])
         if gaps is None:
-            parts.append(sessionizer.push(*columns, horizon=horizon,
-                                          global_offset=offset + lo))
+            parts.append(sessionizer.push(*columns, horizon=horizon))
         else:
             finalized, batch_gaps = sessionizer.push_with_gaps(
-                *columns, horizon=horizon, global_offset=offset + lo)
+                *columns, horizon=horizon)
             parts.append(finalized)
             gaps.append(batch_gaps)
     parts.append(sessionizer.finish())
@@ -152,8 +150,7 @@ def test_checkpoint_roundtrip_is_transparent(transfers, timeout, data):
     second.restore(meta, arrays)
     cutpoints = [split + c for c in
                  _split_batches(data, n - split)]
-    tail = _push_all(second, trace, cutpoints, with_horizon=True,
-                     offset=0)
+    tail = _push_all(second, trace, cutpoints, with_horizon=True)
     merged = merge_finalized(head + tail)
     _assert_columns_equal(merged, sessionize(trace, float(timeout)))
     assert second.n_transfers == n

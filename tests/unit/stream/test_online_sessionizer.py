@@ -106,45 +106,6 @@ def test_empty_batches_are_harmless(tiny_trace):
     assert merged.n_sessions == 3
 
 
-def test_transfer_index_tracking(tiny_trace):
-    sessionizer = OnlineSessionizer(tiny_trace.n_clients,
-                                    track_transfer_indices=True)
-    parts = [sessionizer.push(tiny_trace.client_index, tiny_trace.start,
-                              tiny_trace.duration, global_offset=0),
-             sessionizer.finish()]
-    merged = merge_finalized(parts)
-    records = list(merged.iter_records())
-    assert len(records) == 3
-    batch = sessionize(tiny_trace)
-    for k, record in enumerate(records):
-        want = np.flatnonzero(batch.transfer_session
-                              == k).tolist()
-        assert sorted(record.transfer_indices) == want
-        assert record.client_index == int(batch.session_client[k])
-
-
-def test_iter_records_requires_tracking(tiny_trace):
-    merged = _push_whole(OnlineSessionizer(tiny_trace.n_clients),
-                         tiny_trace)
-    with pytest.raises(AnalysisError, match="track_transfer_indices"):
-        list(merged.iter_records())
-
-
-def test_tracking_requires_offset(tiny_trace):
-    sessionizer = OnlineSessionizer(tiny_trace.n_clients,
-                                    track_transfer_indices=True)
-    with pytest.raises(AnalysisError, match="global_offset"):
-        sessionizer.push(tiny_trace.client_index, tiny_trace.start,
-                         tiny_trace.duration)
-
-
-def test_tracking_refuses_checkpointing(tiny_trace):
-    sessionizer = OnlineSessionizer(tiny_trace.n_clients,
-                                    track_transfer_indices=True)
-    with pytest.raises(CheckpointError, match="transfer-index"):
-        sessionizer.state_meta()
-
-
 def test_input_validation(tiny_trace):
     with pytest.raises(AnalysisError, match="n_clients"):
         OnlineSessionizer(0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.trace.records import ClientRecord, SessionRecord, TransferRecord
+from repro.trace.records import ClientRecord, TransferRecord
 
 
 def make_client(**overrides):
@@ -55,21 +55,3 @@ class TestTransferRecord:
         transfer = TransferRecord(client=make_client(), object_id=0,
                                   start=5.0, duration=0.0)
         assert transfer.end == 5.0
-
-
-class TestSessionRecord:
-    def test_on_time(self):
-        session = SessionRecord(client_index=0, start=10.0, end=110.0,
-                                transfer_indices=(0, 1))
-        assert session.on_time == 100.0
-        assert session.n_transfers == 2
-
-    def test_end_before_start_rejected(self):
-        with pytest.raises(ValueError):
-            SessionRecord(client_index=0, start=10.0, end=5.0,
-                          transfer_indices=(0,))
-
-    def test_empty_session_rejected(self):
-        with pytest.raises(ValueError):
-            SessionRecord(client_index=0, start=0.0, end=1.0,
-                          transfer_indices=())
