@@ -22,10 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._typing import FloatArray, IntArray
-from ..analysis.concurrency import (
-    merged_group_intervals,
-    sampled_concurrency,
-)
+from ..analysis.concurrency import merged_group_intervals, sampled_concurrency
 from ..errors import CdnError
 from ..trace.store import Trace
 from .admission import BoolArray, active_peaks
