@@ -32,7 +32,7 @@ STREAMED = {
 
 #: sha256 of the edge-value log.
 EDGES = (
-    "9337236b70b828d7b11c89f01e24f37d0da4284781482eba294a6715aa2eac20")
+    "d8a8c93f38c96dd04acb2ba681014c99c0c2d5222dda0b2380cca4506bc6f07b")
 
 
 def edge_trace():
@@ -49,7 +49,9 @@ def edge_trace():
         (b, 0, 7.75, 2.5, 2.5, 0.99995, 1.0, 200),
         (a, 12, 20.0, 3.5, 2.0 ** 53, 1.0, 0.12345, 500),
         (b, 1, 30.5, 100.5, 2.0 ** 53 + 2, 0.00045, 0.5, 200),
-        (a, 3, 40.0, 7.0, 1e20, 0.99994999, 0.00004999, 0),
+        # Past 2**53 (the scalar formatter) but below 2**63, the largest
+        # bandwidth a .rtb file can hold.
+        (a, 3, 40.0, 7.0, 2.0 ** 62, 0.99994999, 0.00004999, 0),
         (b, 9, 1.5e9 + 0.7, 4.5, 56_000.5, 0.25, 0.75, 206),
         (a, 4, 2e9, 1e6 + 0.5, 3e6 + 0.5, 0.33335, 0.66665, 200),
         (b, 5, 1e9 + 1e-3, 0.4999999999999999, 12345.4999999, 1e-12,
