@@ -145,7 +145,6 @@ class LiveWorkloadGenerator:
 
     def generate_sharded(self, days: float, *, seed: SeedLike = None,
                          shards: int = 1, jobs: int = 1,
-                         strategy: str = "sessions",
                          scenario: "str | Scenario | None" = None
                          ) -> GismoWorkload:
         """Generate a workload in ``shards`` parts across ``jobs`` processes.
@@ -156,5 +155,4 @@ class LiveWorkloadGenerator:
         """
         from ..parallel.engine import generate_sharded
         return generate_sharded(self.model, days, seed=seed, shards=shards,
-                                jobs=jobs, strategy=strategy,
-                                scenario=scenario)
+                                jobs=jobs, scenario=scenario)

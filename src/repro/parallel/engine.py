@@ -148,7 +148,6 @@ def generate_shard(spec: ShardSpec) -> ShardResult:
 
 def generate_sharded(model: LiveWorkloadModel, days: float, *,
                      seed: SeedLike = None, shards: int = 1, jobs: int = 1,
-                     strategy: str = "sessions",
                      blocks: int = DEFAULT_BLOCKS,
                      scenario: str | Scenario | None = None
                      ) -> GismoWorkload:
@@ -158,8 +157,7 @@ def generate_sharded(model: LiveWorkloadModel, days: float, *,
     :meth:`repro.core.gismo.LiveWorkloadGenerator.generate` (which is
     itself this function at ``shards=1, jobs=1``): for a fixed ``(model,
     days, seed, blocks)`` the merged :class:`~repro.trace.store.Trace` is
-    bit-for-bit identical for every ``shards``/``jobs``/``strategy``
-    combination.
+    bit-for-bit identical for every ``shards``/``jobs`` combination.
 
     Parameters
     ----------
@@ -173,7 +171,7 @@ def generate_sharded(model: LiveWorkloadModel, days: float, *,
         Number of work units to split generation into.
     jobs:
         Worker-process count; ``1`` runs inline (no subprocesses).
-    strategy, blocks, scenario:
+    blocks, scenario:
         Forwarded to :func:`repro.parallel.plan.plan_generation`; a
         scenario perturbs the model at plan time and its trace edits
         ride along in the shard specs, so the scenario workload is a
@@ -186,13 +184,12 @@ def generate_sharded(model: LiveWorkloadModel, days: float, *,
     ScenarioError
         If ``scenario`` is an unknown name or a malformed spec.
     ValueError
-        If ``shards``, ``jobs``, ``blocks``, or ``strategy`` is invalid.
+        If ``shards``, ``jobs`` or ``blocks`` is invalid.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     plan = plan_generation(model, days, seed=seed, shards=shards,
-                           strategy=strategy, blocks=blocks,
-                           scenario=scenario)
+                           blocks=blocks, scenario=scenario)
     results = map_ordered(generate_shard, plan.shards, jobs=jobs,
                           label="shard")
 

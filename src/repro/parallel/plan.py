@@ -15,10 +15,10 @@ vectorized pass each — and packages the expensive per-session stages
 (transfer synthesis, bandwidth sampling) into picklable
 :class:`ShardSpec` objects for :mod:`repro.parallel.engine` to execute.
 
-Two grouping strategies are offered: ``"sessions"`` balances the session
-count per shard (best load balance under a strong diurnal rhythm) and
-``"windows"`` balances the wall-clock windows per shard.  The choice
-affects scheduling only, never the generated workload.
+Shards balance the session count per shard (the best load balance
+under a strong diurnal rhythm); the grouping affects scheduling only,
+never the generated workload.  The streaming engine takes one block per
+shard instead (:func:`plan_block_stream`).
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ from ..units import DAY
 #: blocks)`` yields the same trace for every ``shards``/``jobs`` choice;
 #: changing ``blocks`` selects a different (equally valid) workload.
 DEFAULT_BLOCKS = 64
-
-#: Valid shard grouping strategies.
-STRATEGIES = ("sessions", "windows")
 
 
 @dataclass(frozen=True)
@@ -132,8 +129,6 @@ class GenerationPlan:
         Global client index of each session.
     shards:
         The shard specs, covering every session exactly once.
-    strategy:
-        The grouping strategy used (load balance only; see module doc).
     """
 
     model: LiveWorkloadModel
@@ -141,7 +136,6 @@ class GenerationPlan:
     arrivals: FloatArray = field(repr=False)
     session_client: IntArray = field(repr=False)
     shards: tuple[ShardSpec, ...] = ()
-    strategy: str = "sessions"
 
     @property
     def n_sessions(self) -> int:
@@ -154,23 +148,22 @@ class GenerationPlan:
         return len(self.shards)
 
 
-def _shard_cuts(bounds: IntArray, n_blocks: int, shards: int,
-                strategy: str) -> list[int]:
-    """Block-index cut points grouping ``n_blocks`` blocks into ``shards``.
+def _shard_cuts(bounds: IntArray, shards: int | None) -> list[int]:
+    """Block-index cut points grouping the blocks into ``shards``.
 
     ``bounds`` is the cumulative session count at block edges (length
     ``n_blocks + 1``).  Returns ``shards + 1`` non-decreasing cut points
-    starting at 0 and ending at ``n_blocks``.
+    starting at 0 and ending at ``n_blocks`` that balance the session
+    count per shard; ``shards=None`` cuts at every block.
     """
-    if strategy == "windows":
-        cuts = [(n_blocks * k) // shards for k in range(shards + 1)]
-    else:  # "sessions": balance cumulative session counts
-        n_sessions = int(bounds[-1])
-        targets = [(n_sessions * k) / shards for k in range(1, shards)]
-        interior = np.searchsorted(bounds, targets, side="left")
-        raw = [0, *np.minimum(interior, n_blocks).tolist(), n_blocks]
-        cuts = [int(c) for c in np.maximum.accumulate(raw)]
-    return cuts
+    n_blocks = bounds.size - 1
+    if shards is None:
+        return list(range(n_blocks + 1))
+    n_sessions = int(bounds[-1])
+    targets = [(n_sessions * k) / shards for k in range(1, shards)]
+    interior = np.searchsorted(bounds, targets, side="left")
+    raw = [0, *np.minimum(interior, n_blocks).tolist(), n_blocks]
+    return [int(c) for c in np.maximum.accumulate(raw)]
 
 
 def plan_block_stream(model: LiveWorkloadModel, days: float, *,
@@ -182,14 +175,11 @@ def plan_block_stream(model: LiveWorkloadModel, days: float, *,
 
     The streaming entry point (:class:`repro.stream.GenerationStream`)
     executes blocks one at a time in canonical order, so it needs the
-    finest-grained decomposition: ``shards == blocks`` under the
-    ``"windows"`` strategy, which maps shard ``k`` to exactly block ``k``.
+    finest-grained decomposition: shard ``k`` is exactly block ``k``.
     The underlying workload is the same pure function of ``(model, days,
     seed, blocks)`` as every other execution mode.
     """
-    return plan_generation(model, days, seed=seed, shards=blocks,
-                           strategy="windows", blocks=blocks,
-                           scenario=scenario)
+    return _plan(model, days, seed, None, blocks, scenario)
 
 
 def emit_horizons(plan: GenerationPlan) -> FloatArray:
@@ -217,7 +207,6 @@ def emit_horizons(plan: GenerationPlan) -> FloatArray:
 
 def plan_generation(model: LiveWorkloadModel, days: float, *,
                     seed: SeedLike = None, shards: int = 1,
-                    strategy: str = "sessions",
                     blocks: int = DEFAULT_BLOCKS,
                     scenario: str | Scenario | None = None
                     ) -> GenerationPlan:
@@ -226,8 +215,7 @@ def plan_generation(model: LiveWorkloadModel, days: float, *,
     Runs the serial planning stages (arrival times, client interest) and
     splits the remaining work into ``shards`` picklable specs.  The
     resulting workload is a pure function of ``(model, days, seed,
-    blocks, scenario)`` — never of ``shards``, ``strategy``, or worker
-    count.
+    blocks, scenario)`` — never of ``shards`` or worker count.
 
     Parameters
     ----------
@@ -238,11 +226,8 @@ def plan_generation(model: LiveWorkloadModel, days: float, *,
     seed:
         Request seed; the same seed reproduces the same plan.
     shards:
-        Number of shard specs to produce (at least 1).  Shards beyond
-        the block count come back empty.
-    strategy:
-        ``"sessions"`` (balance session counts) or ``"windows"``
-        (balance time windows).
+        Number of shard specs to produce (at least 1), balanced by
+        session count.  Shards beyond the block count come back empty.
     blocks:
         Canonical block count (see :data:`DEFAULT_BLOCKS`).
     scenario:
@@ -261,17 +246,22 @@ def plan_generation(model: LiveWorkloadModel, days: float, *,
     ScenarioError
         If ``scenario`` is an unknown name or a malformed spec.
     ValueError
-        If ``shards``, ``blocks``, or ``strategy`` is invalid.
+        If ``shards`` or ``blocks`` is invalid.
     """
-    if days <= 0:
-        raise GenerationError(f"days must be positive, got {days}")
     if shards < 1:
         raise ValueError(f"shards must be at least 1, got {shards}")
+    return _plan(model, days, seed, shards, blocks, scenario)
+
+
+def _plan(model: LiveWorkloadModel, days: float, seed: SeedLike,
+          shards: int | None, blocks: int,
+          scenario: str | Scenario | None) -> GenerationPlan:
+    """:func:`plan_generation`, with ``shards=None`` for one shard per
+    block (see :func:`_shard_cuts`)."""
+    if days <= 0:
+        raise GenerationError(f"days must be positive, got {days}")
     if blocks < 1:
         raise ValueError(f"blocks must be at least 1, got {blocks}")
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"strategy must be one of {STRATEGIES}, got {strategy!r}")
 
     resolved = get_scenario(scenario)
     if resolved is not None:
@@ -313,13 +303,12 @@ def plan_generation(model: LiveWorkloadModel, days: float, *,
                   seed_seq=block_seqs[b])
         for b in range(blocks)
     ]
-    cuts = _shard_cuts(bounds, blocks, shards, strategy)
+    cuts = _shard_cuts(bounds, shards)
     shard_specs = tuple(
         ShardSpec(index=k, model=model, duration=duration,
                   blocks=tuple(block_specs[cuts[k]:cuts[k + 1]]),
                   edits=edits)
-        for k in range(shards)
+        for k in range(len(cuts) - 1)
     )
     return GenerationPlan(model=model, duration=duration, arrivals=arrivals,
-                          session_client=session_client, shards=shard_specs,
-                          strategy=strategy)
+                          session_client=session_client, shards=shard_specs)

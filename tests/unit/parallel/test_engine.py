@@ -44,11 +44,6 @@ class TestDeterminism:
         pooled = generate_sharded(model, 1, seed=11, shards=3, jobs=2)
         assert_workloads_identical(serial, pooled)
 
-    def test_strategy_invariant(self, model, serial):
-        windows = generate_sharded(model, 1, seed=11, shards=3,
-                                   strategy="windows")
-        assert_workloads_identical(serial, windows)
-
     def test_rerunning_a_spec_reproduces(self, model):
         # Stateless child-seed derivation: executing the same spec twice
         # must give the same transfers (spawn counters never mutate).

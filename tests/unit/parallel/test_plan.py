@@ -7,11 +7,7 @@ import pytest
 
 from repro.core.model import LiveWorkloadModel
 from repro.errors import GenerationError
-from repro.parallel.plan import (
-    DEFAULT_BLOCKS,
-    STRATEGIES,
-    plan_generation,
-)
+from repro.parallel.plan import DEFAULT_BLOCKS, plan_generation
 
 
 @pytest.fixture(scope="module")
@@ -66,25 +62,14 @@ class TestPlanStructure:
 
 
 class TestStrategies:
-    def test_windows_balances_block_counts(self, model):
-        plan = plan_generation(model, 1, seed=3, shards=4, blocks=8,
-                               strategy="windows")
-        assert [shard.n_blocks for shard in plan.shards] == [2, 2, 2, 2]
+    """Shards group blocks by session count (the one grouping left)."""
 
     def test_sessions_balances_session_counts(self, model):
-        plan = plan_generation(model, 1, seed=3, shards=4,
-                               strategy="sessions")
+        plan = plan_generation(model, 1, seed=3, shards=4)
         counts = [shard.n_sessions for shard in plan.shards]
         # Diurnal skew means perfect balance is impossible, but no shard
         # should be wildly off a fair share once blocks are fine enough.
         assert max(counts) <= 2 * plan.n_sessions / len(counts)
-
-    def test_strategy_does_not_change_randomness(self, model):
-        plans = [plan_generation(model, 1, seed=3, shards=3, strategy=s)
-                 for s in STRATEGIES]
-        np.testing.assert_array_equal(plans[0].arrivals, plans[1].arrivals)
-        np.testing.assert_array_equal(plans[0].session_client,
-                                      plans[1].session_client)
 
 
 class TestValidation:
@@ -99,7 +84,3 @@ class TestValidation:
     def test_bad_blocks(self, model):
         with pytest.raises(ValueError):
             plan_generation(model, 1, seed=1, blocks=0)
-
-    def test_bad_strategy(self, model):
-        with pytest.raises(ValueError):
-            plan_generation(model, 1, seed=1, strategy="chunky")
