@@ -53,6 +53,11 @@ from .tracking import RateMeter
 #: Bytes per text-ingest read chunk.
 _READ_CHUNK = 1 << 16
 
+#: Longest partial text line (bytes after the last ``\n``) a connection
+#: may hold between reads; a longer one is refused with ProtocolError, so
+#: a sender that never ends its line cannot grow the buffer without bound.
+MAX_PARTIAL_LINE = 1 << 20
+
 #: Ceiling on one HTTP request body (text ingest posts).
 _MAX_HTTP_BODY = 64 * 1024 * 1024
 
@@ -210,18 +215,22 @@ class CharacterizationService:
     async def _serve_text(self, reader: asyncio.StreamReader,
                           worker: FeedWorker) -> dict[str, Any]:
         offered = 0
-        carry = b""
+        carry = ""
         while True:
             chunk = await reader.read(_READ_CHUNK)
             if not chunk:
                 break
-            carry += chunk
-            pieces = carry.split(b"\n")
-            carry = pieces.pop()
-            if not pieces:
+            # ASCII decoding maps byte to character, so decoding a block
+            # and splitting it gives the lines a per-line decode gives.
+            lines = chunk.decode("ascii", errors="replace").split("\n")
+            lines[0] = carry + lines[0]
+            carry = lines.pop()
+            if len(carry) > MAX_PARTIAL_LINE:
+                raise ProtocolError(
+                    f"text line longer than {MAX_PARTIAL_LINE} bytes "
+                    f"on feed {worker.name!r}")
+            if not lines:
                 continue
-            lines = [piece.decode("ascii", errors="replace")
-                     for piece in pieces]
             if not worker.offer_lines(lines):
                 raise _Backpressure(
                     f"backpressure: feed {worker.name!r} queue is full "

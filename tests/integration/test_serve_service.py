@@ -14,6 +14,7 @@ import pytest
 from repro.core.model import LiveWorkloadModel
 from repro.serve import CharacterizationService, ServeConfig, run_load_async
 from repro.serve.protocol import format_handshake, pack_end, pack_meta
+from repro.serve.service import MAX_PARTIAL_LINE
 from repro.stream import run_streaming_generation
 from repro.trace.streaming import StreamingCharacterizer
 from repro.trace.wms_log import LOG_FIELDS
@@ -187,6 +188,32 @@ def test_disconnect_mid_line_is_counted(logs):
         writer.close()
         await worker.drain()
         assert worker.lines_ingested == 3
+
+    serve_scenario(scenario)
+
+
+def test_endless_text_line_is_refused(logs):
+    """A partial line past MAX_PARTIAL_LINE gets ERR instead of a buffer
+    that grows with every read; whole lines before it are ingested."""
+    text_path, _ = logs
+
+    async def scenario(service):
+        with open(text_path, "r", encoding="utf-8") as stream:
+            lines = [line.rstrip("\n") for line in stream]
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", service.tcp_port)
+        writer.write(format_handshake("text", "feed0"))
+        writer.write(("\n".join(lines[:2]) + "\n").encode("ascii"))
+        writer.write(b"7" * (MAX_PARTIAL_LINE + 1))
+        writer.write_eof()
+        response = await reader.readline()
+        writer.close()
+        assert response.startswith(b"ERR ")
+        assert b"longer than" in response
+        worker = service.worker("feed0")
+        await worker.drain()
+        assert worker.lines_ingested == 2
+        assert worker.truncated_lines == 0
 
     serve_scenario(scenario)
 
