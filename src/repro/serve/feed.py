@@ -346,11 +346,16 @@ class FeedWorker(Stateful):
         call — the same per-segment grouping the batch binary reader
         uses, which keeps the single float accumulator's summation order
         identical.  Session state is indexed by client slot (declaration
-        order), so its size never follows an index value.
+        order), so its size never follows an index value.  A frame with
+        an entry the entry rule refuses raises :class:`ProtocolError` and
+        changes no feed state.
         """
+        try:
+            columns = decode_entry_columns(quantized)
+        except TraceError as exc:
+            raise ProtocolError(str(exc)) from exc
         if not self._enter_mode("binary"):
             return 0
-        columns = decode_entry_columns(quantized)
         client = np.asarray(columns["client_index"], dtype=np.int64)
         n = int(client.size)
         self.frames_ingested += 1

@@ -26,11 +26,7 @@ from pathlib import Path
 from typing import Any, Awaitable, Callable
 
 from ..errors import ServeError
-from ..trace.codecs import (
-    BinaryTraceReader,
-    decode_entry_columns,
-    detect_codec,
-)
+from ..trace.codecs import BinaryTraceReader, detect_codec
 from ..trace.wms_log import LOG_FIELDS, parse_fields_header
 from .protocol import format_handshake, pack_clients, pack_end, pack_entries, pack_meta
 
@@ -308,8 +304,7 @@ async def _send_http_once(host: str, port: int, feed: str,
 # Binary replay
 # ----------------------------------------------------------------------
 def _first_timestamp(quantized: dict[str, Any]) -> float:
-    head = {name: column[:1] for name, column in quantized.items()}
-    return float(decode_entry_columns(head)["timestamp"][0])
+    return float(quantized["timestamp"][0])
 
 
 async def _send_binary_once(host: str, port: int, feed: str,

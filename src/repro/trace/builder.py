@@ -1,9 +1,11 @@
 """Incremental trace construction.
 
-The simulator and the log parser both produce transfers one at a time and in
-no particular order; :class:`TraceBuilder` accumulates them in growable
-buffers, interning clients by player ID, and emits a sorted columnar
-:class:`~repro.trace.store.Trace` at the end.
+The simulator and the log readers build their traces from whole columns.
+:class:`TraceBuilder` serves hand-built traces (tests, examples, small
+tools) that add transfers one at a time and in no particular order: it
+accumulates them in growable buffers, interning clients by player ID, and
+emits a sorted columnar :class:`~repro.trace.store.Trace` at the end,
+whose constructor applies the entry rule.
 """
 
 from __future__ import annotations
@@ -68,11 +70,10 @@ class TraceBuilder:
                      duration: float, *, bandwidth_bps: float = 0.0,
                      packet_loss: float = 0.0, server_cpu: float = 0.0,
                      status: int = 200) -> None:
-        """Append one transfer for an already-registered client."""
-        if not 0 <= client_index < len(self._clients):
-            raise TraceError(f"unknown client index {client_index}")
-        if duration < 0:
-            raise TraceError(f"duration must be non-negative, got {duration}")
+        """Append one transfer for a client registered before :meth:`build`.
+
+        The transfer is checked when :meth:`build` constructs the trace.
+        """
         self._client_index.append(client_index)
         self._object_id.append(object_id)
         self._start.append(start)

@@ -59,6 +59,7 @@ from .._typing import FloatArray, IntArray
 from ..arrayops import sorted_slots, unique_integers
 from ..errors import CheckpointError, LogParseError, TraceError
 from ..state import Column, Scalar, Schema
+from .entries import require_entries
 from .store import ClientTable, Trace
 from .wms_log import (
     ClientIdentity,
@@ -111,11 +112,15 @@ def decode_entry_columns(quantized: Mapping[str, IntArray]
     :func:`repro.trace.wms_log.read_wms_log` obtains from the formatted
     strings (integer-valued doubles are exact; IEEE division is
     correctly rounded, as is ``float()`` of the decimal string).
+
+    The decoded entries must pass the entry rule
+    (:func:`repro.trace.entries.entry_rule`), as parsed text lines do;
+    otherwise :class:`TraceError` names the first refused entry.
     """
     timestamp = np.asarray(quantized["timestamp"], dtype=np.int64)
     duration = np.asarray(quantized["duration"],
                           dtype=np.int64).astype(np.float64)
-    return {
+    decoded: dict[str, FloatArray | IntArray] = {
         "timestamp": timestamp,
         "client_index": np.asarray(quantized["client_index"], dtype=np.int64),
         "object_id": np.asarray(quantized["object_id"], dtype=np.int64),
@@ -129,6 +134,8 @@ def decode_entry_columns(quantized: Mapping[str, IntArray]
                                  dtype=np.int64).astype(np.float64) / 1e4,
         "status": np.asarray(quantized["status"], dtype=np.int64),
     }
+    require_entries(decoded)
+    return decoded
 
 
 def format_quantized_entry(quantized: Mapping[str, IntArray], row: int,
@@ -582,7 +589,7 @@ def read_binary_trace(path: str | Path, *,
     ------
     TraceError
         On structural corruption (bad magic, missing trailer, dangling
-        client references).
+        client references) or an entry the entry rule refuses.
     """
     with BinaryTraceReader(path) as reader:
         quantized = reader.all_quantized()

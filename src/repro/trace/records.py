@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .entries import require_entries
+
 
 @dataclass(frozen=True)
 class ClientRecord:
@@ -50,6 +52,10 @@ class ClientRecord:
 class TransferRecord:
     """One unicast transfer: a start/stop viewing of a live object.
 
+    A record must pass the entry rule
+    (:func:`repro.trace.entries.entry_rule`); otherwise construction
+    raises :class:`~repro.errors.TraceError`.
+
     Attributes
     ----------
     client:
@@ -80,15 +86,9 @@ class TransferRecord:
     status: int = 200
 
     def __post_init__(self) -> None:
-        if self.object_id < 0:
-            raise ValueError(f"object_id must be non-negative, got {self.object_id}")
-        if self.duration < 0:
-            raise ValueError(f"duration must be non-negative, got {self.duration}")
-        if self.bandwidth_bps < 0:
-            raise ValueError(
-                f"bandwidth_bps must be non-negative, got {self.bandwidth_bps}")
-        if not 0.0 <= self.packet_loss <= 1.0:
-            raise ValueError(f"packet_loss must be in [0, 1], got {self.packet_loss}")
+        require_entries({name: [getattr(self, name)] for name in (
+            "start", "duration", "bandwidth_bps", "packet_loss",
+            "server_cpu")})
 
     @property
     def end(self) -> float:

@@ -22,6 +22,7 @@ from ..arrayops import segment_starts, stable_client_order
 #: Shape/dtype-generic array (string columns, narrow sort keys, masks).
 _AnyArray = np.ndarray[Any, np.dtype[Any]]
 from ..errors import TraceError
+from .entries import require_entries
 from .records import ClientRecord, TransferRecord
 
 
@@ -126,11 +127,16 @@ class Trace:
     object_id:
         Per-transfer live-object index.
     start:
-        Per-transfer start times (seconds since trace start), finite.
+        Per-transfer start times (seconds since trace start).
     duration:
-        Per-transfer lengths (seconds), finite and non-negative.
+        Per-transfer lengths (seconds).
     bandwidth_bps, packet_loss, server_cpu, status:
         Optional per-transfer statistics; default to zeros / 200.
+
+    Every row must pass the entry rule
+    (:func:`repro.trace.entries.entry_rule`), with the client index in
+    range of ``clients``; otherwise :class:`TraceError` names the first
+    refused row.
     extent:
         Length of the observation window ``[0, extent)``; defaults to the
         latest transfer end.
@@ -173,13 +179,7 @@ class Trace:
         self.server_cpu = _column(server_cpu, 0.0, np.float64)
         self.status = _column(status, 200, np.int64)
 
-        if not (np.isfinite(self.start).all() and np.isfinite(self.duration).all()):
-            raise TraceError("transfer starts and durations must be finite")
-        if n and (self.duration.min() < 0):
-            raise TraceError("transfer durations must be non-negative")
-        if n and (self.client_index.min() < 0
-                  or self.client_index.max() >= len(clients)):
-            raise TraceError("client_index out of range of the client table")
+        require_entries(self.columns(), n_clients=len(clients))
 
         if n and np.any(np.diff(self.start) < 0):
             order = np.argsort(self.start, kind="stable")

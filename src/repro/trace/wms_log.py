@@ -25,8 +25,8 @@ import io
 from dataclasses import dataclass
 from itertools import count, filterfalse, islice
 from pathlib import Path
-from typing import (IO, Any, Callable, Iterable, Iterator, Mapping, Sequence,
-                    TextIO)
+from typing import (IO, Any, Callable, Iterable, Iterator, Mapping,
+                    NamedTuple, Sequence, TextIO)
 
 import numpy as np
 import numpy.typing as npt
@@ -35,6 +35,7 @@ from .._typing import FloatArray, IntArray
 from ..arrayops import sorted_slots
 from ..errors import LogParseError, TraceError
 from ..state import Scalar, Schema, Stateful, Table
+from .entries import ENTRY_CHECKS, entry_rule, require_entries
 from .store import ClientTable, Trace
 
 #: An ndarray of any dtype (the reorder buffer mixes floats and ints).
@@ -324,23 +325,16 @@ class StreamingTraceWriter(Stateful):
         writer's stable sort).  ``horizon`` promises that every transfer
         of every *later* push starts at or after it; entries with
         ``end < horizon`` are flushed now.  Returns the number of entries
-        written by this call.  A batch with a row whose ``start +
-        duration`` is not finite (it could never be flushed) raises
-        :class:`TraceError` naming the first such row, and nothing of the
-        batch is buffered.
+        written by this call.  A batch with a row the entry rule
+        (:func:`repro.trace.entries.entry_rule`) refuses — one neither
+        codec could write and read back — raises :class:`TraceError`
+        naming the first such row and its check, and nothing of the batch
+        is buffered.
         """
         start = np.asarray(start, dtype=np.float64)
         duration = np.asarray(duration, dtype=np.float64)
-        end = start + duration
-        unending = np.flatnonzero(~np.isfinite(end))
-        if unending.size:
-            k = int(unending[0])
-            raise TraceError(
-                f"transfer {global_offset + k}: start + duration is not "
-                f"finite ({float(start[k])!r} + {float(duration[k])!r})")
         n = start.size
         new: dict[str, _AnyArray] = {
-            "end": end,
             "position": global_offset + np.arange(n, dtype=np.int64),
             "client_index": np.asarray(client_index, dtype=np.int64),
             "object_id": np.asarray(object_id, dtype=np.int64),
@@ -355,6 +349,8 @@ class StreamingTraceWriter(Stateful):
             "status": (np.full(n, 200, dtype=np.int64) if status is None
                        else np.asarray(status, dtype=np.int64)),
         }
+        require_entries({**new, "start": start}, offset=global_offset)
+        new["end"] = start + duration
         self._buffer = {name: np.concatenate([col, new[name]])
                         for name, col in self._buffer.items()}
         return self._flush_below(horizon)
@@ -580,8 +576,8 @@ def parse_fields_header(line: str, line_number: int) -> list[str]:
 PARSE_BATCH_LINES = 1024
 
 
-#: The typed columns of an entry, in the order the entry rule checks
-#: them: ``(log field, column, dtype)``; int64 fields parse with ``int``.
+#: The typed columns of an entry, in the order they parse: ``(log
+#: field, column, dtype)``; int64 fields parse with ``int``.
 _TYPED_FIELDS: tuple[tuple[str, str, type], ...] = (
     ("x-timestamp", "timestamp", np.int64),
     ("x-duration", "duration", np.float64),
@@ -620,22 +616,70 @@ def parse_log_lines(lines: Sequence[str], fields: Sequence[str], *,
     The one parser of a WMS data line.  A line is an entry when it is
     ASCII and splits into exactly ``len(fields)`` columns; its timestamp,
     duration, URI stem (``/live/feed<int>``), bandwidth, loss, CPU and
-    status parse with ``int``/``float``, the integers fit int64, the
-    floats are finite and ``x-duration`` is in ``[0, 2**53)`` seconds.
-    Other lines get a :class:`LogParseError` (labelled by
-    ``line_numbers``) naming the first check they fail, in that order.
-    A layout lacking any of :data:`LOG_FIELDS` raises.
+    status parse with ``int``/``float`` and the integers fit int64; and
+    the entry rule (:func:`repro.trace.entries.entry_rule`) admits its
+    values, with ``start = timestamp - duration``.  Other lines get a
+    :class:`LogParseError` (labelled by ``line_numbers``) naming the
+    first check they fail, in that order.  A layout lacking any of
+    :data:`LOG_FIELDS` raises.
 
     The lines are parsed as one byte buffer (see :func:`_parse_block`);
-    only the lines its fast path refuses meet the rule value by value.
+    only the lines its fast path refuses are parsed value by value.  The
+    entry rule then runs once over the typed columns of both.
     """
     _check_layout(fields)
     data = "\n".join(lines).encode("utf-8", errors="surrogatepass")
     if len(lines) == 0 or data.count(b"\n") != len(lines) - 1:
         # A line holding a line break of its own: no byte view of it.
-        return _parse_scalar(lines, fields, line_numbers)[0]
-    return _parse_block(np.frombuffer(data, dtype=np.uint8), lines, fields,
-                        line_numbers)
+        parsed = _parse_scalar(lines, fields)
+    else:
+        parsed = _parse_block(np.frombuffer(data, dtype=np.uint8), lines,
+                              fields)
+    columns, strings, rows, failures = parsed
+    duration = columns["duration"]
+    admitted, checks = entry_rule(
+        {**columns, "start": columns["timestamp"] - duration})
+    if checks.size:
+        at = {name: k for k, name in enumerate(fields)}
+        refused = np.flatnonzero(~admitted)
+        for k, check in zip(rows[refused].tolist(), checks.tolist(),
+                            strict=True):
+            column, condition = ENTRY_CHECKS[check]
+            field = _CHECK_FIELDS[column]
+            failures.append((k, f"{field} {condition}: "
+                                f"{lines[k].split()[at[field]]!r}"))
+        keep = np.flatnonzero(admitted)
+        columns = {name: values[keep] for name, values in columns.items()}
+        strings = [[column[j] for j in keep.tolist()] for column in strings]
+    failures.sort()
+    ips, players, os_names = strings
+    return ParsedLog(
+        fields=fields, columns=columns, ips=ips, players=players,
+        os_names=os_names, errors=[LogParseError(
+            message, line=lines[k],
+            line_number=None if line_numbers is None else line_numbers[k])
+            for k, message in failures])
+
+
+#: The log field of each column the entry rule checks (``start`` is
+#: ``x-timestamp - x-duration``).
+_CHECK_FIELDS = {"duration": "x-duration", "start": "x-timestamp",
+                 "start + duration": "x-timestamp",
+                 "bandwidth_bps": "avg-bandwidth",
+                 "packet_loss": "packet-loss-rate",
+                 "server_cpu": "s-cpu-util"}
+
+
+class _Parsed(NamedTuple):
+    """Lines parsed up to the entry rule: the typed ``columns`` and
+    ``strings`` (IPs, player IDs, OSs) of the lines that parsed, the
+    line index of each (``rows``) and ``(line index, message)`` of each
+    other line."""
+
+    columns: dict[str, _AnyArray]
+    strings: list[list[str]]
+    rows: IntArray
+    failures: list[tuple[int, str]]
 
 
 def _check_layout(fields: Sequence[str]) -> None:
@@ -695,8 +739,7 @@ def _eight_digits(word: npt.NDArray[np.uint64]) -> npt.NDArray[np.uint64]:
 
 
 def _parse_block(block: npt.NDArray[np.uint8], lines: Sequence[str],
-                 fields: Sequence[str], line_numbers: Sequence[int] | None
-                 ) -> ParsedLog:
+                 fields: Sequence[str]) -> _Parsed:
     """Parse the data ``lines``, held in ``block`` one ``\\n`` apart.
 
     The fast path reads every column of the lines whose bytes it can
@@ -704,9 +747,9 @@ def _parse_block(block: npt.NDArray[np.uint8], lines: Sequence[str],
     ASCII with exactly ``len(fields) - 1`` single spaces, its integer
     fields are 1 to 18 plain digits (the URI stem ``/live/feed`` and such
     digits) and its float fields 1 to 15 digits with at most one ``.``.
-    Such a line is an entry, and its values are the ones ``int``/
-    ``float`` give.  Every other line goes to the scalar rule, and the
-    two results merge in line order.
+    Such a line parses, and its values are the ones ``int``/``float``
+    give.  Every other line goes to :func:`_parse_scalar`, and the two
+    results merge in line order.
     """
     at = {name: k for k, name in enumerate(fields)}
     width = len(fields)
@@ -748,30 +791,24 @@ def _parse_block(block: npt.NDArray[np.uint8], lines: Sequence[str],
     if accepted.size < rows.size:
         lo, hi = lo[good], hi[good]
         columns = {name: values[good] for name, values in columns.items()}
-    ips, players, os_names = _read_strings(
+    strings = _read_strings(
         words, [(lo[:, at[field]], hi[:, at[field]])
                 for field in ("c-ip", "c-playerid", "c-os")])
     if accepted.size == len(lines):
-        return ParsedLog(fields=fields, columns=columns, ips=ips,
-                         players=players, os_names=os_names, errors=[])
+        return _Parsed(columns, strings, accepted, [])
     refused_lines = np.ones(len(lines), dtype=bool)
     refused_lines[accepted] = False
-    others = np.flatnonzero(refused_lines).tolist()
-    scalar, alive = _parse_scalar(
-        [lines[k] for k in others], fields,
-        None if line_numbers is None
-        else [line_numbers[k] for k in others])
-    order = np.argsort(np.concatenate(
-        (accepted, np.asarray(others, dtype=np.int64)[alive])), kind="stable")
+    others = np.flatnonzero(refused_lines)
+    scalar = _parse_scalar([lines[k] for k in others.tolist()], fields)
+    rows = np.concatenate((accepted, others[scalar.rows]))
+    order = np.argsort(rows, kind="stable")
     columns = {name: np.concatenate((values, scalar.columns[name]))[order]
                for name, values in columns.items()}
-    ips, players, os_names = (
-        np.asarray([*fast, *extra], dtype=object)[order].tolist()
-        for fast, extra in ((ips, scalar.ips), (players, scalar.players),
-                            (os_names, scalar.os_names)))
-    return ParsedLog(fields=fields, columns=columns, ips=ips,
-                     players=players, os_names=os_names,
-                     errors=scalar.errors)
+    strings = [np.asarray([*fast, *extra], dtype=object)[order].tolist()
+               for fast, extra in zip(strings, scalar.strings, strict=True)]
+    return _Parsed(columns, strings, rows[order],
+                   [(int(others[k]), message)
+                    for k, message in scalar.failures])
 
 
 def _read_number(words: npt.NDArray[np.uint64], first: IntArray,
@@ -841,14 +878,11 @@ def _read_strings(words: npt.NDArray[np.uint64],
     return [tokens[k::len(spans)] for k in range(len(spans))]
 
 
-def _parse_scalar(lines: Sequence[str], fields: Sequence[str],
-                  line_numbers: Sequence[int] | None
-                  ) -> tuple[ParsedLog, npt.NDArray[np.bool_]]:
-    """The entry rule of :func:`parse_log_lines`, value by value.
+def _parse_scalar(lines: Sequence[str], fields: Sequence[str]) -> _Parsed:
+    """The line checks of :func:`parse_log_lines`, value by value.
 
     Fields convert column by column, value by value only in a column
-    with a bad value.  Returns the parsed batch and the mask of the
-    lines that are entries.
+    with a bad value.
     """
     # The last of duplicated field names wins, as in a row dict.
     at = {name: k for k, name in enumerate(fields)}
@@ -900,29 +934,15 @@ def _parse_scalar(lines: Sequence[str], fields: Sequence[str],
                 except OverflowError:
                     messages[k] = f"{field} out of range: {text!r}"
             reject(messages)
-        reject({k: f"{field} is not finite: {raw[k]!r}"
-                for k in np.flatnonzero(~np.isfinite(values)).tolist()})
-        if field == "x-duration":
-            # The floor(t) + 1 length display is a float64: exact only
-            # below 2**53 (units.log_display_time).
-            reject({k: f"x-duration outside [0, 2**53): {raw[k]!r}"
-                    for k in np.flatnonzero(
-                        (values < 0) | (values >= 2.0**53)).tolist()})
         columns[name] = values
 
-    strings = [texts[at[field]] for field in ("c-ip", "c-playerid", "c-os")]
-    if not alive.all():
-        keep = np.flatnonzero(alive)
+    strings = [list(texts[at[field]])
+               for field in ("c-ip", "c-playerid", "c-os")]
+    keep = np.flatnonzero(alive)
+    if keep.size < n:
         columns = {name: values[keep] for name, values in columns.items()}
         strings = [[column[k] for k in keep.tolist()] for column in strings]
-    failures.sort()
-    ips, players, os_names = map(list, strings)
-    return ParsedLog(
-        fields=fields, columns=columns, ips=ips, players=players,
-        os_names=os_names, errors=[LogParseError(
-            message, line=lines[k],
-            line_number=None if line_numbers is None else line_numbers[k])
-            for k, message in failures]), alive
+    return _Parsed(columns, strings, keep, failures)
 
 
 def parse_log_stream(lines: Iterable[str],

@@ -14,14 +14,20 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import TraceError
 from repro.trace.codecs import (
     BinaryTraceReader,
+    BinaryTraceWriter,
     format_quantized_entry,
     read_binary_trace,
     write_binary_trace,
 )
 from repro.trace.store import TRANSFER_COLUMNS, ClientTable, Trace
-from repro.trace.wms_log import read_wms_log, write_wms_log
+from repro.trace.wms_log import (
+    StreamingWmsLogWriter,
+    read_wms_log,
+    write_wms_log,
+)
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -129,3 +135,88 @@ def test_identity_width_round_trip(player, os_name):
     finally:
         os.unlink(path)
     assert identities[0] == ("198.51.100.7", player, os_name)
+
+
+#: Values at the edges of the entry rule and of both codecs' integer
+#: quantization: signed zeros, ties, 2**53, the largest doubles below
+#: 2**63 and 2**53 / 10**4, and what lies past them.
+EDGE_VALUES = [
+    0.0, -0.0, 0.5, 1.5, -4.0, 0.00005, 0.99995, 1e4, 2.0**53 - 1,
+    2.0**53, 2.0**53 + 2, 2.0**62, 2.0**63 - 1024, 2.0**63, -(2.0**63),
+    -(2.0**63) + 1024, 1e20, 900719925474.0991, 2.0**53 / 1e4,
+    -900719925474.0991, 1.44115188e+13, 999999999999999.0,
+    np.inf, -np.inf, np.nan,
+]
+
+edge_value = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(),
+                       st.floats(-1e6, 1e6, **finite))
+
+
+@st.composite
+def edge_columns(draw):
+    n = draw(st.integers(1, 8))
+    column = st.lists(edge_value, min_size=n, max_size=n).map(np.asarray)
+    columns = {name: draw(column) for name in (
+        "start", "duration", "bandwidth_bps", "packet_loss", "server_cpu")}
+    if draw(st.booleans()):
+        # Admitted rows, values past a bound replaced by one at its edge.
+        columns["duration"] = np.abs(np.nan_to_num(
+            columns["duration"], posinf=3.0, neginf=2.0)) % 2.0**53
+        columns["start"] = np.nan_to_num(columns["start"]) % 2.0**62
+        for name, bound, edge in (
+                ("bandwidth_bps", 2.0**63, 2.0**63 - 1024),
+                ("packet_loss", 2.0**53 / 1e4, 900719925474.0991),
+                ("server_cpu", 2.0**53 / 1e4, -900719925474.0991)):
+            values = columns[name]
+            columns[name] = np.where(np.abs(values) < bound, values, edge)
+    columns["client_index"] = np.arange(n, dtype=np.int64) % 3
+    columns["object_id"] = np.zeros(n, dtype=np.int64)
+    columns["status"] = np.full(n, 200, dtype=np.int64)
+    return columns
+
+
+def _identity(k):
+    return (f"10.0.0.{k}", f"player-{k}", "Windows_98")
+
+
+def _write(writer, columns):
+    writer.push(global_offset=0, horizon=-np.inf, **columns)
+    return writer.finish()
+
+
+def _write_binary(path, columns):
+    with open(path, "wb") as stream:
+        return _write(BinaryTraceWriter(stream, _identity), columns)
+
+
+@given(columns=edge_columns())
+@settings(max_examples=200, deadline=None)
+def test_codecs_refuse_or_round_trip_the_same_rows(columns):
+    """Both writers refuse a batch at the same first row and check, or
+    both files read back the same entries: the entry rule admits exactly
+    what both codecs can write and read back."""
+    text = io.StringIO()
+    handle, path = tempfile.mkstemp(suffix=".rtb")
+    os.close(handle)
+    try:
+        outcomes = []
+        for write in (
+                lambda: _write(StreamingWmsLogWriter(text, _identity),
+                               columns),
+                lambda: _write_binary(path, columns)):
+            try:
+                outcomes.append(write())
+            except TraceError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        if isinstance(outcomes[0], str):
+            return
+        text.seek(0)
+        from_text = read_wms_log(text)
+        from_binary = read_binary_trace(path)
+    finally:
+        os.unlink(path)
+    assert from_text.n_transfers == from_binary.n_transfers == outcomes[0]
+    for column in TRANSFER_COLUMNS:
+        assert np.array_equal(getattr(from_text, column),
+                              getattr(from_binary, column)), column

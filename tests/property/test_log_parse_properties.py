@@ -4,10 +4,14 @@ Well-formed log lines are mutated field by field — hostile number
 spellings, foreign URI stems, split or merged fields, stray whitespace
 and non-ASCII characters — and :func:`parse_log_lines` is checked
 against :func:`_reference_parse_line`, a one-line-at-a-time statement
-of the entry rule: the line is ASCII and has one column per field, each
+of the line checks: the line is ASCII and has one column per field, each
 field parses with ``int``/``float`` (the URI stem as
-``/live/feed<int>``), the floats are finite, the duration is in
-``[0, 2**53)`` seconds and the integers fit in int64.  The parser reads
+``/live/feed<int>``) and the integers fit in int64; then the entry rule
+of :mod:`repro.trace.entries`, restated check by check over the line's
+values: the duration is finite and in ``[0, 2**53)`` seconds, ``start =
+timestamp - duration`` is finite and ``start + duration`` floors to an
+int64, the bandwidth is below 2**63 in magnitude and loss and CPU below
+``2**53 / 10**4``.  The parser reads
 most lines by digit arithmetic on their bytes and hands the rest to the
 scalar rule, so lines at the edge of that fast path — signs, leading
 zeros, long mantissas, odd separators — are fuzzed on their own, as are
@@ -38,10 +42,31 @@ from repro.trace.wms_log import (
 INT64 = range(-(1 << 63), 1 << 63)
 
 
-#: The typed fields in the order the entry rule checks them.
+#: The typed fields in the order they parse.
 TYPED = (("x-timestamp", int), ("x-duration", float), ("cs-uri-stem", int),
          ("avg-bandwidth", float), ("packet-loss-rate", float),
          ("s-cpu-util", float), ("sc-status", int))
+
+
+def _entry_rule(v):
+    """The entry rule's checks over one line's values, in order:
+    ``(field named, condition, admitted)``."""
+    duration = v["x-duration"]
+    start = v["x-timestamp"] - duration
+    quantum = 2**53 / 10**4
+    return (
+        ("x-duration", "is not finite", math.isfinite(duration)),
+        ("x-duration", "outside [0, 2**53)", 0 <= duration < 2**53),
+        ("x-timestamp", "is not finite", math.isfinite(start)),
+        ("x-timestamp", "does not floor to an int64",
+         -(2**63) <= start + duration < 2**63),
+        ("avg-bandwidth", "outside (-2**63, 2**63)",
+         abs(v["avg-bandwidth"]) < 2**63),
+        ("packet-loss-rate", "outside (-2**53, 2**53) / 10**4",
+         abs(v["packet-loss-rate"]) < quantum),
+        ("s-cpu-util", "outside (-2**53, 2**53) / 10**4",
+         abs(v["s-cpu-util"]) < quantum),
+    )
 
 
 def _reference_parse_line(line, fields):
@@ -66,11 +91,10 @@ def _reference_parse_line(line, fields):
             return None, str(exc)
         if convert is int and value not in INT64:
             return None, f"{field} out of range: {text!r}"
-        if convert is float and not math.isfinite(value):
-            return None, f"{field} is not finite: {text!r}"
-        if field == "x-duration" and not 0 <= value < 2.0**53:
-            return None, f"x-duration outside [0, 2**53): {text!r}"
         values[field] = value
+    for field, condition, admitted in _entry_rule(values):
+        if not admitted:
+            return None, f"{field} {condition}: {row[field]!r}"
     return (*(values[field] for field, _ in TYPED),
             row["c-ip"], row["c-playerid"], row["c-os"]), None
 
@@ -103,6 +127,7 @@ hostile_token = st.one_of(
     st.sampled_from([
         "nan", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400", "-5",
         "1e20", "9223372036854775807.0", "9223372036854774784",
+        "999999999999999", "900719925474.0991", "900719925474.0992",
         "-0", "-0.0", "+7", "1_000", "0x1f", "1e3", "12.5", ".5", "5.",
         "xyz", "-", "/live/feed", "/live/feed-3", "/live/feed+4",
         "/live/feedx", "/live/feed1_0", "/vod/feed3", "/live/feed9e9",

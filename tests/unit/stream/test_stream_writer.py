@@ -102,7 +102,8 @@ def test_state_round_trip_preserves_bytes():
 @pytest.mark.parametrize("field", ["start", "duration"])
 def test_push_refuses_a_row_that_never_ends(field):
     """A row whose ``start + duration`` is not finite could never be
-    flushed: ``push`` names the first such row and buffers nothing."""
+    flushed: ``push`` names the first such row and its check and
+    buffers nothing; the batch's admitted rows alone are written."""
     columns = {"start": np.array([1.0, 2.0, 3.0]),
                "duration": np.array([1.0, 1.0, 1.0])}
     columns[field][1:] = [np.nan, np.inf]
@@ -110,15 +111,19 @@ def test_push_refuses_a_row_that_never_ends(field):
     writer = StreamingWmsLogWriter(
         stream, lambda k: ("10.0.0.1", "p0", "Windows_98"),
         write_header=False)
-    with pytest.raises(TraceError, match=r"transfer 6: start \+ duration "
-                                         r"is not finite"):
+    with pytest.raises(TraceError,
+                       match=f"transfer 6: {field} is not finite"):
         writer.push(client_index=np.zeros(3, dtype=np.int64),
                     object_id=np.zeros(3, dtype=np.int64),
                     bandwidth_bps=np.ones(3), global_offset=5,
                     horizon=np.inf, **columns)
     assert writer.n_buffered == 0
-    assert writer.finish() == 0
-    assert stream.getvalue() == ""
+    writer.push(client_index=np.zeros(1, dtype=np.int64),
+                object_id=np.zeros(1, dtype=np.int64),
+                bandwidth_bps=np.ones(1), global_offset=5, horizon=np.inf,
+                **{name: values[:1] for name, values in columns.items()})
+    assert writer.finish() == 1
+    assert stream.getvalue().split()[0] == "2"
 
 
 def test_trace_writers_refuse_a_nan_duration(tmp_path):

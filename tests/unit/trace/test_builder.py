@@ -33,16 +33,20 @@ class TestClientInterning:
 
 
 class TestTransfers:
+    # Transfers are checked once, by the entry rule, when build()
+    # constructs the trace.
     def test_unknown_client_rejected(self):
         builder = TraceBuilder()
-        with pytest.raises(TraceError):
-            builder.add_transfer(0, 0, 0.0, 1.0)
+        builder.add_transfer(0, 0, 0.0, 1.0)
+        with pytest.raises(TraceError, match="transfer 0: client_index"):
+            builder.build()
 
     def test_negative_duration_rejected(self):
         builder = TraceBuilder()
         idx = builder.add_client(client())
-        with pytest.raises(TraceError):
-            builder.add_transfer(idx, 0, 0.0, -1.0)
+        builder.add_transfer(idx, 0, 0.0, -1.0)
+        with pytest.raises(TraceError, match=r"transfer 0: duration outside"):
+            builder.build()
 
     def test_counts(self):
         builder = TraceBuilder()

@@ -1,10 +1,11 @@
 """Hostile log lines are skipped alike by every text reader.
 
-Each line below breaks the entry rule of
-:func:`repro.trace.wms_log.parse_log_lines`: a duration that is not
-finite, negative or at least 2**53 seconds (where the float64
-``floor(t) + 1`` length display stops being exact), an infinite
-bandwidth, or a loss rate that is no number at all.  Every reader must skip exactly
+Each line below is refused by :func:`repro.trace.wms_log.parse_log_lines`:
+a duration that is not finite, negative or at least 2**53 seconds (where
+the float64 ``floor(t) + 1`` length display stops being exact), a
+bandwidth that is infinite or 2**63 (no ``.rtb`` entry holds it), or a
+loss rate that is no number at all or past ``2**53 / 10**4`` (where the
+two codecs would read it back differently).  Every reader must skip exactly
 those lines — the batch reader, the streaming characterizer, the
 map-reduce characterizer and the live feed — and none may raise
 anything but a typed :class:`~repro.errors.ReproError` on them.
@@ -32,7 +33,9 @@ HOSTILE = {
     "duration-beyond-int64": ("x-duration", "1e20"),
     "duration-2**53": ("x-duration", "9007199254740992"),
     "bandwidth-inf": ("avg-bandwidth", "inf"),
+    "bandwidth-2**63": ("avg-bandwidth", "9223372036854775808"),
     "loss-not-a-number": ("packet-loss-rate", "xyz"),
+    "loss-past-2**53/10**4": ("packet-loss-rate", "999999999999999"),
 }
 
 N_GOOD = 40

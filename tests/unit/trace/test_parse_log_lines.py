@@ -38,13 +38,16 @@ def test_errors_name_the_first_failed_check_in_order():
         GOOD + " extra",
         with_field("c-ip", "10.0.0.\xe9"),
         with_field("x-timestamp", "1.5"),
-        # Several defects: the duration is checked before the URI stem.
+        # Several defects: every field parses before the entry rule runs.
         with_field("cs-uri-stem", "/vod/x", with_field("x-duration", "nan")),
         with_field("cs-uri-stem", "/vod/x"),
         with_field("x-duration", "-0.5"),
         with_field("x-duration", "1e20"),
         with_field("packet-loss-rate", "-inf"),
         with_field("sc-status", "99999999999999999999"),
+        with_field("x-duration", "nan"),
+        # An int64 timestamp whose double is 2**63: no .rtb entry holds it.
+        with_field("x-timestamp", "9223372036854775807"),
         GOOD,
     ]
     batch = parse_log_lines(lines, LOG_FIELDS,
@@ -54,12 +57,15 @@ def test_errors_name_the_first_failed_check_in_order():
         "line 11: expected 11 columns, got 12",
         "line 12: undecodable bytes (non-ASCII) in entry",
         "line 13: invalid literal for int() with base 10: '1.5'",
-        "line 14: x-duration is not finite: 'nan'",
+        "line 14: unexpected URI stem '/vod/x'",
         "line 15: unexpected URI stem '/vod/x'",
         "line 16: x-duration outside [0, 2**53): '-0.5'",
         "line 17: x-duration outside [0, 2**53): '1e20'",
-        "line 18: packet-loss-rate is not finite: '-inf'",
+        "line 18: packet-loss-rate outside (-2**53, 2**53) / 10**4: '-inf'",
         "line 19: sc-status out of range: '99999999999999999999'",
+        "line 20: x-duration is not finite: 'nan'",
+        "line 21: x-timestamp does not floor to an int64: "
+        "'9223372036854775807'",
     ]
     assert [e.line for e in batch.errors] == lines[:-1]
 

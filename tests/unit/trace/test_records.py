@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import TraceError
 from repro.trace.records import ClientRecord, TransferRecord
 
 
@@ -36,19 +37,36 @@ class TestTransferRecord:
         assert transfer.end == 160.0
         assert transfer.bytes_transferred == pytest.approx(60 * 56_000 / 8)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"object_id": -1},
-        {"duration": -5.0},
-        {"bandwidth_bps": -1.0},
-        {"packet_loss": 1.5},
-        {"packet_loss": -0.1},
+    @pytest.mark.parametrize(("kwargs", "check"), [
+        ({"duration": -5.0}, "duration outside"),
+        ({"duration": float("nan")}, "duration is not finite"),
+        ({"start": float("inf")}, "start is not finite"),
+        ({"start": 2.0**63}, "start \\+ duration does not floor"),
+        ({"bandwidth_bps": 2.0**63}, "bandwidth_bps outside"),
+        ({"packet_loss": 1e15}, "packet_loss outside"),
+        ({"server_cpu": float("-inf")}, "server_cpu outside"),
     ])
-    def test_invalid_rejected(self, kwargs):
+    def test_invalid_rejected(self, kwargs, check):
+        """A record obeys the entry rule of every trace door."""
         fields = dict(client=make_client(), object_id=0, start=0.0,
                       duration=1.0)
         fields.update(kwargs)
-        with pytest.raises(ValueError):
+        with pytest.raises(TraceError, match=f"transfer 0: {check}"):
             TransferRecord(**fields)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"object_id": -1},
+        {"start": -10.0},
+        {"bandwidth_bps": -1.0},
+        {"packet_loss": 1.5},
+        {"packet_loss": -0.1},
+        {"server_cpu": -0.0},
+    ])
+    def test_values_both_codecs_keep_are_admitted(self, kwargs):
+        fields = dict(client=make_client(), object_id=0, start=0.0,
+                      duration=1.0)
+        fields.update(kwargs)
+        TransferRecord(**fields)
 
     def test_zero_duration_allowed(self):
         # One-second log resolution produces zero-length measurements.

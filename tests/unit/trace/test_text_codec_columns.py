@@ -22,6 +22,7 @@ from repro.parallel.characterize import (
     plan_log_chunks,
 )
 from repro.rng import make_rng
+from repro.trace.entries import entry_rule
 from repro.trace.streaming import StreamingCharacterizer
 from repro.trace.wms_log import (
     LOG_FIELDS,
@@ -100,7 +101,9 @@ def _reference_lines(identity, emit):
 @pytest.mark.parametrize("seed", range(4))
 def test_rendered_lines_match_format_entry(seed):
     """Random rows, a third of them at rounding ties, out of range,
-    negative, signed zero or not finite, render as ``_format_entry``."""
+    negative, signed zero or not finite, render as ``_format_entry``:
+    the batch is refused at its first row the entry rule refuses, and
+    its admitted rows render."""
     rng = make_rng(seed)
     n = 3000
     edges = np.array([0.0, -0.0, 0.5, 1.5, 2.5, 0.00005, 0.12345, 0.99995,
@@ -125,16 +128,19 @@ def test_rendered_lines_match_format_entry(seed):
     status = rng.choice([200, 404, 0, -1, 10**17], n)
     identity = {k: (f"10.0.{k}.{k % 7}", f"gismo-{k:05d}", "" if k % 5
                     else "Linux") for k in range(0, 150, 3)}.__getitem__
+    columns.update(client_index=client, object_id=object_id, start=start,
+                   status=status)
+    admitted, _ = entry_rule(columns)
+    assert 0 < admitted.sum() < n
     stream = io.StringIO()
     writer = StreamingWmsLogWriter(stream, identity, write_header=False)
-    writer.push(client_index=client, object_id=object_id, start=start,
-                duration=columns["duration"],
-                bandwidth_bps=columns["bandwidth_bps"],
-                packet_loss=columns["packet_loss"],
-                server_cpu=columns["server_cpu"], status=status,
-                global_offset=0, horizon=np.inf)
-    emit = {"end": start + columns["duration"], "client_index": client,
-            "object_id": object_id, "status": status, **columns}
+    with pytest.raises(TraceError,
+                       match=f"transfer {np.argmin(admitted)}: "):
+        writer.push(global_offset=0, horizon=np.inf, **columns)
+    assert writer.n_buffered == 0
+    kept = {name: values[admitted] for name, values in columns.items()}
+    writer.push(global_offset=0, horizon=np.inf, **kept)
+    emit = {"end": kept.pop("start") + kept["duration"], **kept}
     assert stream.getvalue().splitlines() == _reference_lines(identity, emit)
 
 
