@@ -116,7 +116,7 @@ def entry_rule(columns: Mapping[str, Any], n_clients: int | None = None
     return admitted, failed[~admitted]
 
 
-def describe_refusal(columns: Mapping[str, Any], row: int,
+def _describe_refusal(columns: Mapping[str, Any], row: int,
                      check: int) -> str:
     """``"<column> <condition> (<value>)"`` for ``row`` of ``columns``
     refused by :data:`ENTRY_CHECKS` ``[check]``."""
@@ -138,4 +138,4 @@ def require_entries(columns: Mapping[str, Any], n_clients: int | None = None,
     if checks.size:
         row = int(np.argmin(admitted))
         raise TraceError(f"transfer {offset + row}: "
-                         f"{describe_refusal(columns, row, int(checks[0]))}")
+                         f"{_describe_refusal(columns, row, int(checks[0]))}")

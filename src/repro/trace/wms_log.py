@@ -147,8 +147,9 @@ _RENDER_ROWS = 4096
 #: Bounds of the values the vectorized writer renders.  Integers (and
 #: ``int(end)``, ``round(duration)``) below 2**53 are exact doubles; loss
 #: and CPU below 10**4 scale to four decimals with half an ulp to spare
-#: (see :func:`quantize_decimal`).  Any other row — negative, signed
-#: zero, NaN, infinite or larger — goes through :func:`_format_entry`.
+#: (see :func:`quantize_decimal`).  Any other row the entry rule
+#: admits — negative, signed zero or larger — goes through
+#: :func:`_format_entry`.
 _EXACT_LIMIT = 2.0 ** 53
 _DECIMAL_LIMIT = 1e4
 
