@@ -37,21 +37,23 @@ class TestTransferRecord:
         assert transfer.end == 160.0
         assert transfer.bytes_transferred == pytest.approx(60 * 56_000 / 8)
 
-    @pytest.mark.parametrize(("kwargs", "check"), [
-        ({"duration": -5.0}, "duration outside"),
-        ({"duration": float("nan")}, "duration is not finite"),
-        ({"start": float("inf")}, "start is not finite"),
-        ({"start": 2.0**63}, "start \\+ duration does not floor"),
-        ({"bandwidth_bps": 2.0**63}, "bandwidth_bps outside"),
-        ({"packet_loss": 1e15}, "packet_loss outside"),
-        ({"server_cpu": float("-inf")}, "server_cpu outside"),
+    @pytest.mark.parametrize("kwargs", [
+        {"duration": -5.0},
+        {"duration": float("nan")},
+        {"start": float("inf")},
+        {"start": 2.0**63},
+        {"bandwidth_bps": 2.0**63},
+        {"packet_loss": 1e15},
+        {"server_cpu": float("-inf")},
     ])
-    def test_invalid_rejected(self, kwargs, check):
-        """A record obeys the entry rule of every trace door."""
+    def test_invalid_rejected(self, kwargs):
+        """A record obeys the entry rule of every trace door; the error
+        names the refused column."""
         fields = dict(client=make_client(), object_id=0, start=0.0,
                       duration=1.0)
         fields.update(kwargs)
-        with pytest.raises(TraceError, match=f"transfer 0: {check}"):
+        (name,) = kwargs
+        with pytest.raises(TraceError, match=f"transfer 0: {name} "):
             TransferRecord(**fields)
 
     @pytest.mark.parametrize("kwargs", [
