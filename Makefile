@@ -11,9 +11,9 @@ install:
 
 # Static analysis, three layers (docs/LINTING.md):
 #   1. repro lint  — the repo's own determinism/numeric-discipline rules:
-#      a per-file AST pass (RL000..) plus a whole-program flow pass
-#      (RL020..RL043). Pure stdlib, always runs. Warm reruns are served
-#      from .reprolint-cache.json; pass --no-cache to force a cold run.
+#      one per-file AST pass (RL000..RL012, RL040). Pure stdlib, always
+#      runs. Warm reruns are served from .reprolint-cache.json; pass
+#      --no-cache to force a cold run.
 #   2. mypy --strict over src/repro (per-module overrides recorded in
 #      pyproject.toml). Skipped with a notice when mypy is missing.
 #   3. ruff — generic Python hygiene baseline. Skipped when missing.

@@ -12,12 +12,10 @@ from a clean checkout with no extra dependencies.  It runs alongside two
 optional third-party gates (``mypy --strict`` and ``ruff``); see
 ``docs/LINTING.md`` for the division of labour.
 
-Beyond the per-file AST pass, a whole-program *flow* pass
-(:mod:`repro.lint.graph` + :mod:`repro.lint.flow`) resolves imports and
-calls across the project and evaluates interprocedural rule families:
-RNG escape/consumption (RL020–RL023), float32→sink dtype propagation
-(RL030–RL032), and asyncio discipline (RL040–RL043).  An incremental
-cache keyed by file content hashes makes warm reruns parse nothing.
+Every rule runs in one AST walk per file, with no project-wide index: a
+blocking call directly inside an ``async def`` (RL040) is as local a
+pattern as a dtype-less constructor (RL008).  An incremental cache keyed
+by file content hashes makes warm reruns parse nothing.
 
 Public API
 ----------
@@ -42,11 +40,10 @@ from __future__ import annotations
 
 from .engine import LintResult, lint_paths, lint_source
 from .report import render_json, render_text
-from .rules import FLOW_RULE_IDS, RULES, Rule, Violation, active_rule_ids
+from .rules import RULES, Rule, Violation, active_rule_ids
 from .sarif import render_sarif
 
 __all__ = [
-    "FLOW_RULE_IDS",
     "LintResult",
     "RULES",
     "Rule",

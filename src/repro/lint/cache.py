@@ -1,13 +1,10 @@
 """Incremental analysis cache keyed by file content hash.
 
-The per-file pass (parse → visitor → suppression extraction) is pure in
-the file's bytes and the applicable rule set, so its outputs — raw
-violations and suppression directives — are cached per file under the
-content's SHA-256.  The whole-program flow pass is pure in *every*
-library file, so its output is cached once under a project key: the
-hash of all ``(module, content-hash)`` pairs plus the active flow rule
-IDs.  ``RULES_VERSION`` is part of the envelope, so changing rule logic
-invalidates everything at once.
+The lint pass (decode → parse → visitor → suppression extraction) is
+pure in the file's bytes and the applicable rule set, so its outputs —
+raw violations and suppression directives — are cached per file under
+the bytes' SHA-256.  ``RULES_VERSION`` is part of the envelope, so
+changing rule logic invalidates everything at once.
 
 Suppression application is *not* cached: staleness judgments depend on
 the active rule set of the current run, which ``--select``/``--ignore``
@@ -34,24 +31,12 @@ from .suppressions import Suppression
 
 #: Envelope layout version (distinct from RULES_VERSION: this one tracks
 #: the cache *format*, that one tracks rule *logic*).
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 
-def content_hash(source: str) -> str:
-    """SHA-256 of the file contents (the per-file cache key)."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-def project_key(file_hashes: list[tuple[str, str]],
-                flow_ids: frozenset[str]) -> str:
-    """Key for the flow pass: every module's content plus the rule set."""
-    digest = hashlib.sha256()
-    digest.update(f"rules-version:{RULES_VERSION}".encode())
-    for rule_id in sorted(flow_ids):
-        digest.update(rule_id.encode())
-    for module, file_hash in sorted(file_hashes):
-        digest.update(f"{module}={file_hash}".encode())
-    return digest.hexdigest()
+def content_hash(data: bytes) -> str:
+    """SHA-256 of the file's bytes (the per-file cache key)."""
+    return hashlib.sha256(data).hexdigest()
 
 
 @dataclass
@@ -69,11 +54,7 @@ class LintCache:
     """In-memory cache state, loaded from / saved to one JSON file."""
 
     files: dict[str, FileEntry] = field(default_factory=dict)
-    flow_key: str | None = None
-    flow_violations: list[Violation] = field(default_factory=list)
     dirty: bool = False
-
-    # -- per-file ----------------------------------------------------------
 
     def lookup(self, path: str, file_hash: str,
                ids: tuple[str, ...]) -> FileEntry | None:
@@ -86,20 +67,6 @@ class LintCache:
     def store(self, path: str, entry: FileEntry) -> None:
         """Record one file's per-file pass output."""
         self.files[path] = entry
-        self.dirty = True
-
-    # -- flow pass ---------------------------------------------------------
-
-    def lookup_flow(self, key: str) -> list[Violation] | None:
-        """Cached flow-pass violations when the project key matches."""
-        if self.flow_key != key:
-            return None
-        return list(self.flow_violations)
-
-    def store_flow(self, key: str, violations: list[Violation]) -> None:
-        """Record the flow pass output under its project key."""
-        self.flow_key = key
-        self.flow_violations = list(violations)
         self.dirty = True
 
 
@@ -153,11 +120,6 @@ def _encode(cache: LintCache) -> dict[str, Any]:
             }
             for path, entry in sorted(cache.files.items())
         },
-        "flow": {
-            "key": cache.flow_key,
-            "violations": [_encode_violation(v)
-                           for v in cache.flow_violations],
-        },
     }
 
 
@@ -171,11 +133,6 @@ def _decode(payload: dict[str, Any]) -> LintCache:
             suppressions=[_decode_suppression(str(path), s)
                           for s in raw["suppressions"]],
         )
-    flow = payload.get("flow", {})
-    key = flow.get("key")
-    cache.flow_key = str(key) if key is not None else None
-    cache.flow_violations = [_decode_violation(v)
-                             for v in flow.get("violations", [])]
     return cache
 
 

@@ -3,31 +3,27 @@
 The engine turns paths into a deterministic file list (sorted recursive
 walk — the linter obeys its own ordering rules), classifies each file as
 ``library`` or ``test`` context, applies the per-rule package and
-exemption filters, runs the per-file AST pass, runs the whole-program
-flow pass (:mod:`repro.lint.flow`) over the library files, and folds
-both streams through suppression handling.
+exemption filters, runs the single per-file AST pass, and folds its
+output through suppression handling.
 
-Two cache granularities (:mod:`repro.lint.cache`) make no-op reruns
-cheap: per-file outputs are keyed by content hash + applicable rules,
-and the flow pass — whose output depends on *every* library file — is
-keyed by the hash of all of them.  Suppression *application* always
+Per-file outputs are cached (:mod:`repro.lint.cache`) under the file's
+content hash + applicable rules.  Suppression *application* always
 reruns (it depends on the active rule set), but on a warm cache no file
-is parsed or tokenized at all.
+is decoded, parsed or tokenized at all.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..errors import LintError
-from .cache import (FileEntry, LintCache, content_hash, load_cache,
-                    project_key, save_cache)
-from .flow import analyze_project
-from .rules import (FLOW_RULE_IDS, LIBRARY, RULES, TEST, Violation,
-                    active_rule_ids, check_tree, rule)
+from .cache import FileEntry, LintCache, content_hash, load_cache, save_cache
+from .rules import (LIBRARY, RULES, TEST, Violation, active_rule_ids,
+                    check_tree, rule)
 from .suppressions import (Suppression, apply_suppressions,
                            extract_suppressions)
 
@@ -43,8 +39,6 @@ class LintResult:
     #: Per-file cache statistics (both zero when no cache is in play).
     cache_hits: int = 0
     cache_misses: int = 0
-    #: True when the whole-program flow pass was served from cache.
-    flow_from_cache: bool = False
 
     @property
     def clean(self) -> bool:
@@ -74,9 +68,21 @@ def discover_files(paths: Sequence[Path]) -> list[Path]:
     return [seen[key] for key in sorted(seen)]
 
 
+def _last_index(parts: tuple[str, ...], name: str) -> int:
+    return max((i for i, part in enumerate(parts) if part == name),
+               default=-1)
+
+
 def classify_context(path: Path) -> str:
-    """``test`` for anything under a ``tests`` directory, else ``library``."""
-    return TEST if "tests" in path.resolve().parts else LIBRARY
+    """``test`` when the deepest ``tests``/``repro`` component is ``tests``.
+
+    Only the innermost of the two counts, so a checkout that itself sits
+    under some ``tests`` directory still lints ``src/repro`` as library
+    code.  A file under neither is ``library``.
+    """
+    parts = path.resolve().parts
+    deeper = _last_index(parts, "tests") > _last_index(parts, "repro")
+    return TEST if deeper else LIBRARY
 
 
 def module_path(path: Path) -> str | None:
@@ -113,84 +119,57 @@ def _applicable_ids(path: Path, context: str,
 
 
 # --------------------------------------------------------------------------
-# Per-file bookkeeping
+# The per-file pass
 # --------------------------------------------------------------------------
 
-@dataclass
-class _FileState:
-    """Everything the run needs to remember about one file."""
-
-    path: Path
-    posix: str
-    context: str
-    module: str | None
-    applicable: frozenset[str]
-    source: str
-    hash: str
-    raw: list[Violation] = field(default_factory=list)
-    suppressions: list[Suppression] = field(default_factory=list)
-    tree: ast.Module | None = None
-    parse_failed: bool = False
-
-
-def _per_file_pass(state: _FileState, cache: LintCache,
-                   result: LintResult) -> None:
-    """Raw violations + suppressions for one file, via cache when warm."""
-    per_file_ids = tuple(sorted(state.applicable - FLOW_RULE_IDS))
-    entry = cache.lookup(state.posix, state.hash, per_file_ids)
-    if entry is not None:
-        state.raw = list(entry.violations)
-        state.suppressions = list(entry.suppressions)
-        result.cache_hits += 1
-        return
-    result.cache_misses += 1
-    applicable = frozenset(per_file_ids)
+def _check_source(source: str, path: str, applicable: frozenset[str]
+                  ) -> tuple[list[Violation], list[Suppression]]:
+    """Raw violations (sorted) and suppression directives of one file."""
     try:
-        state.tree = ast.parse(state.source, filename=state.posix)
+        tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        state.parse_failed = True
-        if "RL000" in applicable:
-            state.raw = [Violation(
-                state.posix, exc.lineno or 1, (exc.offset or 0) + 1,
-                "RL000", f"syntax error: {exc.msg}")]
-    else:
-        state.raw = [v for v in check_tree(state.tree, state.posix)
-                     if v.rule_id in applicable]
-        state.suppressions = extract_suppressions(state.source, state.posix)
-    cache.store(state.posix, FileEntry(
-        hash=state.hash, ids=per_file_ids,
-        violations=list(state.raw),
-        suppressions=list(state.suppressions)))
+        if "RL000" not in applicable:
+            return [], []
+        return [Violation(path, exc.lineno or 1, (exc.offset or 0) + 1,
+                          "RL000", f"syntax error: {exc.msg}")], []
+    raw = [v for v in check_tree(tree, path) if v.rule_id in applicable]
+    raw.sort(key=lambda v: (v.line, v.col, v.rule_id))
+    return raw, extract_suppressions(source, path)
 
 
-def _flow_pass(states: list[_FileState], flow_ids: frozenset[str],
-               cache: LintCache, result: LintResult) -> list[Violation]:
-    """Whole-program violations over the library files, via cache."""
-    members = [s for s in states
-               if s.context == LIBRARY and s.module is not None]
-    if not members or not flow_ids:
-        return []
-    key = project_key([(s.module, s.hash) for s in members
-                       if s.module is not None], flow_ids)
-    cached = cache.lookup_flow(key)
-    if cached is not None:
-        result.flow_from_cache = True
-        return cached
-    trees: dict[str, tuple[str, ast.Module]] = {}
-    for state in members:
-        if state.parse_failed:
-            continue
-        if state.tree is None:
-            try:
-                state.tree = ast.parse(state.source, filename=state.posix)
-            except SyntaxError:
-                state.parse_failed = True
-                continue
-        trees[state.module or ""] = (state.posix, state.tree)
-    violations = [v for v in analyze_project(trees)
-                  if v.rule_id in flow_ids]
-    cache.store_flow(key, violations)
-    return violations
+def _undecodable(data: bytes, path: str,
+                 exc: SyntaxError | UnicodeDecodeError) -> Violation:
+    """RL000 at the first byte that does not decode (line 1 for a bad
+    encoding cookie)."""
+    if isinstance(exc, SyntaxError):
+        # Bad UTF-8 in the two lines searched for a cookie surfaces as a
+        # position-less SyntaxError; decoding them again recovers where.
+        head = b"\n".join(data.split(b"\n", 2)[:2])
+        try:
+            head.decode("utf-8")
+        except UnicodeDecodeError as utf8_exc:
+            exc = utf8_exc
+    if isinstance(exc, SyntaxError):
+        return Violation(path, 1, 1, "RL000",
+                         f"source does not decode: {exc.msg}")
+    line = data.count(b"\n", 0, exc.start) + 1
+    col = exc.start - data.rfind(b"\n", 0, exc.start)
+    return Violation(path, line, col, "RL000",
+                     f"source does not decode as {exc.encoding}: "
+                     f"{exc.reason}")
+
+
+def _check_file(data: bytes, path: str, applicable: frozenset[str]
+                ) -> tuple[list[Violation], list[Suppression]]:
+    """:func:`_check_source` over bytes decoded the way Python imports
+    them: the PEP 263 ``coding:`` cookie, else UTF-8."""
+    try:
+        source = importlib.util.decode_source(data)
+    except (SyntaxError, UnicodeDecodeError) as exc:
+        if "RL000" not in applicable:
+            return [], []
+        return [_undecodable(data, path, exc)], []
+    return _check_source(source, path, applicable)
 
 
 # --------------------------------------------------------------------------
@@ -212,36 +191,27 @@ def lint_paths(paths: Sequence[Path | str], *,
     cache = load_cache(cache_path) if cache_path is not None else LintCache()
     result = LintResult()
 
-    states: list[_FileState] = []
     for file_path in files:
         posix = file_path.as_posix()
-        context = classify_context(file_path)
-        source = file_path.read_text(encoding="utf-8")
-        states.append(_FileState(
-            path=file_path, posix=posix, context=context,
-            module=module_path(file_path),
-            applicable=_applicable_ids(file_path, context, selected),
-            source=source, hash=content_hash(source)))
-
-    for state in states:
-        _per_file_pass(state, cache, result)
-        result.files_checked += 1
-
-    flow_violations = _flow_pass(states, selected & FLOW_RULE_IDS,
-                                 cache, result)
-    by_path: dict[str, list[Violation]] = {}
-    for violation in flow_violations:
-        by_path.setdefault(violation.path, []).append(violation)
-
-    for state in states:
-        merged = state.raw + [
-            v for v in by_path.get(state.posix, [])
-            if v.rule_id in state.applicable]
-        merged.sort(key=lambda v: (v.line, v.col, v.rule_id))
-        outcome = apply_suppressions(merged, state.suppressions,
-                                     active_ids=state.applicable,
+        applicable = _applicable_ids(
+            file_path, classify_context(file_path), selected)
+        ids = tuple(sorted(applicable))
+        data = file_path.read_bytes()
+        file_hash = content_hash(data)
+        entry = cache.lookup(posix, file_hash, ids)
+        if entry is None:
+            result.cache_misses += 1
+            raw, suppressions = _check_file(data, posix, applicable)
+            entry = FileEntry(hash=file_hash, ids=ids, violations=raw,
+                              suppressions=suppressions)
+            cache.store(posix, entry)
+        else:
+            result.cache_hits += 1
+        outcome = apply_suppressions(entry.violations, entry.suppressions,
+                                     active_ids=applicable,
                                      known_ids=_KNOWN_IDS)
         result.violations.extend(outcome.kept + outcome.hygiene)
+        result.files_checked += 1
 
     result.violations.sort(
         key=lambda v: (v.path, v.line, v.col, v.rule_id))
@@ -259,10 +229,7 @@ def lint_source(source: str, *, path: str = "<string>",
 
     ``context`` is ``library`` or ``test``; ``module`` is the dotted
     module path used for package-scoped rules (defaults to a guess from
-    ``path`` when it contains a ``repro`` component).  Flow rules run
-    over a single-module project, so interprocedural findings *within*
-    the string are reported; cross-module resolution needs
-    :func:`lint_paths`.
+    ``path`` when it contains a ``repro`` component).
     """
     selected = active_rule_ids(select, ignore)
     fake = Path(path if path != "<string>" else "string.py")
@@ -270,22 +237,7 @@ def lint_source(source: str, *, path: str = "<string>",
         # Honour an explicit module path by faking a file location for it.
         fake = Path("/".join(module.split("."))).with_suffix(".py")
     applicable = _applicable_ids(fake, context, selected)
-    per_file = applicable - FLOW_RULE_IDS
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        if "RL000" not in per_file:
-            return []
-        return [Violation(path, exc.lineno or 1, (exc.offset or 0) + 1,
-                          "RL000", f"syntax error: {exc.msg}")]
-    raw = [v for v in check_tree(tree, path) if v.rule_id in per_file]
-    flow_ids = applicable & FLOW_RULE_IDS
-    if flow_ids:
-        module_name = module or module_path(fake) or "fixture"
-        raw.extend(v for v in analyze_project(
-            {module_name: (path, tree)}) if v.rule_id in flow_ids)
-    raw.sort(key=lambda v: (v.line, v.col, v.rule_id))
-    suppressions = extract_suppressions(source, path)
+    raw, suppressions = _check_source(source, path, applicable)
     outcome = apply_suppressions(raw, suppressions,
                                  active_ids=applicable,
                                  known_ids=_KNOWN_IDS)

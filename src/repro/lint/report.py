@@ -8,8 +8,9 @@ from .engine import LintResult
 from .rules import RULES
 
 #: Bumped when the JSON schema changes shape.  v2 added the ``cache``
-#: block (hits/misses/flow_from_cache) alongside the incremental cache.
-JSON_SCHEMA_VERSION = 2
+#: block alongside the incremental cache; v3 dropped its
+#: ``flow_from_cache`` key with the retired whole-program pass.
+JSON_SCHEMA_VERSION = 3
 
 
 def render_text(result: LintResult) -> str:
@@ -35,7 +36,6 @@ def render_json(result: LintResult) -> str:
         "cache": {
             "hits": result.cache_hits,
             "misses": result.cache_misses,
-            "flow_from_cache": result.flow_from_cache,
         },
         "rules": {rule.id: {"name": rule.name, "summary": rule.summary}
                   for rule in RULES},

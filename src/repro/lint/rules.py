@@ -43,15 +43,12 @@ class Rule:
     #: POSIX path suffixes exempt from the rule (e.g. ``repro/rng.py``,
     #: the one module allowed to construct generators).
     exempt: tuple[str, ...] = ()
-    #: Flow rules are evaluated by the whole-program pass in
-    #: :mod:`repro.lint.flow`, not by the per-file :class:`LintVisitor`.
-    flow: bool = False
 
 
 #: Bumped whenever rule *logic* changes in a way that alters findings on
 #: unchanged source.  Part of the incremental-cache key, so a version
 #: bump invalidates every cached entry.
-RULES_VERSION = 2
+RULES_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -113,57 +110,14 @@ RULES: tuple[Rule, ...] = (
     Rule("RL012", "unstable-argsort",
          "argsort without kind='stable' breaks ties in a platform- and "
          "version-dependent order"),
-    # RL013–RL019 reserved for future per-file rules; the flow families
-    # below start at RL020 so each family owns a decade.
-    Rule("RL020", "rng-module-global",
-         "make_rng/spawn-derived Generator bound to a module global "
-         "outlives its seed block; pass generators down the call tree",
-         contexts=frozenset((LIBRARY,)), flow=True),
-    Rule("RL021", "draw-after-spawn",
-         "drawing from a parent Generator after spawn()/spawn_sequences() "
-         "reorders the seed-derivation tree",
-         contexts=frozenset((LIBRARY,)), flow=True),
-    Rule("RL022", "rng-process-boundary",
-         "Generator crosses a pickle/executor process boundary; "
-         "SeedSequences (spawn_sequences) are the sanctioned currency",
-         contexts=frozenset((LIBRARY,)), flow=True),
-    Rule("RL023", "rng-leak-via-callee",
-         "rng argument leaks to a module global inside the callee "
-         "(tracked interprocedurally via function summaries)",
-         contexts=frozenset((LIBRARY,)), flow=True),
-    Rule("RL030", "dtype-mixing",
-         "float32/float64 operands mixed in arithmetic; the implicit "
-         "upcast changes serialized bytes",
-         contexts=frozenset((LIBRARY,)), flow=True),
-    Rule("RL031", "f32-serialization-sink",
-         "float32 value reaches a serialization/codec sink; the artifact "
-         "contract is float64 end to end",
-         contexts=frozenset((LIBRARY,)), flow=True),
-    Rule("RL032", "f32-sink-via-callee",
-         "float32 argument reaches a serialization sink inside the "
-         "callee (tracked interprocedurally via function summaries)",
-         contexts=frozenset((LIBRARY,)), flow=True),
+    # RL013–RL019 are reserved for future rules.  RL020–RL023,
+    # RL030–RL032 and RL041–RL043 belonged to a retired whole-program
+    # flow pass; those IDs are never reused.
     Rule("RL040", "blocking-in-async",
-         "blocking call (sleep, sync file I/O, subprocess) inside "
-         "async def stalls the event loop; reported at the deepest "
-         "project frame",
-         contexts=frozenset((LIBRARY,)), flow=True),
-    Rule("RL041", "unawaited-coroutine",
-         "bare call to an async def; the coroutine is created but never "
-         "awaited or scheduled",
-         contexts=frozenset((LIBRARY,)), flow=True),
-    Rule("RL042", "unbounded-asyncio-queue",
-         "asyncio.Queue() without a maxsize bound; unbounded buffers "
-         "defeat the load-shedding contract",
-         contexts=frozenset((LIBRARY,)), flow=True),
-    Rule("RL043", "await-under-lock",
-         "await of a long-wait operation (queue get/put, sleep, join) "
-         "while holding a lock serializes the event loop",
-         contexts=frozenset((LIBRARY,)), flow=True),
+         "blocking call (sleep, sync file I/O, subprocess) directly "
+         "inside an async def stalls the event loop",
+         contexts=frozenset((LIBRARY,))),
 )
-
-#: IDs evaluated by the whole-program flow pass (repro.lint.flow).
-FLOW_RULE_IDS = frozenset(r.id for r in RULES if r.flow)
 
 _RULES_BY_ID = {rule.id: rule for rule in RULES}
 
@@ -181,7 +135,7 @@ def active_rule_ids(select: Iterable[str] | None = None,
     """
     from ..errors import LintError
 
-    # The registry has deliberate gaps (RL013–RL019), so the error lists
+    # The registry has deliberate gaps (RL013–RL039), so the error lists
     # every valid ID instead of rendering a misleading RLxxx..RLyyy range.
     valid = ", ".join(sorted(_RULES_BY_ID))
     chosen = set(_RULES_BY_ID)
@@ -268,6 +222,27 @@ _STABLE_SORT_KINDS = frozenset(("stable", "mergesort"))
 
 _FIXED_WIDTH_DTYPE_RE = re.compile(r"^[<>|=]?[US]\d+$")
 
+#: Calls that synchronously block: I/O, sleeps, subprocesses (RL040).
+_BLOCKING_CALLS = frozenset((
+    "time.sleep",
+    "subprocess.run", "subprocess.call", "subprocess.check_call",
+    "subprocess.check_output", "subprocess.Popen",
+    "os.fdopen", "os.replace", "os.rename", "os.remove", "os.makedirs",
+    "shutil.copy", "shutil.copyfile", "shutil.move", "shutil.rmtree",
+    "numpy.save", "numpy.savez", "numpy.savez_compressed", "numpy.savetxt",
+    "numpy.load", "numpy.loadtxt", "numpy.genfromtxt",
+    "socket.create_connection",
+))
+
+#: Blocking builtins (flagged only when no import shadows them).
+_BLOCKING_BUILTINS = frozenset(("open", "input"))
+
+#: pathlib-style I/O method names on unresolved receivers (RL040).
+_BLOCKING_METHODS = frozenset((
+    "read_text", "write_text", "read_bytes", "write_bytes",
+    "unlink", "mkdir", "touch",
+))
+
 
 # --------------------------------------------------------------------------
 # The visitor
@@ -289,6 +264,11 @@ class LintVisitor(ast.NodeVisitor):
         #: inside an RL003 constructor call) so they are not double-flagged.
         self._claimed: set[int] = set()
         self._parents: dict[int, ast.AST] = {}
+        #: CPython-style qualname prefix of the scope being walked.
+        self._qualname = ""
+        #: Qualname of the async def whose body is being walked directly
+        #: (None inside sync defs, lambdas and class bodies).
+        self._async_def: str | None = None
 
     # -- helpers ----------------------------------------------------------
 
@@ -388,12 +368,57 @@ class LintVisitor(ast.NodeVisitor):
                 self._imports[local] = f"{node.module}.{alias.name}"
         self.generic_visit(node)
 
+    # -- scopes (RL040 context) -------------------------------------------
+
+    def _visit_scope(self, node: ast.FunctionDef | ast.AsyncFunctionDef
+                     | ast.ClassDef, *, is_async: bool = False) -> None:
+        # Decorators, defaults and bases run in the enclosing scope; only
+        # the body belongs to the new one.
+        body = {id(stmt) for stmt in node.body}
+        for child in ast.iter_child_nodes(node):
+            if id(child) not in body:
+                self.visit(child)
+        saved = self._qualname, self._async_def
+        qualname = self._qualname + node.name
+        is_class = isinstance(node, ast.ClassDef)
+        self._qualname = qualname + ("." if is_class else ".<locals>.")
+        self._async_def = qualname if is_async else None
+        for stmt in node.body:
+            self.visit(stmt)
+        self._qualname, self._async_def = saved
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        """A sync def body may block; it is never RL040 context."""
+        self._visit_scope(node)
+
+    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
+        """Calls directly in this body are checked for blocking (RL040)."""
+        self._visit_scope(node, is_async=True)
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        """Class bodies only extend the qualname of their methods."""
+        self._visit_scope(node)
+
+    def visit_Lambda(self, node: ast.Lambda) -> None:
+        """A lambda body runs whenever it is called, not where it is made."""
+        saved = self._async_def
+        self._async_def = None
+        self.generic_visit(node)
+        self._async_def = saved
+
     # -- calls ------------------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        """Call-site rules: RL003/RL004/RL005/RL006/RL008/RL011/RL012."""
+        """Call-site rules: RL003–RL006, RL008, RL011, RL012, RL040."""
         resolved = self._resolve(node.func)
         keywords = {kw.arg for kw in node.keywords if kw.arg is not None}
+
+        if self._async_def is not None:
+            blocking = self._blocking_call(node, resolved)
+            if blocking is not None:
+                self._emit(node, "RL040",
+                           f"blocking call {blocking} inside async def "
+                           f"{self._async_def}; it stalls the event loop")
 
         if resolved is not None:
             if resolved in _RNG_CONSTRUCTORS:
@@ -437,6 +462,19 @@ class LintVisitor(ast.NodeVisitor):
                        "hash order; sort first")
 
         self.generic_visit(node)
+
+    def _blocking_call(self, node: ast.Call,
+                       resolved: str | None) -> str | None:
+        if resolved is not None and resolved in _BLOCKING_CALLS:
+            return f"{resolved.replace('numpy.', 'np.')}()"
+        func = node.func
+        if (isinstance(func, ast.Name) and func.id in _BLOCKING_BUILTINS
+                and func.id not in self._imports):
+            return f"{func.id}()"
+        if (resolved is None and isinstance(func, ast.Attribute)
+                and func.attr in _BLOCKING_METHODS):
+            return f".{func.attr}()"
+        return None
 
     def _stable_kind(self, node: ast.Call) -> bool:
         for kw in node.keywords:

@@ -420,7 +420,7 @@ async def run_load_async(log_path: str | Path, *, host: str = "127.0.0.1",
     if resume_from_service and http_port is None:
         raise ServeError("resume_from_service requires http_port")
     if codec is None:
-        codec = detect_codec(path)  # reprolint: disable=RL040, one-shot sniff before replay starts; the harness owns this loop
+        codec = detect_codec(path)
     if transport == "http" and codec != "text":
         raise ServeError("the http transport only carries the text codec")
     feed_names = [f"{feed_prefix}{index}" for index in range(feeds)]

@@ -101,7 +101,7 @@ class CharacterizationService:
         """Resume (if configured), bind both servers, start checkpointing."""
         if self.config.resume:
             assert self.config.checkpoint_path is not None
-            self.restore_from(self.config.checkpoint_path)  # reprolint: disable=RL040, one-shot resume before the servers bind; nothing is being served yet
+            self.restore_from(self.config.checkpoint_path)
         loop = asyncio.get_running_loop()
         for name, worker in self.workers.items():
             if name not in self._tasks:
@@ -151,7 +151,7 @@ class CharacterizationService:
             await self.workers[name].shutdown()
             await self._tasks[name]
         if self.config.checkpoint_path is not None:
-            self.checkpoint_now()  # reprolint: disable=RL040, final checkpoint after every worker drained; the loop is idle by design
+            self.checkpoint_now()
 
     # ------------------------------------------------------------------
     # Workers
@@ -339,7 +339,7 @@ class CharacterizationService:
             return _http_response("200 OK", _json_body({"status": "ok"}))
         if method == "GET" and target == "/metrics":
             return _http_response("200 OK",
-                                  _json_body(self.metrics_document()))  # reprolint: disable=RL040, registry is pre-loaded in __init__; the load_registry fallback never runs while serving
+                                  _json_body(self.metrics_document()))
         if method == "GET" and target == "/state":
             return _http_response("200 OK",
                                   _json_body(self.state_document()))
@@ -349,7 +349,9 @@ class CharacterizationService:
                     "409 Conflict",
                     _json_body({"error": "service runs without a "
                                          "checkpoint path"}))
-            self.checkpoint_now()  # reprolint: disable=RL040, blocking the loop between batches is what makes the snapshot a consistent cut
+            # Blocking the loop between batches is what makes the
+            # snapshot a consistent cut.
+            self.checkpoint_now()
             return _http_response(
                 "200 OK",
                 _json_body({"path": self.config.checkpoint_path,
@@ -494,7 +496,9 @@ class CharacterizationService:
     async def _checkpoint_loop(self) -> None:
         while True:
             await asyncio.sleep(self.config.checkpoint_interval)
-            self.checkpoint_now()  # reprolint: disable=RL040, blocking the loop between batches is what makes the snapshot a consistent cut
+            # Blocking the loop between batches is what makes the
+            # snapshot a consistent cut.
+            self.checkpoint_now()
 
 
 class _Backpressure(ServeError):

@@ -206,11 +206,18 @@ class TestLintErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert "valid ids:" in err
-        # The roll call names real IDs from every family, so the user can
-        # fix the invocation without opening the docs.
-        for known in ("RL000", "RL012", "RL020", "RL031", "RL043"):
+        # The roll call names the real IDs, so the user can fix the
+        # invocation without opening the docs.
+        for known in ("RL000", "RL012", "RL040"):
             assert known in err
-        assert "RL013" not in err  # reserved gap stays unadvertised
+        # Neither a reserved gap nor a retired rule is advertised.
+        for unknown in ("RL013", "RL020", "RL043"):
+            assert unknown not in err
+
+    def test_retired_rule_id_exits_2(self, capsys):
+        code = main(["lint", "src", "--select", "RL020"])
+        assert code == 2
+        assert "unknown rule id in --select: RL020" in capsys.readouterr().err
 
     def test_unknown_ignore_rule_exits_2(self, capsys):
         code = main(["lint", "src", "--ignore", "RL007,BOGUS"])

@@ -3,8 +3,7 @@
 import json
 
 from repro.lint import lint_paths
-from repro.lint.cache import (CACHE_FORMAT, content_hash, load_cache,
-                              project_key)
+from repro.lint.cache import CACHE_FORMAT, content_hash, load_cache
 from repro.lint.rules import RULES_VERSION
 
 
@@ -32,11 +31,9 @@ class TestWarmRuns:
         cold = lint_paths([root], cache_path=cache_file)
         assert cold.cache_hits == 0
         assert cold.cache_misses == 3  # __init__ + two modules
-        assert not cold.flow_from_cache
         warm = lint_paths([root], cache_path=cache_file)
         assert warm.cache_hits == 3
         assert warm.cache_misses == 0
-        assert warm.flow_from_cache
         assert [v.render() for v in warm.violations] == \
             [v.render() for v in cold.violations]
 
@@ -58,8 +55,7 @@ class TestWarmRuns:
 
 
 class TestInvalidation:
-    def test_content_change_invalidates_that_file_and_the_flow_pass(
-            self, tmp_path):
+    def test_content_change_invalidates_only_that_file(self, tmp_path):
         root = write_pkg(tmp_path, SOURCES)
         cache_file = tmp_path / "cache.json"
         lint_paths([root], cache_path=cache_file)
@@ -67,7 +63,6 @@ class TestInvalidation:
         rerun = lint_paths([root], cache_path=cache_file)
         assert rerun.cache_misses == 1
         assert rerun.cache_hits == 2
-        assert not rerun.flow_from_cache  # flow keys over every file
 
     def test_select_change_bypasses_per_file_entries(self, tmp_path):
         root = write_pkg(tmp_path, SOURCES)
@@ -116,30 +111,15 @@ class TestRobustness:
             "format": CACHE_FORMAT,
             "rules_version": RULES_VERSION,
             "files": {"x.py": {"hash": "abc"}},  # missing required keys
-            "flow": {},
         }))
         assert not load_cache(cache_file).files
 
     def test_missing_file_is_an_empty_cache(self, tmp_path):
         cache = load_cache(tmp_path / "never-written.json")
         assert not cache.files
-        assert cache.flow_key is None
 
 
 class TestKeys:
     def test_content_hash_is_stable_and_content_sensitive(self):
-        assert content_hash("x = 1\n") == content_hash("x = 1\n")
-        assert content_hash("x = 1\n") != content_hash("x = 2\n")
-
-    def test_project_key_orders_do_not_matter(self):
-        pairs = [("a", "h1"), ("b", "h2")]
-        ids = frozenset(("RL040", "RL020"))
-        assert project_key(pairs, ids) == \
-            project_key(list(reversed(pairs)), ids)
-
-    def test_project_key_tracks_members_and_rules(self):
-        base = project_key([("a", "h1")], frozenset(("RL040",)))
-        assert base != project_key([("a", "h2")], frozenset(("RL040",)))
-        assert base != project_key([("a", "h1"), ("b", "h2")],
-                                   frozenset(("RL040",)))
-        assert base != project_key([("a", "h1")], frozenset(("RL020",)))
+        assert content_hash(b"x = 1\n") == content_hash(b"x = 1\n")
+        assert content_hash(b"x = 1\n") != content_hash(b"x = 2\n")

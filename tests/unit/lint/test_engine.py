@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.errors import LintError
 from repro.lint import RULES, active_rule_ids, lint_paths, lint_source
 from repro.lint.engine import classify_context, discover_files, module_path
@@ -41,6 +42,27 @@ class TestClassification:
 
     def test_src_is_library_context(self):
         assert classify_context(Path("src/repro/rng.py")) == "library"
+
+    def test_checkout_under_a_tests_directory_keeps_library_rules(
+            self, tmp_path):
+        # The deepest of the ``tests``/``repro`` components decides, so a
+        # checkout that sits under some ``tests`` directory is not
+        # demoted wholesale to test context.
+        source = "import numpy as np\na = np.zeros(3)\n"
+        for root in (tmp_path / "proj", tmp_path / "tests" / "proj"):
+            library = root / "src" / "repro" / "trace" / "x.py"
+            test = root / "tests" / "unit" / "x.py"
+            for path in (library, test):
+                path.parent.mkdir(parents=True)
+                path.write_text(source)
+            assert classify_context(library) == "library"
+            assert classify_context(test) == "test"
+            assert [v.rule_id for v in lint_paths([library]).violations] \
+                == ["RL008"]
+            assert lint_paths([test]).clean
+
+    def test_neither_component_is_library_context(self):
+        assert classify_context(Path("benchmarks/bench.py")) == "library"
 
     def test_module_path_roots_at_repro(self):
         assert module_path(Path("src/repro/trace/store.py")) == \
@@ -113,3 +135,46 @@ class TestLintPaths:
         assert [v.rule_id for v in lint_paths([inside]).violations] == \
             ["RL008"]
         assert lint_paths([outside]).clean
+
+
+class TestDecoding:
+    # Bad bytes in the two lines searched for a coding cookie take a
+    # different error path from bad bytes further down.
+    @pytest.mark.parametrize("data, where", [
+        (b'x = 1\ny = 2\nz = "\xff\xfe"\n', (3, 6)),
+        (b'x = "\xff\xfe"\n', (1, 6)),
+    ])
+    def test_undecodable_file_reports_rl000_at_the_bad_byte(
+            self, tmp_path, data, where):
+        bad = tmp_path / "bad.py"
+        bad.write_bytes(data)
+        result = lint_paths([bad])
+        (violation,) = result.violations
+        assert violation.rule_id == "RL000"
+        assert (violation.line, violation.col) == where
+        assert "utf-8" in violation.message
+        assert result.files_checked == 1
+
+    def test_unknown_encoding_cookie_reports_rl000(self, tmp_path):
+        bad = tmp_path / "bad.py"
+        bad.write_bytes(b"# -*- coding: no-such-codec -*-\nx = 1\n")
+        (violation,) = lint_paths([bad]).violations
+        assert (violation.rule_id, violation.line) == ("RL000", 1)
+        assert "no-such-codec" in violation.message
+
+    def test_coding_cookie_is_honoured(self, tmp_path):
+        latin = tmp_path / "latin.py"
+        latin.write_bytes(b"# coding: latin-1\nimport time\n"
+                          b"x = '\xe9'\nt = time.time()\n")
+        (violation,) = lint_paths([latin]).violations
+        assert (violation.rule_id, violation.line) == ("RL004", 4)
+
+    def test_cli_reports_undecodable_file_without_a_traceback(
+            self, tmp_path, capsys):
+        bad = tmp_path / "bad.py"
+        bad.write_bytes(b'x = "\xff\xfe"\n')
+        code = main(["lint", str(bad), "--no-cache"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"{bad.as_posix()}:1:6: RL000" in captured.out
+        assert captured.err == ""

@@ -63,32 +63,16 @@ class TestMutationSelfCheck:
 
 
 class TestFlowMutationSelfCheck:
-    """One injected regression per flow family, on copies of the real
-    modules it guards, must trip that family's rule."""
+    """A blocking call injected into an ``async def`` of a copy of the
+    live feed worker must trip RL040."""
 
     @pytest.fixture()
     def mutated_tree(self, tmp_path):
         root = tmp_path / "repro"
-        copies = {
-            "parallel/plan.py": SRC / "parallel" / "plan.py",
-            "stream/checkpoint.py": SRC / "stream" / "checkpoint.py",
-            "serve/feed.py": SRC / "serve" / "feed.py",
-        }
-        for rel, origin in copies.items():
-            target = root / rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(origin.read_text())
-        # RNG family: a Generator bound to a module global.
-        with (root / "parallel" / "plan.py").open("a") as stream:
-            stream.write("\nfrom ..rng import make_rng as _mut_make_rng\n"
-                         "_MUTATION_RNG = _mut_make_rng(0)\n")
-        # Dtype family: float32 reaching a serialization sink.
-        with (root / "stream" / "checkpoint.py").open("a") as stream:
-            stream.write("\ndef _mutation_save(path):\n"
-                         "    import numpy as np\n"
-                         "    np.save(path, np.zeros(4, dtype=np.float32))\n")
-        # Asyncio family: a blocking call inside async def.
-        with (root / "serve" / "feed.py").open("a") as stream:
+        target = root / "serve" / "feed.py"
+        target.parent.mkdir(parents=True)
+        target.write_text((SRC / "serve" / "feed.py").read_text())
+        with target.open("a") as stream:
             stream.write("\nimport time as _mut_time\n"
                          "class _MutationWorker:\n"
                          "    async def run(self) -> None:\n"
@@ -97,24 +81,19 @@ class TestFlowMutationSelfCheck:
 
     def test_each_family_trips_with_exact_ids(self, mutated_tree):
         result = lint_paths([mutated_tree])
-        fired = {v.rule_id for v in result.violations}
-        assert "RL020" in fired  # RNG flow family
-        assert "RL031" in fired  # dtype propagation family
-        assert "RL040" in fired  # asyncio discipline family
+        assert [(v.rule_id, v.path.endswith("serve/feed.py"))
+                for v in result.violations] == [("RL040", True)]
+        assert "_MutationWorker.run" in result.violations[0].message
 
     def test_cli_rejects_the_mutated_tree(self, mutated_tree, capsys):
         code = main(["lint", str(mutated_tree), "--no-cache"])
         out = capsys.readouterr().out
         assert code == 1
-        assert "RL020" in out
-        assert "RL031" in out
         assert "RL040" in out
 
     def test_originals_are_clean(self):
-        # The mutation fixtures prove detection power only if the
-        # unmutated modules carry no unsuppressed flow findings.
-        result = lint_paths([SRC / "parallel" / "plan.py",
-                             SRC / "stream" / "checkpoint.py",
-                             SRC / "serve" / "feed.py"])
+        # The mutation fixture proves detection power only if the
+        # unmutated module carries no unsuppressed findings.
+        result = lint_paths([SRC / "serve" / "feed.py"])
         assert result.clean, "\n".join(v.render()
                                        for v in result.violations)
