@@ -48,7 +48,7 @@ class Rule:
 #: Bumped whenever rule *logic* changes in a way that alters findings on
 #: unchanged source.  Part of the incremental-cache key, so a version
 #: bump invalidates every cached entry.
-RULES_VERSION = 3
+RULES_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -258,7 +258,8 @@ class LintVisitor(ast.NodeVisitor):
     def __init__(self, path: str) -> None:
         self.path = path
         self.violations: list[Violation] = []
-        #: local alias -> absolute dotted module/name, built from imports.
+        #: local alias -> absolute dotted module/name, from every import
+        #: in the file (collected before the walk, by :meth:`run`).
         self._imports: dict[str, str] = {}
         #: nodes already consumed by an enclosing check (e.g. the Attribute
         #: inside an RL003 constructor call) so they are not double-flagged.
@@ -335,37 +336,43 @@ class LintVisitor(ast.NodeVisitor):
     # -- entry point ------------------------------------------------------
 
     def run(self, tree: ast.Module) -> list[Violation]:
-        """Walk ``tree`` once and return the raw violations."""
+        """Walk ``tree`` once and return the raw violations.
+
+        A pre-pass records every node's parent and every import alias in
+        the file, so a name used above (or beside) its import resolves.
+        """
         for parent in ast.walk(tree):
+            if isinstance(parent, ast.Import):
+                for alias in parent.names:
+                    root = alias.name.split(".")[0]
+                    self._imports[alias.asname or root] = (
+                        alias.name if alias.asname else root)
+            elif (isinstance(parent, ast.ImportFrom) and parent.level == 0
+                  and parent.module is not None):
+                for alias in parent.names:
+                    if alias.name != "*":
+                        self._imports[alias.asname or alias.name] = (
+                            f"{parent.module}.{alias.name}")
             for child in ast.iter_child_nodes(parent):
                 self._parents[id(child)] = parent
         self.visit(tree)
         return self.violations
 
-    # -- imports (alias tracking + RL001) ---------------------------------
+    # -- imports (RL001) ----------------------------------------------------
 
     def visit_Import(self, node: ast.Import) -> None:
-        """Track aliases; flag stdlib ``random`` imports (RL001)."""
+        """Flag stdlib ``random`` imports (RL001)."""
         for alias in node.names:
-            local = alias.asname or alias.name.split(".")[0]
-            self._imports[local] = (alias.name if alias.asname
-                                    else alias.name.split(".")[0])
             if alias.name == "random" or alias.name.startswith("random."):
                 self._emit(node, "RL001",
                            f"import of stdlib '{alias.name}'")
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        """Track from-imports; flag stdlib ``random`` (RL001)."""
-        if node.level == 0 and node.module is not None:
-            if node.module == "random" or node.module.startswith("random."):
-                self._emit(node, "RL001",
-                           f"import from stdlib '{node.module}'")
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                self._imports[local] = f"{node.module}.{alias.name}"
+        """Flag imports from stdlib ``random`` (RL001)."""
+        if node.level == 0 and node.module is not None and (
+                node.module == "random" or node.module.startswith("random.")):
+            self._emit(node, "RL001", f"import from stdlib '{node.module}'")
         self.generic_visit(node)
 
     # -- scopes (RL040 context) -------------------------------------------

@@ -103,6 +103,10 @@ class TestRL004WallClock:
         # output artifacts.
         assert ids_of("import time\nt0 = time.perf_counter()\n") == []
 
+    def test_use_above_its_import_fires(self):
+        src = "def f():\n    return time.time()\nimport time\n"
+        assert ids_of(src) == ["RL004"]
+
 
 class TestRL005UnsortedFsIteration:
     def test_os_listdir_fires(self):
@@ -203,6 +207,11 @@ class TestRL008DtypeLessConstructor:
     def test_test_context_is_silent(self):
         src = "import numpy as np\na = np.zeros(5)\n"
         assert ids_of(src, module=self.MODULE, context="test") == []
+
+    def test_conditional_import_below_the_use_fires(self):
+        src = ("def make():\n    return np.zeros(5)\n"
+               "if True:\n    import numpy as np\n")
+        assert ids_of(src, module=self.MODULE) == ["RL008"]
 
 
 class TestRL009FixedWidthStrDtype:
