@@ -234,9 +234,7 @@ def _compare_binary_summaries(name: str, text_log: Path,
     """Characterize the binary file at one and two workers.
 
     ``characterize_logs`` must report the same summary, bit for bit, at
-    ``jobs=1`` and ``jobs=2``, and the text log's summary on every field
-    but ``bytes_served``: the binary path adds that float one segment at
-    a time, the text path one line at a time.
+    ``jobs=1`` and ``jobs=2``, and the text log's summary.
     """
     serial = characterize_logs(binary_path, jobs=1,
                                chunk_bytes=SUMMARY_CHUNK_BYTES)
@@ -245,8 +243,6 @@ def _compare_binary_summaries(name: str, text_log: Path,
     text = characterize_logs(text_log, jobs=1)
     for other, label in ((pooled, "jobs=2"), (text, "text log")):
         for field in fields(serial):
-            if label == "text log" and field.name == "bytes_served":
-                continue
             want = getattr(serial, field.name)
             got = getattr(other, field.name)
             same = (np.array_equal(want, got)
@@ -259,7 +255,7 @@ def _compare_binary_summaries(name: str, text_log: Path,
     return OracleComparison(
         name, True,
         f"{serial.n_entries} entries: binary summary equal at jobs=1 and "
-        "jobs=2, and to the text log's but for bytes_served")
+        "jobs=2, and to the text log's")
 
 
 def run_differential_oracle(

@@ -343,9 +343,8 @@ class FeedWorker(Stateful):
 
         One frame is consumed as one
         :meth:`~repro.trace.streaming.StreamingCharacterizer.consume_columns`
-        call — the same per-segment grouping the batch binary reader
-        uses, which keeps the single float accumulator's summation order
-        identical.  Session state is indexed by client slot (declaration
+        call; its sums are exact, rounded once when read, so the state
+        does not depend on how the entries were framed.  Session state is indexed by client slot (declaration
         order), so its size never follows an index value.  A frame with
         an entry the entry rule refuses raises :class:`ProtocolError` and
         changes no feed state.
@@ -559,13 +558,15 @@ class FeedWorker(Stateful):
     @_players.setter
     def _players(self, players: _AnyArray) -> None:
         self._player_index = {p: k for k, p in enumerate(players.tolist())}
+        if len(self._player_index) != players.size:
+            raise CheckpointError("checkpoint feed players repeat a player")
 
     def _after_restore(self) -> None:
-        # Text mode interns players in the order the characterizer first
-        # counts them; the binary mode interns none.
+        # Text mode interns each player the characterizer counts; the
+        # binary mode interns none.
         expected = (list(self.characterizer.client_counts())
                     if self._mode == "text" else [])
-        if self.intern_table() != expected:
+        if sorted(self._player_index) != expected:
             raise CheckpointError(
                 f"checkpoint feed players ({len(self._player_index)} "
                 f"interned) do not match the {len(expected)} clients of "

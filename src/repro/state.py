@@ -110,8 +110,8 @@ def _get(obj: Any, attr: str) -> Any:
 
 
 def _dump(kind: Any, value: Any) -> Any:
-    if get_origin(kind) is Counter:  # saved with string keys
-        return {str(key): count for key, count in value.items()}
+    if get_origin(kind) is Counter:  # string keys, in ascending order
+        return {str(key): value[key] for key in sorted(value)}
     return copy.copy(value) if isinstance(value, (list, dict)) else value
 
 

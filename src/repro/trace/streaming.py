@@ -21,14 +21,15 @@ harvests — and maintains, in O(clients) memory:
 Everything it reports is cross-checked against the batch pipeline in the
 test suite: same log in, same statistics out.
 
-Every accumulator is **mergeable**: :meth:`StreamingCharacterizer.merge`
-folds another characterizer's state into this one.  Counts and
-histograms merge integer-exact and the length fit is held as integer
-display counts (:class:`OnlineLogMoments`), so a merged fit equals a
-single pass bit for bit.  ``bytes_served`` is the serial float sum only
-while every ``duration * bandwidth`` product is an integer and every
-partial sum (merge adds the parts') stays within 2**53 bits — true of
-the writers' logs up to about 1.1 PB.  That is what lets
+Every accumulator is **mergeable** and order-free:
+:meth:`StreamingCharacterizer.merge` folds another characterizer's state
+into this one.  Counts and histograms merge integer-exact, the length fit
+is held as integer display counts (:class:`OnlineLogMoments`), and the
+``duration * bandwidth`` products behind ``bytes_served`` are summed
+exactly, as an integer, and rounded once when a summary is read.  So any
+split of a log — by codec segment, parse batch, chunk or merge grouping —
+reports the same statistics bit for bit, and the checkpoint document
+keeps every key in ascending order.  That is what lets
 :func:`repro.parallel.characterize_logs` map chunks across processes
 and reduce without changing any reported statistic.
 """
@@ -62,13 +63,38 @@ DEFAULT_BANDWIDTH_EDGES = np.logspace(3, 7, 41)
 CONGESTION_THRESHOLD_BPS = 24_000.0
 
 
-def _tally(values: IntArray, first_seen: bool
-           ) -> list[int] | dict[int, int]:
-    """``values`` for ``Counter.update``: new keys first-seen or sorted."""
-    if first_seen:
-        return values.tolist()
+#: Exact sums are integers in units of 2**-1074, the least subnormal.
+_BYTES_UNIT = 8 << 1074  # one byte (eight bits) in those units
+
+
+def _tally(values: IntArray) -> dict[int, int]:
+    """``values`` for ``Counter.update``: each distinct value's count."""
     keys, counts = np.unique(values, return_counts=True)
     return dict(zip(keys.tolist(), counts.tolist(), strict=True))
+
+
+def _exact_sum(values: FloatArray) -> int:
+    """The exact sum of the positive ``values``, in units of 2**-1074.
+
+    :func:`numpy.frexp` writes each positive double as ``m * 2**e``
+    with ``m`` in [0.5, 1), so ``m * 2**53`` is its 53-bit integer
+    significand.  Per exponent, ``bincount`` sums the significands' high
+    27 and low 26 bits, exactly in float64 for up to 2**26 values at a
+    time, and each half-sum is shifted into one integer, so any grouping
+    of the same values gives the same sum.  Zero, negative and NaN
+    values add nothing.
+    """
+    significand, exponent = np.frexp(values[values > 0])
+    total = 0  # in units of 2**-1127, so that every shift is >= 0
+    step = 1 << 26
+    for lo in range(0, significand.size, step):
+        part, at = significand[lo:lo + step], exponent[lo:lo + step] + 1074
+        high = np.floor(part * 2.0 ** 27)
+        low = np.bincount(at, part * 2.0 ** 53 - high * 2.0 ** 26)
+        high = np.bincount(at, high)
+        for shift in np.flatnonzero(low + high).tolist():
+            total += ((int(high[shift]) << 26) + int(low[shift])) << shift
+    return total >> 53
 
 
 class OnlineLogMoments:
@@ -87,13 +113,11 @@ class OnlineLogMoments:
     def __init__(self) -> None:
         self.counts: Counter[int] = Counter()
 
-    def add_lengths(self, lengths: FloatArray, *,
-                    first_seen: bool = False) -> None:
+    def add_lengths(self, lengths: FloatArray) -> None:
         """Count each length's display value ``floor(max(t, 0)) + 1``
-        (:func:`~repro.units.log_display_time`); new values become keys
-        in first-seen or else ascending order."""
+        (:func:`~repro.units.log_display_time`)."""
         display = log_display_time(np.maximum(lengths, 0.0)).astype(np.int64)
-        self.counts.update(_tally(display, first_seen))
+        self.counts.update(_tally(display))
 
     def merge(self, other: "OnlineLogMoments") -> None:
         """Add ``other``'s counts to these."""
@@ -121,7 +145,8 @@ class StreamingSummary:
     length_log_mu, length_log_sigma:
         Online lognormal fit of transfer lengths (``floor(t)+1``).
     bytes_served:
-        Accumulated ``duration * bandwidth / 8``.
+        Accumulated ``duration * bandwidth / 8``: the exact sum of the
+        positive products, rounded once.
     feed_counts:
         Transfers per live-object id.
     congestion_bound_fraction:
@@ -167,7 +192,7 @@ class StreamingCharacterizer(Stateful):
     #: (the contract of ``repro characterize --checkpoint/--resume``).
     CHECKPOINT = Schema("characterizer", (
         Scalar("length_counts", Counter[int], "_log_length.counts"),
-        Scalar("bits", float, "_bits"),
+        Scalar("bits", int, "_bits"),
         Scalar("n_entries", int, "_n_entries"),
         Scalar("n_skipped", int, "_n_skipped"),
         Scalar("congested", int, "_congested"),
@@ -183,20 +208,18 @@ class StreamingCharacterizer(Stateful):
         if diurnal_bins < 1:
             raise ValueError("diurnal_bins must be positive")
         self._log_length = OnlineLogMoments()
-        self._bits = 0.0  # duration * bandwidth, divided by 8 at read time
+        self._bits = 0  # duration * bandwidth in 2**-1074 (_exact_sum)
         self._n_entries = 0
         self._n_skipped = 0
         self._congested = 0
         self._client_counts: Counter[str] = Counter()
         # The column path's client fold, keyed by client_index: sorted
-        # distinct indices, each one's player ID, transfer count and the
-        # consume_columns call that introduced it.  Moved into
-        # _client_counts (by player ID) only when the counts are read.
+        # distinct indices, each one's player ID and transfer count.
+        # Moved into _client_counts (by player ID) only when the counts
+        # are read.
         self._index: IntArray = np.empty(0, dtype=np.int64)
         self._names: _AnyArray = np.empty(0, dtype=np.str_)
         self._index_counts: IntArray = np.empty(0, dtype=np.int64)
-        self._index_first: IntArray = np.empty(0, dtype=np.int64)
-        self._column_calls = 0
         self._feed_counts: Counter[int] = Counter()
         self._edges = (DEFAULT_BANDWIDTH_EDGES if bandwidth_edges is None
                        else np.asarray(bandwidth_edges, dtype=np.float64))
@@ -232,8 +255,7 @@ class StreamingCharacterizer(Stateful):
         hand the layout in directly, such as the byte ranges of a split
         log (read through :func:`~repro.trace.wms_log.open_log`, so they
         break into the lines :meth:`consume` sees).  Otherwise as
-        :meth:`consume` (``bytes_served`` adds up entry by entry, see
-        :meth:`consume_parsed`); returns the number of entries parsed.
+        :meth:`consume`; returns the number of entries parsed.
         """
         return sum(self.consume_parsed(batch)
                    for batch in parse_log_stream(lines, fields))
@@ -243,21 +265,13 @@ class StreamingCharacterizer(Stateful):
         (the text path of every reader); returns its entry count.
 
         Skipped lines count toward ``n_skipped``; entries take the fold of
-        :meth:`consume_columns`, except that ``bytes_served`` is summed
-        entry by entry in line order (``np.add.accumulate`` seeded with
-        the running total), so the sum does not depend on batching.  New
-        clients, feeds and lengths become :meth:`state_dict` keys in
-        first-seen order.
+        :meth:`consume_columns`, with clients counted by player ID.
         """
-        self._fold_indexed_clients()
         self._n_skipped += len(batch.errors)
-        columns = batch.columns
-        duration, bandwidth = columns["duration"], columns["bandwidth_bps"]
-        self._bits = float(np.add.accumulate(np.concatenate((
-            [self._bits], duration * np.maximum(bandwidth, 0.0))))[-1])
         self._client_counts.update(batch.players)
-        self._fold(duration, bandwidth, columns["timestamp"],
-                   columns["object_id"], first_seen=True)
+        columns = batch.columns
+        self._fold(columns["duration"], columns["bandwidth_bps"],
+                   columns["timestamp"], columns["object_id"])
         return batch.n_entries
 
     def consume_columns(self, columns: Mapping[str, _AnyArray],
@@ -270,18 +284,15 @@ class StreamingCharacterizer(Stateful):
         ``client_index`` included, and ``players`` the per-entry
         player-ID strings (the caller maps ``client_index`` through the
         file's client blocks).  Both paths share one fold over doubles
-        bit-identical to the parsed text fields, so every count and bin
-        agrees entry for entry.  Only ``bytes_served`` is summed
-        differently: one ``np.dot`` per call here, the grouping the
-        binary format fixes (a segment per writer flush), where text,
-        which has no such grouping, adds entry by entry.  Call it once
-        per segment: the order of the calls is the order of that sum.
+        bit-identical to the parsed text fields, so every count, bin and
+        the exact ``bytes_served`` sum agree entry for entry, however
+        either path's entries are grouped into calls.
 
         Clients are counted by ``client_index`` in integer arrays, so the
         fold costs one sort of the segment's indices and one vectorized
         name check; the counts move to player-ID keys once per distinct
-        client, when :meth:`summary`, :meth:`merge`, :meth:`state_dict`
-        or :meth:`client_counts` reads them.  Memory is O(distinct
+        client, when :meth:`summary`, :meth:`state_dict` or
+        :meth:`client_counts` reads them or :meth:`merge` takes them.  Memory is O(distinct
         clients) whatever the index values are.  A call whose
         ``players`` give one index two different names raises; a call
         that names an already counted index differently (a second file's
@@ -306,22 +317,19 @@ class StreamingCharacterizer(Stateful):
         self._count_indexed_clients(
             np.asarray(columns["client_index"], dtype=np.int64),
             np.asarray(players, dtype=np.str_))
-        self._bits += float(np.dot(np.maximum(duration, 0.0),
-                                   np.maximum(bandwidth, 0.0)))
         self._fold(duration, bandwidth,
                    np.asarray(columns["timestamp"], dtype=np.int64),
-                   np.asarray(columns["object_id"], dtype=np.int64),
-                   first_seen=False)
+                   np.asarray(columns["object_id"], dtype=np.int64))
         return n
 
     def _fold(self, duration: FloatArray, bandwidth: FloatArray,
-              timestamp: IntArray, feed: IntArray, *,
-              first_seen: bool) -> None:
+              timestamp: IntArray, feed: IntArray) -> None:
         """The accumulators shared by the text and column paths: all
-        but ``bytes_served`` and the client counts."""
+        but the client counts."""
         self._n_entries += int(duration.size)
-        self._log_length.add_lengths(duration, first_seen=first_seen)
-        self._feed_counts.update(_tally(feed, first_seen))
+        self._bits += _exact_sum(duration * bandwidth)
+        self._log_length.add_lengths(duration)
+        self._feed_counts.update(_tally(feed))
         self._congested += int(
             np.count_nonzero(bandwidth < CONGESTION_THRESHOLD_BPS))
         bin_idx = np.searchsorted(self._edges, bandwidth,
@@ -371,21 +379,11 @@ class StreamingCharacterizer(Stateful):
                                     at, key_names[fresh])
             self._index_counts = np.insert(self._index_counts, at,
                                            counts[fresh])
-            self._index_first = np.insert(self._index_first, at,
-                                          self._column_calls)
-        self._column_calls += 1
 
-    def _indexed_client_items(self) -> list[tuple[str, int]]:
-        """The pending per-index counts as ``(player, count)`` pairs.
-
-        Ordered by the call that introduced each index, then by player
-        ID — the order in which a per-segment fold keyed by player ID
-        would first have inserted them, so the folded dict (and the
-        :meth:`state_dict` document) keeps the same key order.
-        """
-        order = np.lexsort((self._names, self._index_first))
-        return list(zip(self._names[order].tolist(),
-                        self._index_counts[order].tolist(), strict=True))
+    def _indexed_client_items(self) -> Iterable[tuple[str, int]]:
+        """The pending per-index counts as ``(player, count)`` pairs."""
+        return zip(self._names.tolist(), self._index_counts.tolist(),
+                   strict=True)
 
     def _fold_indexed_clients(self) -> None:
         """Move the per-index client counts to player-ID keys."""
@@ -396,7 +394,6 @@ class StreamingCharacterizer(Stateful):
         self._index = np.empty(0, dtype=np.int64)
         self._names = np.empty(0, dtype=np.str_)
         self._index_counts = np.empty(0, dtype=np.int64)
-        self._index_first = np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Merging
@@ -406,9 +403,10 @@ class StreamingCharacterizer(Stateful):
         """Fold ``other``'s accumulated state into this characterizer.
 
         Feeding two characterizers disjoint parts of a log and merging
-        reports the same :class:`StreamingSummary` as one characterizer
-        fed everything; ``bytes_served`` only while its sums are exact
-        integers within 2**53 bits (see the module docstring).  Both
+        reports the same :class:`StreamingSummary` and :meth:`state_dict`
+        as one characterizer fed everything: every accumulator, the
+        ``bytes_served`` sum included, adds exactly, and that sum is
+        rounded once, when read.  Both
         sides must have been built with the same ``diurnal_bins`` and
         ``bandwidth_edges``.  Returns ``self`` for chaining; ``other``
         is left unchanged.
@@ -422,7 +420,6 @@ class StreamingCharacterizer(Stateful):
             raise ValueError("cannot merge: bandwidth_edges differ")
         if self._diurnal.size != other._diurnal.size:
             raise ValueError("cannot merge: diurnal_bins differ")
-        self._fold_indexed_clients()
         self._log_length.merge(other._log_length)
         self._bits += other._bits
         self._n_entries += other._n_entries
@@ -443,6 +440,8 @@ class StreamingCharacterizer(Stateful):
 
     def _checkpoint_sizes(self, values: Mapping[str, Any]
                           ) -> Mapping[str, int]:
+        if values["bits"] < 0:
+            raise ValueError(f"negative bits {values['bits']}")
         return {"bins": values["bandwidth_edges"].size - 1,
                 "diurnal": self._diurnal.size}
 
@@ -474,7 +473,7 @@ class StreamingCharacterizer(Stateful):
             n_clients=len(self._client_counts),
             length_log_mu=length_log_mu,
             length_log_sigma=length_log_sigma,
-            bytes_served=self._bits / 8.0,
+            bytes_served=self._bits / _BYTES_UNIT,
             feed_counts=dict(sorted(self._feed_counts.items())),
             congestion_bound_fraction=congested_fraction,
             bandwidth_histogram=self._bandwidth_hist.copy(),
@@ -484,6 +483,7 @@ class StreamingCharacterizer(Stateful):
         )
 
     def client_counts(self) -> dict[str, int]:
-        """The full per-client transfer counts (the interest profile)."""
+        """The full per-client transfer counts (the interest profile),
+        in ascending player-ID order."""
         self._fold_indexed_clients()
-        return dict(self._client_counts)
+        return dict(sorted(self._client_counts.items()))

@@ -447,8 +447,8 @@ def _halve_players(meta, arrays):
     arrays["players"] = arrays["players"][:arrays["players"].size // 2]
 
 
-def _swap_players(meta, arrays):
-    arrays["players"] = arrays["players"][[1, 0, *range(
+def _repeat_player(meta, arrays):
+    arrays["players"] = arrays["players"][[0, 0, *range(
         2, arrays["players"].size)]]
 
 
@@ -462,7 +462,7 @@ CORRUPTIONS = {
         "sess_run_max", "sess_count", "sess_start", "gap_last_start",
         "gap_run_max", "conc_deltas", "spc", "pend_client", "players")},
     "halved players": _halve_players,
-    "swapped players": _swap_players,
+    "repeated player": _repeat_player,
     "players in binary mode": _players_in_binary_mode,
     "no gap_last_start": _drop_array("gap_last_start"),
     "no reorder meta": _drop_meta("reorder"),
