@@ -41,29 +41,29 @@ LATENESS = 3600.0
 #: (name, stage) -> binary-mode FeedWorker state digest.
 BINARY = {
     ("small", "half"): (
-        "73f535a9874869f0a00b11cd31d49182309108b09ea7644ea6d336135071ac77"),
+        "d9d117bc804acf3f0936c4d9298796793e60e63a7639c62fd7d4d5068eb0d737"),
     ("small", "finish"): (
-        "110254d82eb3f5e3d00b485441ce8e73808f0a1256bd904421664cf6625112d5"),
+        "c915179a5eb21525a8e9fc50230a8c0915867df32cc7e9acdf956e95c8ea2c52"),
     ("wide", "half"): (
-        "0026f9c18f87dd3fdd29ab60371144c0f5dc60224985f07b144b122c5eae2179"),
+        "c93a78bc9fe146bdf405f8c9a68abf02e77fdd1e04b0b36080c70a8aa33b3014"),
     ("wide", "finish"): (
-        "405abaf9d7aa8ce203751ad2f0d5f27988a03b0e485a47f6f7d73431b2ec4726"),
+        "30854a97df8776796668e7bbd57c454db7143e462cc411fc1c04942beccde5e2"),
 }
 
 #: (name, batch lines) -> (mid-stream checkpoint digest, final digest).
 RESUME = {
     ("small", 7): (
-        "54f105ba87180403054c55f3bfca8226e953888deeb1ea6fe1ec7c7022b288cf",
-        "22576ad08dd794622ffec7a0cb9833a4dcce381f2f12376dcb8e9caac5c589ae"),
+        "7aab0c007a0161ea12bb0399fd92f3fcd5e5455b770c3e926b8cbfe2c9c602de",
+        "f5a9890cc24fd6ade2b4ef87694c95c6226b04f9bb323d6504bc92ee1f627a7f"),
     ("small", 2048): (
-        "a6c3bc8d97ff9f4b9d003841441177cf4e3c5503bc8adb13c8fcf595194d2dc9",
-        "3f9c8564ad29aa8b5e913f00d7f4598195e0c315459900ed2022073a3f352aa5"),
+        "765ee6380e976181bb83b513a7c038659339a93171b267dd4078f4658dc59ad8",
+        "e89a2976e7f9d882d10eadf32df869b362e41ed8f6f8191481424443d4d19c97"),
     ("wide", 7): (
-        "31aae8af0de08de12722a2ed4788d626afd3670268015e0b7f85457eaf68108b",
-        "f1bfc35fc6066d058cdb72b9efcae32447638265c3668eb1dc525da49cbd117b"),
+        "861c98a18d7f00197ee2d163d46a9c7960dfdeb2b648323e016d2dfc87c12b18",
+        "91ceaf230f2fbe4a7f181d0f1707f05b62f66d430e98342febee4a846d872e33"),
     ("wide", 2048): (
-        "4cd98ee49aa9ff04cb22b983aac34fb9ff86ea19c6d45ad743c63e0a3319bec6",
-        "864b8d9735ee754e2a39a21b2687e55deffb26d121d16995dc6c6e52e561e006"),
+        "6cc246d112b1d1824a3a83a19b18cbb9aded24101f2242552739e10dcc6b8a2d",
+        "4305b140cf67d1c43e0b25303280856d9c19a2e62d10d511e3b75ec56f7330e6"),
 }
 
 

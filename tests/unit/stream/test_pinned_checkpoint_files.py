@@ -32,11 +32,11 @@ GENERATION = {
 
 #: sha256 of the characterization checkpoint stopped mid-plan.
 CHARACTERIZE = (
-    "992aa92c88178965a67c0f1b0fd715a6a2b2e7e100e69cdf320242a7092dada8")
+    "010547a571a030413922f148e9d2e8a14227019b99b7b3c683e7f1b3e6eb46a8")
 
 #: sha256 of the service checkpoint holding one text and one binary feed.
 SERVICE = (
-    "16fe8f7eb963f1348a41d3c87a6d65df4c98274e869022bc03348628e22cfb0a")
+    "268813c0306bc75dc84b0930c719340362564a64f022201b29c304246b0e9e09")
 
 
 @pytest.fixture(scope="module")

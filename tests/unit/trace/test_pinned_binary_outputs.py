@@ -114,4 +114,4 @@ def test_serial_state_dict(rtb_path):
         consume_chunk(characterizer, chunk)
     document = json.dumps(characterizer.state_dict()).encode()
     assert hashlib.sha256(document).hexdigest() == (
-        "afe42e3e5e9a386a18f772d351bdffeb82f917810b82b2b8404cb3ca0e227ec3")
+        "d0333e06111ee7cc70f1608ec3060f36a790338ac40dedeaeff23916c0cb549f")

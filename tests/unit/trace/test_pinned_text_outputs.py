@@ -6,15 +6,16 @@ second one then gets a handful of harvest-damage lines spliced in
 non-numeric bandwidth, blanks and a remark), each of which every text
 reader skips.  A third log holds the sanitized smoke scenario with its
 durations and bandwidths written at full float precision rather than
-rounded: ``bytes_served`` is then an inexact float sum, whose bits
-depend on the order of the additions.  The logs are
+rounded: ``bytes_served`` then sums inexact products, and must still be
+their exact sum rounded once, at any chunk size.  The logs are
 then read four ways, and each result is exact, so any drift in what
-counts as an entry, in the parsed values, in the float summation order
-or in dict insertion order changes a digest:
+counts as an entry, in the parsed values, in the byte total or in key
+order changes a digest:
 
-* the map-reduce summary of ``characterize_logs`` at two chunk sizes;
+* the map-reduce summary of ``characterize_logs`` at two chunk sizes
+  (one digest per log);
 * the checkpoint document of a serial ``StreamingCharacterizer.consume``
-  (key order included);
+  (ascending key order included);
 * the ``read_wms_log`` trace columns and client table, plus the
   skip-mode error messages;
 * the ``FeedWorker`` state document after ingesting the log in batches
@@ -23,6 +24,7 @@ or in dict insertion order changes a digest:
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -116,26 +118,25 @@ SUMMARY_CLEAN = (
     "8aa8a2a9b73a930be5757f68946f0c3b7b45314803bde3188476a4d892da272d")
 SUMMARY_DAMAGED = (
     "30ef203e478806b33cc4932ec51a6ce35ace7ef4092c42f1e59ab0a7d6473ef5")
+SUMMARY_SCENARIO = (
+    "23e7735c07135487492e27cb7ec1c88b46ccf30ef1aa115af795e2fcdaed7995")
 SUMMARIES = {
     ("clean", 4096): SUMMARY_CLEAN,
     ("clean", 1 << 20): SUMMARY_CLEAN,
     ("damaged", 4096): SUMMARY_DAMAGED,
     ("damaged", 1 << 20): SUMMARY_DAMAGED,
-    # Chunked at 4 KiB, the per-chunk byte sums are merged: other bits.
-    ("scenario", 4096): (
-        "8ce454e4e6c6780a5c4039c787c094e0b4302bf7a7261671220207f73f08ac1b"),
-    ("scenario", 1 << 20): (
-        "fb1b10b2719814039d8ba52f81324ea556b74567c9f1902267187853c55db793"),
+    ("scenario", 4096): SUMMARY_SCENARIO,
+    ("scenario", 1 << 20): SUMMARY_SCENARIO,
 }
 
 #: name -> sha256 of the serial checkpoint document.
 STATE_DICTS = {
-    "clean": "7784ad49a2aa81fb496daaa8979613cd"
-             "baacff2830ef050fb193ad3467d1cd1d",
-    "damaged": "56481a1402d73d0561cdac88143f040b"
-               "a8d7b01ac266ee4a1c80c2836bfc3d09",
-    "scenario": "fa62b7aef1d7ced7d06997e3d5e27e16"
-                "18f8bef55d0b93712175de82c5ba24a6",
+    "clean": "9a3e89329ca9250302ba43b9b8a3125c"
+             "0d70edd42462383afe6c7553b26d2294",
+    "damaged": "07cabe0091d0282c8ca6b5264b991406"
+               "05d418e3b25cfe3a6baf5141a1c0bdb3",
+    "scenario": "2d6d90d6a545300fa182e7093368e95a"
+                "cb003492490fe7afba575007cf37aea6",
 }
 
 #: name -> (trace digest, error-message digest).
@@ -155,18 +156,18 @@ TRACES = {
 #: the document does not depend on how the lines were batched; for the
 #: scenario log the reorder buffer's releases do.
 FEED_CLEAN = (
-    "06dc683e8a9de291d567cd2217c298bc95504026dddb91defa0e0bb87d305815")
+    "123ee44d69b859161b09e9037a1a5c2a87420b9e3ca06cce2bc389b55b7817f6")
 FEED_DAMAGED = (
-    "e5ce438a72ab6fae0f7e3603efaa402568febd88e1111f42746ff967b2e97879")
+    "5477f276d0aeb563e2a39df50bc69b2cef935832a93dd18e7b093ebdb056fc4a")
 FEED_SCENARIO = (
-    "fcbd78526177ecad41716d69e784ee37a626643678f71b7d33f65f1153fa2f9e")
+    "f0ce2ec1d8fb9004e052dfb219c4b83451bf785d881b1d09a491ccd575460f39")
 FEEDS = {
     **{("clean", batch): FEED_CLEAN for batch in (1, 7, 2048)},
     **{("damaged", batch): FEED_DAMAGED for batch in (1, 7, 2048)},
     ("scenario", 1): FEED_SCENARIO,
     ("scenario", 7): FEED_SCENARIO,
     ("scenario", 2048): (
-        "b33a936ab2645761f0e18f17ba6c672e22b58421beb158fa44866c7f7b44522b"),
+        "cb11f160bf4b4ea89e6038fc81240b0b18ea063fc47d254de3a1eee25dda4532"),
 }
 
 
@@ -176,9 +177,11 @@ def test_characterize_logs_summary(logs, name, chunk_bytes):
     assert (summary.n_entries, summary.n_skipped) == COUNTS[name]
     assert digest(summary) == SUMMARIES[name, chunk_bytes]
     if name == "scenario":
-        assert summary.bytes_served.hex() == {
-            4096: "0x1.4e5833b05617ep+34",
-            1 << 20: "0x1.4e5833b056175p+34"}[chunk_bytes]
+        # The exact sum of the products, rounded once (fsum), then / 8.
+        trace = read_wms_log(logs[name])
+        assert summary.bytes_served == math.fsum(
+            trace.duration * trace.bandwidth_bps) / 8
+        assert summary.bytes_served.hex() == "0x1.4e5833b05617ap+34"
 
 
 @pytest.mark.parametrize("name", sorted(STATE_DICTS))
