@@ -24,12 +24,11 @@ test suite: same log in, same statistics out.
 Every accumulator is **mergeable** and order-free:
 :meth:`StreamingCharacterizer.merge` folds another characterizer's state
 into this one.  Counts and histograms merge integer-exact, the length fit
-is held as integer display counts (:class:`OnlineLogMoments`), and the
-``duration * bandwidth`` products behind ``bytes_served`` are summed
-exactly, as an integer, and rounded once when a summary is read.  So any
-split of a log — by codec segment, parse batch, chunk or merge grouping —
-reports the same statistics bit for bit, and the checkpoint document
-keeps every key in ascending order.  That is what lets
+is held as integer display counts (:class:`OnlineLogMoments`), and
+``bytes_served`` is an exact integer sum, rounded once when read; the
+checkpoint document keeps its keys in ascending order.  So any split of
+a log (codec segment, parse batch, chunk, merge grouping) reports the
+same statistics and state bit for bit.  That is what lets
 :func:`repro.parallel.characterize_logs` map chunks across processes
 and reduce without changing any reported statistic.
 """
@@ -63,10 +62,6 @@ DEFAULT_BANDWIDTH_EDGES = np.logspace(3, 7, 41)
 CONGESTION_THRESHOLD_BPS = 24_000.0
 
 
-#: Exact sums are integers in units of 2**-1074, the least subnormal.
-_BYTES_UNIT = 8 << 1074  # one byte (eight bits) in those units
-
-
 def _tally(values: IntArray) -> dict[int, int]:
     """``values`` for ``Counter.update``: each distinct value's count."""
     keys, counts = np.unique(values, return_counts=True)
@@ -76,13 +71,11 @@ def _tally(values: IntArray) -> dict[int, int]:
 def _exact_sum(values: FloatArray) -> int:
     """The exact sum of the positive ``values``, in units of 2**-1074.
 
-    :func:`numpy.frexp` writes each positive double as ``m * 2**e``
-    with ``m`` in [0.5, 1), so ``m * 2**53`` is its 53-bit integer
-    significand.  Per exponent, ``bincount`` sums the significands' high
-    27 and low 26 bits, exactly in float64 for up to 2**26 values at a
-    time, and each half-sum is shifted into one integer, so any grouping
-    of the same values gives the same sum.  Zero, negative and NaN
-    values add nothing.
+    With :func:`numpy.frexp`'s ``value = m * 2**e``, ``m * 2**53`` is the
+    53-bit integer significand.  Per exponent, ``bincount`` sums its high
+    27 and low 26 bits (exact in float64 for 2**26 values at a time) and
+    each half-sum is shifted into one integer, so any grouping of the
+    same values gives the same sum.  Other values add nothing.
     """
     significand, exponent = np.frexp(values[values > 0])
     total = 0  # in units of 2**-1127, so that every shift is >= 0
@@ -208,7 +201,7 @@ class StreamingCharacterizer(Stateful):
         if diurnal_bins < 1:
             raise ValueError("diurnal_bins must be positive")
         self._log_length = OnlineLogMoments()
-        self._bits = 0  # duration * bandwidth in 2**-1074 (_exact_sum)
+        self._bits = 0  # sum of duration * bandwidth, in 2**-1074 bits
         self._n_entries = 0
         self._n_skipped = 0
         self._congested = 0
@@ -291,8 +284,8 @@ class StreamingCharacterizer(Stateful):
         Clients are counted by ``client_index`` in integer arrays, so the
         fold costs one sort of the segment's indices and one vectorized
         name check; the counts move to player-ID keys once per distinct
-        client, when :meth:`summary`, :meth:`state_dict` or
-        :meth:`client_counts` reads them or :meth:`merge` takes them.  Memory is O(distinct
+        client, when :meth:`summary`, :meth:`merge`, :meth:`state_dict`
+        or :meth:`client_counts` reads them.  Memory is O(distinct
         clients) whatever the index values are.  A call whose
         ``players`` give one index two different names raises; a call
         that names an already counted index differently (a second file's
@@ -380,16 +373,12 @@ class StreamingCharacterizer(Stateful):
             self._index_counts = np.insert(self._index_counts, at,
                                            counts[fresh])
 
-    def _indexed_client_items(self) -> Iterable[tuple[str, int]]:
-        """The pending per-index counts as ``(player, count)`` pairs."""
-        return zip(self._names.tolist(), self._index_counts.tolist(),
-                   strict=True)
-
     def _fold_indexed_clients(self) -> None:
         """Move the per-index client counts to player-ID keys."""
         if not self._index.size:
             return
-        for player, count in self._indexed_client_items():
+        for player, count in zip(self._names.tolist(),
+                                 self._index_counts.tolist(), strict=True):
             self._client_counts[player] += count
         self._index = np.empty(0, dtype=np.int64)
         self._names = np.empty(0, dtype=np.str_)
@@ -404,12 +393,11 @@ class StreamingCharacterizer(Stateful):
 
         Feeding two characterizers disjoint parts of a log and merging
         reports the same :class:`StreamingSummary` and :meth:`state_dict`
-        as one characterizer fed everything: every accumulator, the
-        ``bytes_served`` sum included, adds exactly, and that sum is
-        rounded once, when read.  Both
-        sides must have been built with the same ``diurnal_bins`` and
-        ``bandwidth_edges``.  Returns ``self`` for chaining; ``other``
-        is left unchanged.
+        as one characterizer fed everything: every accumulator adds
+        exactly, ``bytes_served`` too, and that sum is rounded only when
+        read.  Both sides must have been built with the same
+        ``diurnal_bins`` and ``bandwidth_edges``.  Returns ``self`` for
+        chaining; ``other``'s statistics are left unchanged.
 
         Raises
         ------
@@ -425,9 +413,8 @@ class StreamingCharacterizer(Stateful):
         self._n_entries += other._n_entries
         self._n_skipped += other._n_skipped
         self._congested += other._congested
+        other._fold_indexed_clients()
         self._client_counts.update(other._client_counts)
-        for player, count in other._indexed_client_items():
-            self._client_counts[player] += count
         self._feed_counts.update(other._feed_counts)
         self._bandwidth_hist += other._bandwidth_hist
         self._diurnal += other._diurnal
@@ -473,7 +460,7 @@ class StreamingCharacterizer(Stateful):
             n_clients=len(self._client_counts),
             length_log_mu=length_log_mu,
             length_log_sigma=length_log_sigma,
-            bytes_served=self._bits / _BYTES_UNIT,
+            bytes_served=self._bits / (8 << 1074),  # one rounding
             feed_counts=dict(sorted(self._feed_counts.items())),
             congestion_bound_fraction=congested_fraction,
             bandwidth_histogram=self._bandwidth_hist.copy(),
