@@ -42,6 +42,7 @@ def logs(tmp_path_factory):
     text, binary = root / "probe.log", root / "probe.rtb"
     write_wms_log(trace, text)
     write_binary_trace(trace, binary)
+    assert len(plan_log_chunks([text], chunk_bytes=180)) > 1  # merged
     return text, binary
 
 
@@ -58,10 +59,6 @@ def test_characterize_logs(logs, codec, chunk_bytes):
     summary = characterize_logs(path, chunk_bytes=chunk_bytes)
     assert summary.n_entries == 3
     assert summary.bytes_served.hex() == EXPECTED
-
-
-def test_text_log_splits_at_180_bytes(logs):
-    assert len(plan_log_chunks([logs[0]], chunk_bytes=180)) > 1
 
 
 def test_feed_fed_one_line_per_batch(logs):
