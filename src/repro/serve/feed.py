@@ -344,10 +344,10 @@ class FeedWorker(Stateful):
         One frame is consumed as one
         :meth:`~repro.trace.streaming.StreamingCharacterizer.consume_columns`
         call; its sums are exact, rounded once when read, so the state
-        does not depend on how the entries were framed.  Session state is indexed by client slot (declaration
-        order), so its size never follows an index value.  A frame with
-        an entry the entry rule refuses raises :class:`ProtocolError` and
-        changes no feed state.
+        does not depend on how the entries were framed.  Session state
+        is indexed by client slot (declaration order), so its size never
+        follows an index value.  A frame with an entry the entry rule
+        refuses raises :class:`ProtocolError` and changes no feed state.
         """
         try:
             columns = decode_entry_columns(quantized)
