@@ -86,7 +86,9 @@ class WorkloadCharacterization:
 
 def summarize_trace(trace: Trace, sessions: Sessions) -> TraceSummary:
     """Compute the Table 1 statistics of a trace."""
-    active = np.unique(trace.client_index)
+    # The sorted distinct client indices: indices are dense, so a count
+    # per client finds them without hashing every transfer.
+    active = np.flatnonzero(trace.transfers_per_client())
     clients = trace.clients
     active_ases = clients.as_numbers[active]
     active_ips = clients.ips[active]

@@ -47,7 +47,7 @@ class HierarchicalWorkload:
     @property
     def n_clients(self) -> int:
         """Clients appearing in the trace (the paper's "users")."""
-        return int(np.unique(self.trace.client_index).size)
+        return self.trace.active_client_count()
 
     def client_session_counts(self) -> IntArray:
         """Sessions per client over clients appearing in the trace."""

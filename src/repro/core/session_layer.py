@@ -124,7 +124,8 @@ def characterize_session_layer(sessions: Sessions
         off_gof = evaluate_fit(off_times, off_fit)
 
     tps = sessions.transfers_per_session
-    transfers_fit = fit_zipf_pmf(tps) if np.unique(tps).size >= 2 else None
+    varied = tps.size > 0 and bool(np.any(tps != tps[0]))
+    transfers_fit = fit_zipf_pmf(tps) if varied else None
 
     intra = sessions.intra_session_interarrivals()
     intra_fit = None

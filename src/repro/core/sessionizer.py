@@ -197,14 +197,26 @@ class Sessions:
         return diffs[same_session]
 
     @cached_property
-    def session_arrival_order(self) -> IntArray:
-        """Indices sorting sessions by arrival time."""
-        return np.argsort(self.session_start, kind="stable")
+    def _arrivals(self) -> FloatArray:
+        """``session_start`` sorted, in the bytes a stable sort gives."""
+        arrivals = np.sort(self.session_start)
+        # Starts are finite, so 0.0 and -0.0 are the only equal values
+        # with different bits; put them back in session order.
+        zero = self.session_start == 0
+        if np.any(zero):
+            at = int(np.searchsorted(arrivals, 0.0))
+            arrivals[at:at + int(np.count_nonzero(zero))] = (
+                self.session_start[zero])
+        arrivals.flags.writeable = False
+        return arrivals
 
     def arrival_times(self) -> FloatArray:
         """Session arrival times sorted ascending (the client arrival
-        process of Section 3.4)."""
-        return self.session_start[self.session_arrival_order]
+        process of Section 3.4).
+
+        Computed once and shared, so the array is read-only.
+        """
+        return self._arrivals
 
     def interarrival_times(self) -> FloatArray:
         """Interarrival times of consecutive session starts (Section 3.3)."""

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
-import numpy as np
-
 from .._typing import FloatArray
 from ..trace.codecs import (
     ENTRY_COLUMNS,
@@ -198,16 +196,17 @@ def consume_chunk(characterizer: StreamingCharacterizer,
     memory map and feed the vectorized
     :meth:`~repro.trace.streaming.StreamingCharacterizer.consume_columns`
     path — no row dicts, no per-line Python.  Player IDs come from a
-    table with one row per declared client; an entry whose client no
+    string array with one row per declared client
+    (:meth:`~repro.trace.codecs.BinaryTraceReader.declared_columns`,
+    which reads no other identity column); an entry whose client no
     client block declares raises :class:`~repro.errors.TraceError`, as
     in :func:`~repro.trace.codecs.read_binary_trace`.
     """
     if chunk.codec == "binary":
         parsed = 0
         with BinaryTraceReader(chunk.path) as reader:
-            declared, identities = reader.declared_clients()
-            players = np.asarray([player for _, player, _ in identities],
-                                 dtype=np.str_)
+            declared, identity = reader.declared_columns("player_ids")
+            players = identity["player_ids"]
             for index in chunk.segments:
                 columns = reader.segment_columns(index)
                 slots = declared_client_slots(

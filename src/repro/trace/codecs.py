@@ -98,6 +98,10 @@ _NARROW_DTYPES: tuple[tuple[str, int], ...] = (
 
 _DTYPE_SIZES: dict[str, int] = {"u1": 1, "u2": 2, "u4": 4, "u8": 8}
 
+#: Identity columns of a client block, in ``(ip, player_id, os_name)``
+#: order.
+_IDENTITY_FIELDS: tuple[str, ...] = ("ips", "player_ids", "os_names")
+
 
 # ----------------------------------------------------------------------
 # Decoding quantized entries
@@ -434,38 +438,65 @@ class BinaryTraceReader:
                 for name in ENTRY_COLUMNS}
 
     # -- client identities ---------------------------------------------
-    def _read_strings(self, desc: Mapping[str, Any], n: int) -> list[str]:
+    def _read_strings(self, block: Mapping[str, Any], name: str
+                      ) -> npt.NDArray[np.str_]:
+        """Identity column ``name`` of a client block, as a string array."""
+        desc = block[name]
         itemsize = int(desc["itemsize"])
         offset = int(desc["offset"])
-        raw = self._map[offset:offset + n * itemsize]
-        return [b.decode("utf-8")
-                for b in raw.view(np.dtype(f"S{itemsize}")).tolist()]
+        raw = self._map[offset:offset + int(block["n"]) * itemsize].view(
+            np.dtype(f"S{itemsize}"))
+        try:
+            # ASCII bytes, which UTF-8 decodes to themselves.
+            return raw.astype(np.str_)
+        except UnicodeDecodeError:
+            return np.asarray([b.decode("utf-8") for b in raw.tolist()],
+                              dtype=np.str_)
+
+    def _block_indices(self, block: Mapping[str, Any]) -> IntArray:
+        """The client indices a client block declares, in block order."""
+        offset = int(block["index_offset"])
+        return self._map[offset:offset + int(block["n"]) * 8].view(
+            np.dtype("<i8"))
 
     def client_identity_map(self) -> dict[int, tuple[str, str, str]]:
         """``original client index -> (ip, player_id, os_name)``."""
         identities: dict[int, tuple[str, str, str]] = {}
         for block in self._footer["clients"]:
-            n = int(block["n"])
-            index_offset = int(block["index_offset"])
-            indices = self._map[index_offset:index_offset + n * 8].view(
-                np.dtype("<i8"))
-            ips = self._read_strings(block["ips"], n)
-            players = self._read_strings(block["player_ids"], n)
-            os_names = self._read_strings(block["os_names"], n)
-            for k, index in enumerate(indices.tolist()):
-                identities[int(index)] = (ips[k], players[k], os_names[k])
+            columns = [self._read_strings(block, name).tolist()
+                       for name in _IDENTITY_FIELDS]
+            identities.update(zip(self._block_indices(block).tolist(),
+                                  zip(*columns, strict=True), strict=True))
         return identities
 
-    def declared_clients(self) -> tuple[IntArray, list[tuple[str, str, str]]]:
-        """The declared client indices, sorted, and each one's identity.
+    def declared_columns(self, *names: str
+                         ) -> tuple[IntArray, dict[str, npt.NDArray[np.str_]]]:
+        """The declared client indices, sorted, and identity columns.
 
-        The slot of a client is its position here — the domain of
+        ``names`` picks among ``"ips"``, ``"player_ids"`` and
+        ``"os_names"``; each comes back as a string array parallel to the
+        indices (an ASCII column decodes with no string object per
+        client).  An index declared more than once keeps its last
+        declaration, as in :meth:`client_identity_map`.  The slot of a
+        client is its position here — the domain of
         :func:`declared_client_slots`.
         """
-        identities = self.client_identity_map()
-        declared = np.sort(np.fromiter(identities, dtype=np.int64,
-                                       count=len(identities)))
-        return declared, [identities[index] for index in declared.tolist()]
+        blocks = self._footer["clients"]
+        if not blocks:
+            return (np.empty(0, dtype=np.int64),
+                    {name: np.empty(0, dtype=np.str_) for name in names})
+        index = np.concatenate([self._block_indices(block)
+                                for block in blocks], dtype=np.int64)
+        # Stable, so the last of equal indices is the last declaration.
+        order = np.argsort(index, kind="stable")
+        ranked = index[order]
+        last = np.ones(ranked.size, dtype=bool)
+        np.not_equal(ranked[1:], ranked[:-1], out=last[:-1])
+        keep = order[last]
+        return ranked[last], {
+            name: np.concatenate([self._read_strings(block, name)
+                                  for block in blocks])[keep]
+            for name in names}
 
     def identity_lookup(self) -> ClientIdentity:
         """The identity map as a callable (for entry formatting)."""
@@ -566,8 +597,9 @@ def read_binary_trace(path: str | Path, *,
     with :func:`repro.trace.wms_log.read_wms_log`: clients are re-interned
     in order of first appearance in the entry stream (exactly what the
     text parser's interning dictionary does), column doubles reconstruct
-    the parsed string values (see :func:`decode_entry_columns`), and the
-    :class:`Trace` constructor applies the same stable start sort.
+    the parsed string values (see :func:`decode_entry_columns`, the one
+    entry-rule pass over the rows), and the trace gets the
+    :class:`Trace` constructor's stable start sort.
 
     Interning works on integers: every entry's index is validated and
     mapped to its slot among the declared clients
@@ -593,7 +625,7 @@ def read_binary_trace(path: str | Path, *,
     """
     with BinaryTraceReader(path) as reader:
         quantized = reader.all_quantized()
-        declared, identities = reader.declared_clients()
+        declared, identity = reader.declared_columns(*_IDENTITY_FIELDS)
 
     slots = declared_client_slots(declared, quantized["client_index"],
                                   source=path)
@@ -608,37 +640,22 @@ def read_binary_trace(path: str | Path, *,
     rank[appearance] = np.arange(appearance.size, dtype=np.int64)
     dense = rank[slots]
 
-    ips: list[str] = []
-    players: list[str] = []
-    os_names: list[str] = []
-    as_numbers: list[int] = []
-    countries: list[str] = []
-    for slot in appearance.tolist():
-        ip, player_id, os_name = identities[slot]
-        ips.append(ip)
-        players.append(player_id)
-        os_names.append(os_name)
-        as_number, country = (resolver(ip) if resolver is not None
-                              else (0, ""))
-        as_numbers.append(as_number)
-        countries.append(country)
+    ips, players, os_names = (identity[name][appearance].tolist()
+                              for name in _IDENTITY_FIELDS)
+    located = ([resolver(ip) for ip in ips] if resolver is not None
+               else [(0, "")] * len(ips))
+    as_numbers = [as_number for as_number, _ in located]
+    countries = [country for _, country in located]
 
     decoded = decode_entry_columns(quantized)
     clients = ClientTable(player_ids=players, ips=ips,
                           as_numbers=as_numbers, countries=countries,
                           os_names=os_names)
-    return Trace(
-        clients=clients,
-        client_index=dense,
-        object_id=decoded["object_id"],
-        start=decoded["start"],
-        duration=decoded["duration"],
-        bandwidth_bps=decoded["bandwidth_bps"],
-        packet_loss=decoded["packet_loss"],
-        server_cpu=decoded["server_cpu"],
-        status=decoded["status"],
-        extent=extent,
-    )
+    # decode_entry_columns proved the entry rule, and ``dense`` indexes
+    # the table built above, so the rows are not checked again.
+    return Trace._of_admitted(
+        clients, {**decoded, "client_index": dense}, extent=extent,
+        start_sorted=False)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -180,14 +180,42 @@ class Trace:
         self.status = _column(status, 200, np.int64)
 
         require_entries(self.columns(), n_clients=len(clients))
+        self._sort_by_start()
+        self._set_extent(extent)
 
-        if n and np.any(np.diff(self.start) < 0):
+    @classmethod
+    def _of_admitted(cls, clients: ClientTable,
+                     columns: Mapping[str, _AnyArray], *,
+                     extent: float | None, start_sorted: bool) -> "Trace":
+        """A trace over columns the entry rule has already admitted.
+
+        ``columns`` holds every :data:`TRANSFER_COLUMNS` array, parallel
+        and at its :class:`Trace` dtype, with client indices in range of
+        ``clients``; the arrays are kept, not copied.  Skips the
+        constructor's entry-rule pass, and its start-order check when
+        ``start_sorted``, so rows already proven are not proven again.
+        """
+        trace = cls.__new__(cls)
+        trace.clients = clients
+        for name in TRANSFER_COLUMNS:
+            setattr(trace, name, columns[name])
+        if not start_sorted:
+            trace._sort_by_start()
+        trace._set_extent(extent)
+        return trace
+
+    def _sort_by_start(self) -> None:
+        """Stable-sort every column by start time, unless already sorted."""
+        if self.start.size and np.any(np.diff(self.start) < 0):
             order = np.argsort(self.start, kind="stable")
             for attr in TRANSFER_COLUMNS:
                 setattr(self, attr, getattr(self, attr)[order])
 
+    def _set_extent(self, extent: float | None) -> None:
+        """Set the window, by default the latest transfer end."""
         if extent is None:
-            extent = float((self.start + self.duration).max()) if n else 0.0
+            extent = (float((self.start + self.duration).max())
+                      if self.start.size else 0.0)
         # Note: entries may extend past the extent — real logs contain
         # multi-harvest artifacts (Section 2.4); sanitize_trace removes them.
         self.extent = float(extent)
@@ -211,7 +239,10 @@ class Trace:
     @property
     def n_objects(self) -> int:
         """Number of distinct live objects appearing in the trace."""
-        return int(np.unique(self.object_id).size) if len(self) else 0
+        if not len(self):
+            return 0
+        ids = np.sort(self.object_id)
+        return 1 + int(np.count_nonzero(ids[1:] != ids[:-1]))
 
     @property
     def end(self) -> FloatArray:
@@ -320,23 +351,16 @@ class Trace:
         """Return a new trace containing only the transfers where ``mask``.
 
         The client table is shared (not copied); client indices keep their
-        meaning.
+        meaning.  The kept rows are rows of this trace, so they are neither
+        re-checked against the entry rule nor re-sorted.
         """
         mask = np.asarray(mask, dtype=bool)
         if mask.size != len(self):
             raise TraceError(f"mask has length {mask.size}, expected {len(self)}")
-        return Trace(
-            clients=self.clients,
-            client_index=self.client_index[mask],
-            object_id=self.object_id[mask],
-            start=self.start[mask],
-            duration=self.duration[mask],
-            bandwidth_bps=self.bandwidth_bps[mask],
-            packet_loss=self.packet_loss[mask],
-            server_cpu=self.server_cpu[mask],
-            status=self.status[mask],
-            extent=self.extent,
-        )
+        return Trace._of_admitted(
+            self.clients,
+            {name: column[mask] for name, column in self.columns().items()},
+            extent=self.extent, start_sorted=True)
 
     # ------------------------------------------------------------------
     # Persistence

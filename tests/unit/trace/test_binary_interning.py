@@ -233,6 +233,39 @@ def test_dangling_error_names_the_reference_index(tmp_path, small_rtb):
     assert str(got.value) == str(want.value)
 
 
+def utf8_identity(index):
+    ip, player_id, os_name = identity(index)
+    return (ip, f"j\u00f6rg{index}" if index % 3 else player_id,
+            "L\u00efnux" if index % 2 else os_name)
+
+
+@pytest.mark.parametrize("edit", [None, _punch_hole])
+@pytest.mark.parametrize("names", [identity, utf8_identity])
+def test_declared_columns_match_the_identity_map(tmp_path, names, edit):
+    """Column-wise identity reads agree with the per-client dict, for
+    UTF-8 names too and for an index a block declares twice (the later
+    declaration wins)."""
+    with open(tmp_path / "t.rtb", "wb") as stream:
+        writer = BinaryTraceWriter(stream, names)
+        _write_rtb(stream, _batches(3, np.arange(40, dtype=np.int64), 5),
+                   writer=writer)
+        writer.finish()
+    path = _craft(tmp_path / "t.rtb", tmp_path / "edited.rtb",
+                  byte_edit=edit)
+    fields = ("ips", "player_ids", "os_names")
+    with BinaryTraceReader(path) as reader:
+        identities = reader.client_identity_map()
+        declared, columns = reader.declared_columns(*fields)
+        players = reader.declared_columns("player_ids")
+    want = [identities[index] for index in sorted(identities)]
+    assert declared.dtype == np.int64
+    assert declared.tolist() == sorted(identities)
+    assert list(zip(*(columns[name].tolist() for name in fields))) == want
+    assert np.array_equal(players[0], declared)
+    assert list(players[1]) == ["player_ids"]
+    assert players[1]["player_ids"].tolist() == [row[1] for row in want]
+
+
 def test_summary_same_at_one_and_two_workers(tmp_path):
     path = _rtb(tmp_path / "t.rtb",
                 _batches(4, DECLARED["huge"], 6) + _batches(5, DECLARED["dense"]))

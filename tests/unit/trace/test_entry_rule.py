@@ -137,13 +137,44 @@ def test_every_binary_door_refuses_a_negative_duration(
 
     worker = FeedWorker("feed0")
     with BinaryTraceReader(path) as reader:
-        declared, identities = reader.declared_clients()
+        declared, identity = reader.declared_columns(
+            "ips", "player_ids", "os_names")
         quantized = reader.segment_quantized(0)
-    worker.ingest_clients([(index, *identity) for index, identity in zip(
-        declared.tolist(), identities, strict=True)])
+    worker.ingest_clients(list(zip(
+        declared.tolist(), identity["ips"].tolist(),
+        identity["player_ids"].tolist(), identity["os_names"].tolist(),
+        strict=True)))
     before = (worker.frames_ingested, worker.entries_ingested,
               worker.characterizer.state_dict())
     with pytest.raises(ProtocolError, match=message):
         worker.ingest_entries(quantized)
     assert (worker.frames_ingested, worker.entries_ingested,
             worker.characterizer.state_dict()) == before
+
+
+def test_decode_then_sanitize_proves_each_row_once(tmp_path, monkeypatch):
+    """``read_binary_trace`` applies the rule once, in
+    ``decode_entry_columns``; neither the decoded ``Trace`` nor
+    ``sanitize_trace``'s ``filter`` proves those rows again."""
+    from repro.trace import codecs, records, store, wms_log
+    from repro.trace.sanitize import sanitize_trace
+
+    # Out of start order in the file, and a row sanitize drops.
+    trace = build_trace([(0, 0, 50.0, 6.0), (1, 1, 20.0, 60.0),
+                         (2, 0, 5.0, 1.0), (0, 1, 70.0, 0.0)], extent=80.0)
+    path = tmp_path / "t.rtb"
+    write_binary_trace(trace, path)
+
+    checked: list[int] = []
+
+    def counting(columns, n_clients=None, *, offset=0):
+        checked.append(len(columns["start"]))
+        require_entries(columns, n_clients, offset=offset)
+
+    for module in (codecs, records, store, wms_log):
+        monkeypatch.setattr(module, "require_entries", counting)
+    decoded = read_binary_trace(path)
+    clean, report = sanitize_trace(decoded)
+    assert report.n_removed == 1 and len(clean) == 3
+    assert checked == [len(decoded)] == [4]
+    assert np.all(np.diff(decoded.start) >= 0)
