@@ -14,7 +14,8 @@ small reorder buffer resident.  This example exercises the contract:
    batch sessionizer's.
 2. Interrupt a checkpointed run partway, resume it, and verify the
    resumed artifacts are bit-for-bit the same.
-3. Characterize the streamed log resumably, in checkpointed legs.
+3. Characterize the streamed log in checkpointed, resumed legs
+   across two worker processes.
 
 The default scale runs in seconds; pass ``--days 28 --rate 1.4`` (see
 ``benchmarks/bench_stream.py``) for a true paper-scale run.
@@ -30,8 +31,8 @@ import numpy as np
 
 from repro import LiveWorkloadModel
 from repro.core.sessionizer import sessionize
-from repro.parallel import generate_sharded
-from repro.stream import characterize_logs_resumable, run_streaming_generation
+from repro.parallel import characterize_logs, generate_sharded
+from repro.stream import run_streaming_generation
 from repro.trace.wms_log import write_wms_log
 
 
@@ -93,8 +94,8 @@ def main() -> None:
         ck = root / "characterize.npz"
         summary = None
         while summary is None:
-            summary = characterize_logs_resumable(
-                stream_log, checkpoint_path=ck, resume=True,
+            summary = characterize_logs(
+                stream_log, jobs=2, checkpoint_path=ck, resume=True,
                 chunk_bytes=256 * 1024, max_chunks=2)
         print(f"   {summary.n_entries} entries from "
               f"{summary.n_clients} clients, "

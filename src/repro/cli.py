@@ -76,11 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="three-layer characterization of a trace")
     cha.add_argument("trace", type=Path, nargs="+",
                      help=".npz trace path (or WMS log paths with --log)")
-    cha.add_argument("--timeout", type=float,
-                     default=DEFAULT_SESSION_TIMEOUT,
-                     help="session timeout T_o in seconds (default: 1500)")
+    cha.add_argument("--timeout", type=float, default=None,
+                     help="session timeout T_o in seconds (default: 1500; "
+                          "not with --log)")
     cha.add_argument("--no-sanitize", action="store_true",
-                     help="skip the Section 2.4 sanitization pass")
+                     help="skip the Section 2.4 sanitization pass "
+                          "(not with --log)")
     cha.add_argument("--log", action="store_true",
                      help="treat inputs as WMS-style logs and run the "
                           "streaming map-reduce characterization")
@@ -88,9 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="worker processes for --log chunk "
                           "characterization (default: 1, inline)")
     cha.add_argument("--checkpoint", type=Path, default=None,
-                     help="with --log: run the sequential resumable "
-                          "characterization, checkpointing the "
-                          "accumulator to this file")
+                     help="with --log: checkpoint the merged accumulator "
+                          "and chunk cursor to this file as the run goes")
     cha.add_argument("--resume", action="store_true",
                      help="with --checkpoint: continue from the "
                           "checkpoint if it exists")
@@ -427,6 +427,18 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         print("--codec requires --log (npz traces have no codec)",
               file=sys.stderr)
         return 2
+    if args.jobs != 1 and not args.log:
+        print("--jobs requires --log (an npz trace is characterized in "
+              "one process)", file=sys.stderr)
+        return 2
+    if args.log and args.no_sanitize:
+        print("--no-sanitize does not apply with --log (the log "
+              "characterization does not sanitize)", file=sys.stderr)
+        return 2
+    if args.log and args.timeout is not None:
+        print("--timeout does not apply with --log (the log "
+              "characterization does not sessionize)", file=sys.stderr)
+        return 2
     if args.log:
         if args.codec != "auto":
             from .trace.codecs import detect_codec
@@ -437,21 +449,17 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
                     print(f"{path}: detected codec {detected!r} does not "
                           f"match --codec {args.codec}", file=sys.stderr)
                     return 2
-        if args.checkpoint is not None:
-            from .errors import CheckpointError
-            from .stream import characterize_logs_resumable
+        from .errors import CheckpointError
+        from .parallel import characterize_logs
 
-            try:
-                summary = characterize_logs_resumable(
-                    args.trace, checkpoint_path=args.checkpoint,
-                    resume=args.resume)
-            except CheckpointError as exc:
-                print(f"checkpoint error: {exc}", file=sys.stderr)
-                return 2
-        else:
-            from .parallel import characterize_logs
-
-            summary = characterize_logs(args.trace, jobs=args.jobs)
+        try:
+            summary = characterize_logs(
+                args.trace, jobs=args.jobs, checkpoint_path=args.checkpoint,
+                resume=args.resume)
+        except CheckpointError as exc:
+            print(f"checkpoint error: {exc}", file=sys.stderr)
+            return 2
+        assert summary is not None  # no max_chunks: the plan ran out
         print(_render_streaming_summary(summary))
         return 0
     if len(args.trace) != 1:
@@ -466,7 +474,9 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
                   f"({report.n_spanning} spanning, "
                   f"{report.n_out_of_window} out of window, "
                   f"{report.n_degenerate} degenerate)")
-    print(render_report(characterize(trace, timeout=args.timeout)))
+    timeout = (DEFAULT_SESSION_TIMEOUT if args.timeout is None
+               else args.timeout)
+    print(render_report(characterize(trace, timeout=timeout)))
     return 0
 
 

@@ -18,7 +18,7 @@ Three layers:
 * :mod:`repro.parallel.characterize` — map-reduce log
   characterization: line-aligned file chunks, per-chunk
   :class:`~repro.trace.streaming.StreamingCharacterizer` accumulators,
-  exact merge.
+  exact merge, and optional checkpoint/resume between windows of chunks.
 
 Progress is logged on the ``repro.parallel`` channel (the CLI's
 ``-v/--verbose`` flag enables it).

@@ -13,6 +13,10 @@ the per-chunk accumulators to the identical
 Determinism: the chunk plan depends only on the input files and
 ``chunk_bytes`` — never on ``jobs`` — and accumulators are reduced in
 chunk order, so the reported summary is independent of the worker count.
+The same exactness makes a run durable: with a checkpoint path,
+:func:`characterize_logs` saves the merged accumulator and the chunk
+cursor between windows of chunks, and a resumed run reports what an
+uninterrupted one does.
 """
 
 from __future__ import annotations
@@ -25,7 +29,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
+import numpy as np
+
 from .._typing import FloatArray
+from ..errors import CheckpointError
+from ..stream.checkpoint import load_checkpoint, require_match, save_checkpoint
 from ..trace.codecs import (
     ENTRY_COLUMNS,
     _DTYPE_SIZES,
@@ -39,6 +47,10 @@ from .pool import logger, map_ordered
 
 #: Default target chunk size for splitting log files, in bytes.
 DEFAULT_CHUNK_BYTES = 8 * 1024 * 1024
+
+#: Chunks mapped between two checkpoint saves at ``jobs=1``; a window
+#: holds ``max(CHECKPOINT_EVERY, jobs)`` chunks.
+CHECKPOINT_EVERY = 4
 
 
 @dataclass(frozen=True)
@@ -233,11 +245,34 @@ def characterize_chunk(chunk: LogChunk, *, diurnal_bins: int = 96,
     return characterizer
 
 
+def _log_fingerprint(paths: Sequence[str | Path],
+                     chunk_bytes: int, diurnal_bins: int,
+                     edges: FloatArray | None) -> dict[str, Any]:
+    """Identity of a characterization request: the exact inputs.
+
+    File sizes stand in for content hashes — rewriting a log mid-run is
+    already undefined behaviour for the chunk plan; the size check
+    catches the common case (a log that grew or was regenerated).
+    """
+    return {
+        "logs": [[os.fspath(path), os.path.getsize(path)]
+                 for path in paths],
+        "chunk_bytes": int(chunk_bytes),
+        "diurnal_bins": int(diurnal_bins),
+        "bandwidth_edges": (None if edges is None
+                            else np.asarray(edges, dtype=np.float64).tolist()),
+    }
+
+
 def characterize_logs(paths: str | Path | Sequence[str | Path], *,
                       jobs: int = 1, diurnal_bins: int = 96,
                       bandwidth_edges: FloatArray | None = None,
                       chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-                      top_k: int = 10) -> StreamingSummary:
+                      top_k: int = 10,
+                      checkpoint_path: str | Path | None = None,
+                      resume: bool = False,
+                      max_chunks: int | None = None
+                      ) -> StreamingSummary | None:
     """Characterize WMS-style logs with a parallel map-reduce.
 
     Splits the inputs into line-aligned chunks, characterizes them across
@@ -245,7 +280,11 @@ def characterize_logs(paths: str | Path | Sequence[str | Path], *,
     order.  Reports the identical
     :class:`~repro.trace.streaming.StreamingSummary` a single serial
     :class:`~repro.trace.streaming.StreamingCharacterizer` pass produces,
-    for any ``jobs`` and ``chunk_bytes``.
+    for any ``jobs`` and ``chunk_bytes``.  With ``checkpoint_path`` the
+    plan is mapped in windows of ``max(CHECKPOINT_EVERY, jobs)`` chunks,
+    and the merged accumulator and the chunk cursor are saved
+    (atomically) after each window; merging is exact, so a run resumed
+    from any checkpoint reports what an uninterrupted one does.
 
     Parameters
     ----------
@@ -257,20 +296,74 @@ def characterize_logs(paths: str | Path | Sequence[str | Path], *,
         Forwarded to the characterizer/summary (see
         :class:`~repro.trace.streaming.StreamingCharacterizer`).
     chunk_bytes:
-        Target chunk size for splitting files.
+        Target chunk size for splitting files (must match across
+        resumes — it defines the cursor's meaning).
+    checkpoint_path:
+        Where to save the accumulator and chunk cursor.
+    resume:
+        Continue from ``checkpoint_path`` if it exists; the checkpoint
+        must have been written for the same logs (path + size),
+        ``chunk_bytes`` and binning configuration.
+    max_chunks:
+        Process at most this many chunks in *this* call (test/ops hook).
+
+    Returns
+    -------
+    The final :class:`~repro.trace.streaming.StreamingSummary`, or
+    ``None`` when ``max_chunks`` stopped the run before the last chunk.
+
+    Raises
+    ------
+    CheckpointError
+        On fingerprint mismatches or a corrupt checkpoint.
     """
     if isinstance(paths, (str, Path)):
         paths = [paths]
     chunks = plan_log_chunks(paths, chunk_bytes=chunk_bytes)
+    fingerprint = _log_fingerprint(paths, chunk_bytes, diurnal_bins,
+                                   bandwidth_edges)
+    total = StreamingCharacterizer(diurnal_bins=diurnal_bins,
+                                   bandwidth_edges=bandwidth_edges)
+    next_chunk = 0
+    if resume:
+        if checkpoint_path is None:
+            raise CheckpointError("resume=True requires a checkpoint_path")
+        if os.path.exists(checkpoint_path):
+            meta, _ = load_checkpoint(checkpoint_path)
+            require_match(meta, fingerprint, checkpoint_path)
+            next_chunk = meta.get("next_chunk")
+            if not (isinstance(next_chunk, int)
+                    and 0 <= next_chunk <= len(chunks)):
+                raise CheckpointError(
+                    f"checkpoint chunk cursor {next_chunk!r} out of range "
+                    f"for {len(chunks)} chunks")
+            total.restore(meta.get("characterizer"), {})
+
+    stop = len(chunks) if max_chunks is None else min(
+        len(chunks), next_chunk + max(0, max_chunks))
+    window = (len(chunks) if checkpoint_path is None
+              else max(CHECKPOINT_EVERY, jobs))
     worker = functools.partial(characterize_chunk,
                                diurnal_bins=diurnal_bins,
                                bandwidth_edges=bandwidth_edges)
-    parts = map_ordered(worker, chunks, jobs=jobs, label="chunk")
-    t0 = time.perf_counter()
-    total = StreamingCharacterizer(diurnal_bins=diurnal_bins,
-                                   bandwidth_edges=bandwidth_edges)
-    for part in parts:
-        total.merge(part)
-    logger.info("reduced %d chunk accumulator(s) in %.3fs",
-                len(parts), time.perf_counter() - t0)
+    while True:
+        window_end = min(stop, next_chunk + window)
+        parts = map_ordered(worker, chunks[next_chunk:window_end],
+                            jobs=jobs, label="chunk")
+        t0 = time.perf_counter()
+        for part in parts:
+            total.merge(part)
+        logger.info("reduced %d chunk accumulator(s) in %.3fs",
+                    len(parts), time.perf_counter() - t0)
+        next_chunk = window_end
+        if checkpoint_path is not None and parts:
+            save_checkpoint(checkpoint_path, {
+                "fingerprint": fingerprint,
+                "next_chunk": next_chunk,
+                "characterizer": total.state_dict(),
+            }, {})
+        if next_chunk >= stop:
+            break
+    if next_chunk < len(chunks):
+        return None
     return total.summary(top_k=top_k)

@@ -5,10 +5,11 @@ WMS-style log, the sessionization, the characterization summary — this
 subpackage computes in one time-ordered pass with O(open state) memory,
 bit-identically, with atomic checkpoint/resume at canonical-block
 granularity.  See ``docs/API.md`` ("Streaming at paper scale") for the
-memory-bound argument and usage.
+memory-bound argument and usage.  Checkpointed characterization of a
+finished log set is :func:`repro.parallel.characterize_logs` with a
+``checkpoint_path``; it saves through :mod:`repro.stream.checkpoint`.
 """
 
-from .characterize import characterize_logs_resumable
 from .checkpoint import load_checkpoint, require_match, save_checkpoint
 from .generate import DEFAULT_CHUNK_SIZE, GenerationStream, TransferBatch
 from .pipeline import StreamRunResult, run_streaming_generation
@@ -21,7 +22,6 @@ __all__ = [
     "OnlineSessionizer",
     "StreamRunResult",
     "TransferBatch",
-    "characterize_logs_resumable",
     "load_checkpoint",
     "merge_finalized",
     "require_match",

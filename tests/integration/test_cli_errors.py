@@ -40,6 +40,24 @@ class TestCharacterizeConflicts:
         assert code == 2
         assert "exactly one" in capsys.readouterr().err
 
+    def test_no_sanitize_with_log(self, capsys):
+        code = main(["characterize", "a.log", "--log", "--no-sanitize"])
+        assert code == 2
+        assert "--no-sanitize does not apply with --log" in (
+            capsys.readouterr().err)
+
+    def test_timeout_with_log(self, capsys):
+        # Even the default value, named explicitly, does nothing here.
+        code = main(["characterize", "a.log", "--log", "--timeout", "1500"])
+        assert code == 2
+        assert "--timeout does not apply with --log" in (
+            capsys.readouterr().err)
+
+    def test_jobs_without_log(self, capsys):
+        code = main(["characterize", "trace.npz", "--jobs", "2"])
+        assert code == 2
+        assert "--jobs requires --log" in capsys.readouterr().err
+
 
 class TestGenerateConflicts:
     def test_chunk_size_zero(self, tmp_path, capsys):

@@ -6,6 +6,8 @@ characterization summary — are bit-identical to the batch pipeline's,
 for any chunk size and across arbitrary checkpoint/resume splits.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from repro.core.sessionizer import sessionize
 from repro.errors import CheckpointError
 from repro.parallel.characterize import characterize_logs
 from repro.parallel.engine import generate_sharded
-from repro.stream import GenerationStream, characterize_logs_resumable, run_streaming_generation
+from repro.stream import GenerationStream, run_streaming_generation
 from repro.stream.checkpoint import load_checkpoint, save_checkpoint
 from repro.trace.wms_log import write_wms_log
 
@@ -190,30 +192,45 @@ def test_count_only_mode_matches(model, batch_artifacts, tmp_path):
     assert result.n_transfers == trace.n_transfers
 
 
-def test_resumable_characterization_matches_mapreduce(batch_artifacts,
-                                                      tmp_path):
-    _, batch_log = batch_artifacts
-    want = characterize_logs(batch_log, jobs=2, chunk_bytes=8_192)
+#: codec -> chunk size giving a plan of several chunks for its log.
+RESUME_CHUNK_BYTES = {"text": 8_192, "binary": 1_024}
+
+
+@pytest.fixture(scope="module")
+def codec_logs(model, batch_artifacts, tmp_path_factory):
+    """The batch log and an ``.rtb`` copy of the same workload."""
+    binary = tmp_path_factory.mktemp("stream_binary") / "batch.rtb"
+    run_streaming_generation(model, DAYS, seed=SEED, log_path=binary,
+                             codec="binary", collect_sessions=False)
+    return {"text": batch_artifacts[1], "binary": binary}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("codec", sorted(RESUME_CHUNK_BYTES))
+def test_resumable_characterization_matches_mapreduce(codec_logs, tmp_path,
+                                                      codec, jobs):
+    log, chunk_bytes = codec_logs[codec], RESUME_CHUNK_BYTES[codec]
+    want = characterize_logs(log, jobs=2, chunk_bytes=chunk_bytes)
+    whole = tmp_path / "whole.npz"
+    assert characterize_logs(log, chunk_bytes=chunk_bytes,
+                             checkpoint_path=whole) is not None
     ck = tmp_path / "chk.npz"
-    # Drive in 2-chunk legs until done, resuming each time.
+    # Drive in 5-chunk legs until done, resuming each time: a leg maps
+    # one window of max(4, jobs) chunks, then the rest.
     summary = None
-    for _ in range(100):
-        summary = characterize_logs_resumable(
-            batch_log, checkpoint_path=ck, resume=True,
-            chunk_bytes=8_192, checkpoint_every=1, max_chunks=2)
+    for legs in range(1, 100):
+        summary = characterize_logs(
+            log, jobs=jobs, checkpoint_path=ck, resume=True,
+            chunk_bytes=chunk_bytes, max_chunks=5)
         if summary is not None:
             break
+    assert legs > 1
     assert summary is not None
-    assert summary.n_entries == want.n_entries
-    assert summary.length_log_mu == want.length_log_mu
-    assert summary.length_log_sigma == want.length_log_sigma
-    assert summary.bytes_served == want.bytes_served
-    assert summary.feed_counts == want.feed_counts
-    assert summary.top_clients == want.top_clients
-    np.testing.assert_array_equal(summary.bandwidth_histogram,
-                                  want.bandwidth_histogram)
-    np.testing.assert_array_equal(summary.diurnal_counts,
-                                  want.diurnal_counts)
+    np.testing.assert_equal(dataclasses.asdict(summary),
+                            dataclasses.asdict(want))
+    meta, _ = load_checkpoint(ck)
+    whole_meta, _ = load_checkpoint(whole)
+    assert meta == whole_meta
 
 
 def test_resumable_characterization_rejects_changed_log(batch_artifacts,
@@ -222,13 +239,13 @@ def test_resumable_characterization_rejects_changed_log(batch_artifacts,
     log = tmp_path / "copy.log"
     log.write_bytes(batch_log.read_bytes())
     ck = tmp_path / "chk.npz"
-    characterize_logs_resumable(log, checkpoint_path=ck,
-                                chunk_bytes=8_192, max_chunks=1)
+    characterize_logs(log, checkpoint_path=ck, chunk_bytes=8_192,
+                      max_chunks=1)
     with log.open("a") as stream:
         stream.write("tampered line\n")
     with pytest.raises(CheckpointError, match="was written for"):
-        characterize_logs_resumable(log, checkpoint_path=ck, resume=True,
-                                    chunk_bytes=8_192)
+        characterize_logs(log, checkpoint_path=ck, resume=True,
+                          chunk_bytes=8_192)
 
 
 #: Damage to a characterization checkpoint's characterizer document.
@@ -244,11 +261,11 @@ def test_resumable_characterization_rejects_damaged_state(batch_artifacts,
                                                           tmp_path, damage):
     _, batch_log = batch_artifacts
     ck = tmp_path / "chk.npz"
-    characterize_logs_resumable(batch_log, checkpoint_path=ck,
-                                chunk_bytes=8_192, max_chunks=1)
+    characterize_logs(batch_log, checkpoint_path=ck, chunk_bytes=8_192,
+                      max_chunks=1)
     meta, arrays = load_checkpoint(ck)
     CHARACTERIZER_DAMAGE[damage](meta["characterizer"])
     save_checkpoint(ck, meta, arrays)
     with pytest.raises(CheckpointError, match="characterizer"):
-        characterize_logs_resumable(batch_log, checkpoint_path=ck,
-                                    resume=True, chunk_bytes=8_192)
+        characterize_logs(batch_log, checkpoint_path=ck, resume=True,
+                          chunk_bytes=8_192)

@@ -1,7 +1,7 @@
 """Pinned sha256 digests of whole checkpoint files.
 
 Three writers put state on disk: the streaming generation pipeline (both
-codecs, sessions collected), resumable log characterization and the live
+codecs, sessions collected), checkpointed log characterization and the live
 service.  Each test below writes one checkpoint mid-run and pins the
 bytes of the ``.npz`` archive itself — member order, dtypes, shapes and
 the JSON scalar document — so a change to how any stage declares or
@@ -16,7 +16,8 @@ import pytest
 from repro.core.model import LiveWorkloadModel
 from repro.serve.config import ServeConfig
 from repro.serve.service import CharacterizationService
-from repro.stream import characterize_logs_resumable, run_streaming_generation
+from repro.parallel import characterize_logs
+from repro.stream import run_streaming_generation
 from repro.stream.checkpoint import load_checkpoint
 from repro.trace.codecs import BinaryTraceReader
 
@@ -78,7 +79,7 @@ def test_characterize_checkpoint_file(logs, tmp_path, monkeypatch):
     # The fingerprint records the log path: use a fixed relative one.
     monkeypatch.chdir(tmp_path)
     shutil.copyfile(logs[0], "full.log")
-    summary = characterize_logs_resumable(
+    summary = characterize_logs(
         "full.log", checkpoint_path="chk.npz", chunk_bytes=8_192,
         max_chunks=5)
     checkpoint = tmp_path / "chk.npz"

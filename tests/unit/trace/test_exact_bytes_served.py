@@ -21,7 +21,6 @@ from repro.parallel.characterize import characterize_logs, plan_log_chunks
 from repro.serve.config import ServeConfig
 from repro.serve.feed import FeedWorker
 from repro.serve.service import CharacterizationService
-from repro.stream import characterize_logs_resumable
 from repro.stream.checkpoint import load_checkpoint, save_checkpoint
 from repro.trace.codecs import write_binary_trace
 from repro.trace.streaming import StreamingCharacterizer, _exact_sum
@@ -93,7 +92,7 @@ def _float_bits(document):
 def old_checkpoint(logs, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "probe.log").write_bytes(logs[0].read_bytes())
-    assert characterize_logs_resumable(
+    assert characterize_logs(
         "probe.log", checkpoint_path="chk.npz", chunk_bytes=180,
         max_chunks=1) is None
     meta, arrays = load_checkpoint("chk.npz")
@@ -104,7 +103,7 @@ def old_checkpoint(logs, tmp_path, monkeypatch):
 
 def test_resumable_refuses_float_bits(old_checkpoint):
     with pytest.raises(CheckpointError, match="'bits' has the wrong type"):
-        characterize_logs_resumable(
+        characterize_logs(
             "probe.log", checkpoint_path=old_checkpoint, chunk_bytes=180,
             resume=True)
 
