@@ -108,19 +108,11 @@ class FeedWorker(Stateful):
              make=lambda worker, values: StreamingCharacterizer()),
         Part("sessionizer", "sessionizer",
              make=lambda worker, values: OnlineSessionizer(
-                 values["capacity"], timeout=worker.timeout),
-             omit=("sess_last_start",)),
+                 values["capacity"], timeout=worker.timeout)),
         Scalar("gap.n_clients", int, "sessionizer.n_clients", DERIVED),
         Scalar("gap.timeout", float, "timeout", DERIVED),
         Scalar("gap.n_gaps", int, "_gap_moments.n", DERIVED),
         Table("gap_", "_gap_moments.counts", _MOMENT_COLUMNS, "gap"),
-        # The repro-serve-v1 layout: two derived copies of the session
-        # table's running max, and its last starts under a gap_ name.
-        Column("gap_open", np.bool_, "capacity", "_gap_open", DERIVED),
-        Column("gap_run_max", np.float64, "capacity",
-               "sessionizer._run_max", DERIVED),
-        Column("gap_last_start", np.float64, "capacity",
-               "sessionizer._client_last_start"),
         Part("concurrency", "_conc"),
         Scalar("on_counts_n", int, "_on_moments.n", DERIVED),
     ))
@@ -585,8 +577,3 @@ class FeedWorker(Stateful):
             in zip(*(table[name].tolist() for name, _ in _IDENT_COLUMNS),
                    strict=True)}
         self._slots = None
-
-    @property
-    def _gap_open(self) -> _AnyArray:
-        return np.isfinite(self.sessionizer._run_max)  # the clients seen
-

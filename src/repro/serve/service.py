@@ -61,7 +61,7 @@ MAX_PARTIAL_LINE = 1 << 20
 #: Ceiling on one HTTP request body (text ingest posts).
 _MAX_HTTP_BODY = 64 * 1024 * 1024
 
-_CHECKPOINT_FORMAT = "repro-serve-v1"
+_CHECKPOINT_FORMAT = "repro-serve-v2"
 
 
 def _http_response(status: str, body: bytes,

@@ -57,13 +57,12 @@ class Table(NamedTuple):
 class Part(NamedTuple):
     """A child's document under ``key``, its arrays under ``prefix``.
     ``make`` builds it from the owner's checked values; else ``None`` is
-    a stage the owner runs without.  The owner declares ``omit``."""
+    a stage the owner runs without."""
 
     key: str
     attr: str
     prefix: str = ""
     make: Callable[[Any, Mapping[str, Any]], Any] | None = None
-    omit: tuple[str, ...] = ()
 
 
 class Schema(NamedTuple):
@@ -168,8 +167,7 @@ def save_state(obj: Stateful, prefix: str = ""
             meta[entry.key], child_arrays = (
                 (None, {}) if child is None else save_state(child))
             arrays.update((prefix + entry.prefix + key, value)
-                          for key, value in child_arrays.items()
-                          if key not in entry.omit)
+                          for key, value in child_arrays.items())
         elif (live := _get(obj, entry.attr)) is not None:
             if isinstance(live, Counter):  # keys, ascending; their counts
                 keys = sorted(live)
@@ -187,11 +185,10 @@ def save_state(obj: Stateful, prefix: str = ""
 
 
 def restore_state(obj: Stateful, meta: Any,
-                  arrays: Mapping[str, NDArray[Any]], prefix: str = "",
-                  omit: tuple[str, ...] = ()) -> None:
+                  arrays: Mapping[str, NDArray[Any]],
+                  prefix: str = "") -> None:
     """Restore a freshly built ``obj`` from a document and arrays keyed
-    under ``prefix`` (its columns in ``omit`` are the owner's).  A target
-    whose restore failed must be discarded.
+    under ``prefix``.  A target whose restore failed must be discarded.
 
     Raises
     ------
@@ -231,7 +228,7 @@ def restore_state(obj: Stateful, meta: Any,
             for key in outer:
                 document = take(document, key, dict)
             field(entry, take(document, last, entry.kind))
-        elif isinstance(entry, Column) and entry.key not in omit:
+        elif isinstance(entry, Column):
             field(entry, take(source, head + entry.key, entry.dtype,
                               entry.group))
         elif isinstance(entry, Table) and (
@@ -266,7 +263,7 @@ def restore_state(obj: Stateful, meta: Any,
             setattr(obj, part.attr, child)
         if child is not None:
             restore_state(child, meta.get(part.key), arrays,
-                          prefix + part.prefix, part.omit)
+                          prefix + part.prefix)
     for attr, value in assign:
         owner, _, last = attr.rpartition(".")
         setattr(_get(obj, owner) if owner else obj, last, value)

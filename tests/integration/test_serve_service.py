@@ -326,7 +326,7 @@ def test_http_endpoints(logs):
 
         status, state = await http_get(service.http_port, "/state")
         assert status == 200
-        assert state["format"] == "repro-serve-v1"
+        assert state["format"] == "repro-serve-v2"
         assert "feed0" in state["feeds"]
 
     serve_scenario(scenario)

@@ -137,7 +137,7 @@ def test_every_declared_class_is_covered(states):
     assert {id(cls.CHECKPOINT) for cls in _stateful_classes()} <= covered
 
 
-def _sites(obj, path=(), prefix="", omit=()):
+def _sites(obj, path=(), prefix=""):
     """``(kind, where, dtype)`` of every declared key of ``obj``: where is
     a document path (a tuple) or an archive key (a string)."""
     schema = type(obj).CHECKPOINT
@@ -150,17 +150,15 @@ def _sites(obj, path=(), prefix="", omit=()):
         elif isinstance(entry, Part):
             yield "key", path + (entry.key,), None
             yield from _sites(operator.attrgetter(entry.attr)(obj),
-                              path + (entry.key,), prefix + entry.prefix,
-                              entry.omit)
+                              path + (entry.key,), prefix + entry.prefix)
         else:
             columns = ([(entry.key, entry.dtype)]
                        if isinstance(entry, Column) else
                        [(entry.prefix + name, dtype)
                         for name, dtype in entry.columns])
             for key, dtype in columns:
-                if key not in omit:
-                    yield "column", (path + (key,) if schema.document
-                                     else prefix + key), np.dtype(dtype)
+                yield "column", (path + (key,) if schema.document
+                                 else prefix + key), np.dtype(dtype)
 
 
 MUTATIONS = {"key": ("remove", "retype"), "scalar": ("remove", "retype"),

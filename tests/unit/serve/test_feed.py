@@ -434,15 +434,6 @@ def _drop_array(key):
     return mutate
 
 
-def _flip_first_gap_open(meta, arrays):
-    arrays["gap_open"] = arrays["gap_open"].copy()
-    arrays["gap_open"][0] = not arrays["gap_open"][0]
-
-
-def _shift_gap_run_max(meta, arrays):
-    arrays["gap_run_max"] = arrays["gap_run_max"] + 1.0
-
-
 def _halve_players(meta, arrays):
     arrays["players"] = arrays["players"][:arrays["players"].size // 2]
 
@@ -459,15 +450,13 @@ def _players_in_binary_mode(meta, arrays):
 #: Checkpoint corruptions that must be refused at restore time.
 CORRUPTIONS = {
     **{f"short {key}": _truncate(key) for key in (
-        "sess_run_max", "sess_count", "sess_start", "gap_last_start",
-        "gap_run_max", "conc_deltas", "spc", "pend_client", "players")},
+        "sess_run_max", "sess_count", "sess_start", "sess_last_start",
+        "conc_deltas", "spc", "pend_client", "players")},
     "halved players": _halve_players,
     "repeated player": _repeat_player,
     "players in binary mode": _players_in_binary_mode,
-    "no gap_last_start": _drop_array("gap_last_start"),
+    "no sess_last_start": _drop_array("sess_last_start"),
     "no reorder meta": _drop_meta("reorder"),
-    "gap_open disagrees": _flip_first_gap_open,
-    "gap_run_max disagrees": _shift_gap_run_max,
 }
 
 

@@ -41,29 +41,29 @@ LATENESS = 3600.0
 #: (name, stage) -> binary-mode FeedWorker state digest.
 BINARY = {
     ("small", "half"): (
-        "d9d117bc804acf3f0936c4d9298796793e60e63a7639c62fd7d4d5068eb0d737"),
+        "94686e5c61a311400f77dfa34f2e578ac41b51506562e3011a2527238eec4b87"),
     ("small", "finish"): (
-        "c915179a5eb21525a8e9fc50230a8c0915867df32cc7e9acdf956e95c8ea2c52"),
+        "2c25f0b7476c5305180c76a96f016fd724dc4c8ab1d7b0e8bbf00f14cafbf0df"),
     ("wide", "half"): (
-        "c93a78bc9fe146bdf405f8c9a68abf02e77fdd1e04b0b36080c70a8aa33b3014"),
+        "8d99081d075761153a25dd083bff58ae69e065ab9ec5047f94b09d4dccffa0bd"),
     ("wide", "finish"): (
-        "30854a97df8776796668e7bbd57c454db7143e462cc411fc1c04942beccde5e2"),
+        "723222150d41c4e07c1ddb1ea08afc5ed4ced00bbc675e8d4adaaef5bc9f5db6"),
 }
 
 #: (name, batch lines) -> (mid-stream checkpoint digest, final digest).
 RESUME = {
     ("small", 7): (
-        "7aab0c007a0161ea12bb0399fd92f3fcd5e5455b770c3e926b8cbfe2c9c602de",
-        "f5a9890cc24fd6ade2b4ef87694c95c6226b04f9bb323d6504bc92ee1f627a7f"),
+        "4d9766157f016e9e17d8c2dc51b458b308705cb80c262a56792ca587cff2c679",
+        "6229388f445d0dc7dc5ac07d157ba8a38134475305f816369fcc251593345704"),
     ("small", 2048): (
-        "765ee6380e976181bb83b513a7c038659339a93171b267dd4078f4658dc59ad8",
-        "e89a2976e7f9d882d10eadf32df869b362e41ed8f6f8191481424443d4d19c97"),
+        "e16dc14d861b100adae758b5b2bbbf390a91bfb257e5800a75360782ddb1b033",
+        "16caa8dbb3777d48c9f01a4463a9ab48031fe7344369308065aed7646db1d9c8"),
     ("wide", 7): (
-        "861c98a18d7f00197ee2d163d46a9c7960dfdeb2b648323e016d2dfc87c12b18",
-        "91ceaf230f2fbe4a7f181d0f1707f05b62f66d430e98342febee4a846d872e33"),
+        "1abd243ac4cf919145c83f46caaf4acfc7389f5bf393233a3dca66c48b6790f2",
+        "0681c51209881482742df0cdcc6099c217144344db7746a7c7453d13666ccd1c"),
     ("wide", 2048): (
-        "6cc246d112b1d1824a3a83a19b18cbb9aded24101f2242552739e10dcc6b8a2d",
-        "4305b140cf67d1c43e0b25303280856d9c19a2e62d10d511e3b75ec56f7330e6"),
+        "4cfaa5f341da0e46ffc0255817e397d1b634c2f8256ba8814f63a413dcfb24a9",
+        "a1910798774ab55443208a7fd2dfd21141efa6c464b25759f201a1d333ed8033"),
 }
 
 

@@ -37,7 +37,7 @@ CHARACTERIZE = (
 
 #: sha256 of the service checkpoint holding one text and one binary feed.
 SERVICE = (
-    "268813c0306bc75dc84b0930c719340362564a64f022201b29c304246b0e9e09")
+    "96a22565069962d285623c59ecb9c380fff45bd206c32fba745b22c4c7d183f3")
 
 
 @pytest.fixture(scope="module")

@@ -156,18 +156,18 @@ TRACES = {
 #: the document does not depend on how the lines were batched; for the
 #: scenario log the reorder buffer's releases do.
 FEED_CLEAN = (
-    "123ee44d69b859161b09e9037a1a5c2a87420b9e3ca06cce2bc389b55b7817f6")
+    "8e3032e62af6fef425c22bb282230a3ad0227c18cd4581d510c0f7b1b73be99b")
 FEED_DAMAGED = (
-    "5477f276d0aeb563e2a39df50bc69b2cef935832a93dd18e7b093ebdb056fc4a")
+    "313f45dc1087bff8ef643e356d20222a419113579dfd45c63941a84dbe85489f")
 FEED_SCENARIO = (
-    "f0ce2ec1d8fb9004e052dfb219c4b83451bf785d881b1d09a491ccd575460f39")
+    "74cddda0052c326fd2a4a43059b41cc55090d2380f1cbb3fe531d65532df3c78")
 FEEDS = {
     **{("clean", batch): FEED_CLEAN for batch in (1, 7, 2048)},
     **{("damaged", batch): FEED_DAMAGED for batch in (1, 7, 2048)},
     ("scenario", 1): FEED_SCENARIO,
     ("scenario", 7): FEED_SCENARIO,
     ("scenario", 2048): (
-        "cb11f160bf4b4ea89e6038fc81240b0b18ea063fc47d254de3a1eee25dda4532"),
+        "61bf5ac05388c0301da027cd201085ce7af562b73bc8ef3dd478f87a76e16695"),
 }
 
 
