@@ -48,7 +48,7 @@ def main() -> None:
         hours = (np.asarray(half.rejected_times) % (24 * HOUR)
                  / HOUR).astype(int)
         counts = np.bincount(hours, minlength=24)
-        top = np.argsort(counts)[::-1][:3]
+        top = np.argsort(counts, kind="stable")[::-1][:3]
         print()
         print("at 50% of peak capacity, denials concentrate at hours "
               + ", ".join(f"{h:02d}:00 ({counts[h]})" for h in sorted(top)))

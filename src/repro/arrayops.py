@@ -1,4 +1,4 @@
-"""Segmented array operations.
+"""Segmented array operations, and the one exact sum of byte totals.
 
 The workload generators produce *per-session* quantities (transfer counts)
 and *per-transfer* quantities (durations, interarrival gaps) and need to
@@ -284,6 +284,39 @@ def alternate_on_switch(switch: npt.ArrayLike, lengths: npt.ArrayLike, *,
     flips = segmented_cumsum(sw, lens)
     base = expand_by_segment(np.asarray(first_value, dtype=np.int64), lens)
     return ((base + flips.astype(np.int64)) % n_choices).astype(np.int64)
+
+
+def exact_sum(values: FloatArray) -> int:
+    """The exact sum of the positive ``values``, in units of 2**-1074.
+
+    With :func:`numpy.frexp`'s ``value = m * 2**e``, ``m * 2**53`` is the
+    53-bit integer significand.  Per exponent, ``bincount`` sums its high
+    27 and low 26 bits (exact in float64 for 2**26 values at a time) and
+    each half-sum is shifted into one integer, so any grouping of the
+    same values gives the same sum.  Other values add nothing.
+    """
+    significand, exponent = np.frexp(values[values > 0])
+    total = 0  # in units of 2**-1127, so that every shift is >= 0
+    step = 1 << 26
+    for lo in range(0, significand.size, step):
+        part, at = significand[lo:lo + step], exponent[lo:lo + step] + 1074
+        high = np.floor(part * 2.0 ** 27)
+        low = np.bincount(at, part * 2.0 ** 53 - high * 2.0 ** 26)
+        high = np.bincount(at, high)
+        for shift in np.flatnonzero(low + high).tolist():
+            total += ((int(high[shift]) << 26) + int(low[shift])) << shift
+    return total >> 53
+
+
+def exact_product_sum(duration: FloatArray, bandwidth: npt.NDArray[Any]) -> int:
+    """:func:`exact_sum` of ``duration * bandwidth``, formed where bandwidth != 0."""
+    moving = bandwidth != 0
+    return exact_sum(duration[moving] * bandwidth[moving])
+
+
+def bits_to_bytes(bits: int) -> float:
+    """Bytes in ``bits`` units of 2**-1074 bits, rounded once."""
+    return bits / (8 << 1074)
 
 
 def unique_integers(values: IntArray

@@ -23,6 +23,7 @@ import numpy as np
 
 from .._typing import FloatArray, IntArray
 from ..analysis.concurrency import merged_group_intervals, sampled_concurrency
+from ..arrayops import bits_to_bytes, exact_product_sum
 from ..errors import CdnError
 from ..trace.store import Trace
 from .admission import BoolArray, active_peaks
@@ -225,9 +226,8 @@ def build_result(trace: Trace, topology: CdnTopology, policy: str,
                 np.count_nonzero(on_edge & legs.failover & ~served)),
             peak_connections=peak_conn,
             peak_bandwidth_bps=peak_rate,
-            bytes_served=float(np.dot(
-                legs.end[adm] - legs.start[adm],
-                legs.rate[adm].astype(np.float64)) / 8.0),
+            bytes_served=bits_to_bytes(exact_product_sum(
+                legs.end[adm] - legs.start[adm], legs.rate[adm])),
             sampled_concurrency=sampled_concurrency(
                 legs.start[adm], legs.end[adm], extent=extent, step=step),
         ))

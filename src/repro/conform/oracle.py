@@ -22,7 +22,7 @@ actually running the matrix:
   the text log's data lines byte for byte, and a mid-run kill/resume
   yields a byte-identical binary file.  The map-reduce characterization
   of the binary file must also be the same at one and two workers and
-  agree with the text log's.
+  agree with the text log's, and its ``bytes_served`` the batch trace's.
 
 Each comparison is recorded individually, so a violation names the
 exact configuration and the first diverging column/byte.
@@ -30,7 +30,7 @@ exact configuration and the first diverging column/byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -229,19 +229,22 @@ def _compare_entry_streams(name: str, text_log: Path,
         f"data lines")
 
 
-def _compare_binary_summaries(name: str, text_log: Path,
+def _compare_binary_summaries(name: str, text_log: Path, batch_bytes: float,
                               binary_path: Path) -> OracleComparison:
     """Characterize the binary file at one and two workers.
 
     ``characterize_logs`` must report the same summary, bit for bit, at
-    ``jobs=1`` and ``jobs=2``, and the text log's summary.
+    ``jobs=1`` and ``jobs=2``, and the text log's summary, whose
+    ``bytes_served`` must also equal ``batch_bytes``, the batch total.
     """
     serial = characterize_logs(binary_path, jobs=1,
                                chunk_bytes=SUMMARY_CHUNK_BYTES)
     pooled = characterize_logs(binary_path, jobs=2,
                                chunk_bytes=SUMMARY_CHUNK_BYTES)
     text = characterize_logs(text_log, jobs=1)
-    for other, label in ((pooled, "jobs=2"), (text, "text log")):
+    batch = replace(text, bytes_served=batch_bytes)
+    for other, label in ((pooled, "jobs=2"), (text, "text log"),
+                         (batch, "batch trace")):
         for field in fields(serial):
             want = getattr(serial, field.name)
             got = getattr(other, field.name)
@@ -255,7 +258,8 @@ def _compare_binary_summaries(name: str, text_log: Path,
     return OracleComparison(
         name, True,
         f"{serial.n_entries} entries: binary summary equal at jobs=1 and "
-        "jobs=2, and to the text log's")
+        f"jobs=2, and to the text log's; bytes_served {batch_bytes!r} equal "
+        "to the batch trace's")
 
 
 def run_differential_oracle(
@@ -372,13 +376,15 @@ def run_differential_oracle(
             f"binary[chunk={chunk}].sessions", ref_sessions,
             (bin_result.sessions.client_index, bin_result.sessions.start,
              bin_result.sessions.end, bin_result.sessions.n_transfers)))
+        ref_trace = read_wms_log(ref_log)
         comparisons.append(_compare_decoded(
             f"binary[chunk={chunk}].decode",
-            read_wms_log(ref_log), read_binary_trace(bin_path)))
+            ref_trace, read_binary_trace(bin_path)))
         comparisons.append(_compare_entry_streams(
             f"binary[chunk={chunk}].entry-stream", ref_log, bin_path))
         comparisons.append(_compare_binary_summaries(
-            f"binary[chunk={chunk}].summary", ref_log, bin_path))
+            f"binary[chunk={chunk}].summary", ref_log,
+            ref_trace.bytes_served(), bin_path))
 
         if resume_split:
             split = max(1, int(probe.n_blocks * RESUME_SPLIT_FRACTION))

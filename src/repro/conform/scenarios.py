@@ -54,11 +54,12 @@ SENSITIVITY_SCENARIOS: tuple[str, ...] = (
 
 #: Scenario specs run through the differential oracle (on the ``small``
 #: workload): two atoms with different mechanisms — a model perturbation
-#: and a trace edit — plus one composition.
+#: and a trace edit — plus one composition and one bandwidth law.
 ORACLE_SCENARIOS: tuple[str, ...] = (
     "flash-crowd",
     "blackout",
     "flash-crowd+zapping",
+    "bimodal-shift",
 )
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..arrayops import bits_to_bytes, exact_product_sum
 from ..cdn.admission import active_peaks, admit_requests
 from ..errors import ConfigError, SimulationError
 from ..trace.store import Trace
@@ -35,7 +36,7 @@ class ReplayResult:
         Maximum simultaneous admitted transfers (zero-duration transfers
         never occupy the server).
     bytes_served:
-        Total bytes delivered across served transfers.
+        Total bytes delivered across served transfers, summed exactly.
     rejected_times:
         Start times of rejected requests (for "who was denied the live
         moment" analyses).
@@ -88,17 +89,12 @@ def replay_trace(trace: Trace, *,
                              np.zeros(n, dtype=np.int64),
                              max_connections=max_concurrent)
     served = outcome.admitted
-    # Bytes accumulate left to right in completion order (ties in trace
-    # order); cumsum keeps that order where np.sum would pair terms.  The
-    # first request is always admitted, so ``delivered`` is never empty.
-    order = np.argsort(trace.end[served], kind="stable")
-    delivered = (trace.duration[served] * trace.bandwidth_bps[served]
-                 / 8.0)[order]
     return ReplayResult(
         n_requests=n, n_served=outcome.n_admitted,
         n_rejected=outcome.n_rejected,
         peak_concurrency=outcome.peak_connections,
-        bytes_served=float(np.cumsum(delivered)[-1]),
+        bytes_served=bits_to_bytes(exact_product_sum(
+            trace.duration[served], trace.bandwidth_bps[served])),
         rejected_times=trace.start[~served].tolist())
 
 

@@ -17,7 +17,7 @@ from typing import Any, Iterator, Mapping, Sequence
 import numpy as np
 
 from .._typing import FloatArray, IntArray
-from ..arrayops import segment_starts, stable_client_order
+from ..arrayops import bits_to_bytes, exact_product_sum, segment_starts, stable_client_order
 
 #: Shape/dtype-generic array (string columns, narrow sort keys, masks).
 _AnyArray = np.ndarray[Any, np.dtype[Any]]
@@ -335,8 +335,8 @@ class Trace:
     # Aggregates
     # ------------------------------------------------------------------
     def bytes_served(self) -> float:
-        """Total content served in bytes (duration x bandwidth / 8)."""
-        return float(np.dot(self.duration, self.bandwidth_bps) / 8.0)
+        """Total content served in bytes (duration x bandwidth / 8), exact."""
+        return bits_to_bytes(exact_product_sum(self.duration, self.bandwidth_bps))
 
     def transfers_per_client(self) -> IntArray:
         """Transfer count per client index (length ``n_clients``)."""

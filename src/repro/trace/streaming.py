@@ -44,7 +44,7 @@ from typing import Any, Iterable, Mapping, Sequence, TextIO
 import numpy as np
 
 from .._typing import FloatArray, IntArray
-from ..arrayops import unique_integers
+from ..arrayops import bits_to_bytes, exact_product_sum, unique_integers
 from ..distributions.fitting import lognormal_moments
 from ..errors import TraceError
 from ..state import Column, Scalar, Schema, Stateful
@@ -66,28 +66,6 @@ def _tally(values: IntArray) -> dict[int, int]:
     """``values`` for ``Counter.update``: each distinct value's count."""
     keys, counts = np.unique(values, return_counts=True)
     return dict(zip(keys.tolist(), counts.tolist(), strict=True))
-
-
-def _exact_sum(values: FloatArray) -> int:
-    """The exact sum of the positive ``values``, in units of 2**-1074.
-
-    With :func:`numpy.frexp`'s ``value = m * 2**e``, ``m * 2**53`` is the
-    53-bit integer significand.  Per exponent, ``bincount`` sums its high
-    27 and low 26 bits (exact in float64 for 2**26 values at a time) and
-    each half-sum is shifted into one integer, so any grouping of the
-    same values gives the same sum.  Other values add nothing.
-    """
-    significand, exponent = np.frexp(values[values > 0])
-    total = 0  # in units of 2**-1127, so that every shift is >= 0
-    step = 1 << 26
-    for lo in range(0, significand.size, step):
-        part, at = significand[lo:lo + step], exponent[lo:lo + step] + 1074
-        high = np.floor(part * 2.0 ** 27)
-        low = np.bincount(at, part * 2.0 ** 53 - high * 2.0 ** 26)
-        high = np.bincount(at, high)
-        for shift in np.flatnonzero(low + high).tolist():
-            total += ((int(high[shift]) << 26) + int(low[shift])) << shift
-    return total >> 53
 
 
 class OnlineLogMoments:
@@ -320,7 +298,7 @@ class StreamingCharacterizer(Stateful):
         """The accumulators shared by the text and column paths: all
         but the client counts."""
         self._n_entries += int(duration.size)
-        self._bits += _exact_sum(duration * bandwidth)
+        self._bits += exact_product_sum(duration, bandwidth)
         self._log_length.add_lengths(duration)
         self._feed_counts.update(_tally(feed))
         self._congested += int(
@@ -460,7 +438,7 @@ class StreamingCharacterizer(Stateful):
             n_clients=len(self._client_counts),
             length_log_mu=length_log_mu,
             length_log_sigma=length_log_sigma,
-            bytes_served=self._bits / (8 << 1074),  # one rounding
+            bytes_served=bits_to_bytes(self._bits),
             feed_counts=dict(sorted(self._feed_counts.items())),
             congestion_bound_fraction=congested_fraction,
             bandwidth_histogram=self._bandwidth_hist.copy(),

@@ -78,6 +78,8 @@ def test_oracle_scenarios_cover_both_mechanisms_and_a_composition():
     assert "flash-crowd" in ORACLE_SCENARIOS   # model perturbation
     assert "blackout" in ORACLE_SCENARIOS      # trace edit
     assert any("+" in name for name in ORACLE_SCENARIOS)
+    # A bandwidth law, so the batch and streaming byte totals are not 0.
+    assert "bimodal-shift" in ORACLE_SCENARIOS
 
 
 def test_oracle_characterizes_the_binary_file(tmp_path):

@@ -5,8 +5,6 @@ admission control denies access outright, so underprovisioning is
 quantifiable as denied live requests.
 """
 
-import pytest
-
 from repro.simulation.replay import demand_peak, provisioning_sweep, replay_trace
 
 
@@ -19,8 +17,7 @@ class TestReplayConservation:
 
     def test_bytes_conserved(self, smoke_trace):
         result = replay_trace(smoke_trace)
-        assert result.bytes_served == pytest.approx(
-            smoke_trace.bytes_served(), rel=1e-9)
+        assert result.bytes_served == smoke_trace.bytes_served()
 
     def test_peak_matches_analytic_demand(self, smoke_trace):
         result = replay_trace(smoke_trace)

@@ -10,6 +10,10 @@ live feeds fed in random batches must all report the same
 :class:`~repro.trace.streaming.StreamingSummary`, and every
 characterizer that holds the whole log must save a byte-identical
 ``state_dict`` document.
+
+The same exact sum gives every other byte total too: reordering a
+trace's rows leaves its ``bytes_served``, its replay's, a one-edge CDN's
+and the streaming summary of its log bit for bit unchanged.
 """
 
 import dataclasses
@@ -21,6 +25,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cdn import CdnTopology, simulate_cdn
 from repro.parallel.characterize import (
     characterize_chunk,
     characterize_logs,
@@ -28,6 +33,7 @@ from repro.parallel.characterize import (
     plan_log_chunks,
 )
 from repro.serve.feed import FeedWorker
+from repro.simulation.replay import replay_trace
 from repro.trace.codecs import BinaryTraceReader, BinaryTraceWriter
 from repro.trace.streaming import StreamingCharacterizer
 from repro.trace.wms_log import _table_identity, write_wms_log
@@ -145,3 +151,38 @@ def test_every_split_of_a_log_characterizes_identically(rows, big, data):
         documents = {label: json.dumps(characterizer.state_dict())
                      for label, characterizer in characterizers.items()}
         assert len(set(documents.values())) == 1, sorted(documents)
+
+
+#: Rows on a few shared start times, so that a permutation reorders the
+#: trace (which keeps same-start rows in input order) and the log.
+tied_transfers = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from([0.0, 60.0, 61.5]),
+        st.sampled_from([0.0, 0.1, 1.0, 3.0]),
+        st.sampled_from([0.0, 100.0, 0.3, 2.0 ** 56 + 8.0])),
+    min_size=1, max_size=30)
+
+
+def _byte_totals(trace):
+    with tempfile.TemporaryDirectory() as root:
+        log = Path(root, "t.log")
+        write_wms_log(trace, log)
+        streamed = characterize_logs(log).bytes_served
+    cdn = simulate_cdn(trace, CdnTopology.uniform(1))
+    return {"trace": trace.bytes_served(),
+            "replay": replay_trace(trace).bytes_served,
+            "cdn edge": sum(edge.bytes_served for edge in cdn.edges),
+            "log summary": streamed}
+
+
+@given(rows=tied_transfers, data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_row_order_leaves_every_byte_total_unchanged(rows, data):
+    shuffled = data.draw(st.permutations(rows), label="row order")
+    want = _byte_totals(build_trace(rows, n_clients=5))
+    got = _byte_totals(build_trace(shuffled, n_clients=5))
+    assert {k: v.hex() for k, v in got.items()} == \
+        {k: v.hex() for k, v in want.items()}
+    assert want["replay"] == want["trace"]

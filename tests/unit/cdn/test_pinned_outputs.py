@@ -59,12 +59,14 @@ def test_plan_report_with_edge_failure(trace_path):
         "d2ace8f0d657b278212af9d6494ba803fa5dd9417f1dfe84718eaf0b4193340d")
 
 
+# Each edge's bytes_served is the exact sum of its admitted legs'
+# products rounded once, as ``math.fsum`` of them divided by 8 gives.
 @pytest.mark.parametrize("policy, failures, expected", [
     ("as-hash", FAILURE,
-     "c1b12b167f472fd0698ef6ddbf9568ff3ca4b2cadf5ec54349856d0bf2ef6c9f"),
+     "3a4c109ac13de897809f4b7e7db4598d6bba3d65fdd262dbc7fe59eedbc262f2"),
     ("sticky", None,
-     "8c4ad630168c6bae2b150daf4384e53d234ba5c3b6dde2c3f1f80768b719f9c4"),
-])
+     "2efdaa7ddf6f784b3b858aa8e001a5298f7d448983896ed3c8a0f1e8c129f552"),
+], ids=["as-hash-failure", "sticky"])
 def test_simulation_with_samples(trace_path, policy, failures, expected):
     topology = CdnTopology.uniform(3, max_connections=6, bandwidth_bps=2e6)
     result = simulate_cdn(Trace.load_npz(trace_path), topology,

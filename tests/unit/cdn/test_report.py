@@ -184,7 +184,7 @@ class TestBuildResult:
                               legs)
         # Only the admitted 10-second 100 bps leg serves bytes.
         assert sum(e.bytes_served for e in result.edges) == \
-            pytest.approx(10.0 * 100.0 / 8.0)
+            10.0 * 100.0 / 8.0
 
     def test_rejection_rate_zero_when_idle(self):
         trace = _feed_trace([(0, 0, 0.0, 1.0)])

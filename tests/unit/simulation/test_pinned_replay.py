@@ -4,8 +4,7 @@ Replay is exact, so its outputs are fixed values for a fixed workload:
 counts, the admitted peak, the bit pattern of ``bytes_served`` and a
 digest of the rejected request times.  The cases are seeded one-day
 GISMO-live traces (no bandwidth column) at five admission limits, the
-sanitized smoke trace (with bandwidths, so the byte total is a real
-float sum) and two :func:`denial_rate_at` calls.
+sanitized smoke trace (with bandwidths, so the byte total is not 0) and two :func:`denial_rate_at` calls.
 """
 
 import hashlib
@@ -66,16 +65,20 @@ SEEDED = {
 }
 
 #: The sanitized smoke trace (8113 transfers, demand peak 41):
-#: (limit, n_served, n_rejected, peak, bytes_served hex, digest).
+#: (limit, n_served, n_rejected, peak, bytes_served hex, digest).  Each
+#: byte total is the exact sum of the served products rounded once, the
+#: value ``math.fsum`` of those products gives divided by 8; served in
+#: full it equals ``Trace.bytes_served()`` and the streaming summary of
+#: the same trace's log.
 SMOKE = [
-    (None, 8113, 0, 41, "0x1.4e5833b056172p+34", EMPTY),
-    (1, 603, 7510, 1, "0x1.9f7a04f57c660p+30",
+    (None, 8113, 0, 41, "0x1.4e5833b05617ap+34", EMPTY),
+    (1, 603, 7510, 1, "0x1.9f7a04f57c65ap+30",
      "07b1ff684867db7a5789c5d34cdc5a5294acd0ea0892efbc241fea81b10944c6"),
-    (10, 4993, 3120, 10, "0x1.bba1c43dd803bp+33",
+    (10, 4993, 3120, 10, "0x1.bba1c43dd8038p+33",
      "1e134a0993864e1d40d6c7c3f0ba2388dfd6db41c49af5cf82c48657c09e57c7"),
-    (20, 7417, 696, 20, "0x1.3badf5cd8cc3fp+34",
+    (20, 7417, 696, 20, "0x1.3badf5cd8cc4fp+34",
      "14eda1900612609af949209b09c6be3a46b10040b0aeae429397fe2631a8d9be"),
-    (41, 8113, 0, 41, "0x1.4e5833b056172p+34", EMPTY),
+    (41, 8113, 0, 41, "0x1.4e5833b05617ap+34", EMPTY),
 ]
 
 

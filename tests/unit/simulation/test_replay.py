@@ -42,7 +42,7 @@ class TestReplayTrace:
     def test_bytes_conservation(self):
         trace = small_workload()
         result = replay_trace(trace)
-        assert result.bytes_served == pytest.approx(trace.bytes_served())
+        assert result.bytes_served == trace.bytes_served()
 
     def test_admission_limit_applies(self):
         result = replay_trace(small_workload(), max_concurrent=2)
@@ -71,7 +71,7 @@ class TestServerAdmission:
     def test_bytes_served_accounting(self):
         # 8 s x 1 kbit/s = 1 kB
         result = replay_trace(build_trace([(0, 0, 0.0, 8.0, 1_000.0)]))
-        assert result.bytes_served == pytest.approx(1_000.0)
+        assert result.bytes_served == 1_000.0
 
     def test_admission_control_rejects_over_limit(self):
         result = replay_trace(build_trace([

@@ -103,8 +103,7 @@ def test_chunked_binary_characterization_matches_text(codec_runs, jobs):
     np.testing.assert_array_equal(got.bandwidth_histogram,
                                   want.bandwidth_histogram)
     assert got.top_clients == want.top_clients
-    np.testing.assert_allclose(got.bytes_served, want.bytes_served,
-                               rtol=1e-12)
+    assert got.bytes_served == want.bytes_served
 
 
 def test_binary_chunk_plan_covers_all_segments(codec_runs):

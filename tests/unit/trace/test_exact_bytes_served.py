@@ -4,9 +4,10 @@ A log of a 2**60 bps transfer followed by two 100 bps ones (1 s each)
 sums to ``2**60 + 200`` bits, which a float running total cannot hold:
 adding the small products one at a time to 2**60 drops both.  Every
 reader must report the correctly rounded ``(2**60 + 200) / 8``, whatever
-its codec, chunking or batching.  A characterizer checkpoint that holds
-``bits`` as a float (the format before the sum was exact) is refused by
-every resume path rather than resumed.
+its codec, chunking or batching, and so must the batch trace, its replay
+and a CDN edge that serves the same three transfers.  A characterizer
+checkpoint that holds ``bits`` as a float (the format before the sum was
+exact) is refused by every resume path rather than resumed.
 """
 
 import json
@@ -15,16 +16,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repro.arrayops import exact_sum
+from repro.cdn import CdnTopology, LegSet
+from repro.cdn.report import build_result
 from repro.cli import main
 from repro.errors import CheckpointError
 from repro.parallel.characterize import characterize_logs, plan_log_chunks
 from repro.serve.config import ServeConfig
 from repro.serve.feed import FeedWorker
 from repro.serve.service import CharacterizationService
+from repro.simulation.replay import replay_trace
 from repro.stream.checkpoint import load_checkpoint, save_checkpoint
-from repro.trace.codecs import write_binary_trace
-from repro.trace.streaming import StreamingCharacterizer, _exact_sum
-from repro.trace.wms_log import write_wms_log
+from repro.trace.codecs import read_binary_trace, write_binary_trace
+from repro.trace.streaming import StreamingCharacterizer
+from repro.trace.wms_log import read_wms_log, write_wms_log
 from tests.conftest import build_trace
 
 #: ``(2**60 + 200) / 8`` rounded once; a float running total reads
@@ -60,6 +65,28 @@ def test_characterize_logs(logs, codec, chunk_bytes):
     assert summary.bytes_served.hex() == EXPECTED
 
 
+@pytest.mark.parametrize("codec", ["text", "binary"])
+def test_batch_trace_and_replay(logs, codec):
+    read = read_binary_trace if codec == "binary" else read_wms_log
+    trace = read(logs[codec == "binary"])
+    assert trace.bytes_served().hex() == EXPECTED
+    assert replay_trace(trace).bytes_served.hex() == EXPECTED
+
+
+def test_edge_report():
+    # The large leg first: a dot product in leg order drops both small
+    # ones, as the float running total does.
+    start = np.asarray([1000.0, 1001.0, 1002.0])
+    legs = LegSet(transfer=np.arange(3), start=start, end=start + 1.0,
+                  edge=np.zeros(3, dtype=np.int64),
+                  rate=np.asarray([2 ** 60, 100, 100], dtype=np.int64),
+                  admitted=np.ones(3, dtype=bool),
+                  failover=np.zeros(3, dtype=bool))
+    trace = build_trace([(i, 0, s, 1.0) for i, s in enumerate(start)])
+    result = build_result(trace, CdnTopology.uniform(1), "sticky", legs)
+    assert result.edges[0].bytes_served.hex() == EXPECTED
+
+
 def test_feed_fed_one_line_per_batch(logs):
     worker = FeedWorker("feed0")
     for line in logs[0].read_text(encoding="ascii").splitlines():
@@ -77,8 +104,8 @@ def test_exact_sum_is_the_sum_of_the_positive_values(values):
     values = np.asarray(values, dtype=np.float64)
     want = sum(Fraction(float(v)) for v in values if v > 0) * 2 ** 1074
     assert want.denominator == 1
-    assert _exact_sum(values) == want.numerator
-    assert _exact_sum(values[::-1]) == want.numerator
+    assert exact_sum(values) == want.numerator
+    assert exact_sum(values[::-1]) == want.numerator
 
 
 def _float_bits(document):

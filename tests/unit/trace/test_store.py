@@ -117,7 +117,7 @@ class TestTraceAccessors:
     def test_bytes_served(self):
         trace = build_trace([(0, 0, 0.0, 8.0, 1_000.0),
                              (0, 0, 10.0, 16.0, 2_000.0)])
-        assert trace.bytes_served() == pytest.approx(1_000.0 + 4_000.0)
+        assert trace.bytes_served() == 1_000.0 + 4_000.0
 
     def test_end_property(self):
         trace = build_trace([(0, 0, 3.0, 4.0)])

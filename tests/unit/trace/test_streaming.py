@@ -50,8 +50,7 @@ class TestAgreementWithBatch:
     def test_bytes_served_matches_batch(self, streamed, log_text):
         batch = read_wms_log(io.StringIO(log_text))
         summary = streamed.summary()
-        assert summary.bytes_served == pytest.approx(batch.bytes_served(),
-                                                     rel=1e-9)
+        assert summary.bytes_served == batch.bytes_served()
 
     def test_feed_counts_match(self, streamed, log_text):
         batch = read_wms_log(io.StringIO(log_text))
