@@ -2,7 +2,7 @@
 
 .PHONY: install lint lint-custom lint-mypy lint-ruff test test-all conform \
 	conform-paper conform-update coverage \
-	bench bench-core bench-parallel bench-stream bench-serve \
+	bench bench-core bench-stream bench-serve \
 	bench-summary experiments figures \
 	examples all
 
@@ -77,7 +77,7 @@ coverage:
 
 # The full benchmark battery: every subsystem's JSON-recorded benchmark
 # followed by the one-table summary of all BENCH_*.json artifacts.
-bench: bench-core bench-parallel bench-stream bench-serve bench-summary
+bench: bench-core bench-stream bench-serve bench-summary
 
 bench-summary:
 	python benchmarks/bench_summary.py
@@ -87,12 +87,6 @@ bench-summary:
 bench-core:
 	PYTHONPATH=src pytest benchmarks/bench_perf_core.py --benchmark-only \
 		--benchmark-json=BENCH_perf_core.json
-
-# Serial-vs-sharded throughput of the repro.parallel engine, recorded to
-# BENCH_parallel.json (includes the host core count, since the speedup
-# ceiling is hardware-bound).
-bench-parallel:
-	PYTHONPATH=src python benchmarks/bench_parallel.py --out BENCH_parallel.json
 
 # Paper-scale streaming run (28 days, ~5.7M transfers by default):
 # records throughput AND peak RSS to BENCH_stream.json, alongside the

@@ -29,14 +29,6 @@ def _headline(name: str, doc: dict) -> tuple[str, str, str]:
         return ("core hot paths",
                 f"{len(benches)} cases, slowest mean "
                 f"{slowest * 1000:.1f} ms", "recorded")
-    if name == "BENCH_parallel.json":
-        best = max((r["speedup_vs_serial"] for r in doc.get("runs", [])),
-                   default=0.0)
-        met = doc.get("speedup_target_1.8x_at_jobs4_met")
-        return ("sharded generation",
-                f"{_fmt(doc.get('serial_transfers_per_second', 0))} "
-                f"transfers/s serial, best speedup {best:.2f}x",
-                "target met" if met else "ceiling documented")
     if name == "BENCH_stream.json":
         return ("bounded-memory streaming",
                 f"{_fmt(doc.get('transfers_per_second', 0))} transfers/s, "

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Scaling out: sharded generation and map-reduce characterization.
+"""Scaling out: pooled generation and map-reduce characterization.
 
 Paper-scale runs (28 days, millions of transfers) outgrow a single
 process.  This example exercises the ``repro.parallel`` subsystem and its
 determinism contract:
 
-1. Generate the same workload serially and in 4 shards across 2 worker
-   processes; verify the traces are bit-for-bit identical.
+1. Generate the same workload serially and across 2 worker processes
+   (one task per canonical block); verify the traces are bit-for-bit
+   identical.
 2. Write the workload to daily WMS log harvests and characterize them
    with the map-reduce reader, again checking the parallel result equals
    the single-process one exactly.
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import LiveWorkloadGenerator, LiveWorkloadModel
-from repro.parallel import characterize_logs, generate_sharded
+from repro.parallel import characterize_logs
 from repro.trace.streaming import StreamingCharacterizer
 from repro.trace.transform import daily_slices
 from repro.trace.wms_log import write_wms_log
@@ -31,26 +32,27 @@ def main() -> None:
     model = LiveWorkloadModel.paper_defaults(mean_session_rate=0.05,
                                              n_clients=2_000)
 
-    print("== 1. sharded generation is bit-identical to serial ==")
+    print("== 1. pooled generation is bit-identical to serial ==")
+    generator = LiveWorkloadGenerator(model)
     t0 = time.perf_counter()
-    serial = LiveWorkloadGenerator(model).generate(days=2, seed=2002)
+    serial = generator.generate(days=2, seed=2002)
     serial_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sharded = generate_sharded(model, 2, seed=2002, shards=4, jobs=2)
-    sharded_s = time.perf_counter() - t0
+    pooled = generator.generate(days=2, seed=2002, jobs=2)
+    pooled_s = time.perf_counter() - t0
 
     identical = (
-        np.array_equal(serial.trace.start, sharded.trace.start)
-        and np.array_equal(serial.trace.duration, sharded.trace.duration)
+        np.array_equal(serial.trace.start, pooled.trace.start)
+        and np.array_equal(serial.trace.duration, pooled.trace.duration)
         and np.array_equal(serial.trace.client_index,
-                           sharded.trace.client_index)
-        and np.array_equal(serial.transfer_session, sharded.transfer_session)
+                           pooled.trace.client_index)
+        and np.array_equal(serial.transfer_session, pooled.transfer_session)
     )
     print(f"   serial:              {serial.trace.n_transfers} transfers "
           f"in {serial_s:.2f}s")
-    print(f"   shards=4, jobs=2:    {sharded.trace.n_transfers} transfers "
-          f"in {sharded_s:.2f}s")
+    print(f"   jobs=2:              {pooled.trace.n_transfers} transfers "
+          f"in {pooled_s:.2f}s")
     print(f"   bit-identical:       {identical}")
     assert identical
 

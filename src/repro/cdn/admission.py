@@ -61,6 +61,8 @@ BoolArray = npt.NDArray[np.bool_]
 #: Risky arrivals and completions reach Python this many at a time.
 _BLOCK = 1 << 14
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class AdmissionOutcome:
@@ -104,12 +106,18 @@ def active_peaks(start: FloatArray, end: FloatArray,
     Rates are non-negative, so both peaks are reached just after an
     arrival: the active total there is the arrivals so far minus the
     intervals ended at or before that instant.
+
+    Raises
+    ------
+    CdnError
+        If the rates of the non-empty intervals sum past the int64 range.
     """
     keep = end > start
     start, end, rate = start[keep], end[keep], rate[keep]
     n = start.size
     if n == 0:
         return 0, 0
+    _require_int64_total(rate)
     start_order = np.argsort(start, kind="stable")
     end_order = np.argsort(end, kind="stable")
     ended = np.searchsorted(end[end_order], start[start_order],
@@ -153,7 +161,8 @@ def admit_requests(start: FloatArray, duration: FloatArray,
     Raises
     ------
     CdnError
-        If the start column is not sorted or column lengths disagree.
+        If the start column is not sorted, column lengths disagree, or
+        the request and carried rates sum past the int64 range.
     """
     start = np.asarray(start, dtype=np.float64)
     duration = np.asarray(duration, dtype=np.float64)
@@ -189,7 +198,8 @@ def decide_admission(start: FloatArray, duration: FloatArray,
     Raises
     ------
     CdnError
-        If the start column is not sorted or column lengths disagree.
+        If the start column is not sorted, column lengths disagree, or
+        the request and carried rates sum past the int64 range.
     """
     n = start.size
     if duration.size != n or rate.size != n:
@@ -205,6 +215,7 @@ def decide_admission(start: FloatArray, duration: FloatArray,
     admitted = np.ones(n, dtype=np.bool_)
     if n == 0 or (max_connections is None and bandwidth_cap_bps is None):
         return admitted, 0
+    _require_int64_total(rate, carry_rate)
 
     end = start + duration
     occupies = duration > 0
@@ -250,6 +261,25 @@ def decide_admission(start: FloatArray, duration: FloatArray,
             worst_rate, max_connections=max_connections,
             bandwidth_cap_bps=bandwidth_cap_bps)
     return admitted, n_risky
+
+
+def _require_int64_total(*rates: IntArray) -> None:
+    """Raise :class:`CdnError` if the rates could sum past int64.
+
+    Every prefix sum and bound in this module is an int64 sum of these
+    non-negative rates, so none wraps while their total fits.  One
+    ``max * count`` bound clears the common case; only when it fails is
+    the total summed exactly, as a Python int.
+    """
+    count = sum(r.size for r in rates)
+    top = max((int(r.max()) for r in rates if r.size), default=0)
+    if top * count <= _INT64_MAX:
+        return
+    total = sum(sum(r.tolist()) for r in rates)
+    if total > _INT64_MAX:
+        raise CdnError(
+            f"an edge's summed bandwidth ({total} bps) exceeds the int64 "
+            "range of the admission arithmetic")
 
 
 def _sweep_risky(risky: BoolArray, end_order: IntArray,

@@ -10,8 +10,8 @@ the cheapest bandwidth meeting the rejection-rate SLO at each edge
 count; the **minimal deployment** is the cheapest candidate overall,
 ordering by edge count first and per-edge bandwidth second.
 
-Candidates are independent, so the sweep shards across worker processes
-via :func:`repro.parallel.map_ordered`.  Workers receive the workload
+Candidates are independent, so the sweep fans out across worker
+processes via :func:`repro.parallel.map_ordered`.  Workers receive the workload
 as an ``.npz`` path (tiny picklable task payloads; the trace is loaded
 once per worker and cached), and results reduce in submission order —
 the report is bit-identical for any ``jobs`` count.

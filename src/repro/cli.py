@@ -127,13 +127,10 @@ def _build_parser() -> argparse.ArgumentParser:
                           "name with optional parameters, '+'-composed "
                           "(e.g. 'flash-crowd', "
                           "'flash-crowd(peak=6.0)+zapping'); the output "
-                          "is identical across --shards/--jobs/--stream")
-    gen.add_argument("--shards", type=int, default=1,
-                     help="split generation into this many shards; the "
-                          "merged trace is identical for any value "
-                          "(default: 1)")
+                          "is identical across --jobs/--stream")
     gen.add_argument("--jobs", type=int, default=1,
-                     help="worker processes executing the shards "
+                     help="worker processes generating the canonical "
+                          "blocks; the trace is identical for any value "
                           "(default: 1, inline)")
     gen.add_argument("--out", type=Path, required=True,
                      help="output .npz trace path (with --stream: the "
@@ -529,8 +526,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        workload = LiveWorkloadGenerator(model).generate_sharded(
-            args.days, seed=args.seed, shards=args.shards, jobs=args.jobs,
+        workload = LiveWorkloadGenerator(model).generate(
+            args.days, seed=args.seed, jobs=args.jobs,
             scenario=args.scenario)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

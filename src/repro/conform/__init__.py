@@ -1,7 +1,7 @@
 """``repro.conform``: statistical conformance gates + differential oracle.
 
 The correctness backstop for every performance PR.  The repo's three
-generation/characterization pipelines (batch ``repro.core``, sharded
+generation/characterization pipelines (batch ``repro.core``, pooled
 ``repro.parallel``, streaming ``repro.stream``) promise bit-identical
 artifacts, and the Table 2 model promises calibrated parameters near the
 paper's published values; this subsystem turns both promises into

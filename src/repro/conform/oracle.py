@@ -1,14 +1,14 @@
 """Cross-pipeline differential oracle.
 
-The repo carries three ways to produce the same workload — the batch
-engine (``repro.core``), the sharded engine (``repro.parallel``), and
-the bounded-memory streaming pipeline (``repro.stream``) — all bound by
-one determinism contract: *for a fixed (model, days, seed) every path
-yields bit-identical artifacts*.  The oracle enforces the contract by
-actually running the matrix:
+The repo carries three ways to produce the same workload — the serial
+batch engine (``repro.core``), the same engine on a worker pool
+(``repro.parallel``), and the bounded-memory streaming pipeline
+(``repro.stream``) — all bound by one determinism contract: *for a
+fixed (model, days, seed) every path yields bit-identical artifacts*.
+The oracle enforces the contract by actually running the matrix:
 
-* ``parallel[shards=s,jobs=j]`` for several shard/job counts must equal
-  the batch trace column for column (plus the session attribution);
+* ``parallel[jobs=j]`` for each pooled worker count must equal the
+  serial batch trace column for column (plus the session attribution);
 * ``stream[chunk=c]`` for several chunk sizes must write byte-identical
   WMS logs and finalize bit-identical session columns;
 * ``stream[resume@k]`` runs the streaming pipeline up to a mid-run
@@ -37,14 +37,14 @@ import numpy as np
 
 from ..core.gismo import GismoWorkload, LiveWorkloadGenerator
 from ..core.sessionizer import sessionize
-from ..parallel import characterize_logs, generate_sharded
+from ..parallel import characterize_logs
 from ..stream import GenerationStream, run_streaming_generation
 from ..trace.codecs import BinaryTraceReader, format_quantized_entry, read_binary_trace
 from ..trace.wms_log import read_wms_log, write_wms_log
 from .matrix import WorkloadSpec
 
 #: Default differential matrix (smoke scale).
-DEFAULT_SHARD_CONFIGS: tuple[tuple[int, int], ...] = ((2, 1), (5, 2))
+DEFAULT_PARALLEL_JOBS: tuple[int, ...] = (2,)
 DEFAULT_CHUNK_SIZES: tuple[int, ...] = (7, 1009)
 
 #: Fraction of the canonical blocks executed before the mid-run
@@ -264,7 +264,7 @@ def _compare_binary_summaries(name: str, text_log: Path, batch_bytes: float,
 
 def run_differential_oracle(
         spec: WorkloadSpec, workdir: str | Path, *,
-        shard_configs: tuple[tuple[int, int], ...] = DEFAULT_SHARD_CONFIGS,
+        parallel_jobs: tuple[int, ...] = DEFAULT_PARALLEL_JOBS,
         chunk_sizes: tuple[int, ...] = DEFAULT_CHUNK_SIZES,
         resume_split: bool = True,
         binary_codec: bool = True,
@@ -278,8 +278,8 @@ def run_differential_oracle(
         The canonical workload.
     workdir:
         Scratch directory for log files and checkpoints.
-    shard_configs:
-        ``(shards, jobs)`` pairs for the parallel engine.
+    parallel_jobs:
+        Worker counts for the pooled batch engine.
     chunk_sizes:
         Streaming batch sizes; the smallest must split at least one
         canonical block into sibling batches (verified), or intra-block
@@ -310,13 +310,11 @@ def run_differential_oracle(
     write_wms_log(reference.trace, ref_log)
     ref_sessions = sessionize(reference.trace).session_columns()
 
-    for shards, jobs in shard_configs:
-        candidate = generate_sharded(model, spec.days, seed=spec.seed,
-                                     shards=shards, jobs=jobs,
-                                     scenario=scenario)
+    for jobs in parallel_jobs:
+        candidate = LiveWorkloadGenerator(model).generate(
+            spec.days, seed=spec.seed, jobs=jobs, scenario=scenario)
         comparisons.append(_compare_trace(
-            f"parallel[shards={shards},jobs={jobs}].trace",
-            reference, candidate))
+            f"parallel[jobs={jobs}].trace", reference, candidate))
 
     min_chunk = min(chunk_sizes)
     probe = GenerationStream(model, spec.days, seed=spec.seed,

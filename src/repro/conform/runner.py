@@ -25,7 +25,6 @@ from .matrix import MUTATION_WORKLOAD, WorkloadSpec, scale_specs, workload_spec
 from .mutation import MutationReport, mutation_self_check
 from .oracle import (
     DEFAULT_CHUNK_SIZES,
-    DEFAULT_SHARD_CONFIGS,
     OracleReport,
     run_differential_oracle,
 )
@@ -47,8 +46,7 @@ from .scenarios import (
 #: (so intra-block horizons are exercised) without degenerating into
 #: hundreds of thousands of tiny batches.
 _ORACLE_SHAPES: dict[str, dict] = {
-    "paper": {"shard_configs": ((4, 2),),
-              "chunk_sizes": (20_011, 100_003)},
+    "paper": {"chunk_sizes": (20_011, 100_003)},
 }
 
 
@@ -76,7 +74,6 @@ class ConformanceResult:
 
 def _oracle_shape(spec: WorkloadSpec) -> dict:
     return _ORACLE_SHAPES.get(spec.name, {
-        "shard_configs": DEFAULT_SHARD_CONFIGS,
         "chunk_sizes": DEFAULT_CHUNK_SIZES,
     })
 

@@ -120,6 +120,7 @@ class LiveWorkloadGenerator:
         self.model = model
 
     def generate(self, days: float, seed: SeedLike = None, *,
+                 jobs: int = 1,
                  scenario: "str | Scenario | None" = None) -> GismoWorkload:
         """Generate a workload spanning ``days`` days.
 
@@ -127,10 +128,10 @@ class LiveWorkloadGenerator:
         in-progress transfers are clipped at the window end, mirroring a
         real collection period.
 
-        Generation runs through the :mod:`repro.parallel` engine as a
-        single inline shard, so this serial path is bit-for-bit identical
-        to :meth:`generate_sharded` at any shard/worker count.  An
-        optional ``scenario`` (spec string or
+        Generation runs through :func:`repro.parallel.generate_sharded`,
+        one task per canonical block across ``jobs`` processes (``1``
+        runs inline); the trace is bit-for-bit identical for every
+        ``jobs``.  An optional ``scenario`` (spec string or
         :class:`~repro.scenarios.Scenario`) perturbs the workload; see
         :mod:`repro.scenarios`.
 
@@ -140,19 +141,9 @@ class LiveWorkloadGenerator:
             If ``days`` is non-positive.
         ScenarioError
             If ``scenario`` is an unknown name or a malformed spec.
-        """
-        return self.generate_sharded(days, seed=seed, scenario=scenario)
-
-    def generate_sharded(self, days: float, *, seed: SeedLike = None,
-                         shards: int = 1, jobs: int = 1,
-                         scenario: "str | Scenario | None" = None
-                         ) -> GismoWorkload:
-        """Generate a workload in ``shards`` parts across ``jobs`` processes.
-
-        Convenience front end to
-        :func:`repro.parallel.generate_sharded`; see there for the
-        determinism contract and parameter semantics.
+        ValueError
+            If ``jobs`` is not positive.
         """
         from ..parallel.engine import generate_sharded
-        return generate_sharded(self.model, days, seed=seed, shards=shards,
-                                jobs=jobs, scenario=scenario)
+        return generate_sharded(self.model, days, seed=seed, jobs=jobs,
+                                scenario=scenario)

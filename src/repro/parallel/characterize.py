@@ -15,7 +15,7 @@ Determinism: the chunk plan depends only on the input files and
 chunk order, so the reported summary is independent of the worker count.
 The same exactness makes a run durable: with a checkpoint path,
 :func:`characterize_logs` saves the merged accumulator and the chunk
-cursor between windows of chunks, and a resumed run reports what an
+cursor every few merged chunks, and a resumed run reports what an
 uninterrupted one does.
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -43,13 +43,12 @@ from ..trace.codecs import (
 )
 from ..trace.streaming import StreamingCharacterizer, StreamingSummary
 from ..trace.wms_log import open_log, parse_log_stream
-from .pool import logger, map_ordered
+from .pool import imap_ordered, logger
 
 #: Default target chunk size for splitting log files, in bytes.
 DEFAULT_CHUNK_BYTES = 8 * 1024 * 1024
 
-#: Chunks mapped between two checkpoint saves at ``jobs=1``; a window
-#: holds ``max(CHECKPOINT_EVERY, jobs)`` chunks.
+#: Chunks merged between two checkpoint saves.
 CHECKPOINT_EVERY = 4
 
 
@@ -280,11 +279,12 @@ def characterize_logs(paths: str | Path | Sequence[str | Path], *,
     order.  Reports the identical
     :class:`~repro.trace.streaming.StreamingSummary` a single serial
     :class:`~repro.trace.streaming.StreamingCharacterizer` pass produces,
-    for any ``jobs`` and ``chunk_bytes``.  With ``checkpoint_path`` the
-    plan is mapped in windows of ``max(CHECKPOINT_EVERY, jobs)`` chunks,
-    and the merged accumulator and the chunk cursor are saved
-    (atomically) after each window; merging is exact, so a run resumed
-    from any checkpoint reports what an uninterrupted one does.
+    for any ``jobs`` and ``chunk_bytes``.  One pool maps every chunk of
+    the call, and each part is merged as it arrives, in chunk order.
+    With ``checkpoint_path`` the merged accumulator and the chunk cursor
+    are saved (atomically) after every :data:`CHECKPOINT_EVERY` merged
+    chunks and at the stop; merging is exact, so a run resumed from any
+    checkpoint reports what an uninterrupted one does.
 
     Parameters
     ----------
@@ -341,29 +341,24 @@ def characterize_logs(paths: str | Path | Sequence[str | Path], *,
 
     stop = len(chunks) if max_chunks is None else min(
         len(chunks), next_chunk + max(0, max_chunks))
-    window = (len(chunks) if checkpoint_path is None
-              else max(CHECKPOINT_EVERY, jobs))
     worker = functools.partial(characterize_chunk,
                                diurnal_bins=diurnal_bins,
                                bandwidth_edges=bandwidth_edges)
-    while True:
-        window_end = min(stop, next_chunk + window)
-        parts = map_ordered(worker, chunks[next_chunk:window_end],
-                            jobs=jobs, label="chunk")
-        t0 = time.perf_counter()
+    first = next_chunk
+    with closing(imap_ordered(worker, chunks[first:stop], jobs=jobs,
+                              label="chunk")) as parts:
         for part in parts:
             total.merge(part)
-        logger.info("reduced %d chunk accumulator(s) in %.3fs",
-                    len(parts), time.perf_counter() - t0)
-        next_chunk = window_end
-        if checkpoint_path is not None and parts:
-            save_checkpoint(checkpoint_path, {
-                "fingerprint": fingerprint,
-                "next_chunk": next_chunk,
-                "characterizer": total.state_dict(),
-            }, {})
-        if next_chunk >= stop:
-            break
+            next_chunk += 1
+            if checkpoint_path is not None and (
+                    (next_chunk - first) % CHECKPOINT_EVERY == 0
+                    or next_chunk == stop):
+                save_checkpoint(checkpoint_path, {
+                    "fingerprint": fingerprint,
+                    "next_chunk": next_chunk,
+                    "characterizer": total.state_dict(),
+                }, {})
+    logger.info("reduced %d chunk accumulator(s)", next_chunk - first)
     if next_chunk < len(chunks):
         return None
     return total.summary(top_k=top_k)

@@ -4,8 +4,8 @@ A scenario is a named, pure, deterministic perturbation of the baseline
 live-streaming workload — an arrival surge, a channel-zapping session
 mixture, a regional blackout, a bandwidth-class rotation, a
 live-vs-VoD duration blend — that composes (``flash-crowd+zapping``)
-and flows through every generation engine (batch, sharded, streaming)
-bit-identically.  Resolve a spec string with :func:`get_scenario` and
+and flows through every generation engine (serial batch, pooled batch,
+streaming) bit-identically.  Resolve a spec string with :func:`get_scenario` and
 pass the result to :class:`~repro.core.gismo.LiveWorkloadGenerator`,
 :func:`~repro.parallel.generate_sharded`, or
 :class:`~repro.stream.GenerationStream`; on the CLI, use

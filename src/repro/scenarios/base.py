@@ -7,17 +7,18 @@ may act at two points of the engine, and only those two:
   Table 2 :class:`~repro.core.model.LiveWorkloadModel` before planning
   (arrival profile surges, session-behaviour blends, bandwidth-class
   rotations).  Applied once, in the planner, so every execution mode
-  (batch, sharded, streaming) generates from the identical perturbed
-  model.
+  (serial or pooled batch, streaming) generates from the identical
+  perturbed model.
 * **Trace edits** (:meth:`Scenario.trace_edits`) — a tuple of
   :class:`TraceEdit` objects applied to every canonical block's
   transfers inside :func:`repro.parallel.engine.generate_shard`.  Edits
   are *row-local* and *start-preserving*: they may drop rows and shrink
   durations, but never change a kept row's start time, reorder rows, or
   look at rows outside the block.  Those constraints make the edited
-  trace invariant to how blocks are grouped into shards or chunks —
-  which is what keeps scenario generation bit-identical across engines
-  *by construction* rather than by testing luck.
+  trace invariant to where blocks run and to how their transfers are
+  cut into streamed batches — which is what keeps scenario generation
+  bit-identical across engines *by construction* rather than by testing
+  luck.
 
 Scenarios compose left-to-right (``a + b`` perturbs with ``a`` first,
 then ``b``, and concatenates their trace edits in that order).

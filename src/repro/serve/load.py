@@ -37,6 +37,9 @@ _CLIENTS_CHUNK = 65536
 #: Poll interval while waiting for a service-side drain, seconds.
 _POLL_S = 0.05
 
+#: Longest wait for a service-side drain, seconds.
+_DRAIN_TIMEOUT_S = 120.0
+
 
 class _SendFailed(Exception):
     """One connection attempt failed; the driver may retry."""
@@ -140,10 +143,9 @@ async def _feed_counters(host: str, port: int, feed: str) -> dict[str, Any]:
         "queue_depth": block.get("queue_depth", 0)}
 
 
-async def _settled_cursor(host: str, port: int, feed: str, key: str,
-                          timeout: float) -> int:
+async def _settled_cursor(host: str, port: int, feed: str, key: str) -> int:
     """The feed's processed-input cursor once its queue has drained."""
-    deadline = time.perf_counter() + timeout
+    deadline = time.perf_counter() + _DRAIN_TIMEOUT_S
     previous = -1
     while True:
         counters = await _feed_counters(host, port, feed)
@@ -153,14 +155,15 @@ async def _settled_cursor(host: str, port: int, feed: str, key: str,
         previous = cursor
         if time.perf_counter() > deadline:
             raise ServeError(
-                f"feed {feed!r} queue did not drain within {timeout}s")
+                f"feed {feed!r} queue did not drain within "
+                f"{_DRAIN_TIMEOUT_S}s")
         await asyncio.sleep(_POLL_S)
 
 
-async def _await_drain(host: str, port: int, targets: dict[str, tuple[str,
-                       int]], timeout: float) -> None:
+async def _await_drain(host: str, port: int,
+                       targets: dict[str, tuple[str, int]]) -> None:
     """Block until every feed's cursor reaches its replay target."""
-    deadline = time.perf_counter() + timeout
+    deadline = time.perf_counter() + _DRAIN_TIMEOUT_S
     while True:
         metrics = await _http_json(host, port, "GET", "/metrics")
         feeds = metrics.get("feeds", {})
@@ -174,7 +177,8 @@ async def _await_drain(host: str, port: int, targets: dict[str, tuple[str,
             return
         if time.perf_counter() > deadline:
             raise ServeError(
-                f"service did not finish processing within {timeout}s")
+                f"service did not finish processing within "
+                f"{_DRAIN_TIMEOUT_S}s")
         await asyncio.sleep(_POLL_S)
 
 
@@ -374,8 +378,8 @@ async def _send_binary_once(host: str, port: int, feed: str,
 # ----------------------------------------------------------------------
 async def _drive_feed(feed: str, attempt: Callable[[int], Awaitable[Any]],
                       *, initial_cursor: int, cursor_key: str, host: str,
-                      http_port: int | None, max_retries: int,
-                      drain_timeout: float) -> tuple[Any, int]:
+                      http_port: int | None,
+                      max_retries: int) -> tuple[Any, int]:
     """Run ``attempt`` with backpressure-aware retries from the cursor."""
     skip = initial_cursor
     retries = 0
@@ -392,8 +396,7 @@ async def _drive_feed(feed: str, attempt: Callable[[int], Awaitable[Any]],
                 raise ServeError(
                     f"feed {feed!r} was rejected ({exc.reason}) and no "
                     f"http_port is configured to resume from") from exc
-            skip = await _settled_cursor(host, http_port, feed, cursor_key,
-                                         drain_timeout)
+            skip = await _settled_cursor(host, http_port, feed, cursor_key)
 
 
 async def run_load_async(log_path: str | Path, *, host: str = "127.0.0.1",
@@ -402,8 +405,7 @@ async def run_load_async(log_path: str | Path, *, host: str = "127.0.0.1",
                          batch_lines: int = 512, transport: str = "tcp",
                          codec: str | None = None,
                          resume_from_service: bool = False,
-                         max_retries: int = 3, feed_prefix: str = "feed",
-                         drain_timeout: float = 120.0) -> LoadReport:
+                         max_retries: int = 3) -> LoadReport:
     """Replay ``log_path`` into a running service; see :func:`run_load`."""
     path = Path(log_path)
     if not path.exists():
@@ -423,7 +425,7 @@ async def run_load_async(log_path: str | Path, *, host: str = "127.0.0.1",
         codec = detect_codec(path)
     if transport == "http" and codec != "text":
         raise ServeError("the http transport only carries the text codec")
-    feed_names = [f"{feed_prefix}{index}" for index in range(feeds)]
+    feed_names = [f"feed{index}" for index in range(feeds)]
 
     cursor_key = "lines_ingested" if codec == "text" else "frames_ingested"
     cursors = {name: 0 for name in feed_names}
@@ -465,8 +467,7 @@ async def run_load_async(log_path: str | Path, *, host: str = "127.0.0.1",
             _drive_feed(feed_names[index], text_attempt(index),
                         initial_cursor=cursors[feed_names[index]],
                         cursor_key=cursor_key, host=host,
-                        http_port=http_port, max_retries=max_retries,
-                        drain_timeout=drain_timeout)
+                        http_port=http_port, max_retries=max_retries)
             for index in range(feeds)))
         for index, (sent, retries) in enumerate(results):
             name = feed_names[index]
@@ -500,8 +501,7 @@ async def run_load_async(log_path: str | Path, *, host: str = "127.0.0.1",
             _drive_feed(feed_names[index], binary_attempt(index),
                         initial_cursor=cursors[feed_names[index]],
                         cursor_key=cursor_key, host=host,
-                        http_port=http_port, max_retries=max_retries,
-                        drain_timeout=drain_timeout)
+                        http_port=http_port, max_retries=max_retries)
             for index in range(feeds)))
         for index, ((frames, rows_sent), retries) in enumerate(results):
             name = feed_names[index]
@@ -519,7 +519,7 @@ async def run_load_async(log_path: str | Path, *, host: str = "127.0.0.1",
     latency_p50: float | None = None
     latency_p99: float | None = None
     if http_port is not None:
-        await _await_drain(host, http_port, targets, drain_timeout)
+        await _await_drain(host, http_port, targets)
         metrics = await _http_json(host, http_port, "GET", "/metrics")
         blocks = [metrics.get("feeds", {}).get(name, {})
                   for name in feed_names]

@@ -1,7 +1,7 @@
 """Chunked, time-ordered streaming generation.
 
 The batch engine (:func:`repro.parallel.generate_sharded`) materializes
-every shard's transfers and merges them into one
+every block's transfers and sorts them into one
 :class:`~repro.trace.store.Trace` — O(trace) memory.  This module produces
 the *same* transfers, in the same global start order, as a sequence of
 bounded-size :class:`TransferBatch` chunks, holding only:
@@ -42,7 +42,7 @@ from .._typing import FloatArray, IntArray, SeedLike
 from ..core.model import LiveWorkloadModel
 from ..errors import CheckpointError
 from ..parallel.engine import generate_shard
-from ..parallel.plan import DEFAULT_BLOCKS, emit_horizons, plan_block_stream
+from ..parallel.plan import DEFAULT_BLOCKS, emit_horizons, plan_generation
 from ..scenarios import Scenario, get_scenario
 from ..state import Scalar, Schema, Stateful, Table
 
@@ -145,8 +145,8 @@ class GenerationStream(Stateful):
         self.chunk_size = int(chunk_size)
         self.blocks = int(blocks)
         self.scenario = get_scenario(scenario)
-        self._plan = plan_block_stream(model, days, seed=seed, blocks=blocks,
-                                       scenario=self.scenario)
+        self._plan = plan_generation(model, days, seed=seed, blocks=blocks,
+                                     scenario=self.scenario)
         self._horizons = emit_horizons(self._plan)
         self._next_block = 0
         self._n_emitted = 0
@@ -159,7 +159,7 @@ class GenerationStream(Stateful):
     @property
     def n_blocks(self) -> int:
         """Number of canonical blocks (block steps) in the stream."""
-        return len(self._plan.shards)
+        return len(self._plan.specs)
 
     @property
     def next_block(self) -> int:
@@ -205,7 +205,7 @@ class GenerationStream(Stateful):
 
     def _advance_block(self) -> list[TransferBatch]:
         block = self._next_block
-        result = generate_shard(self._plan.shards[block])
+        result = generate_shard(self._plan.specs[block])
         horizon = float(self._horizons[block])
         produced = {
             "start": result.start, "duration": result.duration,
@@ -213,9 +213,10 @@ class GenerationStream(Stateful):
             "bandwidth_bps": result.bandwidth_bps,
             "transfer_session": result.transfer_session,
         }
-        # Stable merge with the pending buffer: pending rows come from
-        # earlier blocks, so keeping them first on equal starts is
-        # exactly the batch path's stable sort over blocks in order.
+        # Stable sort of the pending buffer followed by the block's rows
+        # in generation order: pending rows come from earlier blocks, so
+        # this is exactly the batch path's stable sort over blocks in
+        # order.
         merged = {name: np.concatenate([col, produced[name]])
                   for name, col in self._pending.items()}
         order = np.argsort(merged["start"], kind="stable")

@@ -148,10 +148,8 @@ def run_streaming_generation(
         collect_sessions: bool = True,
         checkpoint_path: str | Path | None = None,
         resume: bool = False,
-        checkpoint_every: int = 1,
         max_blocks: int | None = None,
         codec: str = "text",
-        software: str = "Windows Media Services 4.1",
         scenario: str | Scenario | None = None) -> StreamRunResult:
     """Generate a workload end to end in bounded memory.
 
@@ -179,15 +177,13 @@ def run_streaming_generation(
         count-only paper-scale runs.
     checkpoint_path:
         When set, the pipeline cursor is saved here after every
-        ``checkpoint_every`` blocks (and at exit).  Requires an integer
+        block (and again at the end of a completed run).  Requires an integer
         ``seed`` — an unseeded request cannot be re-planned on resume.
     resume:
         Continue from ``checkpoint_path`` if it exists (a missing
         checkpoint file starts from scratch, so a kill-anytime retry
         loop needs no existence check).  The checkpoint's workload
         fingerprint must match this call's arguments.
-    checkpoint_every:
-        Blocks between checkpoint saves.
     max_blocks:
         Stop after this many blocks in *this* call (test/ops hook for
         exercising interrupted runs); the result reports
@@ -197,9 +193,6 @@ def run_streaming_generation(
         or ``"binary"`` (the columnar format of
         :mod:`repro.trace.codecs`).  Part of the checkpoint fingerprint —
         a run cannot resume under a different codec.
-    software:
-        Log ``#Software`` header value (recorded in the binary header
-        too).
     scenario:
         Optional workload perturbation (spec string or
         :class:`~repro.scenarios.Scenario`).  Part of the workload's
@@ -216,9 +209,6 @@ def run_streaming_generation(
         raise CheckpointError(
             "checkpointed streaming runs require an integer seed: an "
             "unseeded plan cannot be re-created on resume")
-    if checkpoint_every < 1:
-        raise ValueError(
-            f"checkpoint_every must be at least 1, got {checkpoint_every}")
     codec_impl = get_codec(codec)
 
     resolved_scenario = get_scenario(scenario)
@@ -263,7 +253,7 @@ def run_streaming_generation(
                         "shorter, or the run wrote no log")
                 own_stream = codec_impl.reopen_stream(log_path, offset)
             writer = codec_impl.make_writer(
-                own_stream, synthetic_client_identity, software=software,
+                own_stream, synthetic_client_identity,
                 write_header=restored is None)
         run.writer = writer
         if restored is not None:
@@ -274,7 +264,6 @@ def run_streaming_generation(
         peak_buffered = writer.n_buffered if writer is not None else 0
         peak_pending = stream.n_pending
         blocks_run = 0
-        since_checkpoint = 0
 
         def checkpoint_now() -> None:
             assert checkpoint_path is not None
@@ -302,11 +291,8 @@ def run_streaming_generation(
             if sessionizer is not None:
                 peak_open = max(peak_open, sessionizer.peak_open)
             blocks_run += 1
-            since_checkpoint += 1
-            if (checkpoint_path is not None
-                    and since_checkpoint >= checkpoint_every):
+            if checkpoint_path is not None:
                 checkpoint_now()
-                since_checkpoint = 0
             if max_blocks is not None and blocks_run >= max_blocks:
                 break
 
@@ -318,7 +304,7 @@ def run_streaming_generation(
                 finalized = sessionizer.finish()
                 if collected is not None and finalized.n_sessions:
                     collected.append(finalized)
-        if checkpoint_path is not None and (since_checkpoint or completed):
+        if checkpoint_path is not None and completed:
             checkpoint_now()
 
         sessions = None if collected is None else merge_finalized(collected)

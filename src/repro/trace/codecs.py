@@ -62,6 +62,7 @@ from ..state import Column, Scalar, Schema
 from .entries import require_entries
 from .store import ClientTable, Trace
 from .wms_log import (
+    LOG_SOFTWARE,
     ClientIdentity,
     IpResolver,
     StreamingTraceWriter,
@@ -193,9 +194,6 @@ class BinaryTraceWriter(StreamingTraceWriter):
         Open *binary* stream positioned at the write point.
     identity:
         See :class:`StreamingTraceWriter`.
-    software:
-        Provenance string recorded in the header and footer (the text
-        codec's ``#Software`` value).
     write_header:
         Write the magic + header immediately; pass ``False`` when
         resuming into an existing file.
@@ -210,11 +208,9 @@ class BinaryTraceWriter(StreamingTraceWriter):
         ))
 
     def __init__(self, stream: IO[bytes], identity: ClientIdentity, *,
-                 software: str = "Windows Media Services 4.1",
                  write_header: bool = True) -> None:
         super().__init__(identity)
         self._stream = stream
-        self._software = software
         self._offset = 0
         self._segments: list[dict[str, Any]] = []
         self._clients: list[dict[str, Any]] = []
@@ -222,7 +218,7 @@ class BinaryTraceWriter(StreamingTraceWriter):
         self._footer_written = False
         if write_header:
             header = json.dumps(
-                {"version": BINARY_FORMAT_VERSION, "software": software},
+                {"version": BINARY_FORMAT_VERSION, "software": LOG_SOFTWARE},
                 sort_keys=True).encode("utf-8")
             stream.write(BINARY_MAGIC)
             stream.write(len(header).to_bytes(4, "little"))
@@ -311,7 +307,7 @@ class BinaryTraceWriter(StreamingTraceWriter):
         if not self._footer_written:
             footer = json.dumps(
                 {"version": BINARY_FORMAT_VERSION,
-                 "software": self._software,
+                 "software": LOG_SOFTWARE,
                  "n_entries": self.n_written,
                  "segments": self._segments,
                  "clients": self._clients},
@@ -567,8 +563,7 @@ def declared_client_slots(declared: IntArray, client: IntArray, *,
 # ----------------------------------------------------------------------
 # One-shot binary write / read
 # ----------------------------------------------------------------------
-def write_binary_trace(trace: Trace, path: str | Path, *,
-                       software: str = "Windows Media Services 4.1") -> int:
+def write_binary_trace(trace: Trace, path: str | Path) -> int:
     """Write ``trace`` as a binary trace file; returns the entry count.
 
     The one-shot front end to :class:`BinaryTraceWriter`, mirroring
@@ -577,8 +572,7 @@ def write_binary_trace(trace: Trace, path: str | Path, *,
     order as the text log's lines.
     """
     with open(path, "wb") as stream:
-        writer = BinaryTraceWriter(stream, _table_identity(trace),
-                                   software=software)
+        writer = BinaryTraceWriter(stream, _table_identity(trace))
         writer.push(
             client_index=trace.client_index, object_id=trace.object_id,
             start=trace.start, duration=trace.duration,
@@ -678,8 +672,7 @@ class TraceCodec(abc.ABC):
     suffix: ClassVar[str] = ""
 
     @abc.abstractmethod
-    def write(self, trace: Trace, path: str | Path, *,
-              software: str = "Windows Media Services 4.1") -> int:
+    def write(self, trace: Trace, path: str | Path) -> int:
         """Serialize a whole trace to ``path``; returns the entry count."""
 
     @abc.abstractmethod
@@ -700,7 +693,6 @@ class TraceCodec(abc.ABC):
 
     @abc.abstractmethod
     def make_writer(self, stream: IO[Any], identity: ClientIdentity, *,
-                    software: str = "Windows Media Services 4.1",
                     write_header: bool = True) -> StreamingTraceWriter:
         """Build the incremental writer for an open stream."""
 
@@ -711,9 +703,8 @@ class TextTraceCodec(TraceCodec):
     name = "text"
     suffix = ".log"
 
-    def write(self, trace: Trace, path: str | Path, *,
-              software: str = "Windows Media Services 4.1") -> int:
-        return write_wms_log(trace, path, software=software)
+    def write(self, trace: Trace, path: str | Path) -> int:
+        return write_wms_log(trace, path)
 
     def read(self, path: str | Path, *,
              resolver: IpResolver | None = None,
@@ -734,9 +725,8 @@ class TextTraceCodec(TraceCodec):
         return stream
 
     def make_writer(self, stream: IO[Any], identity: ClientIdentity, *,
-                    software: str = "Windows Media Services 4.1",
                     write_header: bool = True) -> StreamingTraceWriter:
-        return StreamingWmsLogWriter(stream, identity, software=software,
+        return StreamingWmsLogWriter(stream, identity,
                                      write_header=write_header)
 
 
@@ -751,9 +741,8 @@ class BinaryTraceCodec(TraceCodec):
     name = "binary"
     suffix = ".rtb"
 
-    def write(self, trace: Trace, path: str | Path, *,
-              software: str = "Windows Media Services 4.1") -> int:
-        return write_binary_trace(trace, path, software=software)
+    def write(self, trace: Trace, path: str | Path) -> int:
+        return write_binary_trace(trace, path)
 
     def read(self, path: str | Path, *,
              resolver: IpResolver | None = None,
@@ -773,9 +762,8 @@ class BinaryTraceCodec(TraceCodec):
         return stream
 
     def make_writer(self, stream: IO[Any], identity: ClientIdentity, *,
-                    software: str = "Windows Media Services 4.1",
                     write_header: bool = True) -> StreamingTraceWriter:
-        return BinaryTraceWriter(stream, identity, software=software,
+        return BinaryTraceWriter(stream, identity,
                                  write_header=write_header)
 
 

@@ -41,6 +41,10 @@ from .store import ClientTable, Trace
 #: An ndarray of any dtype (the reorder buffer mixes floats and ints).
 _AnyArray = np.ndarray[Any, np.dtype[Any]]
 
+#: The ``#Software`` header value of every written log (and the
+#: ``software`` provenance field of the binary trace header and footer).
+LOG_SOFTWARE = "Windows Media Services 4.1"
+
 #: Columns written by :func:`write_wms_log`, in order.
 LOG_FIELDS: tuple[str, ...] = (
     "x-timestamp",        # integer seconds since trace start (entry creation)
@@ -403,15 +407,12 @@ class StreamingWmsLogWriter(StreamingTraceWriter):
         Open text stream to write to (the caller owns it).
     identity:
         See :class:`StreamingTraceWriter`.
-    software:
-        The ``#Software`` header value.
     write_header:
         Write the three header lines immediately.  Pass ``False`` when
         resuming into a log file that already has them.
     """
 
     def __init__(self, stream: TextIO, identity: ClientIdentity, *,
-                 software: str = "Windows Media Services 4.1",
                  write_header: bool = True) -> None:
         super().__init__(identity)
         self._stream = stream
@@ -422,7 +423,7 @@ class StreamingWmsLogWriter(StreamingTraceWriter):
         self._client_rows: IntArray = np.empty(0, dtype=np.int64)
         self._segments = np.full((0, 0), _PAD, dtype=np.uint8)
         if write_header:
-            stream.write(f"#Software: {software}\n")
+            stream.write(f"#Software: {LOG_SOFTWARE}\n")
             stream.write("#Version: 1.0\n")
             stream.write(f"#Fields: {' '.join(LOG_FIELDS)}\n")
 
@@ -527,8 +528,7 @@ def _identity_segments(index: IntArray,
     return table
 
 
-def write_wms_log(trace: Trace, path: str | Path | TextIO, *,
-                  software: str = "Windows Media Services 4.1") -> int:
+def write_wms_log(trace: Trace, path: str | Path | TextIO) -> int:
     """Write ``trace`` as a WMS-style log; returns the number of entries.
 
     Entries are emitted in order of entry-creation time (the transfer *end*,
@@ -545,8 +545,7 @@ def write_wms_log(trace: Trace, path: str | Path | TextIO, *,
     stream: TextIO = (open(path, "w", encoding="ascii")
                       if isinstance(path, (str, Path)) else path)
     try:
-        writer = StreamingWmsLogWriter(stream, _table_identity(trace),
-                                       software=software)
+        writer = StreamingWmsLogWriter(stream, _table_identity(trace))
         writer.push(
             client_index=trace.client_index, object_id=trace.object_id,
             start=trace.start, duration=trace.duration,

@@ -1,8 +1,9 @@
 """Integration: the repro.parallel determinism contract, end to end.
 
-The acceptance matrix of the sharded engine: for every tested
-``(shards, jobs)`` combination the merged workload must be bit-for-bit
-identical to the serial ``LiveWorkloadGenerator`` output, and the
+The acceptance matrix of the block-parallel engine: for every tested
+``(blocks, jobs)`` combination the batch workload must be bit-for-bit
+identical to the streaming engine's transfers for the same plan, the
+serial ``LiveWorkloadGenerator`` must equal the pooled engine, and the
 map-reduce log characterization must reproduce the one-process
 ``StreamingSummary`` exactly.
 """
@@ -13,6 +14,7 @@ import pytest
 from repro.core.gismo import LiveWorkloadGenerator
 from repro.core.model import LiveWorkloadModel
 from repro.parallel import characterize_logs, generate_sharded
+from repro.stream import GenerationStream
 from repro.trace.streaming import StreamingCharacterizer
 from repro.trace.wms_log import write_wms_log
 
@@ -29,25 +31,23 @@ def serial(model):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("shards", [1, 2, 5])
-def test_sharded_generation_matches_serial(model, serial, shards, jobs):
-    sharded = generate_sharded(model, 1, seed=2002, shards=shards, jobs=jobs)
-    np.testing.assert_array_equal(serial.trace.start, sharded.trace.start)
-    np.testing.assert_array_equal(serial.trace.duration,
-                                  sharded.trace.duration)
-    np.testing.assert_array_equal(serial.trace.client_index,
-                                  sharded.trace.client_index)
-    np.testing.assert_array_equal(serial.trace.object_id,
-                                  sharded.trace.object_id)
-    np.testing.assert_array_equal(serial.trace.bandwidth_bps,
-                                  sharded.trace.bandwidth_bps)
-    np.testing.assert_array_equal(serial.transfer_session,
-                                  sharded.transfer_session)
+@pytest.mark.parametrize("blocks", [1, 2, 5])
+def test_sharded_generation_matches_serial(model, blocks, jobs):
+    batch = generate_sharded(model, 1, seed=2002, blocks=blocks, jobs=jobs)
+    streamed = list(GenerationStream(model, 1, seed=2002, blocks=blocks,
+                                     chunk_size=997))
+    for name in ("start", "duration", "client_index", "object_id",
+                 "bandwidth_bps"):
+        np.testing.assert_array_equal(
+            getattr(batch.trace, name),
+            np.concatenate([getattr(b, name) for b in streamed]))
+    np.testing.assert_array_equal(
+        batch.transfer_session,
+        np.concatenate([b.transfer_session for b in streamed]))
 
 
 def test_generator_front_end_matches_engine(model, serial):
-    front_end = LiveWorkloadGenerator(model).generate_sharded(
-        1, seed=2002, shards=4, jobs=2)
+    front_end = LiveWorkloadGenerator(model).generate(1, seed=2002, jobs=2)
     np.testing.assert_array_equal(serial.trace.start, front_end.trace.start)
     np.testing.assert_array_equal(serial.transfer_session,
                                   front_end.transfer_session)

@@ -7,6 +7,8 @@ for any chunk size and across arbitrary checkpoint/resume splits.
 """
 
 import dataclasses
+import errno
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -14,9 +16,14 @@ import pytest
 from repro.core.model import LiveWorkloadModel
 from repro.core.sessionizer import sessionize
 from repro.errors import CheckpointError
-from repro.parallel.characterize import characterize_logs
+from repro.parallel import pool
+from repro.parallel.characterize import (
+    CHECKPOINT_EVERY,
+    characterize_logs,
+    plan_log_chunks,
+)
 from repro.parallel.engine import generate_sharded
-from repro.stream import GenerationStream, run_streaming_generation
+from repro.stream import GenerationStream, checkpoint, run_streaming_generation
 from repro.stream.checkpoint import load_checkpoint, save_checkpoint
 from repro.trace.wms_log import write_wms_log
 
@@ -215,8 +222,8 @@ def test_resumable_characterization_matches_mapreduce(codec_logs, tmp_path,
     assert characterize_logs(log, chunk_bytes=chunk_bytes,
                              checkpoint_path=whole) is not None
     ck = tmp_path / "chk.npz"
-    # Drive in 5-chunk legs until done, resuming each time: a leg maps
-    # one window of max(4, jobs) chunks, then the rest.
+    # Drive in 5-chunk legs until done, resuming each time: a leg saves
+    # after 4 merged chunks and again at its stop.
     summary = None
     for legs in range(1, 100):
         summary = characterize_logs(
@@ -231,6 +238,62 @@ def test_resumable_characterization_matches_mapreduce(codec_logs, tmp_path,
     meta, _ = load_checkpoint(ck)
     whole_meta, _ = load_checkpoint(whole)
     assert meta == whole_meta
+
+
+@pytest.mark.parametrize("codec", sorted(RESUME_CHUNK_BYTES))
+def test_failed_checkpoint_save_keeps_the_previous_one(codec_logs, tmp_path,
+                                                       monkeypatch, codec):
+    # The disk fills on the second save of a pooled run: the error
+    # reaches the caller, no worker outlives the call, the first
+    # checkpoint still loads, and resuming from it gives the
+    # uninterrupted summary and final checkpoint bytes.
+    log, chunk_bytes = codec_logs[codec], RESUME_CHUNK_BYTES[codec]
+    assert len(plan_log_chunks([log], chunk_bytes=chunk_bytes)) > \
+        CHECKPOINT_EVERY
+    whole = tmp_path / "whole.npz"
+    want = characterize_logs(log, jobs=2, chunk_bytes=chunk_bytes,
+                             checkpoint_path=whole)
+    replace = checkpoint.os.replace
+    saves = []
+
+    def full_disk_on_second_save(src, dst):
+        saves.append(dst)
+        if len(saves) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        replace(src, dst)
+
+    ck = tmp_path / "chk.npz"
+    monkeypatch.setattr(checkpoint.os, "replace", full_disk_on_second_save)
+    with pytest.raises(OSError) as failure:
+        characterize_logs(log, jobs=2, chunk_bytes=chunk_bytes,
+                          checkpoint_path=ck)
+    monkeypatch.undo()
+    assert failure.value.errno == errno.ENOSPC
+    assert multiprocessing.active_children() == []
+    meta, _ = load_checkpoint(ck)
+    assert meta["next_chunk"] == CHECKPOINT_EVERY
+    summary = characterize_logs(log, jobs=2, chunk_bytes=chunk_bytes,
+                                checkpoint_path=ck, resume=True)
+    np.testing.assert_equal(dataclasses.asdict(summary),
+                            dataclasses.asdict(want))
+    assert ck.read_bytes() == whole.read_bytes()
+
+
+def test_checkpointed_run_starts_one_pool(codec_logs, tmp_path,
+                                          monkeypatch):
+    log, chunk_bytes = codec_logs["text"], RESUME_CHUNK_BYTES["text"]
+    assert len(plan_log_chunks([log], chunk_bytes=chunk_bytes)) >= 9
+    executor = pool.ProcessPoolExecutor
+    built = []
+
+    def counting_executor(*args, **kwargs):
+        built.append(kwargs)
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", counting_executor)
+    characterize_logs(log, jobs=2, chunk_bytes=chunk_bytes,
+                      checkpoint_path=tmp_path / "chk.npz")
+    assert len(built) == 1
 
 
 def test_resumable_characterization_rejects_changed_log(batch_artifacts,

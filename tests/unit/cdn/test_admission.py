@@ -130,6 +130,22 @@ class TestAdmitRequestsShape:
         outcome = admit_requests(start, duration, rate, max_connections=1)
         assert outcome.admitted.all()
 
+    def test_rates_summing_past_int64_refused(self):
+        # Four concurrent 2**62 bps requests need 2**64 bps: an int64
+        # prefix sum would wrap and admit all four under a 2**62 cap.
+        with pytest.raises(CdnError, match="int64"):
+            admit_requests(np.zeros(4), np.ones(4),
+                           np.full(4, 2**62, dtype=np.int64),
+                           bandwidth_cap_bps=2**62)
+
+    def test_carried_rates_count_toward_the_int64_total(self):
+        with pytest.raises(CdnError, match="int64"):
+            admit_requests(np.zeros(2), np.ones(2),
+                           np.full(2, 2**62, dtype=np.int64),
+                           bandwidth_cap_bps=2**62,
+                           carry_end=np.full(2, 5.0),
+                           carry_rate=np.full(2, 2**62, dtype=np.int64))
+
 
 class TestActivePeaks:
     def test_empty(self):
@@ -152,6 +168,14 @@ class TestActivePeaks:
         peak_conn, peak_rate = active_peaks(start, end, rate)
         assert peak_conn == 1
         assert peak_rate == 2
+
+    def test_rates_summing_past_int64_refused(self):
+        with pytest.raises(CdnError, match="int64"):
+            active_peaks(np.zeros(4), np.ones(4),
+                         np.full(4, 2**62, dtype=np.int64))
+        # max * count passes 2**63 here but the exact total does not.
+        rate = np.asarray([2**62, 1, 1, 1], dtype=np.int64)
+        assert active_peaks(np.zeros(4), np.ones(4), rate) == (4, 2**62 + 3)
 
 
 def lexsort_peaks_reference(start, end, rate):

@@ -20,6 +20,7 @@ from repro.cdn import (
 from repro.core.gismo import LiveWorkloadGenerator
 from repro.core.model import LiveWorkloadModel
 from repro.errors import CdnError
+from tests.conftest import build_trace
 
 STEP = 60.0
 
@@ -195,3 +196,20 @@ class TestFailureSensitivity:
         # sit on the dead edge.
         assert np.all(legs.start[fo] == peak_failure.failures[0].at)
         assert np.all(legs.edge[fo] != 0)
+
+
+class TestRateOverflow:
+    """Summed edge rates past int64 are refused, never wrapped."""
+
+    @pytest.fixture
+    def huge(self):
+        # Four concurrent 2**62 bps transfers: 2**64 bps on one edge.
+        return build_trace([(k, 0, 0.0, 10.0, 2.0**62) for k in range(4)])
+
+    def test_uncapped_peak_refused(self, huge):
+        with pytest.raises(CdnError, match="int64"):
+            simulate_cdn(huge, CdnTopology.uniform(1))
+
+    def test_capped_admission_refused(self, huge):
+        with pytest.raises(CdnError, match="int64"):
+            simulate_cdn(huge, CdnTopology.uniform(1, bandwidth_bps=2**62))

@@ -1,4 +1,4 @@
-"""Unit tests for the sharded generation engine (repro.parallel.engine)."""
+"""Unit tests for the block-parallel generation engine (repro.parallel.engine)."""
 
 import logging
 
@@ -35,19 +35,14 @@ def assert_workloads_identical(a, b):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("shards", [1, 2, 5])
-    def test_shard_count_invariant(self, model, serial, shards):
-        sharded = generate_sharded(model, 1, seed=11, shards=shards)
-        assert_workloads_identical(serial, sharded)
-
     def test_worker_count_invariant(self, model, serial):
-        pooled = generate_sharded(model, 1, seed=11, shards=3, jobs=2)
+        pooled = generate_sharded(model, 1, seed=11, jobs=2)
         assert_workloads_identical(serial, pooled)
 
     def test_rerunning_a_spec_reproduces(self, model):
         # Stateless child-seed derivation: executing the same spec twice
         # must give the same transfers (spawn counters never mutate).
-        spec = plan_generation(model, 1, seed=11, shards=2).shards[0]
+        spec = plan_generation(model, 1, seed=11).specs[0]
         a = generate_shard(spec)
         b = generate_shard(spec)
         np.testing.assert_array_equal(a.start, b.start)
@@ -55,27 +50,28 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.transfer_session, b.transfer_session)
 
     def test_different_seeds_differ(self, model, serial):
-        other = generate_sharded(model, 1, seed=12, shards=3)
+        other = generate_sharded(model, 1, seed=12)
         assert not np.array_equal(serial.trace.start, other.trace.start)
 
 
 class TestStructure:
-    def test_trace_start_sorted(self, model):
-        workload = generate_sharded(model, 1, seed=11, shards=4)
-        assert np.all(np.diff(workload.trace.start) >= 0)
+    def test_trace_start_sorted(self, model, serial):
+        assert np.all(np.diff(serial.trace.start) >= 0)
 
-    def test_transfer_session_consistent_with_clients(self, model):
-        workload = generate_sharded(model, 1, seed=11, shards=4)
+    def test_transfer_session_consistent_with_clients(self, model, serial):
         np.testing.assert_array_equal(
-            workload.trace.client_index,
-            workload.session_client[workload.transfer_session])
+            serial.trace.client_index,
+            serial.session_client[serial.transfer_session])
 
     def test_empty_shards_tolerated(self, model):
-        # Far more shards than blocks: the surplus shards are empty and
-        # merge as empty traces.
-        workload = generate_sharded(model, 1, seed=11, shards=80, blocks=4)
-        reference = generate_sharded(model, 1, seed=11, shards=1, blocks=4)
+        # Far more blocks than sessions: most block specs are empty and
+        # contribute no rows, inline and pooled alike.
+        plan = plan_generation(model, 1, seed=11, blocks=1024)
+        assert any(block.n_sessions == 0 for block in plan.specs)
+        workload = generate_sharded(model, 1, seed=11, blocks=1024, jobs=2)
+        reference = generate_sharded(model, 1, seed=11, blocks=1024)
         assert_workloads_identical(reference, workload)
+        assert workload.trace.n_transfers > 0
 
     def test_invalid_jobs(self, model):
         with pytest.raises(ValueError):
@@ -85,7 +81,7 @@ class TestStructure:
 class TestLogging:
     def test_shard_progress_logged(self, model, caplog):
         with caplog.at_level(logging.INFO, logger="repro.parallel"):
-            generate_sharded(model, 1, seed=11, shards=2)
+            generate_sharded(model, 1, seed=11, blocks=8)
         messages = [record.message for record in caplog.records]
-        assert any("2 shard(s)" in message for message in messages)
-        assert any("merged" in message for message in messages)
+        assert any("8 block(s)" in message for message in messages)
+        assert any("sorted" in message for message in messages)

@@ -1,4 +1,4 @@
-"""Unit tests for the shard planner (repro.parallel.plan)."""
+"""Unit tests for the generation planner (repro.parallel.plan)."""
 
 import pickle
 
@@ -18,68 +18,50 @@ def model():
 
 class TestPlanStructure:
     def test_blocks_cover_all_sessions_once(self, model):
-        plan = plan_generation(model, 1, seed=3, shards=5)
+        plan = plan_generation(model, 1, seed=3)
         ranges = [(block.session_lo, block.session_hi)
-                  for shard in plan.shards for block in shard.blocks]
+                  for block in plan.specs]
         # Contiguous, non-overlapping, covering [0, n_sessions).
         assert ranges[0][0] == 0
         assert ranges[-1][1] == plan.n_sessions
         for (_, hi), (lo, _) in zip(ranges, ranges[1:], strict=False):
             assert hi == lo
-        assert sum(hi - lo for lo, hi in ranges) == plan.n_sessions
-        assert sum(shard.n_sessions for shard in plan.shards) == \
+        assert sum(block.n_sessions for block in plan.specs) == \
             plan.n_sessions
 
     def test_block_arrivals_match_global_slices(self, model):
-        plan = plan_generation(model, 1, seed=3, shards=3)
-        for shard in plan.shards:
-            for block in shard.blocks:
-                np.testing.assert_array_equal(
-                    block.arrivals,
-                    plan.arrivals[block.session_lo:block.session_hi])
+        plan = plan_generation(model, 1, seed=3)
+        for block in plan.specs:
+            np.testing.assert_array_equal(
+                block.arrivals,
+                plan.arrivals[block.session_lo:block.session_hi])
+            np.testing.assert_array_equal(
+                block.session_client,
+                plan.session_client[block.session_lo:block.session_hi])
 
     def test_default_block_count(self, model):
         plan = plan_generation(model, 1, seed=0)
-        assert sum(shard.n_blocks for shard in plan.shards) == DEFAULT_BLOCKS
+        assert len(plan.specs) == DEFAULT_BLOCKS
 
-    def test_shard_count_honoured_even_beyond_blocks(self, model):
-        plan = plan_generation(model, 1, seed=0, shards=10, blocks=4)
-        assert plan.n_shards == 10
-        assert sum(shard.n_blocks for shard in plan.shards) == 4
-        assert sum(shard.n_sessions for shard in plan.shards) == \
-            plan.n_sessions
+    def test_one_spec_per_block(self, model):
+        plan = plan_generation(model, 1.0, seed=0, blocks=16)
+        assert [block.index for block in plan.specs] == list(range(16))
+        assert len({block.seed_seq.spawn_key for block in plan.specs}) == 16
 
     def test_specs_are_picklable(self, model):
-        plan = plan_generation(model, 1, seed=3, shards=2)
-        for spec in plan.shards:
+        plan = plan_generation(model, 1, seed=3, blocks=2)
+        for spec in plan.specs:
             clone = pickle.loads(pickle.dumps(spec))
             assert clone.index == spec.index
             assert clone.n_sessions == spec.n_sessions
-            for block, other in zip(spec.blocks, clone.blocks,
-                                    strict=True):
-                np.testing.assert_array_equal(block.arrivals, other.arrivals)
-                assert block.seed_seq.spawn_key == other.seed_seq.spawn_key
-
-
-class TestStrategies:
-    """Shards group blocks by session count (the one grouping left)."""
-
-    def test_sessions_balances_session_counts(self, model):
-        plan = plan_generation(model, 1, seed=3, shards=4)
-        counts = [shard.n_sessions for shard in plan.shards]
-        # Diurnal skew means perfect balance is impossible, but no shard
-        # should be wildly off a fair share once blocks are fine enough.
-        assert max(counts) <= 2 * plan.n_sessions / len(counts)
+            np.testing.assert_array_equal(clone.arrivals, spec.arrivals)
+            assert clone.seed_seq.spawn_key == spec.seed_seq.spawn_key
 
 
 class TestValidation:
     def test_nonpositive_days(self, model):
         with pytest.raises(GenerationError):
             plan_generation(model, 0, seed=1)
-
-    def test_bad_shards(self, model):
-        with pytest.raises(ValueError):
-            plan_generation(model, 1, seed=1, shards=0)
 
     def test_bad_blocks(self, model):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from repro.core.model import LiveWorkloadModel
 from repro.errors import CheckpointError
 from repro.parallel.engine import generate_sharded
-from repro.parallel.plan import emit_horizons, plan_block_stream
+from repro.parallel.plan import emit_horizons, plan_generation
 from repro.stream import GenerationStream
 
 SEED = 1234
@@ -109,21 +109,12 @@ def test_chunk_size_validation(model):
         GenerationStream(model, 1.0, seed=SEED, chunk_size=0)
 
 
-def test_plan_block_stream_is_one_block_per_shard(model):
-    plan = plan_block_stream(model, 1.0, seed=SEED, blocks=16)
-    assert plan.n_shards == 16
-    for k, shard in enumerate(plan.shards):
-        assert shard.n_blocks == 1
-        assert shard.blocks[0].index == k
-
-
 def test_emit_horizons_bound_block_starts(model):
-    plan = plan_block_stream(model, 1.0, seed=SEED, blocks=16)
+    plan = plan_generation(model, 1.0, seed=SEED, blocks=16)
     horizons = emit_horizons(plan)
     assert horizons.shape == (16,)
     assert np.all(np.diff(horizons) >= 0)
     assert horizons[-1] == np.inf
-    for k, shard in enumerate(plan.shards):
-        block = shard.blocks[0]
+    for k, block in enumerate(plan.specs):
         if block.n_sessions and k > 0:
             assert block.arrivals[0] >= horizons[k - 1]
