@@ -2,8 +2,7 @@
 
 .PHONY: install lint lint-custom lint-mypy lint-ruff test test-all conform \
 	conform-paper conform-update coverage \
-	bench bench-core bench-stream bench-serve \
-	bench-summary experiments figures \
+	bench experiments figures \
 	examples all
 
 install:
@@ -75,30 +74,10 @@ coverage:
 	PYTHONPATH=src python -m pytest -q -m "not slow" \
 		--cov=repro --cov-report=term --cov-report=xml
 
-# The full benchmark battery: every subsystem's JSON-recorded benchmark
-# followed by the one-table summary of all BENCH_*.json artifacts.
-bench: bench-core bench-stream bench-serve bench-summary
-
-bench-summary:
-	python benchmarks/bench_summary.py
-
-# Core hot-path throughput only, with a JSON record so successive PRs
-# can compare perf trajectories (BENCH_perf_core.json).
-bench-core:
-	PYTHONPATH=src pytest benchmarks/bench_perf_core.py --benchmark-only \
-		--benchmark-json=BENCH_perf_core.json
-
-# Paper-scale streaming run (28 days, ~5.7M transfers by default):
-# records throughput AND peak RSS to BENCH_stream.json, alongside the
-# estimated in-memory footprint the batch path would have needed.
-bench-stream:
-	PYTHONPATH=src python benchmarks/bench_stream.py --out BENCH_stream.json
-
-# Live-service replay: boots repro.serve, replays a generated log over
-# real sockets through both wire codecs and records sustained aggregate
-# lines/sec plus p50/p99 ingest latency to BENCH_serve.json.
-bench-serve:
-	PYTHONPATH=src python benchmarks/bench_serve.py --out BENCH_serve.json
+# The end-to-end benchmark (perfbench/README.md): every workload of
+# BENCHMARK.json, with time, throughput and peak RSS per stage.
+bench:
+	python3 perfbench/run.py
 
 experiments:
 	PYTHONPATH=src python -m repro experiments

@@ -17,8 +17,8 @@ small reorder buffer resident.  This example exercises the contract:
 3. Characterize the streamed log in checkpointed, resumed legs
    across two worker processes.
 
-The default scale runs in seconds; pass ``--days 28 --rate 1.4`` (see
-``benchmarks/bench_stream.py``) for a true paper-scale run.
+The default scale runs in seconds; pass ``--days 28 --rate 1.4`` for a
+true paper-scale run.
 
 Run:  PYTHONPATH=src python examples/stream_paper_scale.py
 """

@@ -45,7 +45,35 @@ from .trace.wms_log import write_wms_log
 from .units import DEFAULT_SESSION_TIMEOUT
 
 if TYPE_CHECKING:
+    from typing import Any
+
     from .trace.streaming import StreamingSummary
+
+
+class _Named(argparse.Action):
+    """Mixin recording the option in ``namespace.named`` once parsed, so
+    that :func:`_check_flags` sees a flag named at its default value."""
+
+    def __call__(self, parser: argparse.ArgumentParser,
+                 namespace: argparse.Namespace, values: Any,
+                 option_string: str | None = None) -> None:
+        super().__call__(parser, namespace, values, option_string)
+        vars(namespace).setdefault("named", set()).update(self.option_strings)
+
+
+class _Store(_Named, argparse._StoreAction):
+    """The subcommands' default ``store`` action."""
+
+
+class _StoreTrue(_Named, argparse._StoreTrueAction):
+    """The subcommands' ``store_true`` action."""
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _Store)
+        self.register("action", "store_true", _StoreTrue)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Live Streaming Media Workload' (IMC 2002)")
     parser.add_argument("-v", "--verbose", action="count", default=0,
                         help="log progress (repeat for per-shard detail)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
 
     sim = sub.add_parser("simulate",
                          help="simulate the live-show world into a trace")
@@ -76,7 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="three-layer characterization of a trace")
     cha.add_argument("trace", type=Path, nargs="+",
                      help=".npz trace path (or WMS log paths with --log)")
-    cha.add_argument("--timeout", type=float, default=None,
+    cha.add_argument("--timeout", type=float,
+                     default=DEFAULT_SESSION_TIMEOUT,
                      help="session timeout T_o in seconds (default: 1500; "
                           "not with --log)")
     cha.add_argument("--no-sanitize", action="store_true",
@@ -162,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--max-blocks", type=int, default=None,
                      help="stop after this many blocks (--stream only; "
                           "for exercising interrupted runs)")
-    gen.add_argument("--codec", choices=("text", "binary"), default=None,
+    gen.add_argument("--codec", choices=("text", "binary"), default="text",
                      help="trace serialization for --stream output: "
                           "'text' (WMS log, default) or 'binary' (the "
                           "columnar format; ~5x smaller, decodes to the "
@@ -375,6 +405,67 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_REFUSED = "does not apply with"
+
+#: Flag rules of each subcommand, checked by :func:`_check_flags`:
+#: ``scope`` rows ``(flags, phrase, switch)`` -- naming one of the
+#: ``/``-joined ``flags`` needs ``switch`` named too or, when ``phrase``
+#: is :data:`_REFUSED`, absent; ``at_least_1`` count options; and
+#: ``experiment_ids`` positionals that must name registered experiments.
+_FLAG_RULES: dict[str, dict[str, tuple[Any, ...]]] = {
+    "characterize": {
+        "scope": (("--checkpoint", "requires", "--log"),
+                  ("--resume", "requires", "--checkpoint"),
+                  ("--codec", "requires", "--log"),
+                  ("--jobs", "requires", "--log"),
+                  ("--no-sanitize", _REFUSED, "--log"),
+                  ("--timeout", _REFUSED, "--log")),
+        "at_least_1": ("--jobs",),
+    },
+    "generate": {
+        "scope": (("--chunk-size", "only applies with", "--stream"),
+                  ("--blocks", "only applies with", "--stream"),
+                  ("--timeout", "only applies with", "--stream"),
+                  ("--checkpoint", "only applies with", "--stream"),
+                  ("--max-blocks", "only applies with", "--stream"),
+                  ("--codec", "only applies with", "--stream"),
+                  ("--resume/--no-sessions", "only apply with", "--stream"),
+                  ("--jobs", _REFUSED, "--stream")),
+        "at_least_1": ("--jobs", "--chunk-size", "--blocks", "--max-blocks"),
+    },
+    "plan": {
+        "scope": (("--scenario", _REFUSED, "--trace"),),
+        "at_least_1": ("--jobs",),
+    },
+    "experiments": {"experiment_ids": ("ids",)},
+    "figures": {"experiment_ids": ("ids",)},
+}
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    """Raise ``ConfigError`` if ``args`` breaks a rule of
+    :data:`_FLAG_RULES` for its subcommand."""
+    from .errors import ConfigError
+
+    rules = _FLAG_RULES.get(args.command, {})
+    named = getattr(args, "named", set())
+    for flags, phrase, switch in rules.get("scope", ()):
+        if (switch in named) == (phrase == _REFUSED) and any(
+                flag in named for flag in flags.split("/")):
+            raise ConfigError(f"{flags} {phrase} {switch}")
+    for flag in rules.get("at_least_1", ()):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
+    for dest in rules.get("experiment_ids", ()):
+        from .experiments.runner import ALL_EXPERIMENTS
+
+        for name in getattr(args, dest):
+            if name not in ALL_EXPERIMENTS:
+                raise ConfigError(f"unknown experiment id {name!r}; known: "
+                                  f"{', '.join(ALL_EXPERIMENTS)}")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = ScenarioConfig(
         days=args.days, mean_session_rate=args.rate,
@@ -413,29 +504,8 @@ def _render_streaming_summary(summary: StreamingSummary) -> str:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
-    if args.checkpoint is not None and not args.log:
-        print("--checkpoint requires --log (it checkpoints the streaming "
-              "log characterization)", file=sys.stderr)
-        return 2
-    if args.resume and args.checkpoint is None:
-        print("--resume requires --checkpoint", file=sys.stderr)
-        return 2
-    if args.codec != "auto" and not args.log:
-        print("--codec requires --log (npz traces have no codec)",
-              file=sys.stderr)
-        return 2
-    if args.jobs != 1 and not args.log:
-        print("--jobs requires --log (an npz trace is characterized in "
-              "one process)", file=sys.stderr)
-        return 2
-    if args.log and args.no_sanitize:
-        print("--no-sanitize does not apply with --log (the log "
-              "characterization does not sanitize)", file=sys.stderr)
-        return 2
-    if args.log and args.timeout is not None:
-        print("--timeout does not apply with --log (the log "
-              "characterization does not sessionize)", file=sys.stderr)
-        return 2
+    from .errors import ConfigError
+
     if args.log:
         if args.codec != "auto":
             from .trace.codecs import detect_codec
@@ -443,26 +513,20 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
             for path in args.trace:
                 detected = detect_codec(path)
                 if detected != args.codec:
-                    print(f"{path}: detected codec {detected!r} does not "
-                          f"match --codec {args.codec}", file=sys.stderr)
-                    return 2
-        from .errors import CheckpointError
+                    raise ConfigError(
+                        f"{path}: detected codec {detected!r} does not "
+                        f"match --codec {args.codec}")
         from .parallel import characterize_logs
 
-        try:
-            summary = characterize_logs(
-                args.trace, jobs=args.jobs, checkpoint_path=args.checkpoint,
-                resume=args.resume)
-        except CheckpointError as exc:
-            print(f"checkpoint error: {exc}", file=sys.stderr)
-            return 2
+        summary = characterize_logs(
+            args.trace, jobs=args.jobs, checkpoint_path=args.checkpoint,
+            resume=args.resume)
         assert summary is not None  # no max_chunks: the plan ran out
         print(_render_streaming_summary(summary))
         return 0
     if len(args.trace) != 1:
-        print("characterize accepts exactly one .npz trace "
-              "(multiple inputs need --log)", file=sys.stderr)
-        return 2
+        raise ConfigError("characterize accepts exactly one .npz trace "
+                          "(multiple inputs need --log)")
     trace = Trace.load_npz(args.trace[0])
     if not args.no_sanitize:
         trace, report = sanitize_trace(trace)
@@ -471,9 +535,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
                   f"({report.n_spanning} spanning, "
                   f"{report.n_out_of_window} out of window, "
                   f"{report.n_degenerate} degenerate)")
-    timeout = (DEFAULT_SESSION_TIMEOUT if args.timeout is None
-               else args.timeout)
-    print(render_report(characterize(trace, timeout=timeout)))
+    print(render_report(characterize(trace, timeout=args.timeout)))
     return 0
 
 
@@ -493,7 +555,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    from .errors import ScenarioError
     from .scenarios import get_scenario
 
     if args.model is not None:
@@ -502,67 +563,29 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     else:
         model = LiveWorkloadModel.paper_defaults(
             mean_session_rate=args.rate, n_clients=args.clients)
-    if args.chunk_size is not None and args.chunk_size < 1:
-        print(f"--chunk-size must be at least 1, got {args.chunk_size}",
-              file=sys.stderr)
-        return 2
-    try:
-        get_scenario(args.scenario)  # fail fast, before any generation
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    if args.stream:
-        return _cmd_generate_stream(args, model)
-    for flag, name in ((args.chunk_size, "--chunk-size"),
-                       (args.blocks, "--blocks"),
-                       (args.checkpoint, "--checkpoint"),
-                       (args.max_blocks, "--max-blocks"),
-                       (args.codec, "--codec")):
-        if flag is not None:
-            print(f"{name} only applies with --stream", file=sys.stderr)
-            return 2
-    if args.resume or args.no_sessions:
-        print("--resume/--no-sessions only apply with --stream",
-              file=sys.stderr)
-        return 2
-    try:
+    get_scenario(args.scenario)  # fail fast, before any generation
+    if not args.stream:
         workload = LiveWorkloadGenerator(model).generate(
             args.days, seed=args.seed, jobs=args.jobs,
             scenario=args.scenario)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    workload.trace.save_npz(args.out)
-    scenario_note = (f" [scenario {args.scenario}]"
-                     if args.scenario is not None else "")
-    print(f"generated {workload.trace.n_transfers} transfers in "
-          f"{workload.n_sessions} sessions over {args.days} days"
-          f"{scenario_note} -> {args.out}")
-    return 0
-
-
-def _cmd_generate_stream(args: argparse.Namespace,
-                         model: LiveWorkloadModel) -> int:
-    from .errors import CheckpointError, ScenarioError
+        workload.trace.save_npz(args.out)
+        scenario_note = (f" [scenario {args.scenario}]"
+                         if args.scenario is not None else "")
+        print(f"generated {workload.trace.n_transfers} transfers in "
+              f"{workload.n_sessions} sessions over {args.days} days"
+              f"{scenario_note} -> {args.out}")
+        return 0
     from .stream import DEFAULT_CHUNK_SIZE, run_streaming_generation
 
-    try:
-        result = run_streaming_generation(
-            model, args.days, seed=args.seed, log_path=args.out,
-            chunk_size=(DEFAULT_CHUNK_SIZE if args.chunk_size is None
-                        else args.chunk_size),
-            blocks=args.blocks, timeout=args.timeout,
-            sessionize=not args.no_sessions, collect_sessions=False,
-            checkpoint_path=args.checkpoint, resume=args.resume,
-            max_blocks=args.max_blocks,
-            scenario=args.scenario,
-            codec=args.codec if args.codec is not None else "text")
-    except CheckpointError as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
-        return 2
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
+    result = run_streaming_generation(
+        model, args.days, seed=args.seed, log_path=args.out,
+        chunk_size=(DEFAULT_CHUNK_SIZE if args.chunk_size is None
+                    else args.chunk_size),
+        blocks=args.blocks, timeout=args.timeout,
+        sessionize=not args.no_sessions, collect_sessions=False,
+        checkpoint_path=args.checkpoint, resume=args.resume,
+        max_blocks=args.max_blocks, scenario=args.scenario,
+        codec=args.codec)
     state = "complete" if result.completed else "interrupted"
     sessions = ("sessions off" if result.n_sessions is None
                 else f"{result.n_sessions} sessions")
@@ -623,21 +646,16 @@ def _cmd_conform(args: argparse.Namespace) -> int:
                           render_summary, run_conformance)
     from .conform.fingerprint import DEFAULT_N_BOOT
     from .conform.registry import REGISTRY_PATH
-    from .errors import ReproError
 
-    try:
-        result = run_conformance(
-            args.scale,
-            update=args.update,
-            run_oracle=not args.no_oracle,
-            run_mutation=not args.no_mutation,
-            run_scenarios=not args.no_scenarios,
-            n_boot=DEFAULT_N_BOOT if args.boot is None else args.boot,
-            registry_path=(REGISTRY_PATH if args.registry is None
-                           else args.registry))
-    except ReproError as exc:
-        print(f"conformance error: {exc}", file=sys.stderr)
-        return 2
+    result = run_conformance(
+        args.scale,
+        update=args.update,
+        run_oracle=not args.no_oracle,
+        run_mutation=not args.no_mutation,
+        run_scenarios=not args.no_scenarios,
+        n_boot=DEFAULT_N_BOOT if args.boot is None else args.boot,
+        registry_path=(REGISTRY_PATH if args.registry is None
+                       else args.registry))
     print(render_summary(result))
     if args.out is not None:
         args.out.write_text(
@@ -659,19 +677,14 @@ def _split_rule_ids(values: list[str] | None) -> list[str] | None:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .errors import LintError
     from .lint import lint_paths, render_json, render_sarif, render_text
 
     paths = [str(p) for p in args.paths] or ["src", "tests"]
     cache_file = None if args.no_cache else args.cache_file
-    try:
-        result = lint_paths(paths,
-                            select=_split_rule_ids(args.select),
-                            ignore=_split_rule_ids(args.ignore),
-                            cache_path=cache_file)
-    except LintError as exc:
-        print(f"lint error: {exc}", file=sys.stderr)
-        return 2
+    result = lint_paths(paths,
+                        select=_split_rule_ids(args.select),
+                        ignore=_split_rule_ids(args.ignore),
+                        cache_path=cache_file)
     if args.format == "json":
         report = render_json(result)
     elif args.format == "sarif":
@@ -687,7 +700,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .errors import ReproError
     from .serve.config import DEFAULT_LATENESS, ServeConfig
     from .serve.service import CharacterizationService
 
@@ -705,20 +717,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_batches=args.queue_batches,
         golden_workload=args.golden,
     )
-    try:
-        config.validate()
-    except ReproError as exc:
-        print(f"serve error: {exc}", file=sys.stderr)
-        return 2
+    config.validate()
 
     async def _serve() -> int:
         service = CharacterizationService(config)
-        try:
-            await service.start()
-        except ReproError as exc:
-            print(f"serve error: {type(exc).__name__}: {exc}",
-                  file=sys.stderr)
-            return 2
+        await service.start()
         print(f"repro-serve listening "
               f"tcp={service.tcp_port} http={service.http_port}",
               flush=True)
@@ -737,26 +740,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_load(args: argparse.Namespace) -> int:
-    from .errors import ReproError
     from .serve.load import run_load
 
-    try:
-        report = run_load(
-            args.log,
-            host=args.host,
-            tcp_port=args.tcp_port,
-            http_port=args.http_port,
-            feeds=args.feeds,
-            speedup=args.speedup,
-            batch_lines=args.batch_lines,
-            transport=args.transport,
-            codec=None if args.codec == "auto" else args.codec,
-            resume_from_service=args.resume_from_service,
-            max_retries=args.max_retries,
-        )
-    except ReproError as exc:
-        print(f"serve-load error: {exc}", file=sys.stderr)
-        return 2
+    report = run_load(
+        args.log,
+        host=args.host,
+        tcp_port=args.tcp_port,
+        http_port=args.http_port,
+        feeds=args.feeds,
+        speedup=args.speedup,
+        batch_lines=args.batch_lines,
+        transport=args.transport,
+        codec=None if args.codec == "auto" else args.codec,
+        resume_from_service=args.resume_from_service,
+        max_retries=args.max_retries,
+    )
     print(f"replayed {report.lines_sent} lines "
           f"({report.codec} codec, {report.n_feeds} feeds) in "
           f"{report.wall_seconds:.2f}s -> "
@@ -785,47 +783,32 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     from .cdn.failures import FailurePlan
     from .errors import CdnError
 
-    try:
-        validate_policy(args.policy)
-        if not 0.0 <= args.slo <= 1.0:
-            raise CdnError(f"--slo must be within [0, 1], got {args.slo}")
-        edge_counts = tuple(
-            int(v) for v in parse_sweep(args.edges, integral=True))
-        bandwidths = (None if args.bandwidth_mbps is None else tuple(
-            v * 1e6 for v in parse_sweep(args.bandwidth_mbps)))
-        # Validate the whole candidate grid up front, before the
-        # (potentially slow) workload generation below.
-        sweep_configs(edge_counts, bandwidths,
-                      max_connections=args.max_connections)
-        failures = FailurePlan(tuple(
-            parse_failure(spec) for spec in (args.fail_edge or ())))
-        failures.validate(min(edge_counts) if edge_counts else 0)
-    except CdnError as exc:
-        print(f"plan error: {exc}", file=sys.stderr)
-        return 2
+    validate_policy(args.policy)
+    if not 0.0 <= args.slo <= 1.0:
+        raise CdnError(f"--slo must be within [0, 1], got {args.slo}")
+    edge_counts = tuple(
+        int(v) for v in parse_sweep(args.edges, integral=True))
+    bandwidths = (None if args.bandwidth_mbps is None else tuple(
+        v * 1e6 for v in parse_sweep(args.bandwidth_mbps)))
+    # Validate the whole candidate grid up front, before the
+    # (potentially slow) workload generation below.
+    sweep_configs(edge_counts, bandwidths,
+                  max_connections=args.max_connections)
+    failures = FailurePlan(tuple(
+        parse_failure(spec) for spec in (args.fail_edge or ())))
+    failures.validate(min(edge_counts) if edge_counts else 0)
 
     # The sweep always reads the workload from an .npz file — a
     # generated workload is materialized to a temp file first — so the
     # worker processes see the exact same bytes as the inline path and
     # the report is identical for any --jobs value.
     if args.trace is not None:
-        if args.scenario is not None:
-            print("--scenario applies to the generated workload; it is "
-                  "incompatible with --trace (pre-recorded traces carry "
-                  "no model to perturb)", file=sys.stderr)
-            return 2
         trace_path, cleanup = args.trace, None
     else:
-        from .errors import ScenarioError
-
         model = LiveWorkloadModel.paper_defaults(
             mean_session_rate=args.rate, n_clients=args.clients)
-        try:
-            workload = LiveWorkloadGenerator(model).generate(
-                args.days, seed=args.seed, scenario=args.scenario)
-        except ScenarioError as exc:
-            print(f"scenario error: {exc}", file=sys.stderr)
-            return 2
+        workload = LiveWorkloadGenerator(model).generate(
+            args.days, seed=args.seed, scenario=args.scenario)
         handle = tempfile.NamedTemporaryFile(
             suffix=".npz", delete=False)
         handle.close()
@@ -843,9 +826,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             edge_counts=edge_counts, bandwidths_bps=bandwidths,
             max_connections=args.max_connections, failures=failures,
             step=args.step, jobs=args.jobs)
-    except CdnError as exc:
-        print(f"plan error: {exc}", file=sys.stderr)
-        return 2
     finally:
         if cleanup is not None:
             cleanup.unlink(missing_ok=True)
@@ -915,22 +895,35 @@ def _configure_logging(verbosity: int) -> None:
     0 keeps the library silent (WARNING), 1 shows shard/chunk dispatch
     and merge timings (INFO), 2+ adds per-task completion detail (DEBUG).
     """
-    if verbosity <= 0:
-        level = logging.WARNING
-    elif verbosity == 1:
-        level = logging.INFO
-    else:
-        level = logging.DEBUG
     logging.basicConfig(
-        level=level,
+        level={0: logging.WARNING, 1: logging.INFO}.get(verbosity,
+                                                         logging.DEBUG),
         format="%(asctime)s %(name)s %(levelname)s: %(message)s")
 
 
+def _error_topic(exc: Exception) -> str:
+    """``ScenarioError`` -> ``"scenario"``; any ``OSError`` -> ``"io"``."""
+    if isinstance(exc, OSError):
+        return "io"
+    name = type(exc).__name__.removesuffix("Error")
+    return "".join(f" {c.lower()}" if c.isupper() else c
+                   for c in name).strip()
+
+
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the exit status: 0 on success, 1 when a
+    verdict failed, 2 when the invocation was refused -- by the parser, or
+    by a ``ReproError`` or ``OSError`` reported here on one line."""
+    from .errors import ReproError
+
     args = _build_parser().parse_args(argv)
     _configure_logging(args.verbose)
-    return _COMMANDS[args.command](args)
+    try:
+        _check_flags(args)
+        return _COMMANDS[args.command](args)
+    except (ReproError, OSError) as exc:
+        print(f"{_error_topic(exc)} error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - module execution path

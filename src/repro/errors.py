@@ -1,9 +1,11 @@
 """Exception hierarchy for the :mod:`repro` package.
 
-All exceptions raised by library code derive from :class:`ReproError`, so a
-caller embedding the library can catch a single base class.  Subclasses are
-kept deliberately coarse: one per failure domain rather than one per call
-site.
+Bad input -- a malformed trace, log line, checkpoint, model, scenario spec
+or configuration -- raises a :class:`ReproError` subclass, so a caller can
+catch one base class.  A call that breaks a function's own contract (``jobs``
+below 1, an array of the wrong shape) raises the built-in ``ValueError``, as
+any Python API does.  Subclasses are kept deliberately coarse: one per
+failure domain rather than one per call site.
 """
 
 from __future__ import annotations

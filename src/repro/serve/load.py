@@ -78,7 +78,7 @@ class LoadReport:
     feeds: dict[str, dict[str, int]]
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-friendly form (written to ``BENCH_serve.json``)."""
+        """JSON-friendly form (written by ``repro serve-load --out``)."""
         return {
             "log_path": self.log_path,
             "codec": self.codec,

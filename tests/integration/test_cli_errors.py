@@ -4,9 +4,18 @@ Every rejected invocation must exit non-zero and explain itself on
 stderr — a silent exit code is useless in CI logs.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.cli import main
+
+_SRC = str(Path(__file__).resolve().parents[2] / "src")
+_SMALL = ["--days", "0.1", "--rate", "0.01", "--clients", "50", "--seed", "1"]
 
 
 class TestUnknownCommand:
@@ -21,6 +30,53 @@ class TestUnknownCommand:
             main([])
         assert excinfo.value.code == 2
         assert "command" in capsys.readouterr().err
+
+
+class TestOneErrorExit:
+    """Every refused invocation exits 2 with one ``<topic> error:`` line,
+    whether the CLI, the library or the file system refuses it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "SMALL", "--jobs", "0", "--out", "{tmp}/w.npz"],
+        ["plan", "SMALL", "--jobs", "0"],
+        ["generate", "SMALL", "--stream", "--blocks", "0",
+         "--out", "{tmp}/w.log"],
+        ["generate", "--days", "-1", "--out", "{tmp}/w.npz"],
+        ["simulate", "--days", "0", "--out", "{tmp}/t.npz"],
+        ["plan", "SMALL", "--step", "0"],
+        ["experiments", "fig99"],
+        ["figures", "fig99", "--outdir", "{tmp}/figs"],
+        ["characterize", "{tmp}/missing.npz"],
+        ["calibrate", "{tmp}/missing.npz", "--out", "{tmp}/m.json"],
+        ["replay", "{tmp}/missing.npz"],
+        ["validate", "{tmp}/missing.npz", "{tmp}/missing.npz"],
+        ["generate", "--model", "{tmp}/missing.json", "--out", "{tmp}/w.npz"],
+        ["characterize", "--log", "{tmp}/arrays.npz"],
+        ["generate", "SMALL", "--stream", "--jobs", "2",
+         "--out", "{tmp}/w.log"],
+        ["generate", "SMALL", "--timeout", "10", "--out", "{tmp}/w.npz"],
+    ], ids=lambda argv: " ".join(
+        a for a in argv if a != "SMALL").replace("{tmp}/", ""))
+    def test_exits_2_with_one_line(self, argv, tmp_path, capsys):
+        np.savez(tmp_path / "arrays.npz", x=np.arange(3))
+        code = main([word.format(tmp=tmp_path) for arg in argv
+                     for word in (_SMALL if arg == "SMALL" else [arg])])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1, err
+        assert err.split(":", 1)[0].endswith(" error")
+
+    def test_module_entry_point_exits_2_without_traceback(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "generate", *_SMALL,
+             "--jobs", "0", "--out", str(tmp_path / "w.npz")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (
+            "config error: --jobs must be at least 1, got 0\n")
 
 
 class TestCharacterizeConflicts:
@@ -273,7 +329,7 @@ class TestPlanErrors:
         code = main(["plan", "--policy", "round-robin"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "plan error" in err
+        assert "cdn error" in err
         assert "round-robin" in err
 
     @pytest.mark.parametrize("slo", ["-0.1", "1.5"])

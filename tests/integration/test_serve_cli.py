@@ -80,7 +80,7 @@ class TestServeLoadErrors:
         code = main(["serve-load", str(tmp_path / "absent.log")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "serve-load error" in err
+        assert "serve error" in err
         assert "does not exist" in err
 
     def test_resume_without_http_port_exits_2(self, text_log, capsys):

@@ -9,6 +9,8 @@ for any chunk size and across arbitrary checkpoint/resume splits.
 import dataclasses
 import errno
 import multiprocessing
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,42 +242,92 @@ def test_resumable_characterization_matches_mapreduce(codec_logs, tmp_path,
     assert meta == whole_meta
 
 
-@pytest.mark.parametrize("codec", sorted(RESUME_CHUNK_BYTES))
-def test_failed_checkpoint_save_keeps_the_previous_one(codec_logs, tmp_path,
-                                                       monkeypatch, codec):
-    # The disk fills on the second save of a pooled run: the error
-    # reaches the caller, no worker outlives the call, the first
-    # checkpoint still loads, and resuming from it gives the
-    # uninterrupted summary and final checkpoint bytes.
-    log, chunk_bytes = codec_logs[codec], RESUME_CHUNK_BYTES[codec]
-    assert len(plan_log_chunks([log], chunk_bytes=chunk_bytes)) > \
-        CHECKPOINT_EVERY
-    whole = tmp_path / "whole.npz"
-    want = characterize_logs(log, jobs=2, chunk_bytes=chunk_bytes,
-                             checkpoint_path=whole)
+def _disk_full(staged, dst):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _short_write(staged, dst):
+    with open(staged, "r+b") as stream:
+        stream.truncate(os.path.getsize(staged) // 2)
+    _disk_full(staged, dst)
+
+
+class _Killed(BaseException):
+    """Stands in for the writer's process dying mid-save."""
+
+
+def _killed_writer(staged, dst):
+    # A killed writer's temp file outlives it, half written, beside the
+    # checkpoint (this process's own temp file is still cleaned up).
+    data = Path(staged).read_bytes()
+    Path(f"{dst}.killed.tmp").write_bytes(data[:len(data) // 2])
+    raise _Killed
+
+
+@pytest.mark.parametrize("codec, driver, fault", [
+    pytest.param("text", "characterize", _disk_full, id="text"),
+    pytest.param("binary", "characterize", _disk_full, id="binary"),
+    *(pytest.param("text", driver, fault, id=f"{name}-{driver}")
+      for name, fault in (("short-write", _short_write),
+                          ("killed-writer", _killed_writer))
+      for driver in ("characterize", "generate")),
+])
+def test_failed_checkpoint_save_keeps_the_previous_one(
+        model, codec_logs, tmp_path, monkeypatch, codec, driver, fault):
+    # The second save of a checkpointed run fails: the disk is full at the
+    # rename, the staged archive is cut short before it, or the writer
+    # dies and leaves a half-written temp file.  The failure reaches the
+    # caller, no worker outlives the call, the first checkpoint is intact,
+    # and resuming from it gives the uninterrupted summary, log and final
+    # checkpoint bytes.
+    if driver == "characterize":
+        log, chunk_bytes = codec_logs[codec], RESUME_CHUNK_BYTES[codec]
+        assert len(plan_log_chunks([log], chunk_bytes=chunk_bytes)) > \
+            CHECKPOINT_EVERY
+
+        def run(ck, **kwargs):
+            summary = characterize_logs(log, jobs=2, chunk_bytes=chunk_bytes,
+                                        checkpoint_path=ck, **kwargs)
+            return dataclasses.asdict(summary)
+    else:
+        def run(ck, **kwargs):
+            log = ck.with_suffix(".log")
+            result = run_streaming_generation(
+                model, DAYS, seed=SEED, log_path=log, checkpoint_path=ck,
+                collect_sessions=False, **kwargs)
+            return (result.completed, result.n_transfers, result.n_entries,
+                    result.n_sessions, log.read_bytes())
+
+    whole, ck = tmp_path / "whole" / "chk.npz", tmp_path / "run" / "chk.npz"
+    whole.parent.mkdir()
+    ck.parent.mkdir()
+    want = run(whole)
     replace = checkpoint.os.replace
-    saves = []
+    first = []
 
-    def full_disk_on_second_save(src, dst):
-        saves.append(dst)
-        if len(saves) == 2:
-            raise OSError(errno.ENOSPC, "No space left on device")
-        replace(src, dst)
+    def fail_second_save(staged, dst):
+        if first:
+            fault(staged, dst)
+        replace(staged, dst)
+        first.append(Path(dst).read_bytes())
 
-    ck = tmp_path / "chk.npz"
-    monkeypatch.setattr(checkpoint.os, "replace", full_disk_on_second_save)
-    with pytest.raises(OSError) as failure:
-        characterize_logs(log, jobs=2, chunk_bytes=chunk_bytes,
-                          checkpoint_path=ck)
+    monkeypatch.setattr(checkpoint.os, "replace", fail_second_save)
+    with pytest.raises((OSError, _Killed)) as failure:
+        run(ck)
     monkeypatch.undo()
-    assert failure.value.errno == errno.ENOSPC
+    if fault is _killed_writer:
+        assert failure.type is _Killed
+    else:
+        assert failure.value.errno == errno.ENOSPC
     assert multiprocessing.active_children() == []
+    assert ck.read_bytes() == first[0]
     meta, _ = load_checkpoint(ck)
-    assert meta["next_chunk"] == CHECKPOINT_EVERY
-    summary = characterize_logs(log, jobs=2, chunk_bytes=chunk_bytes,
-                                checkpoint_path=ck, resume=True)
-    np.testing.assert_equal(dataclasses.asdict(summary),
-                            dataclasses.asdict(want))
+    if driver == "characterize":
+        assert meta["next_chunk"] == CHECKPOINT_EVERY
+    stray = [p.name for p in sorted(ck.parent.glob("chk.npz.*.tmp"))]
+    assert stray == (["chk.npz.killed.tmp"] if fault is _killed_writer
+                     else [])
+    np.testing.assert_equal(run(ck, resume=True), want)
     assert ck.read_bytes() == whole.read_bytes()
 
 
