@@ -37,6 +37,12 @@ def _validate_intervals(starts: ArrayLike, ends: ArrayLike
     return s, e
 
 
+def check_step(step: float) -> None:
+    """Refuse a sampling period that is not positive (``AnalysisError``)."""
+    if step <= 0:
+        raise AnalysisError(f"step must be positive, got {step}")
+
+
 def sampled_concurrency(starts: ArrayLike, ends: ArrayLike, *,
                         extent: float, step: float = 60.0) -> FloatArray:
     """Sample the active-interval count at times ``0, step, 2*step, ...``.
@@ -56,8 +62,7 @@ def sampled_concurrency(starts: ArrayLike, ends: ArrayLike, *,
     """
     if extent <= 0:
         raise AnalysisError(f"extent must be positive, got {extent}")
-    if step <= 0:
-        raise AnalysisError(f"step must be positive, got {step}")
+    check_step(step)
     s, e = _validate_intervals(starts, ends)
     n_samples = int(np.ceil(extent / step))
     times = np.arange(n_samples, dtype=np.float64) * step

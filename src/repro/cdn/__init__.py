@@ -38,6 +38,7 @@ from .planner import (
     ConfigOutcome,
     PlanConfig,
     PlanReport,
+    check_plan,
     parse_sweep,
     plan_deployment,
     sweep_configs,
@@ -71,6 +72,7 @@ __all__ = [
     "admit_requests",
     "assign_static",
     "assignment_keys",
+    "check_plan",
     "mix64",
     "parse_failure",
     "parse_sweep",

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
+from ..analysis.concurrency import check_step
 from ..errors import CdnError
 from ..parallel import map_ordered
 from ..trace.store import Trace
@@ -171,6 +172,42 @@ def sweep_configs(edge_counts: tuple[int, ...],
                  for bw in sorted(bws, key=lambda b: (b is not None, b)))
 
 
+def check_plan(*, slo: float, edge_counts: tuple[int, ...],
+               bandwidths_bps: tuple[float, ...] | None = None,
+               max_connections: int | None = None,
+               failures: FailurePlan | None = None, step: float = 60.0,
+               origin_stream_bps: float = DEFAULT_ORIGIN_STREAM_BPS
+               ) -> tuple[PlanConfig, ...]:
+    """The candidate grid, once the plan's inputs pass every check the
+    sweep would make.
+
+    :func:`plan_deployment` runs this first; a caller whose set-up is
+    slow (generating the workload) runs it before that set-up.
+
+    Raises
+    ------
+    CdnError
+        On an SLO outside ``[0, 1]``, an empty or invalid grid
+        (:func:`sweep_configs`), an edge capacity that is not positive,
+        or a failure plan the smallest deployment cannot carry.
+    AnalysisError
+        On a sampling ``step`` that is not positive.
+    """
+    if not 0.0 <= slo <= 1.0:
+        raise CdnError(f"slo must be within [0, 1], got {slo}")
+    configs = sweep_configs(edge_counts, bandwidths_bps,
+                            max_connections=max_connections)
+    for config in configs:
+        config.topology(origin_stream_bps=origin_stream_bps)
+    # Epoch construction validates the plan against the smallest
+    # deployment in the grid — edge ids in range, no overlapping down
+    # intervals, and no instant with every edge dead — so an impossible
+    # scenario fails here rather than mid-sweep in a worker.
+    (failures or FailurePlan()).epochs(min(c.n_edges for c in configs))
+    check_step(step)
+    return configs
+
+
 def _load_trace(path: str) -> Trace:
     """Per-process trace cache: each worker reads the .npz once.
 
@@ -245,18 +282,12 @@ def plan_deployment(trace_path: str | Path, *,
     jobs:
         Worker processes for the sweep (1 = inline).
     """
-    if not 0.0 <= slo <= 1.0:
-        raise CdnError(f"slo must be within [0, 1], got {slo}")
-    configs = sweep_configs(edge_counts, bandwidths_bps,
-                            max_connections=max_connections)
-    plan = failures if failures is not None else FailurePlan()
-    # Epoch construction validates the plan against the smallest
-    # deployment in the grid — edge ids in range, no overlapping down
-    # intervals, and no instant with every edge dead — so an impossible
-    # scenario fails here rather than mid-sweep in a worker.
-    plan.epochs(min(c.n_edges for c in configs))
-    failure_specs = tuple(
-        (f.edge, f.at, f.until) for f in plan.failures)
+    configs = check_plan(
+        slo=slo, edge_counts=edge_counts, bandwidths_bps=bandwidths_bps,
+        max_connections=max_connections, failures=failures, step=step,
+        origin_stream_bps=origin_stream_bps)
+    failure_specs = tuple((f.edge, f.at, f.until)
+                          for f in (failures or FailurePlan()).failures)
     path = str(trace_path)
     tasks: list[_PlanTask] = [
         (path, c.n_edges, c.bandwidth_bps, c.max_connections, policy,

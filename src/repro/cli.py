@@ -124,11 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cha.add_argument("--resume", action="store_true",
                      help="with --checkpoint: continue from the "
                           "checkpoint if it exists")
-    cha.add_argument("--codec", choices=("auto", "text", "binary"),
-                     default="auto",
-                     help="with --log: expected trace codec of the "
-                          "inputs; 'auto' (default) sniffs each file, "
-                          "naming one fails fast on a mismatch")
 
     cal = sub.add_parser("calibrate",
                          help="fit the Table 2 generative model from a trace")
@@ -280,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="TCP ingest port; 0 picks an ephemeral port "
                           "(default: 7070)")
     srv.add_argument("--http-port", type=int, default=8080,
-                     help="HTTP metrics/ingest port; 0 picks an "
+                     help="HTTP metrics/control port; 0 picks an "
                           "ephemeral port (default: 8080)")
     srv.add_argument("--checkpoint", type=Path, default=None,
                      help="periodically checkpoint service state to "
@@ -309,7 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="replay a trace log into a running "
                               "service (load harness)")
     lod.add_argument("log", type=Path,
-                     help="trace log to replay (text or binary codec)")
+                     help="trace log to replay (text or binary codec, "
+                          "sniffed from the file)")
     lod.add_argument("--host", default="127.0.0.1",
                      help="service address (default: 127.0.0.1)")
     lod.add_argument("--tcp-port", type=int, default=7070,
@@ -325,13 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "0 replays unpaced (default: 0)")
     lod.add_argument("--batch-lines", type=int, default=512,
                      help="text lines per send batch (default: 512)")
-    lod.add_argument("--transport", choices=("tcp", "http"),
-                     default="tcp",
-                     help="ingest transport (http carries text only; "
-                          "default: tcp)")
-    lod.add_argument("--codec", choices=("auto", "text", "binary"),
-                     default="auto",
-                     help="log codec (default: sniff the file)")
     lod.add_argument("--resume-from-service", action="store_true",
                      help="ask /metrics how far each feed got and "
                           "replay only the remainder")
@@ -416,7 +405,6 @@ _FLAG_RULES: dict[str, dict[str, tuple[Any, ...]]] = {
     "characterize": {
         "scope": (("--checkpoint", "requires", "--log"),
                   ("--resume", "requires", "--checkpoint"),
-                  ("--codec", "requires", "--log"),
                   ("--jobs", "requires", "--log"),
                   ("--no-sanitize", _REFUSED, "--log"),
                   ("--timeout", _REFUSED, "--log")),
@@ -435,7 +423,7 @@ _FLAG_RULES: dict[str, dict[str, tuple[Any, ...]]] = {
     },
     "plan": {
         "scope": (("--scenario", _REFUSED, "--trace"),),
-        "at_least_1": ("--jobs",),
+        "at_least_1": ("--jobs", "--max-connections"),
     },
     "experiments": {"experiment_ids": ("ids",)},
     "figures": {"experiment_ids": ("ids",)},
@@ -507,15 +495,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     from .errors import ConfigError
 
     if args.log:
-        if args.codec != "auto":
-            from .trace.codecs import detect_codec
-
-            for path in args.trace:
-                detected = detect_codec(path)
-                if detected != args.codec:
-                    raise ConfigError(
-                        f"{path}: detected codec {detected!r} does not "
-                        f"match --codec {args.codec}")
         from .parallel import characterize_logs
 
         summary = characterize_logs(
@@ -750,8 +729,6 @@ def _cmd_serve_load(args: argparse.Namespace) -> int:
         feeds=args.feeds,
         speedup=args.speedup,
         batch_lines=args.batch_lines,
-        transport=args.transport,
-        codec=None if args.codec == "auto" else args.codec,
         resume_from_service=args.resume_from_service,
         max_retries=args.max_retries,
     )
@@ -778,8 +755,8 @@ def _fmt_bandwidth(bps: float | None) -> str:
 def _cmd_plan(args: argparse.Namespace) -> int:
     import tempfile
 
-    from .cdn import (parse_failure, parse_sweep, plan_deployment,
-                      sweep_configs, validate_policy)
+    from .cdn import (check_plan, parse_failure, parse_sweep,
+                      plan_deployment, validate_policy)
     from .cdn.failures import FailurePlan
     from .errors import CdnError
 
@@ -790,13 +767,14 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         int(v) for v in parse_sweep(args.edges, integral=True))
     bandwidths = (None if args.bandwidth_mbps is None else tuple(
         v * 1e6 for v in parse_sweep(args.bandwidth_mbps)))
-    # Validate the whole candidate grid up front, before the
-    # (potentially slow) workload generation below.
-    sweep_configs(edge_counts, bandwidths,
-                  max_connections=args.max_connections)
     failures = FailurePlan(tuple(
         parse_failure(spec) for spec in (args.fail_edge or ())))
-    failures.validate(min(edge_counts) if edge_counts else 0)
+    # Refuse a bad plan up front, before the (potentially slow) workload
+    # generation below.
+    check_plan(slo=args.slo, edge_counts=edge_counts,
+               bandwidths_bps=bandwidths,
+               max_connections=args.max_connections, failures=failures,
+               step=args.step)
 
     # The sweep always reads the workload from an .npz file — a
     # generated workload is materialized to a temp file first — so the

@@ -2,15 +2,16 @@
 
 Everything the batch pipeline computes after the fact, this subpackage
 computes *while the traffic happens*: an asyncio ingest server accepts
-WMS-style log lines (text) or columnar entry frames (binary codec) over
-TCP and HTTP from many concurrent feeds, a bounded-queue worker per feed
+WMS-style log lines (text) or columnar entry frames (binary codec) from
+many concurrent feeds over one TCP protocol (a ``REPRO-SERVE/1 <codec>
+<feed>`` handshake, then the payload), a bounded-queue worker per feed
 folds the stream into the exact same accumulators the batch pipeline
 uses (:class:`~repro.trace.streaming.StreamingCharacterizer` +
 :class:`~repro.stream.sessionize.OnlineSessionizer`), the service
 checkpoints atomically through the ``.npz`` machinery of
-:mod:`repro.stream.checkpoint`, and a JSON-over-HTTP metrics endpoint
-exposes live ``c(t)``, session counts, per-feed rates, and fitted
-Table 2 parameter drift against the golden registry.
+:mod:`repro.stream.checkpoint`, and a JSON-over-HTTP port for reads and
+control exposes live ``c(t)``, session counts, per-feed rates, and
+fitted Table 2 parameter drift against the golden registry.
 
 The conform suite proves the load-bearing claim: the characterization
 state reached by live ingest of a log is **bit-identical** to running

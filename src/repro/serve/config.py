@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import ServeError
 from ..units import DEFAULT_SESSION_TIMEOUT
-from .tracking import DEFAULT_BIN_SECONDS, DEFAULT_WINDOW_BINS
 
 #: Default reorder-buffer lateness bound, seconds of data time.  Ingest
 #: connections deliver entries in transfer-*end* order (the WMS server
@@ -45,14 +44,9 @@ class ServeConfig:
     queue_batches:
         Per-feed worker queue capacity, in batches.  A full queue sheds
         (rejects) further input rather than buffering unboundedly.
-    bin_seconds, window_bins:
-        ``c(t)`` tracker binning (defaults: one-minute bins, one day).
     golden_workload:
         Key into the conform golden registry (``small``/``medium``/
         ``paper``) used for the parameter-drift metrics, or ``None``.
-    keep_sessions:
-        Accumulate every finalized session in memory (tests only —
-        unbounded; the service default keeps counts and moments).
     """
 
     host: str = "127.0.0.1"
@@ -64,10 +58,7 @@ class ServeConfig:
     timeout: float = DEFAULT_SESSION_TIMEOUT
     lateness: float = DEFAULT_LATENESS
     queue_batches: int = 64
-    bin_seconds: float = DEFAULT_BIN_SECONDS
-    window_bins: int = DEFAULT_WINDOW_BINS
     golden_workload: str | None = None
-    keep_sessions: bool = field(default=False)
 
     def validate(self) -> "ServeConfig":
         """Check the configuration; returns ``self`` for chaining.
@@ -100,12 +91,6 @@ class ServeConfig:
             raise ServeError(
                 f"queue_batches must be positive, got "
                 f"{self.queue_batches}")
-        if self.bin_seconds <= 0:
-            raise ServeError(
-                f"bin_seconds must be positive, got {self.bin_seconds}")
-        if self.window_bins < 1:
-            raise ServeError(
-                f"window_bins must be positive, got {self.window_bins}")
         if self.checkpoint_path is not None:
             parent = Path(self.checkpoint_path).parent
             if not os.path.isdir(parent):

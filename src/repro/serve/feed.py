@@ -38,7 +38,7 @@ import asyncio
 import math
 import time
 from itertools import count, filterfalse
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -51,12 +51,7 @@ from ..trace.streaming import OnlineLogMoments, StreamingCharacterizer
 from ..trace.wms_log import LOG_FIELDS, parse_log_stream
 from ..units import DEFAULT_SESSION_TIMEOUT
 from .config import DEFAULT_LATENESS
-from .tracking import (
-    DEFAULT_BIN_SECONDS,
-    DEFAULT_WINDOW_BINS,
-    ConcurrencyTracker,
-    LatencyHistogram,
-)
+from .tracking import ConcurrencyTracker, LatencyHistogram
 
 #: The operational counters, in :meth:`FeedWorker.counters` order.
 _COUNTERS = ("lines_ingested", "frames_ingested", "clients_frames",
@@ -121,15 +116,11 @@ class FeedWorker(Stateful):
                  timeout: float = DEFAULT_SESSION_TIMEOUT,
                  lateness: float = DEFAULT_LATENESS,
                  queue_batches: int = 64,
-                 bin_seconds: float = DEFAULT_BIN_SECONDS,
-                 window_bins: int = DEFAULT_WINDOW_BINS,
-                 keep_sessions: bool = False,
-                 clock: Callable[[], float] = time.perf_counter) -> None:
+                 keep_sessions: bool = False) -> None:
         self.name = name
         self.timeout = float(timeout)
         self.lateness = float(lateness)
         self.keep_sessions = bool(keep_sessions)
-        self._clock = clock
         self._queue: asyncio.Queue[tuple[str, Any, float] | None] = (
             asyncio.Queue(maxsize=int(queue_batches)))
         self._gate: asyncio.Event | None = None
@@ -138,8 +129,7 @@ class FeedWorker(Stateful):
         self._capacity = 1
         self.sessionizer = OnlineSessionizer(1, timeout=self.timeout)
         self._gap_moments = OnlineLogMoments()
-        self._conc = ConcurrencyTracker(bin_seconds=bin_seconds,
-                                        window_bins=window_bins)
+        self._conc = ConcurrencyTracker()
         self._on_moments = OnlineLogMoments()
         self._spc = np.zeros(1, dtype=np.int64)
         self.latency = LatencyHistogram()
@@ -180,7 +170,7 @@ class FeedWorker(Stateful):
     def offer_lines(self, lines: list[str]) -> bool:
         """Enqueue a batch of raw log lines; ``False`` if shed."""
         try:
-            self._queue.put_nowait((_LINES, lines, self._clock()))
+            self._queue.put_nowait((_LINES, lines, time.perf_counter()))
         except asyncio.QueueFull:
             self.shed_lines += len(lines)
             self.shed_events += 1
@@ -190,7 +180,8 @@ class FeedWorker(Stateful):
     def offer_entries(self, quantized: dict[str, IntArray]) -> bool:
         """Enqueue one decoded ENTRIES frame; ``False`` if shed."""
         try:
-            self._queue.put_nowait((_ENTRIES, quantized, self._clock()))
+            self._queue.put_nowait(
+                (_ENTRIES, quantized, time.perf_counter()))
         except asyncio.QueueFull:
             self.shed_frames += 1
             self.shed_events += 1
@@ -200,7 +191,7 @@ class FeedWorker(Stateful):
     def offer_clients(self, rows: list[tuple[int, str, str, str]]) -> bool:
         """Enqueue one CLIENTS identity frame; ``False`` if shed."""
         try:
-            self._queue.put_nowait((_CLIENTS, rows, self._clock()))
+            self._queue.put_nowait((_CLIENTS, rows, time.perf_counter()))
         except asyncio.QueueFull:
             self.shed_frames += 1
             self.shed_events += 1
@@ -232,7 +223,7 @@ class FeedWorker(Stateful):
                     # remember the message, keep consuming.
                     self.feed_errors += 1
                     self.last_error = f"{type(exc).__name__}: {exc}"
-                self.latency.observe(self._clock() - enqueued_at)
+                self.latency.observe(time.perf_counter() - enqueued_at)
             finally:
                 self._queue.task_done()
 

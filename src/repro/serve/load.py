@@ -1,9 +1,13 @@
 """Replay load harness: stream a recorded WMS log into a live service.
 
-The harness replays a trace log — text or binary codec — into a running
-:class:`~repro.serve.service.CharacterizationService` over one ingest
-connection per feed, optionally paced against the log's own data time
-(``speedup``; ``0`` replays as fast as the wire accepts).  Lines are
+The harness replays a trace log — its codec, text or binary, is sniffed
+from the file — into a running
+:class:`~repro.serve.service.CharacterizationService` over one TCP
+ingest connection per feed (the service's only ingest door), optionally
+paced against the log's own data time (``speedup``; ``0`` replays as
+fast as the wire accepts).  Both codecs share one connection routine
+and one retry loop; a codec supplies only its handshake, its payload
+batches and its resume-cursor unit (lines, or ENTRIES frames).  Lines are
 partitioned across feeds by object id (``object_id % n_feeds``), which
 keeps every per-feed stream in transfer-end order, and header lines are
 broadcast to all feeds so each stream stays a well-formed log.
@@ -19,11 +23,12 @@ for the feed's queue to drain, re-reads the cursor, and reconnects.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Awaitable, Callable
+from typing import Any, Awaitable, Callable, Generator
 
 from ..errors import ServeError
 from ..trace.codecs import BinaryTraceReader, detect_codec
@@ -53,7 +58,8 @@ class _SendFailed(Exception):
 class LoadReport:
     """Outcome of one replay run.
 
-    ``lines_sent`` counts text log lines or binary entry rows actually
+    ``codec`` is the sniffed codec of the log.  ``lines_sent`` counts
+    text log lines or binary entry rows actually
     transmitted this run (resumed/skipped input is excluded);
     ``lines_per_sec`` divides that by the wall time from first connect
     to service-side drain, so it measures *sustained processed*
@@ -64,7 +70,6 @@ class LoadReport:
 
     log_path: str
     codec: str
-    transport: str
     n_feeds: int
     speedup: float
     lines_sent: int
@@ -82,7 +87,6 @@ class LoadReport:
         return {
             "log_path": self.log_path,
             "codec": self.codec,
-            "transport": self.transport,
             "n_feeds": self.n_feeds,
             "speedup": self.speedup,
             "lines_sent": self.lines_sent,
@@ -102,8 +106,7 @@ class LoadReport:
 # Minimal HTTP client (stdlib sockets only; the service speaks a tiny
 # HTTP/1.1 subset with Connection: close)
 # ----------------------------------------------------------------------
-async def _http_json(host: str, port: int, method: str, path: str,
-                     body: bytes = b"") -> Any:
+async def _get_json(host: str, port: int, path: str) -> Any:
     try:
         reader, writer = await asyncio.open_connection(host, port)
     except OSError as exc:
@@ -111,9 +114,9 @@ async def _http_json(host: str, port: int, method: str, path: str,
             f"cannot reach service metrics port {host}:{port}: {exc}"
         ) from exc
     try:
-        request = (f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-                   f"Content-Length: {len(body)}\r\n"
-                   f"Connection: close\r\n\r\n").encode("ascii") + body
+        request = (f"GET {path} HTTP/1.1\r\nHost: {host}\r\n"
+                   f"Content-Length: 0\r\n"
+                   f"Connection: close\r\n\r\n").encode("ascii")
         writer.write(request)
         await writer.drain()
         raw = await reader.read(-1)
@@ -130,12 +133,12 @@ async def _http_json(host: str, port: int, method: str, path: str,
     status = int(status_parts[1])
     if status != 200:
         detail = payload.decode("utf-8", errors="replace").strip()
-        raise ServeError(f"{method} {path} returned HTTP {status}: {detail}")
+        raise ServeError(f"GET {path} returned HTTP {status}: {detail}")
     return json.loads(payload)
 
 
 async def _feed_counters(host: str, port: int, feed: str) -> dict[str, Any]:
-    metrics = await _http_json(host, port, "GET", "/metrics")
+    metrics = await _get_json(host, port, "/metrics")
     block = metrics.get("feeds", {}).get(feed)
     if block is None:
         return {}
@@ -160,15 +163,15 @@ async def _settled_cursor(host: str, port: int, feed: str, key: str) -> int:
         await asyncio.sleep(_POLL_S)
 
 
-async def _await_drain(host: str, port: int,
-                       targets: dict[str, tuple[str, int]]) -> None:
-    """Block until every feed's cursor reaches its replay target."""
+async def _await_drain(host: str, port: int, key: str,
+                       targets: dict[str, int]) -> None:
+    """Block until every feed's ``key`` cursor reaches its replay target."""
     deadline = time.perf_counter() + _DRAIN_TIMEOUT_S
     while True:
-        metrics = await _http_json(host, port, "GET", "/metrics")
+        metrics = await _get_json(host, port, "/metrics")
         feeds = metrics.get("feeds", {})
         done = True
-        for feed, (key, target) in sorted(targets.items()):
+        for feed, target in sorted(targets.items()):
             counters = feeds.get(feed, {}).get("counters", {})
             if int(counters.get(key, -1)) < target:
                 done = False
@@ -190,7 +193,7 @@ async def _pace(t0_wall: float, ts0: float, ts: float,
 
 
 # ----------------------------------------------------------------------
-# Text replay
+# The two codecs' replays
 # ----------------------------------------------------------------------
 def _partition_text(data: bytes, n_feeds: int, *, want_ts: bool
                     ) -> tuple[list[list[bytes]], list[list[float]] | None]:
@@ -249,32 +252,130 @@ def _partition_text(data: bytes, n_feeds: int, *, want_ts: bool
     return per_feed, stamps
 
 
-async def _send_text_once(host: str, port: int, feed: str,
-                          lines: list[bytes], stamps: list[float] | None,
-                          start: int, *, batch_lines: int, speedup: float,
-                          ts0: float, t0_wall: float) -> int:
+#: One replay message: the data time to pace it at (or ``None``), its
+#: bytes (``None`` for input the resume cursor skips), the resume-cursor
+#: units it covers, and the lines or rows it sends.
+_Message = tuple[float | None, bytes | None, int, int]
+
+
+class _TextReplay:
+    """A text log split into per-feed line streams, sent in batches of
+    ``batch_lines``; the resume cursor counts lines."""
+
+    codec = "text"
+    cursor_key = "lines_ingested"
+    item = "lines"
+
+    def __init__(self, path: Path, feeds: int, *, batch_lines: int,
+                 paced: bool) -> None:
+        self._lines, self._stamps = _partition_text(
+            path.read_bytes(), feeds, want_ts=paced)
+        self._batch_lines = batch_lines
+        first = [stamps[0] for stamps in self._stamps or () if stamps]
+        self.ts0 = min(first) if first else 0.0
+
+    def messages(self, index: int, skip: int
+                 ) -> Generator[_Message, None, None]:
+        lines = self._lines[index]
+        stamps = None if self._stamps is None else self._stamps[index]
+        yield None, None, min(skip, len(lines)), 0
+        for at in range(skip, len(lines), self._batch_lines):
+            batch = lines[at:at + self._batch_lines]
+            yield (None if stamps is None else stamps[at],
+                   b"\n".join(batch) + b"\n", len(batch), len(batch))
+
+    @staticmethod
+    def counts(units: int, sent: int) -> dict[str, int]:
+        return {"lines_sent": sent}
+
+
+class _BinaryReplay:
+    """A ``.rtb`` file sent as identity frames, then one ENTRIES frame
+    per segment that holds rows of the feed; the resume cursor counts
+    ENTRIES frames (identity frames are idempotent and always re-sent)."""
+
+    codec = "binary"
+    cursor_key = "frames_ingested"
+    item = "rows"
+
+    def __init__(self, path: Path, feeds: int, *, paced: bool) -> None:
+        self._path = path
+        self._feeds = feeds
+        with BinaryTraceReader(path) as trace:
+            self._identity_rows = [
+                (index, ip, player, os_name) for index, (ip, player, os_name)
+                in sorted(trace.client_identity_map().items())]
+            self.ts0 = (_first_timestamp(trace.segment_quantized(0))
+                        if paced and trace.n_segments else 0.0)
+
+    def messages(self, index: int, skip: int
+                 ) -> Generator[_Message, None, None]:
+        yield None, pack_meta({"source": str(self._path),
+                               "feed_index": index}), 0, 0
+        rows = self._identity_rows
+        for at in range(0, len(rows), _CLIENTS_CHUNK):
+            yield None, pack_clients(rows[at:at + _CLIENTS_CHUNK]), 0, 0
+        with BinaryTraceReader(self._path) as trace:
+            frames = 0
+            for segment in range(trace.n_segments):
+                quantized = trace.segment_quantized(segment)
+                if self._feeds > 1:
+                    mask = (quantized["object_id"] % self._feeds) == index
+                    if not bool(mask.any()):
+                        continue
+                    quantized = {name: column[mask]
+                                 for name, column in quantized.items()}
+                if frames < skip:
+                    yield None, None, 1, 0
+                else:
+                    yield (_first_timestamp(quantized),
+                           pack_entries(quantized), 1,
+                           int(quantized["timestamp"].size))
+                frames += 1
+        yield None, pack_end(), 0, 0
+
+    @staticmethod
+    def counts(units: int, sent: int) -> dict[str, int]:
+        return {"frames_total": units, "rows_sent": sent}
+
+
+def _first_timestamp(quantized: dict[str, Any]) -> float:
+    return float(quantized["timestamp"][0])
+
+
+async def _send_once(host: str, port: int, feed: str,
+                     replay: _TextReplay | _BinaryReplay, index: int,
+                     skip: int, *, speedup: float,
+                     t0_wall: float) -> tuple[int, int]:
+    """One ingest connection replaying feed ``index`` from cursor
+    ``skip``; returns (cursor units covered, lines or rows sent)."""
     try:
         reader, writer = await asyncio.open_connection(host, port)
     except OSError as exc:
         raise ServeError(
             f"cannot reach ingest port {host}:{port}: {exc}") from exc
-    sent = 0
+    messages = replay.messages(index, skip)
+    units = sent = 0
     try:
         try:
-            writer.write(format_handshake("text", feed))
-            for at in range(start, len(lines), batch_lines):
-                if speedup > 0 and stamps is not None:
-                    await _pace(t0_wall, ts0, stamps[at], speedup)
-                writer.write(b"\n".join(lines[at:at + batch_lines]) + b"\n")
+            writer.write(format_handshake(replay.codec, feed))
+            for stamp, payload, n_units, n_items in messages:
+                units += n_units
+                if payload is None:
+                    continue
+                if speedup > 0 and stamp is not None:
+                    await _pace(t0_wall, replay.ts0, stamp, speedup)
+                writer.write(payload)
                 await writer.drain()
-                sent += len(lines[at:at + batch_lines])
+                sent += n_items
             if writer.can_write_eof():
                 writer.write_eof()
             response = await reader.readline()
         except (ConnectionError, OSError) as exc:
-            raise _SendFailed(f"connection lost after {sent} lines: "
-                              f"{exc}") from exc
+            raise _SendFailed(f"connection lost after {sent} "
+                              f"{replay.item}: {exc}") from exc
     finally:
+        messages.close()
         writer.close()
         try:
             await writer.wait_closed()
@@ -284,93 +385,7 @@ async def _send_text_once(host: str, port: int, feed: str,
         raise _SendFailed(
             response.decode("utf-8", errors="replace").strip()
             or "connection closed without a response")
-    return sent
-
-
-async def _send_http_once(host: str, port: int, feed: str,
-                          lines: list[bytes], stamps: list[float] | None,
-                          start: int, *, batch_lines: int, speedup: float,
-                          ts0: float, t0_wall: float) -> int:
-    sent = 0
-    for at in range(start, len(lines), batch_lines):
-        if speedup > 0 and stamps is not None:
-            await _pace(t0_wall, ts0, stamps[at], speedup)
-        body = b"\n".join(lines[at:at + batch_lines]) + b"\n"
-        try:
-            await _http_json(host, port, "POST", f"/ingest/{feed}", body)
-        except ServeError as exc:
-            raise _SendFailed(str(exc)) from exc
-        sent += len(lines[at:at + batch_lines])
-    return sent
-
-
-# ----------------------------------------------------------------------
-# Binary replay
-# ----------------------------------------------------------------------
-def _first_timestamp(quantized: dict[str, Any]) -> float:
-    return float(quantized["timestamp"][0])
-
-
-async def _send_binary_once(host: str, port: int, feed: str,
-                            feed_index: int, n_feeds: int, log_path: Path,
-                            identity_rows: list[tuple[int, str, str, str]],
-                            start_frame: int, *, speedup: float, ts0: float,
-                            t0_wall: float) -> tuple[int, int]:
-    """Send this feed's ENTRIES frames; returns (total_frames, rows_sent)."""
-    trace = BinaryTraceReader(log_path)
-    try:
-        try:
-            reader, writer = await asyncio.open_connection(host, port)
-        except OSError as exc:
-            raise ServeError(
-                f"cannot reach ingest port {host}:{port}: {exc}") from exc
-        frames = 0
-        rows_sent = 0
-        try:
-            try:
-                writer.write(format_handshake("binary", feed))
-                writer.write(pack_meta({"source": str(log_path),
-                                        "feed_index": feed_index}))
-                for at in range(0, len(identity_rows), _CLIENTS_CHUNK):
-                    writer.write(pack_clients(
-                        identity_rows[at:at + _CLIENTS_CHUNK]))
-                    await writer.drain()
-                for segment in range(trace.n_segments):
-                    quantized = trace.segment_quantized(segment)
-                    if n_feeds > 1:
-                        mask = (quantized["object_id"] % n_feeds
-                                ) == feed_index
-                        if not bool(mask.any()):
-                            continue
-                        quantized = {name: column[mask]
-                                     for name, column in quantized.items()}
-                    if frames >= start_frame:
-                        if speedup > 0:
-                            await _pace(t0_wall, ts0,
-                                        _first_timestamp(quantized), speedup)
-                        writer.write(pack_entries(quantized))
-                        await writer.drain()
-                        rows_sent += int(quantized["timestamp"].size)
-                    frames += 1
-                writer.write(pack_end())
-                await writer.drain()
-                response = await reader.readline()
-            except (ConnectionError, OSError) as exc:
-                raise _SendFailed(f"connection lost after {rows_sent} "
-                                  f"rows: {exc}") from exc
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-        if not response.startswith(b"OK"):
-            raise _SendFailed(
-                response.decode("utf-8", errors="replace").strip()
-                or "connection closed without a response")
-        return frames, rows_sent
-    finally:
-        trace.close()
+    return units, sent
 
 
 # ----------------------------------------------------------------------
@@ -402,17 +417,13 @@ async def _drive_feed(feed: str, attempt: Callable[[int], Awaitable[Any]],
 async def run_load_async(log_path: str | Path, *, host: str = "127.0.0.1",
                          tcp_port: int = 7070, http_port: int | None = None,
                          feeds: int = 1, speedup: float = 0.0,
-                         batch_lines: int = 512, transport: str = "tcp",
-                         codec: str | None = None,
+                         batch_lines: int = 512,
                          resume_from_service: bool = False,
                          max_retries: int = 3) -> LoadReport:
     """Replay ``log_path`` into a running service; see :func:`run_load`."""
     path = Path(log_path)
     if not path.exists():
         raise ServeError(f"load log does not exist: {path}")
-    if transport not in ("tcp", "http"):
-        raise ServeError(f"unknown transport {transport!r} "
-                         "(want 'tcp' or 'http')")
     if feeds < 1:
         raise ServeError(f"feeds must be positive, got {feeds}")
     if batch_lines < 1:
@@ -421,13 +432,11 @@ async def run_load_async(log_path: str | Path, *, host: str = "127.0.0.1",
         raise ServeError(f"speedup must be >= 0, got {speedup}")
     if resume_from_service and http_port is None:
         raise ServeError("resume_from_service requires http_port")
-    if codec is None:
-        codec = detect_codec(path)
-    if transport == "http" and codec != "text":
-        raise ServeError("the http transport only carries the text codec")
+    codec = detect_codec(path)
+    replay_type = _TextReplay if codec == "text" else _BinaryReplay
+    cursor_key = replay_type.cursor_key
     feed_names = [f"feed{index}" for index in range(feeds)]
 
-    cursor_key = "lines_ingested" if codec == "text" else "frames_ingested"
     cursors = {name: 0 for name in feed_names}
     if resume_from_service:
         assert http_port is not None
@@ -435,92 +444,30 @@ async def run_load_async(log_path: str | Path, *, host: str = "127.0.0.1",
             counters = await _feed_counters(host, http_port, name)
             cursors[name] = int(counters.get(cursor_key, 0))
 
-    per_feed_counts: dict[str, dict[str, int]] = {}
-    targets: dict[str, tuple[str, int]] = {}
-    total_sent = 0
-    total_frames = 0
-    total_retries = 0
-
     t0_wall = time.perf_counter()
-    if codec == "text":
-        data = path.read_bytes()  # reprolint: disable=RL040, one-shot preload before the replay clock starts; the harness owns this loop
-        per_feed, stamps = _partition_text(data, feeds,
-                                           want_ts=speedup > 0)
-        ts0 = 0.0
-        if speedup > 0 and stamps is not None:
-            first = [feed_stamps[0] for feed_stamps in stamps if feed_stamps]
-            ts0 = min(first) if first else 0.0
-        send = (_send_http_once if transport == "http" else _send_text_once)
-        port = http_port if transport == "http" else tcp_port
-        assert port is not None
-
-        def text_attempt(index: int) -> Callable[[int], Awaitable[int]]:
-            async def attempt(skip: int) -> int:
-                return await send(
-                    host, port, feed_names[index], per_feed[index],
-                    stamps[index] if stamps is not None else None, skip,
-                    batch_lines=batch_lines, speedup=speedup, ts0=ts0,
-                    t0_wall=t0_wall)
-            return attempt
-
-        results = await asyncio.gather(*(
-            _drive_feed(feed_names[index], text_attempt(index),
-                        initial_cursor=cursors[feed_names[index]],
-                        cursor_key=cursor_key, host=host,
-                        http_port=http_port, max_retries=max_retries)
-            for index in range(feeds)))
-        for index, (sent, retries) in enumerate(results):
-            name = feed_names[index]
-            per_feed_counts[name] = {
-                "lines_sent": int(sent),
-                "skipped": cursors[name],
-                "retries": retries,
-            }
-            targets[name] = (cursor_key, len(per_feed[index]))
-            total_sent += int(sent)
-            total_retries += retries
-    else:
-        with BinaryTraceReader(path) as trace:
-            identity_rows = [(index, ip, player, os_name)
-                             for index, (ip, player, os_name)
-                             in sorted(trace.client_identity_map().items())]
-            ts0 = 0.0
-            if speedup > 0 and trace.n_segments:
-                ts0 = _first_timestamp(trace.segment_quantized(0))
-
-        def binary_attempt(index: int
-                           ) -> Callable[[int], Awaitable[tuple[int, int]]]:
-            async def attempt(skip: int) -> tuple[int, int]:
-                return await _send_binary_once(
-                    host, tcp_port, feed_names[index], index, feeds, path,
-                    identity_rows, skip, speedup=speedup, ts0=ts0,
-                    t0_wall=t0_wall)
-            return attempt
-
-        results = await asyncio.gather(*(
-            _drive_feed(feed_names[index], binary_attempt(index),
-                        initial_cursor=cursors[feed_names[index]],
-                        cursor_key=cursor_key, host=host,
-                        http_port=http_port, max_retries=max_retries)
-            for index in range(feeds)))
-        for index, ((frames, rows_sent), retries) in enumerate(results):
-            name = feed_names[index]
-            per_feed_counts[name] = {
-                "frames_total": int(frames),
-                "rows_sent": int(rows_sent),
-                "skipped": cursors[name],
-                "retries": retries,
-            }
-            targets[name] = (cursor_key, int(frames))
-            total_sent += int(rows_sent)
-            total_frames += int(frames)
-            total_retries += retries
+    replay = (_TextReplay(path, feeds, batch_lines=batch_lines,
+                          paced=speedup > 0) if codec == "text"
+              else _BinaryReplay(path, feeds, paced=speedup > 0))
+    results = await asyncio.gather(*(
+        _drive_feed(name, functools.partial(
+                        _send_once, host, tcp_port, name, replay, index,
+                        speedup=speedup, t0_wall=t0_wall),
+                    initial_cursor=cursors[name], cursor_key=cursor_key,
+                    host=host, http_port=http_port, max_retries=max_retries)
+        for index, name in enumerate(feed_names)))
+    per_feed_counts: dict[str, dict[str, int]] = {}
+    targets: dict[str, int] = {}
+    for name, ((units, sent), retries) in zip(feed_names, results,
+                                              strict=True):
+        per_feed_counts[name] = replay.counts(units, sent) | {
+            "skipped": cursors[name], "retries": retries}
+        targets[name] = units
 
     latency_p50: float | None = None
     latency_p99: float | None = None
     if http_port is not None:
-        await _await_drain(host, http_port, targets)
-        metrics = await _http_json(host, http_port, "GET", "/metrics")
+        await _await_drain(host, http_port, cursor_key, targets)
+        metrics = await _get_json(host, http_port, "/metrics")
         blocks = [metrics.get("feeds", {}).get(name, {})
                   for name in feed_names]
         p50s = [block.get("latency_p50_s") for block in blocks]
@@ -530,20 +477,20 @@ async def run_load_async(log_path: str | Path, *, host: str = "127.0.0.1",
         latency_p50 = max(p50s) if p50s else None
         latency_p99 = max(p99s) if p99s else None
     wall = time.perf_counter() - t0_wall
+    total_sent = sum(sent for (_, sent), _ in results)
 
     return LoadReport(
         log_path=str(path),
         codec=codec,
-        transport=transport,
         n_feeds=feeds,
         speedup=speedup,
         lines_sent=total_sent,
-        frames_sent=total_frames,
+        frames_sent=0 if codec == "text" else sum(targets.values()),
         wall_seconds=wall,
         lines_per_sec=(total_sent / wall if wall > 0 else 0.0),
         latency_p50_s=latency_p50,
         latency_p99_s=latency_p99,
-        retries=total_retries,
+        retries=sum(retries for _, retries in results),
         resumed=resume_from_service,
         feeds=per_feed_counts,
     )

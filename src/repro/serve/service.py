@@ -1,4 +1,4 @@
-"""The live characterization service: TCP/HTTP ingest + metrics + checkpoints.
+"""The live characterization service: TCP ingest, HTTP metrics, checkpoints.
 
 ::
 
@@ -6,16 +6,20 @@
 
 One asyncio event loop runs everything:
 
-* a TCP ingest server (wire protocol of :mod:`repro.serve.protocol`);
-* a minimal HTTP server — ``GET /metrics`` (operational metrics +
-  parameter drift), ``GET /state`` (the deterministic state document),
-  ``GET /healthz``, ``POST /checkpoint`` (checkpoint now), and
-  ``POST /ingest/<feed>`` (text log lines in the request body);
+* a TCP ingest server, the only way data comes in (wire protocol of
+  :mod:`repro.serve.protocol`: a ``REPRO-SERVE/1 <codec> <feed>``
+  handshake, then text lines or binary frames);
+* a minimal HTTP server for reads and control — ``GET /metrics``
+  (operational metrics + parameter drift), ``GET /state`` (the
+  deterministic state document), ``GET /healthz`` and
+  ``POST /checkpoint`` (checkpoint now);
 * one consumer task per :class:`~repro.serve.feed.FeedWorker`;
 * a periodic checkpoint task writing atomic ``.npz`` snapshots through
   :mod:`repro.stream.checkpoint` — a ``kill -9`` at any moment loses at
   most the batches processed since the last checkpoint, and those are
-  re-ingestable from the per-feed cursors the checkpoint captures.
+  re-ingestable from the per-feed cursors the checkpoint captures.  A
+  failed save is counted (``checkpoint_errors`` in ``/metrics``) and
+  tried again at the next interval; the previous checkpoint stays.
 
 Because a worker processes each batch without touching the event loop,
 any coroutine that runs between batches (checkpointing, ``/state``)
@@ -48,7 +52,7 @@ from .protocol import (
     unpack_entries,
     unpack_meta,
 )
-from .tracking import RateMeter
+from .tracking import BIN_SECONDS, WINDOW_BINS, RateMeter
 
 #: Bytes per text-ingest read chunk.
 _READ_CHUNK = 1 << 16
@@ -58,7 +62,7 @@ _READ_CHUNK = 1 << 16
 #: a sender that never ends its line cannot grow the buffer without bound.
 MAX_PARTIAL_LINE = 1 << 20
 
-#: Ceiling on one HTTP request body (text ingest posts).
+#: Ceiling on one HTTP request body (no route reads one; it is drained).
 _MAX_HTTP_BODY = 64 * 1024 * 1024
 
 _CHECKPOINT_FORMAT = "repro-serve-v2"
@@ -90,6 +94,8 @@ class CharacterizationService:
         self._started_at = 0.0
         self.n_connections = 0
         self.checkpoints_written = 0
+        self.checkpoint_errors = 0
+        self.last_checkpoint_error: str | None = None
         self._registry: dict[str, Any] | None = None
         if config.golden_workload is not None:
             self._registry = load_registry()
@@ -125,7 +131,7 @@ class CharacterizationService:
 
     @property
     def http_port(self) -> int:
-        """The bound metrics/ingest HTTP port."""
+        """The bound metrics/control HTTP port."""
         assert self._http_server is not None and self._http_server.sockets
         return int(self._http_server.sockets[0].getsockname()[1])
 
@@ -136,7 +142,9 @@ class CharacterizationService:
             await self._tcp_server.serve_forever()
 
     async def stop(self) -> None:
-        """Drain workers, write a final checkpoint, close the servers."""
+        """Close the servers, drain every worker, then write a final
+        checkpoint; a failed final save raises once the workers are
+        down."""
         for server in (self._tcp_server, self._http_server):
             if server is not None:
                 server.close()
@@ -171,8 +179,7 @@ class CharacterizationService:
         cfg = self.config
         return FeedWorker(
             feed, timeout=cfg.timeout, lateness=cfg.lateness,
-            queue_batches=cfg.queue_batches, bin_seconds=cfg.bin_seconds,
-            window_bins=cfg.window_bins, keep_sessions=cfg.keep_sessions)
+            queue_batches=cfg.queue_batches)
 
     def _record_rate(self, feed: str, n: int) -> None:
         loop = asyncio.get_running_loop()
@@ -193,11 +200,7 @@ class CharacterizationService:
                     summary = await self._serve_text(reader, worker)
                 else:
                     summary = await self._serve_binary(reader, worker)
-            except ProtocolError as exc:
-                writer.write(f"ERR {exc}\n".encode("ascii", "replace"))
-                await writer.drain()
-                return
-            except _Backpressure as exc:
+            except (ProtocolError, _Backpressure) as exc:
                 writer.write(f"ERR {exc}\n".encode("ascii", "replace"))
                 await writer.drain()
                 return
@@ -332,8 +335,7 @@ class CharacterizationService:
             return _http_response(
                 "413 Payload Too Large",
                 _json_body({"error": f"body exceeds {_MAX_HTTP_BODY}"}))
-        body = (await reader.readexactly(content_length)
-                if content_length else b"")
+        await reader.readexactly(content_length)
 
         if method == "GET" and target == "/healthz":
             return _http_response("200 OK", _json_body({"status": "ok"}))
@@ -349,40 +351,17 @@ class CharacterizationService:
                     "409 Conflict",
                     _json_body({"error": "service runs without a "
                                          "checkpoint path"}))
-            # Blocking the loop between batches is what makes the
-            # snapshot a consistent cut.
-            self.checkpoint_now()
+            error = self._checkpoint_counted()
+            if error is not None:
+                return _http_response("500 Internal Server Error",
+                                      _json_body({"error": error}))
             return _http_response(
                 "200 OK",
                 _json_body({"path": self.config.checkpoint_path,
                             "checkpoints": self.checkpoints_written}))
-        if method == "POST" and target.startswith("/ingest/"):
-            return self._http_ingest(target[len("/ingest/"):], body)
         return _http_response("404 Not Found",
                               _json_body({"error": f"no route for "
                                                    f"{method} {target}"}))
-
-    def _http_ingest(self, feed: str, body: bytes) -> bytes:
-        try:
-            parse_handshake(f"REPRO-SERVE/1 text {feed}\n".encode("ascii"))
-        except (ProtocolError, UnicodeEncodeError):
-            return _http_response("400 Bad Request",
-                                  _json_body({"error": f"bad feed name "
-                                                       f"{feed!r}"}))
-        lines = body.decode("ascii", errors="replace").split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        worker = self.worker(feed)
-        if lines and not worker.offer_lines(lines):
-            return _http_response(
-                "503 Service Unavailable",
-                _json_body({"error": "backpressure: worker queue is full",
-                            "shed_lines": len(lines)}))
-        if lines:
-            self._record_rate(feed, len(lines))
-        return _http_response("200 OK",
-                              _json_body({"feed": feed,
-                                          "lines_offered": len(lines)}))
 
     # ------------------------------------------------------------------
     # Documents
@@ -390,8 +369,7 @@ class CharacterizationService:
     def _config_fingerprint(self) -> dict[str, float | int]:
         cfg = self.config
         return {"timeout": cfg.timeout, "lateness": cfg.lateness,
-                "bin_seconds": cfg.bin_seconds,
-                "window_bins": cfg.window_bins}
+                "bin_seconds": BIN_SECONDS, "window_bins": WINDOW_BINS}
 
     def state_document(self) -> dict[str, Any]:
         """The deterministic state of every feed (the ``/state`` body).
@@ -433,6 +411,8 @@ class CharacterizationService:
                 "n_connections": self.n_connections,
                 "lines_per_sec": total_rate,
                 "checkpoints_written": self.checkpoints_written,
+                "checkpoint_errors": self.checkpoint_errors,
+                "last_checkpoint_error": self.last_checkpoint_error,
                 "checkpoint_path": self.config.checkpoint_path,
             },
             "feeds": feeds,
@@ -493,12 +473,24 @@ class CharacterizationService:
             self.workers[name] = worker
             self._rates[name] = RateMeter()
 
-    async def _checkpoint_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.config.checkpoint_interval)
+    def _checkpoint_counted(self) -> str | None:
+        """:meth:`checkpoint_now`, but a failed save is counted and its
+        message returned rather than raised (the previous checkpoint
+        stays in place)."""
+        try:
             # Blocking the loop between batches is what makes the
             # snapshot a consistent cut.
             self.checkpoint_now()
+        except OSError as exc:
+            self.checkpoint_errors += 1
+            self.last_checkpoint_error = f"{type(exc).__name__}: {exc}"
+            return self.last_checkpoint_error
+        return None
+
+    async def _checkpoint_loop(self) -> None:
+        while True:
+            await asyncio.sleep(self.config.checkpoint_interval)
+            self._checkpoint_counted()
 
 
 class _Backpressure(ServeError):

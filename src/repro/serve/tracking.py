@@ -23,9 +23,12 @@ from .._typing import FloatArray, IntArray
 from ..errors import ServeError
 from ..state import DERIVED, Column, Scalar, Schema, Stateful
 
-#: Default ``c(t)`` binning: one-minute bins, one day of window.
-DEFAULT_BIN_SECONDS = 60.0
-DEFAULT_WINDOW_BINS = 1440
+#: The ``c(t)`` binning: one-minute bins, one day of window.
+BIN_SECONDS = 60.0
+WINDOW_BINS = 1440
+
+#: The :class:`RateMeter` sliding window, seconds.
+RATE_WINDOW_S = 10.0
 
 _EMPTY_FRONTIER = -(1 << 62)
 
@@ -35,15 +38,20 @@ class ConcurrencyTracker(Stateful):
 
     Sessions contribute ``+1`` at the bin containing their start and
     ``-1`` at the bin after their end, held in an integer delta ring
-    covering the most recent ``window_bins`` bins.  As the time frontier
+    covering the most recent :data:`WINDOW_BINS` bins.  As the time frontier
     advances, expired bins fold into a base count — at which point their
     concurrency value is final and feeds the running peak.  All state is
     integer and the fold order is canonical, so the tracker is exactly
     deterministic for any arrival order within the window; deltas older
     than the window fold straight into the base (counts stay exact, the
     per-bin attribution of such stragglers is lost — the ingest reorder
-    bound keeps lateness far below the one-day default window).
+    bound keeps lateness far below the one-day window).
     """
+
+    #: The fixed binning, checkpointed so that a checkpoint binned any
+    #: other way is refused.
+    bin_seconds = BIN_SECONDS
+    window_bins = WINDOW_BINS
 
     CHECKPOINT = Schema("concurrency tracker", (
         Scalar("bin_seconds", float, "bin_seconds", DERIVED),
@@ -55,16 +63,7 @@ class ConcurrencyTracker(Stateful):
         Column("conc_deltas", np.int64, "window_bins", "_deltas"),
     ))
 
-    def __init__(self, *, bin_seconds: float = DEFAULT_BIN_SECONDS,
-                 window_bins: int = DEFAULT_WINDOW_BINS) -> None:
-        if bin_seconds <= 0:
-            raise ServeError(
-                f"bin_seconds must be positive, got {bin_seconds}")
-        if window_bins < 1:
-            raise ServeError(
-                f"window_bins must be positive, got {window_bins}")
-        self.bin_seconds = float(bin_seconds)
-        self.window_bins = int(window_bins)
+    def __init__(self) -> None:
         self._deltas = np.zeros(self.window_bins, dtype=np.int64)
         self._base = 0
         self._frontier = _EMPTY_FRONTIER
@@ -211,16 +210,14 @@ class LatencyHistogram:
 
 
 class RateMeter:
-    """Sliding-window event rate over caller-supplied monotonic times.
+    """Event rate over the trailing :data:`RATE_WINDOW_S` seconds of
+    caller-supplied monotonic times.
 
     The caller passes readings from a monotonic clock (``loop.time()``
     or ``time.perf_counter``); the meter itself never reads a clock.
     """
 
-    def __init__(self, *, window: float = 10.0) -> None:
-        if window <= 0:
-            raise ServeError(f"window must be positive, got {window}")
-        self.window = float(window)
+    def __init__(self) -> None:
         self._times: list[float] = []
         self._counts: list[int] = []
         self.total = 0
@@ -233,7 +230,7 @@ class RateMeter:
         self._prune(now)
 
     def _prune(self, now: float) -> None:
-        cutoff = now - self.window
+        cutoff = now - RATE_WINDOW_S
         drop = 0
         while drop < len(self._times) and self._times[drop] < cutoff:
             drop += 1
@@ -244,4 +241,4 @@ class RateMeter:
     def rate(self, now: float) -> float:
         """Events per second over the trailing window ending at ``now``."""
         self._prune(now)
-        return sum(self._counts) / self.window
+        return sum(self._counts) / RATE_WINDOW_S

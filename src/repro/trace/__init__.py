@@ -26,7 +26,6 @@ from .codecs import (
     detect_codec,
     get_codec,
     read_binary_trace,
-    register_codec,
     write_binary_trace,
 )
 from .csvio import read_csv, write_csv
@@ -66,7 +65,6 @@ __all__ = [
     "read_binary_trace",
     "read_csv",
     "read_wms_log",
-    "register_codec",
     "sanitize_trace",
     "time_slice",
     "write_binary_trace",

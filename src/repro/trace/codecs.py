@@ -6,8 +6,9 @@ the WMS text log (:mod:`repro.trace.wms_log`); at the paper's scale that
 log is hundreds of megabytes and re-parsing it line by line dominates
 characterization cost.  This module makes the serialization pluggable:
 
-* a **codec registry** (:func:`register_codec` / :func:`get_codec` /
-  :func:`detect_codec`) with the text log refactored in as one codec, and
+* a **codec table** of the two codecs (:func:`get_codec` /
+  :func:`available_codecs` / :func:`detect_codec`), the text log being
+  one of them, and
 * a **columnar binary codec** whose decode path is NumPy-vectorized and
   memory-mapped — no per-line Python, no row dicts.
 
@@ -653,7 +654,7 @@ def read_binary_trace(path: str | Path, *,
 
 
 # ----------------------------------------------------------------------
-# Codec registry
+# Codecs
 # ----------------------------------------------------------------------
 class TraceCodec(abc.ABC):
     """One interchangeable on-disk trace serialization.
@@ -665,7 +666,7 @@ class TraceCodec(abc.ABC):
     them identically regardless of format.
     """
 
-    #: Registry key (the CLI ``--codec`` value).
+    #: Table key (the ``repro generate --codec`` value).
     name: ClassVar[str] = ""
 
     #: Conventional filename suffix.
@@ -767,26 +768,12 @@ class BinaryTraceCodec(TraceCodec):
                                  write_header=write_header)
 
 
-_CODECS: dict[str, TraceCodec] = {}
-
-
-def register_codec(codec: TraceCodec) -> None:
-    """Register ``codec`` under its ``name``.
-
-    Raises
-    ------
-    TraceError
-        If the name is empty or already taken.
-    """
-    if not codec.name:
-        raise TraceError("codec has no name")
-    if codec.name in _CODECS:
-        raise TraceError(f"codec {codec.name!r} is already registered")
-    _CODECS[codec.name] = codec
+_CODECS: dict[str, TraceCodec] = {
+    codec.name: codec for codec in (TextTraceCodec(), BinaryTraceCodec())}
 
 
 def available_codecs() -> tuple[str, ...]:
-    """Registered codec names, sorted."""
+    """The codec names, sorted."""
     return tuple(sorted(_CODECS))
 
 
@@ -816,6 +803,3 @@ def detect_codec(path: str | Path) -> str:
         return ("binary" if stream.read(len(BINARY_MAGIC)) == BINARY_MAGIC
                 else "text")
 
-
-register_codec(TextTraceCodec())
-register_codec(BinaryTraceCodec())

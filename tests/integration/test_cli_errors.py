@@ -44,6 +44,8 @@ class TestOneErrorExit:
         ["generate", "--days", "-1", "--out", "{tmp}/w.npz"],
         ["simulate", "--days", "0", "--out", "{tmp}/t.npz"],
         ["plan", "SMALL", "--step", "0"],
+        ["plan", "SMALL", "--bandwidth-mbps", "-1"],
+        ["plan", "SMALL", "--max-connections", "0"],
         ["experiments", "fig99"],
         ["figures", "fig99", "--outdir", "{tmp}/figs"],
         ["characterize", "{tmp}/missing.npz"],
@@ -61,10 +63,12 @@ class TestOneErrorExit:
         np.savez(tmp_path / "arrays.npz", x=np.arange(3))
         code = main([word.format(tmp=tmp_path) for arg in argv
                      for word in (_SMALL if arg == "SMALL" else [arg])])
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code == 2
         assert len(err.splitlines()) == 1, err
         assert err.split(":", 1)[0].endswith(" error")
+        if argv[0] == "plan":  # refused before the workload is generated
+            assert "generated" not in out, out
 
     def test_module_entry_point_exits_2_without_traceback(self, tmp_path):
         env = dict(os.environ)

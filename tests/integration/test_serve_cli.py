@@ -88,12 +88,6 @@ class TestServeLoadErrors:
         assert code == 2
         assert "http_port" in capsys.readouterr().err
 
-    def test_http_transport_rejects_binary_codec(self, text_log, capsys):
-        code = main(["serve-load", str(text_log), "--transport", "http",
-                     "--codec", "binary"])
-        assert code == 2
-        assert "text codec" in capsys.readouterr().err
-
     def test_bad_feeds_exits_2(self, text_log, capsys):
         code = main(["serve-load", str(text_log), "--feeds", "0"])
         assert code == 2

@@ -7,7 +7,9 @@ pipeline on the same log.
 """
 
 import asyncio
+import errno
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,7 @@ from repro.core.model import LiveWorkloadModel
 from repro.serve import CharacterizationService, ServeConfig, run_load_async
 from repro.serve.protocol import format_handshake, pack_end, pack_meta
 from repro.serve.service import MAX_PARTIAL_LINE
-from repro.stream import run_streaming_generation
+from repro.stream import checkpoint, run_streaming_generation
 from repro.trace.streaming import StreamingCharacterizer
 from repro.trace.wms_log import LOG_FIELDS
 
@@ -80,7 +82,7 @@ def live_state(service, feed="feed0"):
 
 
 # ----------------------------------------------------------------------
-# End-to-end, both codecs, all transports
+# End-to-end, both codecs
 # ----------------------------------------------------------------------
 def test_text_tcp_load_matches_batch(logs, batch_state):
     text_path, _ = logs
@@ -111,19 +113,6 @@ def test_binary_tcp_load_matches_batch(logs, batch_state):
         assert report.codec == "binary"
         assert worker.feed_errors == 0
         assert report.frames_sent == worker.frames_ingested
-        return live_state(service)
-
-    assert serve_scenario(scenario) == batch_state
-
-
-def test_text_http_load_matches_batch(logs, batch_state):
-    text_path, _ = logs
-
-    async def scenario(service):
-        await run_load_async(text_path, tcp_port=service.tcp_port,
-                             http_port=service.http_port, transport="http")
-        worker = service.workers["feed0"]
-        await worker.drain()
         return live_state(service)
 
     assert serve_scenario(scenario) == batch_state
@@ -346,18 +335,21 @@ def test_http_checkpoint_without_path_is_conflict():
     serve_scenario(scenario)
 
 
-def test_http_ingest_rejects_bad_feed_name():
+def test_post_ingest_is_not_a_route():
+    """Data comes in over the TCP handshake only; the HTTP port serves
+    reads and control."""
     async def scenario(service):
         reader, writer = await asyncio.open_connection(
             "127.0.0.1", service.http_port)
         body = b"x\n"
-        writer.write(b"POST /ingest/bad%20feed HTTP/1.1\r\nHost: x\r\n"
+        writer.write(b"POST /ingest/feed0 HTTP/1.1\r\nHost: x\r\n"
                      + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
                      + body)
         await writer.drain()
         raw = await reader.read()
         writer.close()
-        assert b"400" in raw.split(b"\r\n", 1)[0]
+        assert b"404" in raw.split(b"\r\n", 1)[0]
+        assert service.workers == {}
 
     serve_scenario(scenario)
 
@@ -439,3 +431,135 @@ def test_resume_rejects_mismatched_config(logs, tmp_path):
             await service.start()
 
     asyncio.run(bad_resume())
+
+
+def _send_text(port, lines):
+    """One text connection carrying ``lines``; returns the reply line."""
+    async def send():
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(format_handshake("text", "feed0"))
+        if lines:
+            writer.write(("\n".join(lines) + "\n").encode("ascii"))
+        writer.write_eof()
+        response = await reader.readline()
+        writer.close()
+        return response
+
+    return send()
+
+
+def test_failed_checkpoint_save_keeps_checkpointing(logs, tmp_path,
+                                                     monkeypatch):
+    """The second periodic save fails with ENOSPC at the rename: the
+    first checkpoint stays intact, a later save succeeds, ``stop()``
+    leaves no worker running, and resuming from the checkpoint that
+    survived the failure, then feeding the rest of the log, renders the
+    uninterrupted ``/state``."""
+    text_path, _ = logs
+    checkpoint_path = tmp_path / "serve.npz"
+    with open(text_path, "r", encoding="utf-8") as stream:
+        lines = [line.rstrip("\n") for line in stream]
+    half = len(lines) // 2
+    replace = checkpoint.os.replace
+    saved, before_third = [], []
+
+    def flaky_replace(staged, dst):
+        saved.append(dst)
+        if len(saved) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        if len(saved) == 3:
+            # What the failed save left behind, before this one replaces
+            # it: the first checkpoint and no stray temp file.
+            before_third.append((Path(dst).read_bytes(), [
+                p.name for p in sorted(Path(dst).parent.iterdir())
+                if p != Path(staged)]))
+        replace(staged, dst)
+        if len(saved) == 1:
+            before_third.append(Path(dst).read_bytes())
+
+    monkeypatch.setattr(checkpoint.os, "replace", flaky_replace)
+
+    async def leg():
+        service = CharacterizationService(ServeConfig(
+            tcp_port=0, http_port=0, checkpoint_path=str(checkpoint_path),
+            checkpoint_interval=0.05))
+        await service.start()
+        try:
+            assert (await _send_text(service.tcp_port,
+                                     lines[:half])).startswith(b"OK ")
+            await service.workers["feed0"].drain()
+            for _ in range(1000):
+                if service.checkpoints_written >= 2:
+                    break
+                await asyncio.sleep(0.01)
+            status, metrics = await http_get(service.http_port, "/metrics")
+            assert status == 200
+            assert metrics["service"]["checkpoint_errors"] == 1
+            assert "No space left" in (
+                metrics["service"]["last_checkpoint_error"])
+            _, state = await http_get(service.http_port, "/state")
+            assert "checkpoint_errors" not in json.dumps(state)
+        finally:
+            await service.stop()
+        others = [task for task in asyncio.all_tasks()
+                  if task is not asyncio.current_task()]
+        assert others == []
+        return service
+
+    service = asyncio.run(leg())
+    monkeypatch.undo()
+    assert service.checkpoint_errors == 1
+    assert service.checkpoints_written >= 3  # the first, a later, the final
+    first = before_third[0]
+    intact, names = before_third[1]
+    assert intact == first
+    assert names == ["serve.npz"]
+
+    survivor = tmp_path / "survivor.npz"
+    survivor.write_bytes(first)
+
+    async def resumed(service):
+        worker = service.workers.get("feed0")
+        cursor = 0 if worker is None else worker.lines_ingested
+        await _send_text(service.tcp_port, lines[cursor:])
+        await service.workers["feed0"].drain()
+        return json.dumps(service.state_document(), sort_keys=True)
+
+    async def uninterrupted(service):
+        await _send_text(service.tcp_port, lines)
+        await service.workers["feed0"].drain()
+        return json.dumps(service.state_document(), sort_keys=True)
+
+    assert (serve_scenario(resumed, checkpoint_path=str(survivor),
+                           resume=True)
+            == serve_scenario(uninterrupted))
+
+
+def test_http_checkpoint_failure_is_a_json_error(tmp_path, monkeypatch):
+    """``POST /checkpoint`` answers a failed save with HTTP 500 and a
+    JSON error; the service keeps serving."""
+    def disk_full(staged, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    async def scenario(service):
+        service.worker("feed0")
+        monkeypatch.setattr(checkpoint.os, "replace", disk_full)
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.http_port)
+            writer.write(b"POST /checkpoint HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: 0\r\n\r\n")
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+        finally:
+            monkeypatch.undo()
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"500"
+        assert "No space left" in json.loads(body)["error"]
+        status, metrics = await http_get(service.http_port, "/metrics")
+        assert status == 200
+        assert metrics["service"]["checkpoint_errors"] == 1
+
+    serve_scenario(scenario, checkpoint_path=str(tmp_path / "serve.npz"),
+                   checkpoint_interval=3600.0)

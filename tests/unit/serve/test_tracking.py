@@ -5,6 +5,9 @@ import pytest
 
 from repro.errors import CheckpointError, ServeError
 from repro.serve.tracking import (
+    BIN_SECONDS as BIN,
+    RATE_WINDOW_S,
+    WINDOW_BINS,
     ConcurrencyTracker,
     LatencyHistogram,
     RateMeter,
@@ -21,27 +24,27 @@ def brute_force_concurrency(start, end, bin_seconds, at_bin):
 
 
 def test_concurrency_matches_brute_force_within_window():
-    start = np.asarray([0.0, 1.5, 2.0, 2.0, 5.9, 6.0], dtype=np.float64)
-    end = np.asarray([3.0, 2.5, 7.0, 2.1, 6.1, 9.5], dtype=np.float64)
-    tracker = ConcurrencyTracker(bin_seconds=1.0, window_bins=32)
+    start = BIN * np.asarray([0.0, 1.5, 2.0, 2.0, 5.9, 6.0])
+    end = BIN * np.asarray([3.0, 2.5, 7.0, 2.1, 6.1, 9.5])
+    tracker = ConcurrencyTracker()
     tracker.observe(start, end)
     bins, counts = tracker.curve(last_bins=32)
-    assert bins.size == counts.size
+    assert bins.size == counts.size == 32
     for b, c in zip(bins.tolist(), counts.tolist(), strict=True):
-        assert c == brute_force_concurrency(start, end, 1.0, int(b))
-    frontier_bin = int(np.floor(end.max())) + 1
+        assert c == brute_force_concurrency(start, end, BIN, int(b // BIN))
+    frontier_bin = int(np.floor(end.max() / BIN)) + 1
     assert tracker.current() == brute_force_concurrency(
-        start, end, 1.0, frontier_bin)
-    peaks = [brute_force_concurrency(start, end, 1.0, b)
+        start, end, BIN, frontier_bin)
+    peaks = [brute_force_concurrency(start, end, BIN, b)
              for b in range(frontier_bin + 1)]
     assert tracker.peak() == max(peaks)
 
 
 def test_concurrency_order_insensitive_within_window():
-    start = np.linspace(0.0, 20.0, 40, dtype=np.float64)
-    end = start + np.linspace(1.0, 8.0, 40, dtype=np.float64)
-    a = ConcurrencyTracker(bin_seconds=2.0, window_bins=64)
-    b = ConcurrencyTracker(bin_seconds=2.0, window_bins=64)
+    start = np.linspace(0.0, 20.0 * BIN, 40, dtype=np.float64)
+    end = start + np.linspace(BIN, 8.0 * BIN, 40, dtype=np.float64)
+    a = ConcurrencyTracker()
+    b = ConcurrencyTracker()
     a.observe(start, end)
     order = np.argsort(end, kind="stable")[::-1]
     for k in order.tolist():
@@ -52,13 +55,12 @@ def test_concurrency_order_insensitive_within_window():
 
 
 def test_concurrency_folds_expired_bins_into_base():
-    tracker = ConcurrencyTracker(bin_seconds=1.0, window_bins=4)
-    tracker.observe(np.asarray([0.0], dtype=np.float64),
-                    np.asarray([10.0], dtype=np.float64))
+    tracker = ConcurrencyTracker()
+    tracker.observe(np.asarray([0.0]), np.asarray([10.0 * BIN]))
     # Advance far past the window: counts must stay exact (the expired
     # +1/-1 pair folds into the base without leaking).
-    tracker.observe(np.asarray([100.0], dtype=np.float64),
-                    np.asarray([100.5], dtype=np.float64))
+    later = (WINDOW_BINS + 100) * BIN
+    tracker.observe(np.asarray([later]), np.asarray([later + BIN / 2]))
     assert tracker.n_observed == 2
     # The frontier bin sits one past the latest end, where c(t) == 0.
     assert tracker.current() == 0
@@ -66,32 +68,33 @@ def test_concurrency_folds_expired_bins_into_base():
 
 
 def test_concurrency_checkpoint_round_trip():
-    start = np.linspace(0.0, 50.0, 30, dtype=np.float64)
-    end = start + 7.0
-    tracker = ConcurrencyTracker(bin_seconds=5.0, window_bins=8)
+    # The sessions span more than the window, so the ring has wrapped.
+    start = np.linspace(0.0, 2.0 * WINDOW_BINS * BIN, 30, dtype=np.float64)
+    end = start + 7.0 * BIN
+    tracker = ConcurrencyTracker()
     tracker.observe(start, end)
-    restored = ConcurrencyTracker(bin_seconds=5.0, window_bins=8)
+    restored = ConcurrencyTracker()
     restored.restore(tracker.state_meta(), tracker.state_arrays())
     assert restored.current() == tracker.current()
     assert restored.peak() == tracker.peak()
-    np.testing.assert_array_equal(restored.curve(8)[1], tracker.curve(8)[1])
+    np.testing.assert_array_equal(restored.curve(WINDOW_BINS)[1],
+                                  tracker.curve(WINDOW_BINS)[1])
 
 
 def test_concurrency_restore_rejects_mismatched_binning():
-    tracker = ConcurrencyTracker(bin_seconds=5.0, window_bins=8)
+    tracker = ConcurrencyTracker()
     meta, arrays = tracker.state_meta(), tracker.state_arrays()
     with pytest.raises(CheckpointError, match="window_bins"):
-        ConcurrencyTracker(bin_seconds=5.0, window_bins=16).restore(
-            meta, arrays)
+        ConcurrencyTracker().restore(dict(meta, window_bins=16), arrays)
     with pytest.raises(CheckpointError, match="bin_seconds"):
-        ConcurrencyTracker(bin_seconds=1.0, window_bins=8).restore(
-            meta, arrays)
+        ConcurrencyTracker().restore(dict(meta, bin_seconds=1.0), arrays)
 
 
 def test_concurrency_rejects_bad_construction():
-    with pytest.raises(ServeError):
+    # The binning is fixed: the tracker takes no binning arguments.
+    with pytest.raises(TypeError):
         ConcurrencyTracker(bin_seconds=0.0)
-    with pytest.raises(ServeError):
+    with pytest.raises(TypeError):
         ConcurrencyTracker(window_bins=0)
 
 
@@ -129,7 +132,8 @@ def test_latency_histogram_empty_and_errors():
 # RateMeter
 # ----------------------------------------------------------------------
 def test_rate_meter_windows_and_prunes():
-    meter = RateMeter(window=10.0)
+    assert RATE_WINDOW_S == 10.0
+    meter = RateMeter()
     meter.add(0.0, 50)
     meter.add(5.0, 50)
     assert meter.rate(5.0) == pytest.approx(10.0)
@@ -140,5 +144,6 @@ def test_rate_meter_windows_and_prunes():
 
 
 def test_rate_meter_rejects_bad_window():
-    with pytest.raises(ServeError):
+    # The window is fixed: the meter takes no window argument.
+    with pytest.raises(TypeError):
         RateMeter(window=0.0)
