@@ -29,7 +29,6 @@ Quickstart
 from .core.calibrate import CalibrationResult, calibrate_model
 from .core.characterize import WorkloadCharacterization, characterize
 from .core.gismo import GismoWorkload, LiveWorkloadGenerator
-from .core.hierarchy import HierarchicalWorkload
 from .core.model import LiveWorkloadModel
 from .core.planning import CapacityPlan, denial_rate_at, required_capacity
 from .core.report import render_report
@@ -59,7 +58,6 @@ __all__ = [
     "FidelityReport",
     "GenerationStream",
     "GismoWorkload",
-    "HierarchicalWorkload",
     "LiveShowScenario",
     "LiveWorkloadGenerator",
     "LiveWorkloadModel",

@@ -1,4 +1,5 @@
-"""Segmented array operations, and the one exact sum of byte totals.
+"""Segmented array operations, the one exact sum of byte totals, and
+the one reorder buffer.
 
 The workload generators produce *per-session* quantities (transfer counts)
 and *per-transfer* quantities (durations, interarrival gaps) and need to
@@ -10,7 +11,8 @@ per-segment values to per-element ones.
 
 from __future__ import annotations
 
-from typing import Any
+import math
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -377,3 +379,61 @@ def sorted_slots(keys: IntArray, values: IntArray
         slots = np.searchsorted(keys, values)
         found &= keys[np.minimum(slots, keys.size - 1)] == values
     return slots, found
+
+
+class ReorderBuffer:
+    """Rows held until a bound on their ``key`` column releases them.
+
+    The server logs a transfer when it ends, while sessions and the
+    generator work in start order; this buffer converts between the two.
+    :meth:`push` holds column arrays in arrival order, and
+    :meth:`release` removes the rows with ``key < bound`` and returns
+    them stably sorted by key, so tied keys keep their arrival order.
+    ``n_rows`` counts the held rows and ``min_key`` is their smallest
+    key (``inf`` when none is held); ``table`` is the held rows in
+    arrival order, the checkpoint view.
+    """
+
+    def __init__(self, columns: Sequence[tuple[str, npt.DTypeLike]],
+                 key: str) -> None:
+        self._columns = tuple((name, np.dtype(dtype))
+                              for name, dtype in columns)
+        self._key = key
+        self._parts: list[dict[str, npt.NDArray[Any]]] = []
+        self.n_rows = 0
+        self.min_key = math.inf
+
+    def push(self, rows: Mapping[str, npt.ArrayLike]) -> None:
+        """Hold ``rows``, one array per column."""
+        part = {name: np.asarray(rows[name], dtype=dtype)
+                for name, dtype in self._columns}
+        if part[self._key].size:
+            self._parts.append(part)
+            self.n_rows += part[self._key].size
+            self.min_key = min(self.min_key, float(part[self._key].min()))
+
+    def release(self, bound: float) -> dict[str, npt.NDArray[Any]]:
+        """Remove the rows with ``key < bound``; return them in stable
+        key order."""
+        if not self.min_key < bound:
+            return {name: np.empty(0, dtype) for name, dtype in self._columns}
+        held = self.table
+        ready = held[self._key] < bound
+        self.table = {name: column[~ready] for name, column in held.items()}
+        taken = np.flatnonzero(ready)
+        taken = taken[np.argsort(held[self._key][taken], kind="stable")]
+        return {name: column[taken] for name, column in held.items()}
+
+    @property
+    def table(self) -> dict[str, npt.NDArray[Any]]:
+        """The held rows, in arrival order."""
+        if len(self._parts) != 1:
+            self._parts = [{name: np.concatenate(
+                [np.empty(0, dtype), *(part[name] for part in self._parts)])
+                for name, dtype in self._columns}]
+        return self._parts[0]
+
+    @table.setter
+    def table(self, rows: Mapping[str, npt.ArrayLike]) -> None:
+        self._parts, self.n_rows, self.min_key = [], 0, math.inf
+        self.push(rows)

@@ -758,11 +758,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     from .cdn import (check_plan, parse_failure, parse_sweep,
                       plan_deployment, validate_policy)
     from .cdn.failures import FailurePlan
-    from .errors import CdnError
 
     validate_policy(args.policy)
-    if not 0.0 <= args.slo <= 1.0:
-        raise CdnError(f"--slo must be within [0, 1], got {args.slo}")
     edge_counts = tuple(
         int(v) for v in parse_sweep(args.edges, integral=True))
     bandwidths = (None if args.bandwidth_mbps is None else tuple(

@@ -17,7 +17,6 @@ from .calibrate import CalibrationResult, calibrate_model
 from .characterize import WorkloadCharacterization, characterize
 from .client_layer import ClientLayerCharacterization, characterize_client_layer
 from .gismo import GismoWorkload, LiveWorkloadGenerator
-from .hierarchy import HierarchicalWorkload
 from .model import LiveWorkloadModel
 from .report import render_report
 from .session_layer import SessionLayerCharacterization, characterize_session_layer
@@ -31,7 +30,6 @@ __all__ = [
     "CalibrationResult",
     "ClientLayerCharacterization",
     "GismoWorkload",
-    "HierarchicalWorkload",
     "LiveWorkloadGenerator",
     "LiveWorkloadModel",
     "SessionLayerCharacterization",

@@ -16,9 +16,8 @@ import numpy as np
 from ..trace.store import Trace
 from ..units import DAY, DEFAULT_SESSION_TIMEOUT
 from .client_layer import ClientLayerCharacterization, characterize_client_layer
-from .hierarchy import HierarchicalWorkload
 from .session_layer import SessionLayerCharacterization, characterize_session_layer
-from .sessionizer import Sessions
+from .sessionizer import Sessions, sessionize
 from .transfer_layer import (
     TransferLayerCharacterization,
     characterize_transfer_layer,
@@ -120,8 +119,7 @@ def characterize(trace: Trace, *,
     timeout:
         Session timeout ``T_o``.
     """
-    workload = HierarchicalWorkload(trace, timeout)
-    sessions = workload.sessions
+    sessions = sessionize(trace, timeout)
     return WorkloadCharacterization(
         summary=summarize_trace(trace, sessions),
         client=characterize_client_layer(trace, sessions),

@@ -23,8 +23,9 @@ captures.
 Reordering
 ----------
 Ingest delivers entries in transfer-end order; sessionization requires
-globally non-decreasing starts.  Entries wait in a reorder buffer until
-the end frontier ``M`` guarantees their start can no longer be preceded
+globally non-decreasing starts.  Entries wait in a
+:class:`~repro.arrayops.ReorderBuffer` until the end frontier ``M``
+guarantees their start can no longer be preceded
 (``start <= M - lateness``); released entries are stably start-sorted,
 so ties keep arrival order and the session stream matches the batch
 sessionizer's ``(client, start)`` canonical order.  Entries arriving
@@ -43,6 +44,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .._typing import FloatArray, IntArray
+from ..arrayops import ReorderBuffer
 from ..errors import CheckpointError, ProtocolError, ReproError, TraceError
 from ..state import DERIVED, Column, Part, Scalar, Schema, Stateful, Table
 from ..stream.sessionize import FinalizedSessions, OnlineSessionizer, merge_finalized
@@ -92,9 +94,9 @@ class FeedWorker(Stateful):
         *(Scalar(f"counters.{name}", int, name) for name in _COUNTERS),
         Scalar("reorder.max_end", float, "_max_end"),
         Scalar("reorder.released_floor", float, "_released_floor"),
-        Scalar("reorder.pend_min", float, "_pend_min"),
-        Scalar("reorder.pend_rows", int, "_pend_rows", DERIVED),
-        Table("pend_", "_pend_table", _PEND_COLUMNS, "pend"),
+        Scalar("reorder.pend_min", float, "_pend.min_key", DERIVED),
+        Scalar("reorder.pend_rows", int, "_pend.n_rows", DERIVED),
+        Table("pend_", "_pend.table", _PEND_COLUMNS, "pend"),
         Column("spc", np.int64, "capacity", "_spc"),
         Table("on_", "_on_moments.counts", _MOMENT_COLUMNS, "on"),
         Column("players", np.str_, "interned", "_players"),
@@ -142,10 +144,7 @@ class FeedWorker(Stateful):
         # Sorted declared indices, the slot of each, each slot's player.
         self._slots: tuple[IntArray, IntArray, _AnyArray] | None = None
 
-        # Reorder buffer (arrival order preserved across chunks).
-        self._pend: list[tuple[IntArray, FloatArray, FloatArray]] = []
-        self._pend_rows = 0
-        self._pend_min = math.inf
+        self._pend = ReorderBuffer(_PEND_COLUMNS, "start")
         self._max_end = -math.inf
         self._released_floor = -math.inf
 
@@ -399,43 +398,19 @@ class FeedWorker(Stateful):
     # ------------------------------------------------------------------
     def _enqueue_reorder(self, client: IntArray, start: FloatArray,
                          duration: FloatArray) -> None:
-        ends = start + duration
-        if ends.size:
-            frontier = float(ends.max())
-            if frontier > self._max_end:
-                self._max_end = frontier
-            low = float(start.min())
-            if low < self._pend_min:
-                self._pend_min = low
-        self._pend.append((client, start, duration))
-        self._pend_rows += int(start.size)
-        self._release(self._max_end - self.lateness)
+        if start.size:
+            self._max_end = max(self._max_end,
+                                float((start + duration).max()))
+        self._pend.push({"client": client, "start": start,
+                         "duration": duration})
+        # The release takes ``start <= watermark``: every key below the
+        # next float up.
+        watermark = self._max_end - self.lateness
+        self._release(float(np.nextafter(watermark, np.inf)))
 
-    def _release(self, watermark: float, *, final: bool = False) -> None:
-        if not self._pend or (not final and self._pend_min > watermark):
-            return
-        client = np.concatenate([part[0] for part in self._pend])
-        start = np.concatenate([part[1] for part in self._pend])
-        duration = np.concatenate([part[2] for part in self._pend])
-        if final:
-            take = np.ones(start.size, dtype=bool)
-        else:
-            take = start <= watermark
-        if not np.any(take):
-            self._pend = [(client, start, duration)]
-            return
-        keep = ~take
-        if np.any(keep):
-            kept = (client[keep], start[keep], duration[keep])
-            self._pend = [kept]
-            self._pend_rows = int(kept[1].size)
-            self._pend_min = float(kept[1].min())
-        else:
-            self._pend = []
-            self._pend_rows = 0
-            self._pend_min = math.inf
-        client, start, duration = client[take], start[take], duration[take]
-
+    def _release(self, bound: float, *, final: bool = False) -> None:
+        rows = self._pend.release(bound)
+        client, start, duration = (rows[name] for name, _ in _PEND_COLUMNS)
         late = start < self._released_floor
         if np.any(late):
             self.late_drops += int(np.count_nonzero(late))
@@ -444,8 +419,6 @@ class FeedWorker(Stateful):
                                        duration[ontime])
         if start.size == 0:
             return
-        order = np.argsort(start, kind="stable")
-        client, start, duration = client[order], start[order], duration[order]
         self._released_floor = float(start[-1])
         self._push_sessions(client, start, duration,
                             horizon=None if final else self._released_floor)
@@ -521,19 +494,6 @@ class FeedWorker(Stateful):
         return {name: int(getattr(self, name)) for name in _COUNTERS}
 
     # Checkpoint views of the state not held as plain columns.
-    @property
-    def _pend_table(self) -> dict[str, _AnyArray]:
-        parts = self._pend or [(np.empty(0, np.int64), np.empty(0),
-                                np.empty(0))]
-        return {name: np.concatenate([part[k] for part in parts])
-                for k, (name, _) in enumerate(_PEND_COLUMNS)}
-
-    @_pend_table.setter
-    def _pend_table(self, table: dict[str, _AnyArray]) -> None:
-        rows = (table["client"], table["start"], table["duration"])
-        self._pend = [rows] if rows[1].size else []
-        self._pend_rows = int(rows[1].size)
-
     @property
     def _players(self) -> list[str]:
         return self.intern_table()

@@ -199,13 +199,13 @@ def _partition_text(data: bytes, n_feeds: int, *, want_ts: bool
                     ) -> tuple[list[list[bytes]], list[list[float]] | None]:
     """Split raw log bytes into per-feed line streams.
 
-    Data lines go to ``object_id % n_feeds``; header/blank/unparseable
-    lines are broadcast (headers keep every stream self-describing, and
-    with one feed the stream is byte-identical to the input).
+    Lines end at ``\\n``, ``\\r`` or ``\\r\\n``, as the service splits
+    them.  Data lines go to ``object_id % n_feeds``; header/blank/
+    unparseable lines are broadcast (headers keep every stream
+    self-describing, and with one feed and ``\\n`` line ends the stream is
+    byte-identical to the input).
     """
-    lines = data.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
+    lines = data.splitlines()
     per_feed: list[list[bytes]] = [[] for _ in range(n_feeds)]
     stamps: list[list[float]] | None = (
         [[] for _ in range(n_feeds)] if want_ts else None)

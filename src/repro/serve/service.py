@@ -29,6 +29,8 @@ observes a consistent cut of every accumulator.
 from __future__ import annotations
 
 import asyncio
+import codecs
+import io
 import json
 from typing import Any, Mapping
 
@@ -63,7 +65,7 @@ _READ_CHUNK = 1 << 16
 MAX_PARTIAL_LINE = 1 << 20
 
 #: Ceiling on one HTTP request body (no route reads one; it is drained).
-_MAX_HTTP_BODY = 64 * 1024 * 1024
+_MAX_HTTP_BODY = 64 * 1024
 
 _CHECKPOINT_FORMAT = "repro-serve-v2"
 
@@ -219,27 +221,30 @@ class CharacterizationService:
                           worker: FeedWorker) -> dict[str, Any]:
         offered = 0
         carry = ""
+        # The decoding of :func:`~repro.trace.wms_log.open_log`: a line
+        # ends at ``\n``, ``\r`` or ``\r\n``, and a ``\r`` that ends
+        # one read waits for the next.
+        decoder = io.IncrementalNewlineDecoder(
+            codecs.getincrementaldecoder("ascii")(errors="replace"),
+            translate=True)
         while True:
             chunk = await reader.read(_READ_CHUNK)
-            if not chunk:
-                break
-            # ASCII decoding maps byte to character, so decoding a block
-            # and splitting it gives the lines a per-line decode gives.
-            lines = chunk.decode("ascii", errors="replace").split("\n")
+            lines = decoder.decode(chunk, final=not chunk).split("\n")
             lines[0] = carry + lines[0]
             carry = lines.pop()
             if len(carry) > MAX_PARTIAL_LINE:
                 raise ProtocolError(
                     f"text line longer than {MAX_PARTIAL_LINE} bytes "
                     f"on feed {worker.name!r}")
-            if not lines:
-                continue
-            if not worker.offer_lines(lines):
-                raise _Backpressure(
-                    f"backpressure: feed {worker.name!r} queue is full "
-                    f"({len(lines)} lines shed)")
-            offered += len(lines)
-            self._record_rate(worker.name, len(lines))
+            if lines:
+                if not worker.offer_lines(lines):
+                    raise _Backpressure(
+                        f"backpressure: feed {worker.name!r} queue is full "
+                        f"({len(lines)} lines shed)")
+                offered += len(lines)
+                self._record_rate(worker.name, len(lines))
+            if not chunk:
+                break
         if carry:
             # A partial trailing line can never be parsed: count it
             # rather than guessing at its contents.

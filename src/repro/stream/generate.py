@@ -9,17 +9,18 @@ bounded-size :class:`TransferBatch` chunks, holding only:
 * the generation plan's arrival/interest arrays (O(sessions) — the serial
   planning stages are shared with every other execution mode);
 * the currently executing canonical block (O(trace / blocks));
-* a *pending* buffer of transfers that start beyond the next block's
-  first arrival (bounded by how far session tails outlive their block's
-  time window).
+* a *pending* :class:`~repro.arrayops.ReorderBuffer` of transfers that
+  start beyond the next block's first arrival (bounded by how far session
+  tails outlive their block's time window), held in generation order.
 
 The merge invariant: blocks are time windows, so block ``k``'s earliest
 transfer starts at its first session arrival — known from the plan before
 any transfer is synthesized (:func:`repro.parallel.plan.emit_horizons`).
 After executing blocks ``0..k``, everything with ``start <
-emit_horizons(plan)[k]`` can be emitted; a stable merge of the pending
-buffer with each new block reproduces exactly the stable sort by start
-the batch path applies to the concatenated blocks, so the streamed
+emit_horizons(plan)[k]`` can be emitted; releasing those rows in stable
+start order from the pending rows followed by the new block's reproduces
+exactly the stable sort by start the batch path applies to the
+concatenated blocks, so the streamed
 column concatenation is **bit-identical** to
 ``generate_sharded(model, days, seed=seed, blocks=blocks).trace`` for any
 ``chunk_size``.
@@ -39,6 +40,7 @@ from typing import Any, Iterator, Mapping
 import numpy as np
 
 from .._typing import FloatArray, IntArray, SeedLike
+from ..arrayops import ReorderBuffer
 from ..core.model import LiveWorkloadModel
 from ..errors import CheckpointError
 from ..parallel.engine import generate_shard
@@ -129,7 +131,7 @@ class GenerationStream(Stateful):
     CHECKPOINT = Schema("generation", (
         Scalar("next_block", int, "_next_block"),
         Scalar("n_emitted", int, "_n_emitted"),
-        Table("gen_pending_", "_pending", _PENDING_COLUMNS, "pending"),
+        Table("gen_pending_", "_pending.table", _PENDING_COLUMNS, "pending"),
     ))
 
     def __init__(self, model: LiveWorkloadModel, days: float, *,
@@ -150,8 +152,7 @@ class GenerationStream(Stateful):
         self._horizons = emit_horizons(self._plan)
         self._next_block = 0
         self._n_emitted = 0
-        self._pending = {name: np.empty(0, dtype=dtype)
-                         for name, dtype in _PENDING_COLUMNS}
+        self._pending = ReorderBuffer(_PENDING_COLUMNS, "start")
 
     # ------------------------------------------------------------------
     # Shape
@@ -174,7 +175,7 @@ class GenerationStream(Stateful):
     @property
     def n_pending(self) -> int:
         """Transfers held in the cross-block pending buffer."""
-        return int(self._pending["start"].size)
+        return self._pending.n_rows
 
     @property
     def n_sessions(self) -> int:
@@ -207,44 +208,33 @@ class GenerationStream(Stateful):
         block = self._next_block
         result = generate_shard(self._plan.specs[block])
         horizon = float(self._horizons[block])
-        produced = {
-            "start": result.start, "duration": result.duration,
-            "object_id": result.object_id,
-            "bandwidth_bps": result.bandwidth_bps,
-            "transfer_session": result.transfer_session,
-        }
-        # Stable sort of the pending buffer followed by the block's rows
-        # in generation order: pending rows come from earlier blocks, so
-        # this is exactly the batch path's stable sort over blocks in
+        # Pending rows come from earlier blocks, so the stable start order
+        # of the held rows is the batch path's stable sort over blocks in
         # order.
-        merged = {name: np.concatenate([col, produced[name]])
-                  for name, col in self._pending.items()}
-        order = np.argsort(merged["start"], kind="stable")
-        merged = {name: col[order] for name, col in merged.items()}
-        cut = int(np.searchsorted(merged["start"], horizon, side="left"))
-        # Copy the kept tail so the emitted prefix's memory can be freed.
-        self._pending = {name: col[cut:].copy()
-                         for name, col in merged.items()}
+        self._pending.push({name: getattr(result, name)
+                            for name, _ in _PENDING_COLUMNS})
+        ready = self._pending.release(horizon)
+        cut = ready["start"].size
 
         session_client = self._plan.session_client
         batches: list[TransferBatch] = []
         for lo in range(0, cut, self.chunk_size):
             hi = min(lo + self.chunk_size, cut)
-            session = merged["transfer_session"][lo:hi]
+            session = ready["transfer_session"][lo:hi]
             # Only the block's last batch may promise the block horizon:
             # sibling batches after this one hold transfers below it.  A
             # non-final batch's bound is the next emitted transfer's
-            # start — starts are sorted, and everything kept past ``cut``
-            # begins at or after ``horizon`` which is larger still.
+            # start — starts are sorted, and every row still held begins
+            # at or after ``horizon`` which is larger still.
             batch_horizon = (horizon if hi == cut
-                             else float(merged["start"][hi]))
+                             else float(ready["start"][hi]))
             batches.append(TransferBatch(
                 global_offset=self._n_emitted + lo,
                 client_index=session_client[session],
-                object_id=merged["object_id"][lo:hi],
-                start=merged["start"][lo:hi],
-                duration=merged["duration"][lo:hi],
-                bandwidth_bps=merged["bandwidth_bps"][lo:hi],
+                object_id=ready["object_id"][lo:hi],
+                start=ready["start"][lo:hi],
+                duration=ready["duration"][lo:hi],
+                bandwidth_bps=ready["bandwidth_bps"][lo:hi],
                 transfer_session=session,
                 horizon=batch_horizon,
             ))

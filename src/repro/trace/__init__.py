@@ -33,7 +33,7 @@ from .records import ClientRecord, TransferRecord
 from .sanitize import SanitizationReport, sanitize_trace
 from .store import ClientTable, Trace
 from .streaming import StreamingCharacterizer, StreamingSummary
-from .transform import daily_slices, merge_traces, time_slice
+from .transform import daily_slices, time_slice
 from .wms_log import (
     StreamingTraceWriter,
     StreamingWmsLogWriter,
@@ -61,7 +61,6 @@ __all__ = [
     "detect_codec",
     "get_codec",
     "log_round_trip",
-    "merge_traces",
     "read_binary_trace",
     "read_csv",
     "read_wms_log",

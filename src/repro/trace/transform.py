@@ -1,26 +1,19 @@
-"""Trace transformations: windowing and merging.
+"""Trace transformations: windowing.
 
 Real measurement workflows rarely analyze a log whole: the paper itself
 works with daily harvests stitched into a 28-day window, and its temporal
 figures are computed over sub-windows.  :func:`time_slice` extracts a
 window (re-basing timestamps, optionally clipping in-progress transfers at
-the edges, as a real collection boundary does), and :func:`merge_traces`
-combines traces from several servers or collection periods into one,
-re-interning clients by player ID.
+the edges, as a real collection boundary does), and :func:`daily_slices`
+cuts a trace into day-long windows.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
-
 import numpy as np
 
-from .._typing import IntArray
 from ..errors import TraceError
-from .store import ClientTable, Trace
-
-#: Shape/dtype-generic array (per-trace column fragments pre-concat).
-_AnyArray = np.ndarray[Any, np.dtype[Any]]
+from .store import Trace
 
 
 def time_slice(trace: Trace, start: float, end: float, *,
@@ -85,157 +78,3 @@ def daily_slices(trace: Trace, *, day_seconds: float = 86_400.0) -> list[Trace]:
         out.append(time_slice(trace, t, end))
         t = end
     return out
-
-
-def _merged_client_mapping(traces: Sequence[Trace]
-                           ) -> tuple[ClientTable, IntArray, IntArray]:
-    """Dedup the client tables of ``traces`` by player ID, vectorized.
-
-    Returns ``(merged_table, merged_of_local, bounds)``: the merged
-    client table in first-appearance order, the merged index of every
-    local client across all inputs (concatenated), and the concatenation
-    offsets so trace ``k``'s clients map through
-    ``merged_of_local[bounds[k]:bounds[k + 1]]``.
-    """
-    player_ids = np.concatenate(
-        [np.asarray(t.clients.player_ids, dtype=np.str_) for t in traces])
-    uniq_sorted, first_pos, inverse = np.unique(
-        player_ids, return_index=True, return_inverse=True)
-    # np.unique sorts lexically; re-rank so merged indices follow the
-    # order of first appearance, as the interning dict did.
-    appearance = np.argsort(first_pos, kind="stable")
-    rank = np.empty(appearance.size, dtype=np.int64)
-    rank[appearance] = np.arange(appearance.size, dtype=np.int64)
-    merged_of_local = rank[inverse]
-
-    keep = first_pos[appearance]  # identity fields from first appearance
-    merged_table = ClientTable(
-        player_ids=player_ids[keep],
-        ips=np.concatenate(
-            [np.asarray(t.clients.ips, dtype=np.str_) for t in traces])[keep],
-        as_numbers=np.concatenate(
-            [t.clients.as_numbers for t in traces])[keep],
-        countries=np.concatenate(
-            [np.asarray(t.clients.countries, dtype=np.str_)
-             for t in traces])[keep],
-        os_names=np.concatenate(
-            [np.asarray(t.clients.os_names, dtype=np.str_)
-             for t in traces])[keep],
-    )
-    bounds = np.zeros(len(traces) + 1, dtype=np.int64)
-    np.cumsum([t.n_clients for t in traces], out=bounds[1:])
-    return merged_table, merged_of_local, bounds
-
-
-def merge_traces(traces: Sequence[Trace], *,
-                 offsets: Sequence[float] | None = None) -> Trace:
-    """Merge several traces into one, re-interning clients by player ID.
-
-    Clients appearing in multiple inputs (same player ID) become a single
-    client in the output; their identity fields are taken from the first
-    appearance.  Transfer timestamps are shifted by the per-trace
-    ``offsets`` (default: zero for all — concurrent servers; pass
-    cumulative extents to concatenate collection periods end to end).
-
-    The client re-interning is vectorized (one ``np.unique`` over the
-    concatenated player IDs ranked by first appearance) rather than a
-    per-client dictionary walk; :func:`_reference_merge_traces` keeps the
-    loop formulation and the property suite asserts equivalence.
-
-    Raises
-    ------
-    TraceError
-        If no traces are given or offsets mismatch.
-    """
-    if not traces:
-        raise TraceError("merge_traces requires at least one trace")
-    if offsets is None:
-        offsets = [0.0] * len(traces)
-    if len(offsets) != len(traces):
-        raise TraceError(
-            f"need one offset per trace ({len(offsets)} != {len(traces)})")
-
-    merged_clients, merged_of_local, bounds = _merged_client_mapping(traces)
-
-    columns: dict[str, list[_AnyArray]] = {
-        name: [] for name in
-        ("client_index", "object_id", "start", "duration",
-         "bandwidth_bps", "packet_loss", "server_cpu", "status")}
-    extent = 0.0
-    for k, (trace, offset) in enumerate(zip(traces, offsets, strict=True)):
-        local_to_merged = merged_of_local[bounds[k]:bounds[k + 1]]
-        columns["client_index"].append(local_to_merged[trace.client_index])
-        columns["object_id"].append(trace.object_id)
-        columns["start"].append(trace.start + offset)
-        columns["duration"].append(trace.duration)
-        columns["bandwidth_bps"].append(trace.bandwidth_bps)
-        columns["packet_loss"].append(trace.packet_loss)
-        columns["server_cpu"].append(trace.server_cpu)
-        columns["status"].append(trace.status)
-        extent = max(extent, trace.extent + offset)
-
-    stacked = {name: (np.concatenate(parts) if parts
-                      else np.empty(0, dtype=np.float64))
-               for name, parts in columns.items()}
-    return Trace(clients=merged_clients, extent=extent, **stacked)
-
-
-def _reference_merge_traces(traces: Sequence[Trace], *,
-                            offsets: Sequence[float] | None = None) -> Trace:
-    """Per-client Python-loop formulation of :func:`merge_traces`.
-
-    Kept as the executable specification for the vectorized re-interning
-    (see ``tests/property/test_transform_properties.py``).
-    """
-    if not traces:
-        raise TraceError("merge_traces requires at least one trace")
-    if offsets is None:
-        offsets = [0.0] * len(traces)
-    if len(offsets) != len(traces):
-        raise TraceError(
-            f"need one offset per trace ({len(offsets)} != {len(traces)})")
-
-    player_index: dict[str, int] = {}
-    player_ids: list[str] = []
-    ips: list[str] = []
-    as_numbers: list[int] = []
-    countries: list[str] = []
-    os_names: list[str] = []
-
-    columns: dict[str, list[_AnyArray]] = {
-        name: [] for name in
-        ("client_index", "object_id", "start", "duration",
-         "bandwidth_bps", "packet_loss", "server_cpu", "status")}
-    extent = 0.0
-    for trace, offset in zip(traces, offsets, strict=True):
-        # Map this trace's client indices into the merged table.
-        local_to_merged = np.empty(trace.n_clients, dtype=np.int64)
-        table = trace.clients
-        for local in range(trace.n_clients):
-            pid = str(table.player_ids[local])
-            merged = player_index.get(pid)
-            if merged is None:
-                merged = len(player_ids)
-                player_index[pid] = merged
-                player_ids.append(pid)
-                ips.append(str(table.ips[local]))
-                as_numbers.append(int(table.as_numbers[local]))
-                countries.append(str(table.countries[local]))
-                os_names.append(str(table.os_names[local]))
-            local_to_merged[local] = merged
-        columns["client_index"].append(local_to_merged[trace.client_index])
-        columns["object_id"].append(trace.object_id)
-        columns["start"].append(trace.start + offset)
-        columns["duration"].append(trace.duration)
-        columns["bandwidth_bps"].append(trace.bandwidth_bps)
-        columns["packet_loss"].append(trace.packet_loss)
-        columns["server_cpu"].append(trace.server_cpu)
-        columns["status"].append(trace.status)
-        extent = max(extent, trace.extent + offset)
-
-    merged_clients = ClientTable(player_ids, ips, as_numbers, countries,
-                                 os_names)
-    stacked = {name: (np.concatenate(parts) if parts
-                      else np.empty(0, dtype=np.float64))
-               for name, parts in columns.items()}
-    return Trace(clients=merged_clients, extent=extent, **stacked)

@@ -32,7 +32,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .._typing import FloatArray, IntArray
-from ..arrayops import sorted_slots
+from ..arrayops import ReorderBuffer, sorted_slots
 from ..errors import LogParseError, TraceError
 from ..state import Scalar, Schema, Stateful, Table
 from .entries import ENTRY_CHECKS, entry_rule, require_entries
@@ -253,8 +253,7 @@ ClientIdentity = Callable[[int], tuple[str, str, str]]
 #: Per-transfer columns buffered by :class:`StreamingTraceWriter`, in
 #: checkpoint/state order.
 _WRITER_COLUMNS: tuple[tuple[str, type], ...] = (
-    ("end", np.float64), ("position", np.int64),
-    ("client_index", np.int64), ("object_id", np.int64),
+    ("end", np.float64), ("client_index", np.int64), ("object_id", np.int64),
     ("duration", np.float64), ("bandwidth_bps", np.float64),
     ("packet_loss", np.float64), ("server_cpu", np.float64),
     ("status", np.int64),
@@ -282,9 +281,10 @@ class StreamingTraceWriter(Stateful):
     every future transfer's start — guarantees no later transfer can end
     before it (``end >= start >= horizon``).  Buffered memory is
     therefore bounded by the workload's peak concurrency, never by the
-    trace length, and entries are handed to the codec-specific
-    :meth:`_emit_entries` in ``(end, trace position)`` order — exactly
-    the batch writer's stable sort by end.
+    trace length.  Pushes arrive in trace order, so the buffer's stable
+    sort by end hands entries to the codec-specific :meth:`_emit_entries`
+    in ``(end, trace position)`` order — exactly the batch writer's
+    stable sort by end.
 
     Subclasses implement :meth:`_emit_entries` (and may extend the
     declared checkpoint state, ``CHECKPOINT``).
@@ -301,20 +301,18 @@ class StreamingTraceWriter(Stateful):
 
     CHECKPOINT = Schema("log writer", (
         Scalar("n_written", int, "n_written"),
-        Table("", "_buffer", _WRITER_COLUMNS, "buffer"),
+        Table("", "_buffer.table", _WRITER_COLUMNS, "buffer"),
     ))
 
     def __init__(self, identity: ClientIdentity) -> None:
         self._identity = identity
         self.n_written = 0
-        self._buffer: dict[str, _AnyArray] = {
-            name: np.empty(0, dtype=dtype)
-            for name, dtype in _WRITER_COLUMNS}
+        self._buffer = ReorderBuffer(_WRITER_COLUMNS, "end")
 
     @property
     def n_buffered(self) -> int:
         """Number of in-flight (pushed, not yet flushed) entries."""
-        return int(self._buffer["end"].size)
+        return self._buffer.n_rows
 
     def push(self, *, client_index: IntArray, object_id: IntArray,
              start: FloatArray, duration: FloatArray,
@@ -326,8 +324,9 @@ class StreamingTraceWriter(Stateful):
         """Buffer one batch of transfers and flush what the horizon allows.
 
         ``global_offset`` is the trace position of the batch's first
-        transfer (positions break end-time ties exactly like the batch
-        writer's stable sort).  ``horizon`` promises that every transfer
+        transfer; batches are pushed in trace order, which breaks
+        end-time ties exactly like the batch writer's stable sort.
+        ``horizon`` promises that every transfer
         of every *later* push starts at or after it; entries with
         ``end < horizon`` are flushed now.  Returns the number of entries
         written by this call.  A batch with a row the entry rule
@@ -340,7 +339,6 @@ class StreamingTraceWriter(Stateful):
         duration = np.asarray(duration, dtype=np.float64)
         n = start.size
         new: dict[str, _AnyArray] = {
-            "position": global_offset + np.arange(n, dtype=np.int64),
             "client_index": np.asarray(client_index, dtype=np.int64),
             "object_id": np.asarray(object_id, dtype=np.int64),
             "duration": duration,
@@ -356,29 +354,21 @@ class StreamingTraceWriter(Stateful):
         }
         require_entries({**new, "start": start}, offset=global_offset)
         new["end"] = start + duration
-        self._buffer = {name: np.concatenate([col, new[name]])
-                        for name, col in self._buffer.items()}
+        self._buffer.push(new)
         return self._flush_below(horizon)
 
     def _flush_below(self, horizon: float) -> int:
         """Emit buffered entries with ``end < horizon``; keep the rest."""
-        buffer = self._buffer
-        ready = buffer["end"] < horizon
-        n_ready = int(np.count_nonzero(ready))
-        if n_ready == 0:
-            return 0
-        keep = ~ready
-        emit = {name: col[ready] for name, col in buffer.items()}
-        self._buffer = {name: col[keep].copy()
-                        for name, col in buffer.items()}
-        # (end, trace position) == the batch writer's stable sort by end.
-        order = np.lexsort((emit["position"], emit["end"]))
-        self._emit_entries({name: col[order] for name, col in emit.items()})
-        self.n_written += n_ready
+        emit = self._buffer.release(horizon)
+        n_ready = int(emit["end"].size)
+        if n_ready:
+            self._emit_entries(emit)
+            self.n_written += n_ready
         return n_ready
 
     def _emit_entries(self, emit: Mapping[str, _AnyArray]) -> None:
-        """Write one flushed batch, already in ``(end, position)`` order.
+        """Write one flushed batch, already in ``(end, trace position)``
+        order.
 
         ``emit`` holds the :data:`_WRITER_COLUMNS` arrays; codec
         subclasses serialize them however their format requires.

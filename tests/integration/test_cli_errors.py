@@ -340,7 +340,8 @@ class TestPlanErrors:
     def test_slo_outside_unit_interval_exits_2(self, slo, capsys):
         code = main(["plan", "--slo", slo])
         assert code == 2
-        assert "--slo must be within [0, 1]" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"cdn error: slo must be within [0, 1], got {float(slo)}\n")
 
     def test_zero_edges_exits_2(self, capsys):
         code = main(["plan", "--edges", "0"])

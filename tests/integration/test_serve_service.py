@@ -7,13 +7,16 @@ pipeline on the same log.
 """
 
 import asyncio
+import dataclasses
 import errno
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.model import LiveWorkloadModel
+from repro.parallel import characterize_logs
 from repro.serve import CharacterizationService, ServeConfig, run_load_async
 from repro.serve.protocol import format_handshake, pack_end, pack_meta
 from repro.serve.service import MAX_PARTIAL_LINE
@@ -207,6 +210,60 @@ def test_endless_text_line_is_refused(logs):
     serve_scenario(scenario)
 
 
+@pytest.mark.parametrize("newline", ["cr", "first-five-cr"])
+def test_text_door_splits_lines_like_the_file_reader(logs, tmp_path,
+                                                     newline):
+    """A line ends at ``\\n``, ``\\r`` or ``\\r\\n`` on the wire as in
+    a file: the feed counts what ``characterize_logs`` reads there."""
+    data = logs[0].read_bytes()
+    data = (data.replace(b"\n", b"\r") if newline == "cr"
+            else data.replace(b"\n", b"\r", 5))
+    path = tmp_path / "cr.log"
+    path.write_bytes(data)
+    want = characterize_logs(path)
+
+    async def scenario(service):
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", service.tcp_port)
+        writer.write(format_handshake("text", "feed0"))
+        # Odd-sized writes, so a ``\r`` may end one read.
+        for lo in range(0, len(data), 4099):
+            writer.write(data[lo:lo + 4099])
+            await writer.drain()
+        writer.write_eof()
+        response = await reader.readline()
+        writer.close()
+        worker = service.worker("feed0")
+        await worker.drain()
+        assert json.loads(response.split(b" ", 1)[1])["truncated"] == 0
+        assert worker.feed_errors == 0
+        return worker.characterizer.summary()
+
+    got = serve_scenario(scenario)
+    assert want is not None and want.n_entries > 1000
+    np.testing.assert_equal(dataclasses.asdict(got),
+                            dataclasses.asdict(want))
+
+
+def test_replayed_cr_log_sends_the_lines_the_feed_counts(logs, tmp_path):
+    """``serve-load`` splits a replayed file where the service does, so
+    its line count is the feed's resume cursor."""
+    path = tmp_path / "cr.log"
+    path.write_bytes(logs[0].read_bytes().replace(b"\n", b"\r"))
+
+    async def scenario(service):
+        report = await run_load_async(path, tcp_port=service.tcp_port,
+                                      http_port=service.http_port)
+        worker = service.workers["feed0"]
+        await worker.drain()
+        assert report.lines_sent == worker.lines_ingested
+        return worker.characterizer.summary()
+
+    got = serve_scenario(scenario)
+    np.testing.assert_equal(dataclasses.asdict(got),
+                            dataclasses.asdict(characterize_logs(path)))
+
+
 def test_malformed_frame_gets_err_and_close():
     async def scenario(service):
         reader, writer = await asyncio.open_connection(
@@ -350,6 +407,22 @@ def test_post_ingest_is_not_a_route():
         writer.close()
         assert b"404" in raw.split(b"\r\n", 1)[0]
         assert service.workers == {}
+
+    serve_scenario(scenario)
+
+
+def test_large_http_body_is_refused_unread():
+    """No route reads a body, so a large one gets 413 before any of it
+    is read."""
+    async def scenario(service):
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", service.http_port)
+        writer.write(b"POST /checkpoint HTTP/1.1\r\nHost: x\r\n"
+                     b"Content-Length: 1048576\r\n\r\n")
+        await writer.drain()
+        raw = await asyncio.wait_for(reader.read(), timeout=30)
+        writer.close()
+        assert b"413" in raw.split(b"\r\n", 1)[0]
 
     serve_scenario(scenario)
 

@@ -139,7 +139,7 @@ _RUN_ARRAYS = (
     + [f"sess_{name}" for name in (
         "open", "start", "run_max", "count", "last_start")]
     + [f"log_{name}" for name in (
-        "end", "position", "client_index", "object_id", "duration",
+        "end", "client_index", "object_id", "duration",
         "bandwidth_bps", "packet_loss", "server_cpu", "status")]
     + [f"fin_{name}" for name in ("client", "start", "end", "count")])
 RUN_ARRAYS = {"text": _RUN_ARRAYS,
@@ -189,6 +189,38 @@ def test_resume_rejects_damaged_checkpoint(model, interrupted_runs, tmp_path,
         run_streaming_generation(model, DAYS, seed=SEED, log_path=log,
                                  codec=codec, checkpoint_path=ck,
                                  resume=True)
+
+
+@pytest.mark.parametrize("codec", ["text", "binary"])
+def test_resume_from_sorted_pending_layout(model, batch_artifacts, tmp_path,
+                                           codec):
+    """A checkpoint in the earlier layout -- pending generation rows
+    stable-sorted by start, and a ``log_position`` column of each
+    buffered entry's trace position -- resumes to the uninterrupted
+    run's log bytes and sessions."""
+    trace, _ = batch_artifacts
+    whole = tmp_path / f"whole.{codec}"
+    run_streaming_generation(model, DAYS, seed=SEED, log_path=whole,
+                             codec=codec, collect_sessions=False)
+    log, ck = tmp_path / f"resumed.{codec}", tmp_path / "ck.npz"
+    kwargs = dict(seed=SEED, log_path=log, codec=codec, checkpoint_path=ck)
+    run_streaming_generation(model, DAYS, max_blocks=9, **kwargs)
+    meta, arrays = load_checkpoint(ck)
+    order = np.argsort(arrays["gen_pending_start"], kind="stable")
+    assert not np.array_equal(order, np.arange(order.size))
+    for key in [key for key in arrays if key.startswith("gen_pending_")]:
+        arrays[key] = arrays[key][order]
+    # The buffered entries are the emitted rows not yet written, held in
+    # trace order.
+    emitted = trace.end[:meta["generator"]["n_emitted"]]
+    position = np.flatnonzero(emitted >= arrays["log_end"].min())
+    np.testing.assert_array_equal(emitted[position], arrays["log_end"])
+    arrays["log_position"] = position
+    save_checkpoint(ck, meta, arrays)
+    result = run_streaming_generation(model, DAYS, resume=True, **kwargs)
+    assert result.completed
+    assert log.read_bytes() == whole.read_bytes()
+    _assert_sessions_match(result, trace)
 
 
 def test_count_only_mode_matches(model, batch_artifacts, tmp_path):

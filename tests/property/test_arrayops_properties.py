@@ -1,4 +1,5 @@
-"""Property-based tests of the segmented array operations.
+"""Property-based tests of the segmented array operations and the
+reorder buffer.
 
 Each vectorized primitive is compared against an obvious per-segment
 reference implementation on arbitrary segmentations.
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arrayops import (
+    ReorderBuffer,
     alternate_on_switch,
     expand_by_segment,
     segment_starts,
@@ -141,3 +143,51 @@ def test_alternate_on_switch_matches_loop(lengths, n_choices, data):
             expected.append(state)
         pos += seg
     np.testing.assert_array_equal(result, expected)
+
+
+#: One reorder-buffer step: push keys (small integers, so ties are
+#: common), release below a bound, or restore a copy from ``table``.
+buffer_steps = st.lists(st.one_of(
+    st.tuples(st.just("push"),
+              st.lists(st.integers(min_value=0, max_value=6), max_size=6)),
+    st.tuples(st.just("release"),
+              st.one_of(st.integers(min_value=-1, max_value=8),
+                        st.just(float("inf")))),
+    st.tuples(st.just("restore"), st.none())), max_size=25)
+
+
+@given(steps=buffer_steps)
+@settings(max_examples=200, deadline=None)
+def test_reorder_buffer_releases_held_rows_in_key_then_arrival_order(steps):
+    columns = (("key", np.float64), ("arrival", np.int64))
+    buffer = ReorderBuffer(columns, "key")
+    held = []  # (key, arrival) in arrival order
+    released = []
+    for op, arg in steps:
+        if op == "push":
+            rows = [(float(k), len(released) + len(held) + i)
+                    for i, k in enumerate(arg)]
+            buffer.push({"key": [k for k, _ in rows],
+                         "arrival": [a for _, a in rows]})
+            held += rows
+        elif op == "release":
+            out = buffer.release(arg)
+            assert out["key"].dtype == np.float64
+            assert out["arrival"].dtype == np.int64
+            want = sorted(row for row in held if row[0] < arg)
+            assert list(zip(out["key"].tolist(), out["arrival"].tolist(),
+                            strict=True)) == want
+            held = [row for row in held if not row[0] < arg]
+            released += want
+        else:
+            restored = ReorderBuffer(columns, "key")
+            restored.table = buffer.table
+            buffer = restored
+        table = buffer.table
+        assert list(zip(table["key"].tolist(), table["arrival"].tolist(),
+                        strict=True)) == held
+        assert buffer.n_rows == len(held)
+        assert buffer.min_key == min((k for k, _ in held), default=np.inf)
+    # Each pushed row was released exactly once or is still held.
+    arrivals = sorted(a for _, a in released + held)
+    assert arrivals == list(range(len(arrivals)))

@@ -1,4 +1,4 @@
-"""Property-based tests of trace windowing, merging, and CSV round trips."""
+"""Property-based tests of trace windowing and CSV round trips."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.trace.csvio import read_csv, write_csv
-from repro.trace.transform import (
-    _reference_merge_traces,
-    daily_slices,
-    merge_traces,
-    time_slice,
-)
+from repro.trace.transform import daily_slices, time_slice
 from tests.conftest import build_trace
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -30,19 +25,19 @@ transfer_lists = st.lists(
 @given(transfers=transfer_lists,
        day=st.floats(min_value=50.0, max_value=400.0, **finite))
 @settings(max_examples=80, deadline=None)
-def test_slice_then_merge_is_identity(transfers, day):
+def test_daily_slices_partition_the_trace(transfers, day):
     trace = build_trace(transfers, n_clients=4, extent=1_000.0)
     slices = daily_slices(trace, day_seconds=day)
-    offsets = np.cumsum([0.0] + [s.extent for s in slices[:-1]]).tolist()
-    merged = merge_traces(slices, offsets=offsets)
+    offsets = np.cumsum([0.0] + [s.extent for s in slices[:-1]])
 
-    assert len(merged) == len(trace)
-    np.testing.assert_allclose(np.sort(merged.start), np.sort(trace.start),
+    assert sum(s.extent for s in slices) == pytest.approx(trace.extent)
+    start = np.concatenate([s.start + o for s, o in zip(slices, offsets)])
+    np.testing.assert_allclose(np.sort(start), np.sort(trace.start),
                                rtol=0, atol=1e-9)
-    assert merged.extent == pytest.approx(trace.extent)
-    # Per-client activity is preserved across the round trip.
-    assert sorted(merged.transfers_per_client().tolist()) == \
-        sorted(trace.transfers_per_client().tolist())
+    # Per-client activity is preserved: the slices share the client table.
+    np.testing.assert_array_equal(
+        sum(s.transfers_per_client() for s in slices),
+        trace.transfers_per_client())
 
 
 @given(transfers=transfer_lists,
@@ -57,79 +52,6 @@ def test_slice_bounds_and_clipping(transfers, lo, width):
         assert window.start.min() >= 0
         assert window.start.max() < width
         assert float(window.end.max()) <= width + 1e-9
-
-
-def _assert_traces_identical(a, b):
-    assert a.extent == b.extent
-    np.testing.assert_array_equal(a.client_index, b.client_index)
-    np.testing.assert_array_equal(a.object_id, b.object_id)
-    np.testing.assert_array_equal(a.start, b.start)
-    np.testing.assert_array_equal(a.duration, b.duration)
-    np.testing.assert_array_equal(a.bandwidth_bps, b.bandwidth_bps)
-    np.testing.assert_array_equal(a.packet_loss, b.packet_loss)
-    np.testing.assert_array_equal(a.server_cpu, b.server_cpu)
-    np.testing.assert_array_equal(a.status, b.status)
-    assert a.clients.player_ids.tolist() == b.clients.player_ids.tolist()
-    assert a.clients.ips.tolist() == b.clients.ips.tolist()
-    assert a.clients.as_numbers.tolist() == b.clients.as_numbers.tolist()
-    assert a.clients.countries.tolist() == b.clients.countries.tolist()
-    assert a.clients.os_names.tolist() == b.clients.os_names.tolist()
-
-
-@given(transfers=transfer_lists,
-       n_parts=st.integers(min_value=1, max_value=4),
-       use_offsets=st.booleans())
-@settings(max_examples=80, deadline=None)
-def test_merge_matches_reference_loop(transfers, n_parts, use_offsets):
-    """The vectorized client re-interning produces a merged trace
-    identical to the dictionary-walk reference: same client table (order,
-    identity fields) and same transfer columns.  Slices share player IDs,
-    so the dedup path is exercised on every example."""
-    trace = build_trace(transfers, n_clients=4, extent=1_000.0)
-    width = trace.extent / n_parts
-    slices = [time_slice(trace, k * width,
-                         trace.extent if k == n_parts - 1 else (k + 1) * width,
-                         clip=False)
-              for k in range(n_parts)]
-    offsets = ([float(k * width) for k in range(n_parts)]
-               if use_offsets else None)
-    merged = merge_traces(slices, offsets=offsets)
-    reference = _reference_merge_traces(slices, offsets=offsets)
-    _assert_traces_identical(merged, reference)
-
-
-@given(transfers=transfer_lists)
-@settings(max_examples=40, deadline=None)
-def test_merge_disjoint_populations_matches_reference(transfers):
-    """Traces with entirely distinct client populations (no dedup hits)
-    also merge identically to the reference."""
-    first = build_trace(transfers, n_clients=4, extent=1_000.0)
-    shifted = [(c, o, s, d, b) for c, o, s, d, b in transfers]
-    second = build_trace(shifted, n_clients=4, extent=1_000.0)
-    # Rename the second population so the player-ID sets are disjoint.
-    renamed = second.clients.player_ids.tolist()
-    from repro.trace.store import ClientTable, Trace
-    second = Trace(
-        clients=ClientTable(
-            player_ids=[pid.replace("p", "q") for pid in renamed],
-            ips=second.clients.ips.tolist(),
-            as_numbers=second.clients.as_numbers.tolist(),
-            countries=second.clients.countries.tolist(),
-            os_names=second.clients.os_names.tolist()),
-        client_index=second.client_index,
-        object_id=second.object_id,
-        start=second.start,
-        duration=second.duration,
-        bandwidth_bps=second.bandwidth_bps,
-        packet_loss=second.packet_loss,
-        server_cpu=second.server_cpu,
-        status=second.status,
-        extent=second.extent,
-    )
-    merged = merge_traces([first, second])
-    reference = _reference_merge_traces([first, second])
-    _assert_traces_identical(merged, reference)
-    assert merged.n_clients == 8
 
 
 @given(transfers=transfer_lists)

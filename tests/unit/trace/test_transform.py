@@ -1,10 +1,9 @@
-"""Unit tests for trace windowing and merging."""
+"""Unit tests for trace windowing."""
 
-import numpy as np
 import pytest
 
 from repro.errors import TraceError
-from repro.trace.transform import daily_slices, merge_traces, time_slice
+from repro.trace.transform import daily_slices, time_slice
 from tests.conftest import build_trace
 
 
@@ -70,101 +69,3 @@ class TestDailySlices:
     def test_invalid_day_length(self):
         with pytest.raises(TraceError):
             daily_slices(sample_trace(), day_seconds=0.0)
-
-
-class TestMergeTraces:
-    def test_merge_concurrent_servers(self):
-        a = build_trace([(0, 0, 10.0, 5.0)], n_clients=1, extent=100.0)
-        b = build_trace([(0, 1, 20.0, 5.0)], n_clients=1, extent=100.0)
-        merged = merge_traces([a, b])
-        # Same player id "p0000" in both -> one client.
-        assert merged.n_clients == 1
-        assert len(merged) == 2
-        assert merged.extent == 100.0
-
-    def test_merge_with_offsets_concatenates(self):
-        a = build_trace([(0, 0, 10.0, 5.0)], n_clients=1, extent=100.0)
-        b = build_trace([(0, 0, 10.0, 5.0)], n_clients=1, extent=100.0)
-        merged = merge_traces([a, b], offsets=[0.0, 100.0])
-        assert merged.start.tolist() == [10.0, 110.0]
-        assert merged.extent == 200.0
-
-    def test_distinct_players_kept_distinct(self):
-        a = build_trace([(0, 0, 10.0, 5.0)], n_clients=1, extent=50.0)
-        b = build_trace([(1, 0, 20.0, 5.0)], n_clients=2, extent=50.0)
-        merged = merge_traces([a, b])
-        # b's table carries p0000 and p0001; p0000 merges with a's.
-        assert merged.n_clients == 2
-        assert merged.active_client_count() == 2
-
-    def test_round_trip_slicing_and_merging(self):
-        trace = sample_trace()
-        slices = daily_slices(trace, day_seconds=100.0)
-        offsets = [i * 100.0 for i in range(len(slices))]
-        merged = merge_traces(slices, offsets=offsets)
-        assert len(merged) == len(trace)
-        np.testing.assert_allclose(np.sort(merged.start),
-                                   np.sort(trace.start))
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(TraceError):
-            merge_traces([])
-
-    def test_offset_count_mismatch(self):
-        a = build_trace([(0, 0, 1.0, 1.0)], extent=10.0)
-        with pytest.raises(TraceError):
-            merge_traces([a], offsets=[0.0, 1.0])
-
-    def test_single_trace_input(self):
-        a = sample_trace()
-        merged = merge_traces([a])
-        assert len(merged) == len(a)
-        assert merged.n_clients == a.n_clients
-        np.testing.assert_array_equal(merged.start, a.start)
-        np.testing.assert_array_equal(merged.client_index, a.client_index)
-
-    def test_empty_and_nonempty_mix(self):
-        empty = build_trace([], n_clients=2, extent=100.0)
-        full = sample_trace()
-        for traces in ([empty, full], [full, empty], [empty, full, empty]):
-            merged = merge_traces(traces)
-            assert len(merged) == len(full)
-            np.testing.assert_array_equal(np.sort(merged.start),
-                                          np.sort(full.start))
-
-    def test_all_empty(self):
-        merged = merge_traces([build_trace([], n_clients=1, extent=10.0),
-                               build_trace([], n_clients=1, extent=20.0)])
-        assert len(merged) == 0
-        assert merged.extent == 20.0
-
-    def test_duplicate_players_across_many_shards(self):
-        # Four shards, every one carrying the same two player IDs: the
-        # merged table must re-intern them to exactly two clients, with
-        # every transfer remapped onto the shared rows.
-        shards = [build_trace([(0, 0, 10.0 * k, 1.0), (1, 0, 10.0 * k + 5, 1.0)],
-                              n_clients=2, extent=100.0)
-                  for k in range(4)]
-        merged = merge_traces(shards)
-        assert merged.n_clients == 2
-        assert len(merged) == 8
-        assert merged.active_client_count() == 2
-        counts = np.bincount(merged.client_index, minlength=2)
-        assert counts.tolist() == [4, 4]
-
-    def test_nonzero_offsets_keep_start_sorted(self):
-        # Cumulative offsets stack the shards end to end; the merged start
-        # column must be globally sorted so the client_grouping cache
-        # contract (start-sorted traces) holds.
-        shards = [build_trace([(0, 0, 5.0, 2.0), (1, 0, 7.0, 1.0)],
-                              n_clients=2, extent=10.0)
-                  for _ in range(3)]
-        merged = merge_traces(shards, offsets=[0.0, 10.0, 20.0])
-        assert np.all(np.diff(merged.start) >= 0)
-        order, lengths, firsts = merged.client_grouping
-        assert lengths.tolist() == [3, 3]
-        assert firsts.tolist() == [0, 3]
-        # Per-client starts ascend in the grouped view (cache validity).
-        grouped_starts = merged.start[order]
-        assert np.all(np.diff(grouped_starts[:3]) > 0)
-        assert np.all(np.diff(grouped_starts[3:]) > 0)
