@@ -26,9 +26,9 @@ SEED = 7
 #: codec -> sha256 of the generation checkpoint after three blocks.
 GENERATION = {
     "text": (
-        "1a29b94d766507d236903191c4c9949ebaff0a7a4d77f4184eb12c500aaff407"),
+        "99c307391da97e6b87daab013fc772a57bdc1834b2ac5cd1e7a318224982aa3a"),
     "binary": (
-        "12d80df8f16a68d7f51e9a831dc5546bea01a7957c8295a536df561a2be37680"),
+        "d92c810a3de501ba3e4329a6a4449a0d6f832d27b65544c741b2856d814bb850"),
 }
 
 #: sha256 of the characterization checkpoint stopped mid-plan.
