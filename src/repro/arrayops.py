@@ -1,5 +1,4 @@
-"""Segmented array operations, the one exact sum of byte totals, and
-the one reorder buffer.
+"""Segmented array operations, the one exact byte sum, the reorder buffer.
 
 The workload generators produce *per-session* quantities (transfer counts)
 and *per-transfer* quantities (durations, interarrival gaps) and need to

@@ -17,11 +17,10 @@ The merge invariant: blocks are time windows, so block ``k``'s earliest
 transfer starts at its first session arrival — known from the plan before
 any transfer is synthesized (:func:`repro.parallel.plan.emit_horizons`).
 After executing blocks ``0..k``, everything with ``start <
-emit_horizons(plan)[k]`` can be emitted; releasing those rows in stable
-start order from the pending rows followed by the new block's reproduces
-exactly the stable sort by start the batch path applies to the
-concatenated blocks, so the streamed
-column concatenation is **bit-identical** to
+emit_horizons(plan)[k]`` can be emitted; a stable start sort of the
+pending rows followed by each new block's reproduces exactly the stable
+sort by start the batch path applies to the concatenated blocks, so the
+streamed column concatenation is **bit-identical** to
 ``generate_sharded(model, days, seed=seed, blocks=blocks).trace`` for any
 ``chunk_size``.
 
